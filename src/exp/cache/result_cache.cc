@@ -132,9 +132,8 @@ ResultCache::specKey(const ExperimentSpec &spec)
     // 1-node machine it actually runs. On top of that, mix the
     // identity fields the record carries verbatim but the machine
     // fingerprint does not cover. Execution strategy (execMode,
-    // traceDir, fastReplay) stays out: replay is bit-identical to
-    // direct execution, so it is not part of the experiment's
-    // identity.
+    // traceDir) stays out: replay is bit-identical to direct
+    // execution, so it is not part of the experiment's identity.
     std::uint64_t h = fnvOffset;
     h = mixU64(h, trace::configFingerprint(Runner::machineFor(spec)));
     h = mixStr(h, spec.id);

@@ -15,10 +15,10 @@
  *    faults, deadline, mutation, and the machine model) plus the
  *    record identity fields the document carries verbatim (id, app,
  *    canonical params, sequential, audit, trackSharing). Execution
- *    strategy (execMode / traceDir / fastReplay) is deliberately
- *    excluded: replay is bit-identical to direct execution, so the
- *    experiment's identity does not include how its op stream was
- *    sourced.
+ *    strategy (execMode / traceDir) is deliberately excluded: replay
+ *    is bit-identical to direct execution, so the experiment's
+ *    identity does not include how its op stream was sourced. This
+ *    cache, not trace replay, is what makes a repeated sweep fast.
  *  - code fingerprint: per-component code versions + $SWEX_CACHE_EPOCH
  *    (code_version.hh). Wall-clock fields are stored but never keyed:
  *    they are measurement cost, not experiment identity.

@@ -61,16 +61,14 @@ execModeName(ExecutionMode mode)
 /**
  * Serialize the recorder's streams plus the run's identity into a
  * trace and save it under the cache directory: always under the
- * exact-config filename (the fast-forward tier's key), and — when
- * @p write_portable and the app is registry-portable — under the
- * portable filename too, so one recording seeds every protocol cell.
- * @p skip_existing makes the write idempotent for replay-side
- * re-records. @return "" on success, else the error.
+ * exact-config filename (the only replay a non-portable app has),
+ * and — when the app is registry-portable — under the portable
+ * filename too, so one recording seeds every protocol cell.
+ * @return "" on success, else the error.
  */
 std::string
 saveRecordedTrace(const ExperimentSpec &spec, const MachineConfig &mc,
-                  const Machine &m, const RunRecord &record,
-                  bool write_portable, bool skip_existing)
+                  const Machine &m, const RunRecord &record)
 {
     std::string dir = trace::resolveTraceDir(spec.traceDir);
     if (dir.empty())
@@ -101,18 +99,14 @@ saveRecordedTrace(const ExperimentSpec &spec, const MachineConfig &mc,
         trace::traceFileName(spec.app, t.meta.params, spec.nodes,
                              spec.sequential, false,
                              t.meta.configFingerprint);
-    if (!(skip_existing && fileExists(cfg_path)) &&
-        !t.save(cfg_path, err)) {
+    if (!t.save(cfg_path, err))
         return err;
-    }
-    if (portable && write_portable) {
+    if (portable) {
         std::string port_path = dir + "/" +
             trace::traceFileName(spec.app, t.meta.params, spec.nodes,
                                  spec.sequential, true, 0);
-        if (!(skip_existing && fileExists(port_path)) &&
-            !t.save(port_path, err)) {
+        if (!t.save(port_path, err))
             return err;
-        }
     }
     return "";
 }
@@ -237,17 +231,6 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
         prog = std::make_unique<trace::ReplayProgram>(std::move(t));
     }
 
-    // Fast-forward tier: an exact-fingerprint trace of a portable app
-    // can skip event simulation outright — apply the recorded
-    // mutation stream, carry the recorded timing, verify the image
-    // below. The fingerprint gate matters: the gaps and cycle count
-    // are the recording config's observed timing, meaningless under
-    // any other machine.
-    const bool fast =
-        prog && spec.fastReplay && appIsPortable(spec.app) &&
-        prog->trace().meta.configFingerprint ==
-            trace::configFingerprint(mc);
-
     auto t0 = std::chrono::steady_clock::now();
     Machine m(mc);
     CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
@@ -256,11 +239,8 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
 
     RunRecord record;
     record.sequential = spec.sequential;
-    record.execMode = fast ? "replay-fast" : execModeName(spec.execMode);
-    if (fast) {
-        app->setup(m);
-        record.simCycles = trace::fastForward(m, prog->trace()).cycles;
-    } else if (prog) {
+    record.execMode = execModeName(spec.execMode);
+    if (prog) {
         // Replay reproduces the op streams, not the initial image:
         // the app still allocates and initializes shared data.
         app->setup(m);
@@ -377,30 +357,17 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
     // runs are never saved: their streams are truncated mid-program
     // and could not replay to the same outcome.
     if (spec.execMode == ExecutionMode::Record && !record.failed()) {
-        std::string err =
-            saveRecordedTrace(spec, mc, m, record, true, false);
+        std::string err = saveRecordedTrace(spec, mc, m, record);
         if (!err.empty())
             fatal("record %s: %s", spec.id.c_str(), err.c_str());
-    } else if (spec.execMode == ExecutionMode::Replay && !fast &&
-               !record.failed() && record.verified) {
-        // Event-driven replay re-recorded the op stream with this
-        // config's observed gaps; persist it under the exact-config
-        // key (idempotently) so the next sweep fast-forwards this
-        // cell. Opportunistic: a save failure degrades throughput,
-        // not correctness.
-        std::string err =
-            saveRecordedTrace(spec, mc, m, record, false, true);
-        if (!err.empty())
-            warn("replay %s: could not cache exact-config trace: %s",
-                 spec.id.c_str(), err.c_str());
     }
 
     // Store policy: only a direct-mode, completed, verified,
     // violation-free record enters the cache, so a later hit serves
     // exactly the bytes a direct run would emit. Replay results are
-    // bit-identical anyway but carry execMode "replay"/"replay-fast"
-    // in the document; caching them would leak the execution strategy
-    // into cache-served records. A store failure costs throughput,
+    // bit-identical anyway but carry execMode "replay" in the
+    // document; caching them would leak the execution strategy into
+    // cache-served records. A store failure costs throughput,
     // never correctness.
     if (_cache != nullptr && spec.execMode == ExecutionMode::Direct &&
         !record.failed() && record.verified &&
@@ -503,14 +470,9 @@ Runner::runAllReplay(const std::vector<ExperimentSpec> &specs,
     }
 
     // Partition: phase one records each portable trace key once (or
-    // trusts an existing cached trace) and runs non-portable cells
-    // directly; phase two fans every remaining cell out as a replay
-    // of the now-cached trace. Replay cells opt into the fast-forward
-    // tier: a cell whose exact-config trace is cached (from a prior
-    // sweep's record or replay-side re-record) skips event simulation
-    // entirely; the rest replay through the simulated machinery and
-    // leave their own exact-config trace behind, so a sweep's cost
-    // converges to pure fast-forward as the cache warms.
+    // trusts an existing cached portable trace) and runs non-portable
+    // cells directly; phase two fans every remaining cell out as an
+    // event-driven replay of the now-cached trace.
     std::vector<ExperimentSpec> work(specs.begin(), specs.end());
     std::set<std::string> claimed;
     std::vector<std::size_t> first, second;
@@ -536,17 +498,12 @@ Runner::runAllReplay(const std::vector<ExperimentSpec> &specs,
         std::string params = trace::canonicalAppParams(s.params);
         std::string port_key = trace::traceFileName(
             s.app, params, s.nodes, s.sequential, true, 0);
-        std::string cfg_key = trace::traceFileName(
-            s.app, params, s.nodes, s.sequential, false,
-            trace::configFingerprint(machineFor(s)));
-        if (!fileExists(dir + "/" + cfg_key) &&
-            !fileExists(dir + "/" + port_key) &&
+        if (!fileExists(dir + "/" + port_key) &&
             claimed.insert(port_key).second) {
             s.execMode = ExecutionMode::Record;
             first.push_back(i);
         } else {
             s.execMode = ExecutionMode::Replay;
-            s.fastReplay = true;
             second.push_back(i);
         }
     }

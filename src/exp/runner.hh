@@ -95,15 +95,18 @@ class Runner
 
     /**
      * Record-once, replay-everywhere sweep. Specs whose app the
-     * registry declares trace-portable are partitioned by trace key
-     * (app, params, nodes, sequential): the first cell of each key
-     * records (or an already-cached trace is reused), every other
-     * cell replays the cached trace — the order-of-magnitude fast
-     * path for protocol sweeps, where one recording drives every
-     * protocol / latency / victim / seed cell. Specs whose app is
-     * not portable run Direct, unchanged (record+replay per cell
-     * would be pure overhead). Results merge into the log in spec
-     * order, exactly like runAll().
+     * registry declares trace-portable are partitioned by portable
+     * trace key (app, params, nodes, sequential): the first cell of
+     * each key records (or an already-cached portable trace is
+     * reused), every other cell replays the cached trace through the
+     * full simulated machine, so one recording drives every
+     * protocol / latency / victim / seed cell without re-running the
+     * app's host compute. Replay cells write no traces of their own.
+     * Specs whose app is not portable run Direct, unchanged
+     * (record+replay per cell would be pure overhead). Results merge
+     * into the log in spec order, exactly like runAll(). A repeated
+     * sweep re-simulates every cell; attach a result cache to serve
+     * it from disk instead.
      */
     std::vector<RunRecord *> runAllReplay(
         const std::vector<ExperimentSpec> &specs, unsigned jobs,

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/spectrum.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
@@ -47,32 +48,6 @@ using wire::JsonParser;
 using wire::jsonEscape;
 using wire::numberAsU64;
 using wire::renderJson;
-
-bool
-parseSnoopProtocol(const std::string &s, SnoopProtocol &out)
-{
-    if (s == "mesi") { out = SnoopProtocol::Mesi; return true; }
-    if (s == "moesi") { out = SnoopProtocol::Moesi; return true; }
-    if (s == "mesif") { out = SnoopProtocol::Mesif; return true; }
-    if (s == "dragon") { out = SnoopProtocol::Dragon; return true; }
-    return false;
-}
-
-bool
-parseDirProtocol(const std::string &s, ProtocolConfig &out)
-{
-    if (s == "h0") { out = ProtocolConfig::h0(); return true; }
-    if (s == "h1ack") { out = ProtocolConfig::h1Ack(); return true; }
-    if (s == "h1lack") { out = ProtocolConfig::h1Lack(); return true; }
-    if (s == "h1") { out = ProtocolConfig::h1(); return true; }
-    if (s == "h2") { out = ProtocolConfig::hw(2); return true; }
-    if (s == "h3") { out = ProtocolConfig::hw(3); return true; }
-    if (s == "h4") { out = ProtocolConfig::hw(4); return true; }
-    if (s == "h5") { out = ProtocolConfig::hw(5); return true; }
-    if (s == "dir1sw") { out = ProtocolConfig::dir1sw(); return true; }
-    if (s == "full") { out = ProtocolConfig::fullMap(); return true; }
-    return false;
-}
 
 /**
  * Build an ExperimentSpec from a "run" request object. The accepted
@@ -198,17 +173,13 @@ specFromJson(const JsonValue &req, ExperimentSpec &spec)
             spec.faultBlackoutPerMille != 0)
             return "the snooping bus models no network: drop "
                    "jitter/fault fields";
-    } else if (!parseDirProtocol(proto, spec.protocol)) {
+    } else if (!parseSpectrumKey(proto, spec.protocol)) {
         return "unknown protocol '" + proto + "'";
     }
     if (!bus.empty()) {
         if (spec.machineModel != MachineModel::Snoop)
             return "'bus' applies to snooping protocols only";
-        if (bus == "fifo")
-            spec.busArbitration = BusArbitration::Fifo;
-        else if (bus == "rr")
-            spec.busArbitration = BusArbitration::RoundRobin;
-        else
+        if (!parseBusArbitration(bus, spec.busArbitration))
             return "bad value for 'bus' (want fifo or rr)";
     }
     // Fault injection can legitimately livelock; same guard as the

@@ -99,22 +99,14 @@ struct ExperimentSpec
     /**
      * How the runner sources the op stream: Direct (coroutine app
      * threads), Record (direct plus trace capture), or Replay (drive
-     * the processors from a cached trace — no coroutine frames).
-     * Record and Replay resolve the trace cache via traceDir.
+     * the processors from a cached trace — no coroutine frames, and
+     * no trace written back). Record and Replay resolve the trace
+     * cache via traceDir.
      */
     ExecutionMode execMode = ExecutionMode::Direct;
 
     /** Trace cache directory; "" falls back to $SWEX_TRACE_CACHE. */
     std::string traceDir;
-
-    /**
-     * With execMode == Replay: permit the flat fast-forward tier when
-     * an exact-fingerprint trace of a portable app is cached — apply
-     * the recorded mutation stream, carry the recorded timing, verify
-     * the memory image against the header. Falls back to event-driven
-     * replay (and to Direct) when the preconditions don't hold.
-     */
-    bool fastReplay = false;
 
     /** The machine configuration this spec describes. */
     MachineConfig

@@ -30,6 +30,16 @@ snoopProtocolName(SnoopProtocol p)
     return "?";
 }
 
+bool
+parseSnoopProtocol(const std::string &s, SnoopProtocol &out)
+{
+    if (s == "mesi") { out = SnoopProtocol::Mesi; return true; }
+    if (s == "moesi") { out = SnoopProtocol::Moesi; return true; }
+    if (s == "mesif") { out = SnoopProtocol::Mesif; return true; }
+    if (s == "dragon") { out = SnoopProtocol::Dragon; return true; }
+    return false;
+}
+
 const char *
 busArbitrationName(BusArbitration a)
 {
@@ -38,6 +48,14 @@ busArbitrationName(BusArbitration a)
       case BusArbitration::RoundRobin: return "rr";
     }
     return "?";
+}
+
+bool
+parseBusArbitration(const std::string &s, BusArbitration &out)
+{
+    if (s == "fifo") { out = BusArbitration::Fifo; return true; }
+    if (s == "rr") { out = BusArbitration::RoundRobin; return true; }
+    return false;
 }
 
 std::unique_ptr<CoherenceBackend>

@@ -17,6 +17,7 @@
 #define SWEX_MACHINE_COHERENCE_HH
 
 #include <memory>
+#include <string>
 
 #include "base/types.hh"
 #include "core/node_services.hh"
@@ -53,6 +54,10 @@ enum class SnoopProtocol : std::uint8_t
 
 const char *snoopProtocolName(SnoopProtocol p);
 
+/** The --protocol key of a snooping protocol (mesi|moesi|mesif|
+ *  dragon). @return false if @p s names none. */
+bool parseSnoopProtocol(const std::string &s, SnoopProtocol &out);
+
 /** Bus service discipline for queued requests. */
 enum class BusArbitration : std::uint8_t
 {
@@ -61,6 +66,10 @@ enum class BusArbitration : std::uint8_t
 };
 
 const char *busArbitrationName(BusArbitration a);
+
+/** The --bus key of a discipline (fifo|rr). @return false if @p s
+ *  names none. */
+bool parseBusArbitration(const std::string &s, BusArbitration &out);
 
 /** Shared-bus timing knobs (MachineModel::Snoop only). */
 struct SnoopBusConfig

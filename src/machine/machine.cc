@@ -33,12 +33,7 @@ Machine::Machine(const MachineConfig &config)
         heapPtr[static_cast<std::size_t>(i)] = 64 * 1024 +
                                                8 * blockBytes;
     }
-    // Replay-mode machines also record: the cursor re-stamps each op
-    // with the gap observed under *this* configuration, so replaying
-    // a portable trace on a new config yields that config's own
-    // exact-fingerprint trace as a byproduct (the cache upgrades
-    // itself toward the fast-forward tier).
-    if (cfg.executionMode != ExecutionMode::Direct)
+    if (cfg.executionMode == ExecutionMode::Record)
         _recorder = std::make_unique<TraceRecorder>(cfg.numNodes);
 }
 

@@ -40,7 +40,8 @@ class TraceRecorder;
  *    operation into a TraceRecorder. Strictly passive — simulated
  *    results are bit-identical to Direct.
  *  - Replay: flat cursors over a recorded trace drive the processors
- *    (runReplay); no coroutine frames, no app host compute.
+ *    (runReplay); no coroutine frames, no app host compute, and no
+ *    recorder.
  */
 enum class ExecutionMode
 {
@@ -183,8 +184,8 @@ class Machine
      */
     Tick runReplay(const std::vector<ReplaySource *> &threads);
 
-    /** The op-stream recorder (non-null unless executionMode==Direct;
-     *  Replay re-records so the run emits its own exact-config trace). */
+    /** The op-stream recorder (non-null only when executionMode is
+     *  Record). */
     TraceRecorder *recorder() { return _recorder.get(); }
     const TraceRecorder *recorder() const { return _recorder.get(); }
 

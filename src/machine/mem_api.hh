@@ -45,7 +45,7 @@ class Mem
     read(Addr a)
     {
         if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Load, a, 0);
+            rec->memOp(_node, trace::Op::Load, a, 0);
         return proc().memOp(MemOpType::Load, a, 0);
     }
 
@@ -54,7 +54,7 @@ class Mem
     write(Addr a, Word v)
     {
         if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Store, a, v);
+            rec->memOp(_node, trace::Op::Store, a, v);
         return proc().memOp(MemOpType::Store, a, v);
     }
 
@@ -63,7 +63,7 @@ class Mem
     fetchAdd(Addr a, Word v)
     {
         if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::FetchAdd, a, v);
+            rec->memOp(_node, trace::Op::FetchAdd, a, v);
         return proc().memOp(MemOpType::FetchAdd, a, v);
     }
 
@@ -72,7 +72,7 @@ class Mem
     swap(Addr a, Word v)
     {
         if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Swap, a, v);
+            rec->memOp(_node, trace::Op::Swap, a, v);
         return proc().memOp(MemOpType::Swap, a, v);
     }
 
@@ -84,7 +84,7 @@ class Mem
         // it is invisible to timing and is not recorded.
         if (n != 0) {
             if (auto *rec = _machine.recorder())
-                rec->work(_node, _machine.now(), n);
+                rec->work(_node, n);
         }
         return proc().work(n);
     }
@@ -94,7 +94,7 @@ class Mem
     setFootprint(std::vector<Addr> blocks)
     {
         if (auto *rec = _machine.recorder())
-            rec->setFootprint(_node, _machine.now(), blocks);
+            rec->setFootprint(_node, blocks);
         proc().setFootprint(std::move(blocks));
     }
 
@@ -103,7 +103,7 @@ class Mem
     hwBarrier()
     {
         if (auto *rec = _machine.recorder())
-            rec->hwBarrier(_node, _machine.now());
+            rec->hwBarrier(_node);
         return _machine.hwBarrier(_node);
     }
 

@@ -1,14 +1,13 @@
 /**
  * @file
  * Wire encoding for swex-trace-v1 operation streams: one byte stream
- * per simulated thread, each operation an opcode byte, a LEB128 gap
- * varint (the cycle delta since the thread's previous op issued),
- * then LEB128 varint operands. The gaps carry the recording run's
- * observed timing, which the exp layer's fast-forward replay uses to
- * order memory mutations; the event-driven replay path ignores them.
- * The encoding is schema-versioned (see trace_format.hh): any change
- * to the opcode set or operand layout must bump traceSchema so stale
- * cached traces are rejected instead of misdecoded.
+ * per simulated thread, each operation an opcode byte followed by its
+ * LEB128 varint operands. Streams carry the app-visible op sequence
+ * only, no timing: replay regenerates every cycle by driving the
+ * simulated machinery. The encoding is schema-versioned (see
+ * trace_format.hh): any change to the opcode set or operand layout
+ * must bump traceSchema so stale cached traces are rejected instead
+ * of misdecoded.
  */
 
 #ifndef SWEX_TRACE_ENCODING_HH
@@ -25,14 +24,13 @@ namespace trace
 {
 
 /** Bumped whenever the opcode set or operand layout changes. */
-constexpr std::uint32_t traceSchema = 1;
+constexpr std::uint32_t traceSchema = 2;
 
-/** Operation codes, one per app-visible Mem call. Every op's first
- *  operand is the issue-gap varint; the operands listed here follow
- *  it. */
+/** Operation codes, one per app-visible Mem call, with the operands
+ *  that follow the opcode byte. */
 enum class Op : std::uint8_t
 {
-    End = 0,           ///< explicit end-of-stream guard (no gap)
+    End = 0,           ///< explicit end-of-stream guard
     Work = 1,          ///< work(n): varint n (n > 0)
     Load = 2,          ///< read(a): varint addr
     Store = 3,         ///< write(a, v): varint addr, varint value

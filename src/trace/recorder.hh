@@ -2,12 +2,14 @@
  * @file
  * The recording half of the record/replay subsystem: per-thread
  * append-only op-stream buffers the Mem API writes into while the
- * machine runs in ExecutionMode::Record.
+ * machine runs in ExecutionMode::Record (the only mode that builds
+ * one).
  *
  * The recorder is strictly passive. It observes the app-visible
  * operation stream at the Mem layer and never schedules events,
- * touches caches, or charges cycles, so a Record-mode run produces
- * bit-identical simulated results to a Direct run of the same config.
+ * touches caches, charges cycles, or reads the clock, so a
+ * Record-mode run produces bit-identical simulated results to a
+ * Direct run of the same config.
  *
  * Placement matters: hooks live in the Mem methods only, so
  * machine-internal resumptions (the fast barrier's resumeAfter work
@@ -39,7 +41,6 @@ class TraceRecorder
     {
         std::vector<std::uint8_t> bytes;
         std::uint64_t ops = 0;
-        Tick lastTick = 0;   ///< issue tick of the previous op
     };
 
     explicit TraceRecorder(int num_threads)
@@ -48,22 +49,20 @@ class TraceRecorder
 
     /** work(n); callers skip n == 0 (it never suspends or charges). */
     void
-    work(int tid, Tick now, Cycles n)
+    work(int tid, Cycles n)
     {
         auto &s = at(tid);
         s.bytes.push_back(static_cast<std::uint8_t>(trace::Op::Work));
-        gap(s, now);
         trace::putVarint(s.bytes, n);
         ++s.ops;
     }
 
     /** One memory operation; @p op is Load/Store/FetchAdd/Swap. */
     void
-    memOp(int tid, Tick now, trace::Op op, Addr a, Word operand)
+    memOp(int tid, trace::Op op, Addr a, Word operand)
     {
         auto &s = at(tid);
         s.bytes.push_back(static_cast<std::uint8_t>(op));
-        gap(s, now);
         trace::putVarint(s.bytes, a);
         if (op != trace::Op::Load)
             trace::putVarint(s.bytes, operand);
@@ -71,12 +70,11 @@ class TraceRecorder
     }
 
     void
-    setFootprint(int tid, Tick now, const std::vector<Addr> &blocks)
+    setFootprint(int tid, const std::vector<Addr> &blocks)
     {
         auto &s = at(tid);
         s.bytes.push_back(
             static_cast<std::uint8_t>(trace::Op::SetFootprint));
-        gap(s, now);
         trace::putVarint(s.bytes, blocks.size());
         for (Addr a : blocks)
             trace::putVarint(s.bytes, a);
@@ -84,12 +82,11 @@ class TraceRecorder
     }
 
     void
-    hwBarrier(int tid, Tick now)
+    hwBarrier(int tid)
     {
         auto &s = at(tid);
         s.bytes.push_back(
             static_cast<std::uint8_t>(trace::Op::HwBarrier));
-        gap(s, now);
         ++s.ops;
     }
 
@@ -107,19 +104,6 @@ class TraceRecorder
 
   private:
     Stream &at(int tid) { return _streams[static_cast<std::size_t>(tid)]; }
-
-    /** Every op carries the cycle delta since the thread's previous
-     *  op issued — the observed duration of whatever came before it
-     *  (memory latency, work segment, barrier wait, any handler
-     *  preemption charged in between). Prefix sums over the gaps
-     *  recover each op's absolute issue tick, which is what the
-     *  exp layer's fast-forward replay runs on. */
-    void
-    gap(Stream &s, Tick now)
-    {
-        trace::putVarint(s.bytes, now - s.lastTick);
-        s.lastTick = now;
-    }
 
     std::vector<Stream> _streams;
 };

@@ -1,12 +1,7 @@
 #include "trace/replay.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
-#include "machine/machine.hh"
-#include "machine/node.hh"
 #include "trace/encoding.hh"
-#include "trace/recorder.hh"
 
 namespace swex
 {
@@ -16,39 +11,24 @@ namespace trace
 bool
 TraceCursor::advance(Processor &p)
 {
-    Machine &m = p.node().machine();
-    TraceRecorder *rec = m.recorder();
-    const int tid = static_cast<int>(p.node().id());
     while (_cur != _end) {
         Op op = static_cast<Op>(*_cur++);
         if (op == Op::End) {
             _cur = _end;
             return false;
         }
-        // Every op after the opcode carries its issue-gap varint. The
-        // event-driven replay path ignores it (timing is regenerated
-        // by the simulated machinery); re-recording below stamps
-        // fresh gaps observed under *this* run's configuration.
-        std::uint64_t gap = 0;
-        if (!getVarint(_cur, _end, gap))
-            panic("trace replay: truncated gap varint");
-        const Tick now = m.now();
         std::uint64_t a = 0;
         std::uint64_t v = 0;
         switch (op) {
           case Op::Work:
             if (!getVarint(_cur, _end, v))
                 break;
-            if (rec)
-                rec->work(tid, now, v);
             p.replayWork(v);
             return true;
 
           case Op::Load:
             if (!getVarint(_cur, _end, a))
                 break;
-            if (rec)
-                rec->memOp(tid, now, Op::Load, a, 0);
             p.replayMemOp(MemOpType::Load, a, 0);
             return true;
 
@@ -56,8 +36,6 @@ TraceCursor::advance(Processor &p)
             if (!getVarint(_cur, _end, a) ||
                 !getVarint(_cur, _end, v))
                 break;
-            if (rec)
-                rec->memOp(tid, now, Op::Store, a, v);
             p.replayMemOp(MemOpType::Store, a, v);
             return true;
 
@@ -65,8 +43,6 @@ TraceCursor::advance(Processor &p)
             if (!getVarint(_cur, _end, a) ||
                 !getVarint(_cur, _end, v))
                 break;
-            if (rec)
-                rec->memOp(tid, now, Op::FetchAdd, a, v);
             p.replayMemOp(MemOpType::FetchAdd, a, v);
             return true;
 
@@ -74,8 +50,6 @@ TraceCursor::advance(Processor &p)
             if (!getVarint(_cur, _end, a) ||
                 !getVarint(_cur, _end, v))
                 break;
-            if (rec)
-                rec->memOp(tid, now, Op::Swap, a, v);
             p.replayMemOp(MemOpType::Swap, a, v);
             return true;
 
@@ -95,15 +69,11 @@ TraceCursor::advance(Processor &p)
             }
             if (!ok)
                 break;
-            if (rec)
-                rec->setFootprint(tid, now, blocks);
             p.setFootprint(std::move(blocks));
             continue;   // zero-cost: decode the next op
           }
 
           case Op::HwBarrier:
-            if (rec)
-                rec->hwBarrier(tid, now);
             p.replayBarrier();
             return true;
 
@@ -133,101 +103,6 @@ ReplayProgram::sources()
     for (auto &c : _cursors)
         out.push_back(&c);
     return out;
-}
-
-FastForwardResult
-fastForward(Machine &m, const Trace &t)
-{
-    // Decode every stream into (absolute issue tick, thread,
-    // mutation) tuples. Gaps are deltas from the thread's previous
-    // op, so a running prefix sum recovers the recording run's global
-    // issue order of every memory mutation.
-    struct Mut
-    {
-        Tick tick;
-        int tid;
-        Op op;
-        Addr addr;
-        Word operand;
-    };
-    std::vector<Mut> muts;
-    for (std::size_t tid = 0; tid < t.streams.size(); ++tid) {
-        const auto &bytes = t.streams[tid].bytes;
-        const std::uint8_t *cur = bytes.data();
-        const std::uint8_t *end = cur + bytes.size();
-        Tick tick = 0;
-        while (cur != end) {
-            Op op = static_cast<Op>(*cur++);
-            if (op == Op::End)
-                break;
-            std::uint64_t gap = 0;
-            if (!getVarint(cur, end, gap))
-                panic("trace fast-forward: truncated gap varint");
-            tick += gap;
-            std::uint64_t a = 0;
-            std::uint64_t v = 0;
-            bool ok = true;
-            switch (op) {
-              case Op::Work:
-                ok = getVarint(cur, end, v);
-                break;
-              case Op::Load:
-                ok = getVarint(cur, end, a);
-                break;
-              case Op::Store:
-              case Op::FetchAdd:
-              case Op::Swap:
-                ok = getVarint(cur, end, a) && getVarint(cur, end, v);
-                if (ok)
-                    muts.push_back({tick, static_cast<int>(tid), op,
-                                    a, v});
-                break;
-              case Op::SetFootprint: {
-                std::uint64_t count = 0;
-                ok = getVarint(cur, end, count);
-                for (std::uint64_t i = 0; ok && i < count; ++i)
-                    ok = getVarint(cur, end, a);
-                break;
-              }
-              case Op::HwBarrier:
-                break;
-              default:
-                panic("trace fast-forward: bad opcode %u",
-                      static_cast<unsigned>(op));
-            }
-            if (!ok)
-                panic("trace fast-forward: truncated operand");
-        }
-    }
-
-    // Apply in global (tick, thread) order. Coherence serialized the
-    // recording run's writes, so replaying the mutation stream in
-    // issue order reproduces the final memory image — which the
-    // caller must verify against meta.recordedImageHash before
-    // trusting the result.
-    std::stable_sort(muts.begin(), muts.end(),
-                     [](const Mut &x, const Mut &y) {
-                         return x.tick != y.tick ? x.tick < y.tick
-                                                 : x.tid < y.tid;
-                     });
-    for (const Mut &mu : muts) {
-        switch (mu.op) {
-          case Op::Store:
-          case Op::Swap:
-            m.debugWrite(mu.addr, mu.operand);
-            break;
-          case Op::FetchAdd:
-            m.debugWrite(mu.addr, m.debugRead(mu.addr) + mu.operand);
-            break;
-          default:
-            break;
-        }
-    }
-
-    FastForwardResult res;
-    res.cycles = t.meta.recordedCycles;
-    res.mutations = muts.size();
-    return res;
 }
 
 } // namespace trace

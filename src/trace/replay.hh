@@ -6,7 +6,8 @@
  * coroutine frames, no per-access suspension — the cursor advances,
  * issues one suspending op, and the processor's own trap / watchdog /
  * cycle-charging machinery does the rest, so replay timing is
- * identical to direct execution by construction.
+ * identical to direct execution by construction. Replay-mode machines
+ * build no recorder, so a replay leaves no trace of its own behind.
  */
 
 #ifndef SWEX_TRACE_REPLAY_HH
@@ -20,35 +21,8 @@
 
 namespace swex
 {
-
-class Machine;
-
 namespace trace
 {
-
-/** What fastForward() did, for reporting and sanity checks. */
-struct FastForwardResult
-{
-    Tick cycles = 0;            ///< recordedCycles carried from the header
-    std::size_t mutations = 0;  ///< stores/atomics applied to memory
-};
-
-/**
- * The flat fast-forward tier: skip event simulation entirely and
- * reconstruct the recorded run's outcome from the trace alone. Every
- * op's issue-gap annotation is prefix-summed into absolute ticks, the
- * memory mutations (stores and atomics) are applied to @p m in global
- * (tick, thread) issue order via the debug access path, and the
- * recorded cycle count is carried from the header.
- *
- * This is only sound when the trace's configFingerprint matches the
- * machine @p m was built with (the gaps and cycle count are that
- * config's observed timing) — and the caller MUST verify
- * m.imageHash() against meta.recordedImageHash afterwards, which
- * catches any divergence end to end. Apps whose op streams depend on
- * loaded values (non-portable) are refused upstream.
- */
-FastForwardResult fastForward(Machine &m, const Trace &t);
 
 /** One thread's cursor over its recorded op stream. */
 class TraceCursor final : public ReplaySource

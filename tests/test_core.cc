@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "core/cost_model.hh"
 #include "core/directory.hh"
 #include "core/ext_directory.hh"
 #include "core/protocol.hh"
+#include "core/spectrum.hh"
 #include "mem/block.hh"
 
 using namespace swex;
@@ -27,6 +29,20 @@ TEST(ProtocolNotation, NamesMatchPaper)
     EXPECT_EQ(ProtocolConfig::h1Ack().name(), "DirnH1SNB,ACK");
     EXPECT_EQ(ProtocolConfig::h0().name(), "DirnH0SNB,ACK");
     EXPECT_EQ(ProtocolConfig::dir1sw().name(), "Dir1H1SB,LACK");
+}
+
+TEST(ProtocolNotation, EverySpectrumPointHasOneKey)
+{
+    const auto points = protocolSpectrum();
+    ASSERT_EQ(std::size(spectrumKeys), points.size());
+    for (const SpectrumPoint &pt : points) {
+        ProtocolConfig parsed;
+        ASSERT_TRUE(parseSpectrumKey(spectrumKey(pt.label), parsed))
+            << pt.label;
+        EXPECT_EQ(parsed.name(), pt.protocol.name());
+    }
+    ProtocolConfig unused;
+    EXPECT_FALSE(parseSpectrumKey("H5", unused));
 }
 
 TEST(ProtocolNotation, WatchdogOnlyForAckProtocols)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +97,60 @@ TEST(Runner, DeterministicAcrossRepeats)
     Tick a = runner.run(spec).simCycles;
     Tick b = runner.run(spec).simCycles;
     EXPECT_EQ(a, b);
+}
+
+/**
+ * The figure anchors the docs quote (swex_cli defaults: victim 6,
+ * seed 12345, h5), pinned. Each runs Direct, then Record, then an
+ * exact-config Replay of that recording; all three must land on the
+ * pinned cycle count and the direct memory image, so any change to
+ * simulated timing or to the Mem-API recorder hooks moves them.
+ */
+TEST(Runner, FigureAnchorsHoldDirectRecordAndReplay)
+{
+    setQuiet(true);
+    struct Anchor
+    {
+        const char *app;
+        int nodes;
+        AppParams params;
+        Tick cycles;
+    };
+    const Anchor anchors[] = {
+        {"worker", 16, {{"wss", "8"}}, 20929},
+        {"aq", 16, AppRegistry::instance().entry("aq").smokeParams,
+         29562},
+        {"mp3d", 64, {}, 60935},
+        {"tsp", 16, {}, 941053},
+    };
+    std::string tmpl = ::testing::TempDir() + "swexanchor-XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(mkdtemp(buf.data()), nullptr);
+    const std::string dir = buf.data();
+
+    Runner runner;
+    for (const Anchor &a : anchors) {
+        ExperimentSpec spec{.id = std::string("anchor/") + a.app,
+                            .app = a.app,
+                            .params = a.params,
+                            .protocol = ProtocolConfig::hw(5),
+                            .nodes = a.nodes,
+                            .victimEntries = 6,
+                            .traceDir = dir};
+        RunRecord direct = runner.execute(spec);
+        EXPECT_TRUE(direct.verified) << a.app;
+        EXPECT_EQ(direct.simCycles, a.cycles) << a.app;
+        for (ExecutionMode mode :
+             {ExecutionMode::Record, ExecutionMode::Replay}) {
+            spec.execMode = mode;
+            RunRecord r = runner.execute(spec);
+            EXPECT_TRUE(r.verified) << a.app;
+            EXPECT_EQ(r.simCycles, a.cycles) << a.app;
+            EXPECT_EQ(r.imageHash, direct.imageHash) << a.app;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Runner, SequentialReferenceAndSpeedupFields)

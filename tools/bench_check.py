@@ -10,9 +10,10 @@ number.
 With --cli the positional binary is swex_cli; the script runs a tiny
 experiment with --json and validates the emitted swex-run-v1 document
 (schema tag, per-record required fields, finite metrics), checks
-that $SWEX_RUN_JSON produces the same document shape, and runs one
+that $SWEX_RUN_JSON produces the same document shape, runs one
 snooping-bus experiment to validate the optional machine_model field
-(directory records omit it; bus records must carry "snoop").
+(directory records omit it; bus records must carry "snoop"), and
+requires every malformed invocation in CLI_USAGE_ERRORS to exit 2.
 
 With --replay-equiv the positional binary is swex_cli; the script
 records a run into a scratch trace directory, validates every emitted
@@ -60,6 +61,16 @@ REQUIRED_ENTRIES = [
 
 RECORD_REQUIRED = ["id", "app", "protocol", "nodes", "sequential",
                    "sim_cycles", "verified", "metrics", "host"]
+
+# Malformed swex_cli invocations: each must be refused as a usage
+# error (exit 2) before any simulation starts.
+CLI_USAGE_ERRORS = [
+    ["--bus", "bogus"],
+    ["--nodes", "16x"],
+    ["--protocol", "bogus"],
+    ["--profile", "ASM"],
+    ["--faults", "1,2,3,4"],
+]
 
 
 def load_doc(json_path, expect_schema):
@@ -180,7 +191,7 @@ def check_run_json(json_path, expect_records):
 # swex-trace-v1 container constants (src/trace/trace_format.cc).
 TRACE_MAGIC = b"SWEXTRC1"
 TRACE_VERSION = 1
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 FNV_OFFSET = 1469598103934665603
 FNV_PRIME = 1099511628211
 MASK64 = (1 << 64) - 1
@@ -576,6 +587,17 @@ def run_cli(binary, tmp):
                  f"{snoop.get('machine_model')!r}, expected 'snoop'")
     if not snoop.get("verified"):
         sys.exit("FAIL: snooping record not verified")
+
+    for bad in CLI_USAGE_ERRORS:
+        args = ["--app", "worker", "--nodes", "4", "--wss", "2",
+                "--iters", "2", *bad]
+        proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 2:
+            sys.exit(f"FAIL: swex_cli {' '.join(bad)} exited with "
+                     f"{proc.returncode}, expected usage error 2:\n"
+                     f"{proc.stdout}")
+    print(f"OK: {len(CLI_USAGE_ERRORS)} malformed invocations exit 2")
     return n + 1
 
 

@@ -152,21 +152,6 @@ snoopPoints()
     return out;
 }
 
-/** The swex_cli spelling of a spectrum label, for replay lines. */
-std::string
-cliProtocolName(const std::string &label)
-{
-    if (label == "H0-ACK") return "h0";
-    if (label == "H1-ACK") return "h1ack";
-    if (label == "H1-LACK") return "h1lack";
-    if (label == "FULLMAP") return "full";
-    std::string out;
-    for (char c : label)
-        out += static_cast<char>(
-            c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
-    return out;   // H1..H5 -> h1..h5, DIR1SW -> dir1sw
-}
-
 [[noreturn]] void
 badValue(const std::string &opt, const std::string &value)
 {
@@ -391,7 +376,7 @@ stressRun(const StressApp &sa, const GridPoint &pt,
                 "6 --jitter %llu --jitter-seed %llu --faults "
                 "%u,%u,%u --fault-seed %llu --deadline %llu --audit",
                 sa.name.c_str(), opt.nodes,
-                cliProtocolName(pt.label).c_str(),
+                spectrumKey(pt.label).c_str(),
                 static_cast<unsigned long long>(jitter_max),
                 static_cast<unsigned long long>(seed),
                 adversarial ? opt.drop : 0, adversarial ? opt.dup : 0,

@@ -17,7 +17,7 @@
 # A third leg re-runs the grid with --replay (every cell records its
 # op streams, replays them on a fresh machine, and digests the replay
 # run): the replayed digest must equal the direct one bit for bit,
-# gating the record/replay fast path with the same precision as the
+# gating record/replay with the same precision as the
 # --jobs gate. SWEX_DET_REPLAY=0 skips it.
 #
 # A fourth leg gates the snooping machine-model grid (--family snoop:

@@ -15,7 +15,6 @@
  *   swex_cli --list
  */
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -143,10 +142,13 @@ usage()
         "                     trace cache (--trace-dir or\n"
         "                     $SWEX_TRACE_CACHE) for later --replay\n"
         "  --replay           drive the machine from a recorded trace\n"
-        "                     instead of executing the app (identical\n"
-        "                     cycle counts, much faster); with --sweep,\n"
-        "                     records each portable trace once and\n"
-        "                     replays every cell from it\n"
+        "                     instead of executing the app: identical\n"
+        "                     cycle counts, still fully simulated\n"
+        "                     (0.9-1.1x direct speed on WORKER\n"
+        "                     sweeps); with --sweep, records each\n"
+        "                     portable trace once and replays every\n"
+        "                     cell from it. A repeated sweep is fast\n"
+        "                     with --cache-dir, not --replay\n"
         "  --trace-dir <path> trace cache directory (default\n"
         "                     $SWEX_TRACE_CACHE)\n"
         "  --cache-dir <path> content-addressed result cache: warm\n"
@@ -200,13 +202,12 @@ parseFaults(const std::string &value, ExperimentSpec &spec)
 {
     unsigned rates[3] = {0, 0, 0};
     std::size_t pos = 0;
-    for (int k = 0; k < 3 && pos <= value.size(); ++k) {
+    for (int k = 0;; ++k) {
+        if (k == 3)
+            badValue("--faults", value, "at most three rates");
         std::size_t comma = value.find(',', pos);
-        std::string part = value.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        rates[k] = static_cast<unsigned>(
-            parseCount("--faults", part, 0, 1000));
+        rates[k] = static_cast<unsigned>(parseCount(
+            "--faults", value.substr(pos, comma - pos), 0, 1000));
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
@@ -214,23 +215,6 @@ parseFaults(const std::string &value, ExperimentSpec &spec)
     spec.faultDropPerMille = rates[0];
     spec.faultDupPerMille = rates[1];
     spec.faultBlackoutPerMille = rates[2];
-}
-
-/** The --protocol key that reproduces a spectrum label. */
-std::string
-cliProtoKey(const std::string &label)
-{
-    if (label == "H0-ACK") return "h0";
-    if (label == "H1-ACK") return "h1ack";
-    if (label == "H1-LACK") return "h1lack";
-    if (label == "H1") return "h1";
-    if (label == "DIR1SW") return "dir1sw";
-    if (label == "FULLMAP") return "full";
-    std::string key = label;
-    for (char &c : key)
-        c = static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    return key;   // H2..H5
 }
 
 /**
@@ -279,34 +263,6 @@ replayLine(const ExperimentSpec &sp, const std::string &proto_key,
     return s;
 }
 
-/** Snooping protocol names accepted by --protocol; false if @p s
- *  names a directory spectrum point instead. */
-bool
-parseSnoopProtocol(const std::string &s, SnoopProtocol &out)
-{
-    if (s == "mesi") { out = SnoopProtocol::Mesi; return true; }
-    if (s == "moesi") { out = SnoopProtocol::Moesi; return true; }
-    if (s == "mesif") { out = SnoopProtocol::Mesif; return true; }
-    if (s == "dragon") { out = SnoopProtocol::Dragon; return true; }
-    return false;
-}
-
-ProtocolConfig
-parseProtocol(const std::string &s)
-{
-    if (s == "h0") return ProtocolConfig::h0();
-    if (s == "h1ack") return ProtocolConfig::h1Ack();
-    if (s == "h1lack") return ProtocolConfig::h1Lack();
-    if (s == "h1") return ProtocolConfig::h1();
-    if (s == "h2") return ProtocolConfig::hw(2);
-    if (s == "h3") return ProtocolConfig::hw(3);
-    if (s == "h4") return ProtocolConfig::hw(4);
-    if (s == "h5") return ProtocolConfig::hw(5);
-    if (s == "dir1sw") return ProtocolConfig::dir1sw();
-    if (s == "full") return ProtocolConfig::fullMap();
-    fatal("unknown protocol '%s' (try --list)", s.c_str());
-}
-
 void
 listEverything()
 {
@@ -321,8 +277,8 @@ listEverything()
     }
     std::printf("\ndirectory protocols (--protocol):\n");
     for (const auto &pt : protocolSpectrum())
-        std::printf("  %-10s %s\n", pt.label.c_str(),
-                    pt.protocol.name().c_str());
+        std::printf("  %-10s %-10s %s\n", spectrumKey(pt.label).c_str(),
+                    pt.label.c_str(), pt.protocol.name().c_str());
     std::printf("\nsnooping protocols (--protocol, shared-bus "
                 "machine model):\n");
     std::printf("  %-10s invalidate-based; E for private clean "
@@ -578,7 +534,7 @@ remoteMain(const std::string &addr, const ExperimentSpec &spec,
             if (!first)
                 base += ",";
             first = false;
-            base += "\"" + cliProtoKey(pt.label) + "\"";
+            base += "\"" + spectrumKey(pt.label) + "\"";
         }
     }
     base += "],\"jitter_seed\":[";
@@ -688,9 +644,13 @@ main(int argc, char **argv)
             spec.nodes = parseCount(a, next(), 1, maxNodes);
         else if (a == "--protocol") proto = next();
         else if (a == "--bus") bus = next();
-        else if (a == "--profile")
-            spec.profile = next() == "asm" ? HandlerProfile::TunedAsm
-                                           : HandlerProfile::FlexibleC;
+        else if (a == "--profile") {
+            std::string p = next();
+            if (p != "c" && p != "asm")
+                badValue(a, p, "expected c or asm");
+            spec.profile = p == "asm" ? HandlerProfile::TunedAsm
+                                      : HandlerProfile::FlexibleC;
+        }
         else if (a == "--victim")
             spec.victimEntries = static_cast<unsigned>(
                 parseCount(a, next(), 0, 4096));
@@ -795,19 +755,14 @@ main(int argc, char **argv)
         // stay at their defaults and are inert on the bus machine.
         spec.machineModel = MachineModel::Snoop;
         spec.snoopProtocol = snoop_proto;
-    } else {
-        spec.protocol = parseProtocol(proto);
+    } else if (parseSpectrumKey(proto, spec.protocol)) {
         if (local_bit_off)
             spec.protocol.localBit = false;
+    } else {
+        badValue("--protocol", proto, "unknown protocol (try --list)");
     }
-    if (!bus.empty()) {
-        if (bus == "fifo")
-            spec.busArbitration = BusArbitration::Fifo;
-        else if (bus == "rr")
-            spec.busArbitration = BusArbitration::RoundRobin;
-        else
-            badValue("--bus", bus, "expected fifo or rr");
-    }
+    if (!bus.empty() && !parseBusArbitration(bus, spec.busArbitration))
+        badValue("--bus", bus, "expected fifo or rr");
     if (!AppRegistry::instance().contains(spec.app))
         fatal("unknown app '%s' (try --list)", spec.app.c_str());
 
@@ -928,9 +883,9 @@ main(int argc, char **argv)
                     specs.size() / static_cast<std::size_t>(sweep_seeds),
                     sweep_seeds, jobs);
 
-        // --replay/--record engage the record-once fast path: each
-        // portable trace key records one cell, every other cell
-        // replays it; non-portable apps fall back to direct cells.
+        // --replay/--record engage record-once sweeps: each portable
+        // trace key records one cell, every other cell replays it;
+        // non-portable apps fall back to direct cells.
         Runner runner(/*fail_fast=*/false);
         runner.attachCache(result_cache.get());
         std::vector<RunRecord *> recs =
@@ -979,7 +934,7 @@ main(int argc, char **argv)
                                 r->lastProgress));
                 std::printf("      replay: %s\n",
                             replayLine(specs[base + s],
-                                       cliProtoKey(pt.label),
+                                       spectrumKey(pt.label),
                                        local_bit_off).c_str());
             }
         }
