@@ -1,0 +1,45 @@
+#include "base/json.hh"
+
+#include <charconv>
+
+namespace swex::json
+{
+
+void
+appendNumber(std::string &out, double v)
+{
+    if (!(v == v) || v > 1e308 || v < -1e308) {
+        out += '0';
+        return;
+    }
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 17);
+    out.append(buf, res.ptr);
+}
+
+void
+appendString(std::string &out, const std::string &s)
+{
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+}
+
+} // namespace swex::json

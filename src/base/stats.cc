@@ -1,9 +1,11 @@
 #include "base/stats.hh"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <ostream>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace swex::stats
@@ -12,40 +14,22 @@ namespace swex::stats
 namespace
 {
 
-/** JSON has no NaN/Inf; clamp them to 0 like the bench trajectory. */
+/** Text numbers: what a default std::ostream prints ("%g"). */
 void
-jsonNumber(std::ostream &os, double v)
+textNumber(std::string &out, double v)
 {
-    if (!(v == v) || v > 1e308 || v < -1e308) {
-        os << 0;
-        return;
-    }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 6);
+    out.append(buf, res.ptr);
 }
 
 void
-jsonString(std::ostream &os, const std::string &s)
+appendCount(std::string &out, std::uint64_t v)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
 }
 
 } // anonymous namespace
@@ -58,15 +42,21 @@ Stat::Stat(Group *parent, std::string name, std::string desc)
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
+Scalar::renderText(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << " " << _value << " # " << desc() << "\n";
+    out += prefix;
+    out += name();
+    out += ' ';
+    textNumber(out, _value);
+    out += " # ";
+    out += desc();
+    out += '\n';
 }
 
 void
-Scalar::dumpJson(std::ostream &os) const
+Scalar::renderJson(std::string &out) const
 {
-    jsonNumber(os, _value);
+    json::appendNumber(out, _value);
 }
 
 void
@@ -97,28 +87,40 @@ Distribution::stddev() const
 }
 
 void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
+Distribution::renderText(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << "::count " << _count
-       << " # " << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << "\n";
-    os << prefix << name() << "::min " << minValue() << "\n";
-    os << prefix << name() << "::max " << maxValue() << "\n";
-    os << prefix << name() << "::stddev " << stddev() << "\n";
+    const char *fields[] = {"::mean ", "::min ", "::max ", "::stddev "};
+    const double values[] = {mean(), minValue(), maxValue(), stddev()};
+    out += prefix;
+    out += name();
+    out += "::count ";
+    appendCount(out, _count);
+    out += " # ";
+    out += desc();
+    out += '\n';
+    for (std::size_t i = 0; i < std::size(fields); ++i) {
+        out += prefix;
+        out += name();
+        out += fields[i];
+        textNumber(out, values[i]);
+        out += '\n';
+    }
 }
 
 void
-Distribution::dumpJson(std::ostream &os) const
+Distribution::renderJson(std::string &out) const
 {
-    os << "{\"count\":" << _count << ",\"mean\":";
-    jsonNumber(os, mean());
-    os << ",\"min\":";
-    jsonNumber(os, minValue());
-    os << ",\"max\":";
-    jsonNumber(os, maxValue());
-    os << ",\"stddev\":";
-    jsonNumber(os, stddev());
-    os << '}';
+    out += "{\"count\":";
+    appendCount(out, _count);
+    out += ",\"mean\":";
+    json::appendNumber(out, mean());
+    out += ",\"min\":";
+    json::appendNumber(out, minValue());
+    out += ",\"max\":";
+    json::appendNumber(out, maxValue());
+    out += ",\"stddev\":";
+    json::appendNumber(out, stddev());
+    out += '}';
 }
 
 void
@@ -154,27 +156,42 @@ Histogram::sample(double v, std::uint64_t count)
 }
 
 void
-Histogram::dump(std::ostream &os, const std::string &prefix) const
+Histogram::renderText(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << "::total " << _total
-       << " # " << desc() << "\n";
+    out += prefix;
+    out += name();
+    out += "::total ";
+    appendCount(out, _total);
+    out += " # ";
+    out += desc();
+    out += '\n';
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         if (_buckets[i] == 0)
             continue;
-        os << prefix << name() << "::bucket" << i
-           << " " << _buckets[i] << "\n";
+        out += prefix;
+        out += name();
+        out += "::bucket";
+        appendCount(out, i);
+        out += ' ';
+        appendCount(out, _buckets[i]);
+        out += '\n';
     }
 }
 
 void
-Histogram::dumpJson(std::ostream &os) const
+Histogram::renderJson(std::string &out) const
 {
-    os << "{\"total\":" << _total << ",\"width\":";
-    jsonNumber(os, _width);
-    os << ",\"buckets\":[";
-    for (std::size_t i = 0; i < _buckets.size(); ++i)
-        os << (i ? "," : "") << _buckets[i];
-    os << "]}";
+    out += "{\"total\":";
+    appendCount(out, _total);
+    out += ",\"width\":";
+    json::appendNumber(out, _width);
+    out += ",\"buckets\":[";
+    for (std::size_t i = 0; i < _buckets.size(); ++i) {
+        if (i)
+            out += ',';
+        appendCount(out, _buckets[i]);
+    }
+    out += "]}";
 }
 
 void
@@ -193,35 +210,53 @@ Group::Group(Group *parent, std::string name)
 }
 
 void
-Group::dump(std::ostream &os, const std::string &prefix) const
+Group::renderText(std::string &out, const std::string &prefix) const
 {
     std::string here = _name.empty() ? prefix : prefix + _name + ".";
     for (const auto *s : _stats)
-        s->dump(os, here);
+        s->renderText(out, here);
     for (const auto *c : _children)
-        c->dump(os, here);
+        c->renderText(out, here);
+}
+
+void
+Group::renderJson(std::string &out) const
+{
+    out += '{';
+    bool first = true;
+    for (const auto *s : _stats) {
+        if (!first)
+            out += ',';
+        first = false;
+        json::appendString(out, s->name());
+        out += ':';
+        s->renderJson(out);
+    }
+    for (const auto *c : _children) {
+        if (!first)
+            out += ',';
+        first = false;
+        json::appendString(out, c->name());
+        out += ':';
+        c->renderJson(out);
+    }
+    out += '}';
+}
+
+void
+Group::dump(std::ostream &os, const std::string &prefix) const
+{
+    std::string out;
+    renderText(out, prefix);
+    os << out;
 }
 
 void
 Group::dumpJson(std::ostream &os) const
 {
-    os << '{';
-    bool first = true;
-    for (const auto *s : _stats) {
-        os << (first ? "" : ",");
-        first = false;
-        jsonString(os, s->name());
-        os << ':';
-        s->dumpJson(os);
-    }
-    for (const auto *c : _children) {
-        os << (first ? "" : ",");
-        first = false;
-        jsonString(os, c->name());
-        os << ':';
-        c->dumpJson(os);
-    }
-    os << '}';
+    std::string out;
+    renderJson(out);
+    os << out;
 }
 
 void

@@ -2,8 +2,13 @@
  * @file
  * A small statistics package in the spirit of gem5's: named scalar
  * counters, sampled distributions, and histograms, organized into
- * hierarchical groups that can be dumped as text or queried by tests
- * and benchmark harnesses.
+ * hierarchical groups that can be rendered as text or JSON, or
+ * queried by tests and benchmark harnesses.
+ *
+ * Both renderers append to a std::string. Their bytes are part of
+ * every canonical run record and result-cache entry, so numbers print
+ * exactly as printf does: "%.17g" in JSON (round-trips every double)
+ * and "%g" (a default std::ostream's precision 6) in text.
  */
 
 #ifndef SWEX_BASE_STATS_HH
@@ -32,12 +37,12 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Write "fullName value # desc" style lines. */
-    virtual void dump(std::ostream &os, const std::string &prefix)
-        const = 0;
+    /** Append "fullName value # desc" style lines to @p out. */
+    virtual void renderText(std::string &out,
+                            const std::string &prefix) const = 0;
 
-    /** Write this statistic's value as a JSON value (no key). */
-    virtual void dumpJson(std::ostream &os) const = 0;
+    /** Append this statistic's value as a JSON value (no key). */
+    virtual void renderJson(std::string &out) const = 0;
 
     /** Reset to the just-constructed state. */
     virtual void reset() = 0;
@@ -59,8 +64,9 @@ class Scalar : public Stat
 
     double value() const { return _value; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void renderText(std::string &out,
+                    const std::string &prefix) const override;
+    void renderJson(std::string &out) const override;
     void reset() override { _value = 0; }
 
   private:
@@ -82,8 +88,9 @@ class Distribution : public Stat
     double maxValue() const { return _count ? _max : 0.0; }
     double stddev() const;
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void renderText(std::string &out,
+                    const std::string &prefix) const override;
+    void renderJson(std::string &out) const override;
     void reset() override;
 
   private:
@@ -114,8 +121,9 @@ class Histogram : public Stat
     double bucketWidth() const { return _width; }
     std::uint64_t totalCount() const { return _total; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void renderText(std::string &out,
+                    const std::string &prefix) const override;
+    void renderJson(std::string &out) const override;
     void reset() override;
 
   private:
@@ -143,15 +151,22 @@ class Group
 
     const std::string &name() const { return _name; }
 
-    /** Dump the whole subtree with dotted-path prefixes. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    /** Append the whole subtree as text, with dotted-path prefixes. */
+    void renderText(std::string &out,
+                    const std::string &prefix = "") const;
 
     /**
-     * Dump the whole subtree as one JSON object. Keys appear in
+     * Append the whole subtree as one JSON object. Keys appear in
      * registration order (deterministic for a given machine
      * configuration), stats before child groups; scalars become
      * numbers, distributions and histograms become objects.
      */
+    void renderJson(std::string &out) const;
+
+    /** Write renderText() to @p os. */
+    void dump(std::ostream &os, const std::string &prefix = "") const;
+
+    /** Write renderJson() to @p os. */
     void dumpJson(std::ostream &os) const;
 
     /** Reset every statistic in the subtree. */

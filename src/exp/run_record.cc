@@ -5,46 +5,28 @@
 #include <fstream>
 #include <ostream>
 
+#include "base/json.hh"
+
 namespace swex
 {
 
 namespace
 {
 
-/** JSON has no NaN/Inf; clamp them to 0 like the bench trajectory. */
 void
 jsonNumber(std::ostream &os, double v)
 {
-    if (!(v == v) || v > 1e308 || v < -1e308) {
-        os << 0;
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    std::string s;
+    json::appendNumber(s, v);
+    os << s;
 }
 
 void
-jsonString(std::ostream &os, const std::string &s)
+jsonString(std::ostream &os, const std::string &str)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    std::string s;
+    json::appendString(s, str);
+    os << s;
 }
 
 } // anonymous namespace

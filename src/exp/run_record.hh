@@ -89,7 +89,7 @@ struct RunRecord
     /** Worker-set size histogram (index = set size); trackSharing. */
     std::vector<std::uint64_t> workerSets;
 
-    /** Full statistics tree, as Group::dumpJson emits it. */
+    /** Full statistics tree, as Group::renderJson emits it. */
     std::string statsJson;
     /** Full statistics tree, text form (for --stats style output). */
     std::string statsText;

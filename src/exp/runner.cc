@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "audit/auditor.hh"
@@ -342,16 +341,12 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
     if (spec.trackSharing && !spec.sequential)
         record.workerSets = m.tracker.endOfRunHistogram(spec.nodes);
 
-    {
-        std::ostringstream os;
-        m.root.dumpJson(os);
-        record.statsJson = os.str();
-    }
-    {
-        std::ostringstream os;
-        m.dumpStats(os);
-        record.statsText = os.str();
-    }
+    // Records outlive the machine (run logs, sweep results, the
+    // cache), so they keep the rendered stats without growth slack.
+    m.root.renderJson(record.statsJson);
+    m.root.renderText(record.statsText);
+    record.statsJson.shrink_to_fit();
+    record.statsText.shrink_to_fit();
 
     // Persist the captured op streams. Failed (deadline/deadlock)
     // runs are never saved: their streams are truncated mid-program

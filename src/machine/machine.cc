@@ -1,8 +1,8 @@
 #include "machine/machine.hh"
 
+#include <algorithm>
 #include <ostream>
-#include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "audit/auditor.hh"
 #include "base/intmath.hh"
@@ -197,17 +197,39 @@ Machine::attachAuditor(CoherenceAuditor *a)
 std::uint64_t
 Machine::imageHash() const
 {
-    // Canonical block set: everything any memory or cache has touched,
-    // in address order so the hash is interleaving-independent.
-    std::set<Addr> blocks;
+    // The image is what debugRead returns for every block any memory
+    // or cache has touched: the first dirty cached copy in node
+    // order, else home memory (zero when absent there). So only dirty
+    // lines and home-memory blocks are collected, dirty lines first;
+    // after a stable sort by address each block's first entry is its
+    // value. Address order keeps the hash interleaving-independent.
+    struct Copy
+    {
+        Addr block;
+        const DataBlock *data;
+    };
+    std::vector<Copy> copies;
     for (const auto &node : nodes) {
-        node->mem.forEachBlock(
-            [&](Addr a, const DataBlock &) { blocks.insert(a); });
         node->cache().forEachLine([&](const CacheLine &line) {
-            if (line.state != LineState::Instr)
-                blocks.insert(line.blockAddr);
+            if (line.dirty())
+                copies.push_back({line.blockAddr, &line.data});
         });
     }
+    for (const auto &node : nodes) {
+        node->mem.forEachBlock([&](Addr a, const DataBlock &data) {
+            if (homeOf(a) == node->id())
+                copies.push_back({a, &data});
+        });
+    }
+    std::stable_sort(copies.begin(), copies.end(),
+                     [](const Copy &x, const Copy &y) {
+                         return x.block < y.block;
+                     });
+    copies.erase(std::unique(copies.begin(), copies.end(),
+                             [](const Copy &x, const Copy &y) {
+                                 return x.block == y.block;
+                             }),
+                 copies.end());
 
     std::uint64_t h = 0x243f6a8885a308d3ULL;
     auto mix = [&h](std::uint64_t v) {
@@ -216,22 +238,15 @@ Machine::imageHash() const
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
         h = z ^ (z >> 31);
     };
-
-    for (Addr b : blocks) {
-        Word words[wordsPerBlock];
-        bool nonzero = false;
-        for (unsigned i = 0; i < wordsPerBlock; ++i) {
-            words[i] = debugRead(b + i * sizeof(Word));
-            nonzero = nonzero || words[i] != 0;
-        }
+    for (const Copy &c : copies) {
         // All-zero blocks hash to nothing: which zero blocks were ever
         // materialized depends on the protocol and interleaving, not
         // on the program's result.
-        if (!nonzero)
+        if (*c.data == DataBlock{})
             continue;
-        mix(b);
-        for (unsigned i = 0; i < wordsPerBlock; ++i)
-            mix(words[i]);
+        mix(c.block);
+        for (Word w : c.data->words)
+            mix(w);
     }
     return h;
 }
@@ -280,35 +295,43 @@ Machine::debugWrite(Addr a, Word v)
 void
 Machine::checkCoherence() const
 {
-    // Collect dirty and exclusive-claim copies per block. At most one
-    // cache may hold data newer than memory (Modified/Owned), and a
-    // Modified or Exclusive line must be the sole copy. Owned lines
-    // (snooping MOESI/Dragon) legitimately coexist with Shared peers.
-    std::unordered_map<Addr, int> dirty;
-    std::unordered_map<Addr, int> sole;
-    std::unordered_map<Addr, int> copies;
+    // At most one cache may hold data newer than memory
+    // (Modified/Owned), and a Modified or Exclusive line must be the
+    // sole copy. Owned lines (snooping MOESI/Dragon) legitimately
+    // coexist with Shared peers. Every data copy goes into one
+    // vector, sorted so each block's copies are adjacent.
+    struct Copy
+    {
+        Addr block;
+        bool dirty;
+        bool sole;   ///< Modified or Exclusive: claims the only copy
+    };
+    std::vector<Copy> copies;
     for (const auto &node : nodes) {
         node->cache().forEachLine([&](const CacheLine &line) {
             if (line.state == LineState::Instr)
                 return;
-            ++copies[line.blockAddr];
-            if (line.dirty())
-                ++dirty[line.blockAddr];
-            if (line.state == LineState::Modified ||
-                line.state == LineState::Exclusive) {
-                ++sole[line.blockAddr];
-            }
+            copies.push_back({line.blockAddr, line.dirty(),
+                              line.state == LineState::Modified ||
+                                  line.state == LineState::Exclusive});
         });
     }
-    for (const auto &[addr, n] : dirty) {
-        SWEX_ASSERT(n <= 1, "%d dirty copies of block %#llx", n,
+    std::sort(copies.begin(), copies.end(),
+              [](const Copy &x, const Copy &y) {
+                  return x.block < y.block;
+              });
+    for (std::size_t i = 0; i < copies.size();) {
+        const Addr addr = copies[i].block;
+        int n = 0, dirty = 0, sole = 0;
+        for (; i < copies.size() && copies[i].block == addr; ++i, ++n) {
+            dirty += copies[i].dirty;
+            sole += copies[i].sole;
+        }
+        SWEX_ASSERT(dirty <= 1, "%d dirty copies of block %#llx", dirty,
                     static_cast<unsigned long long>(addr));
-    }
-    for (const auto &[addr, n] : sole) {
-        SWEX_ASSERT(copies[addr] == 1,
+        SWEX_ASSERT(sole == 0 || n == 1,
                     "exclusive block %#llx also cached elsewhere (%d)",
-                    static_cast<unsigned long long>(addr),
-                    copies[addr]);
+                    static_cast<unsigned long long>(addr), n);
     }
 }
 

@@ -42,6 +42,7 @@ Cache::Cache(unsigned cache_bytes, unsigned victim_entries,
                 "cache size must be a power of two");
     _numSets = cache_bytes / blockBytes;
     _sets.resize(_numSets);
+    _filled.resize((_numSets + 63) / 64);
 }
 
 CacheLine *
@@ -67,10 +68,12 @@ Cache::access(Addr block_addr, bool &victim_hit)
             victim_hit = true;
             CacheLine incoming = *it;
             _victim.erase(it);
-            CacheLine &slot = _sets[indexOf(block_addr)];
+            const unsigned index = indexOf(block_addr);
+            CacheLine &slot = _sets[index];
             if (slot.valid())
                 _victim.push_back(slot);
             slot = incoming;
+            markFilled(index);
             return &slot;
         }
     }
@@ -107,7 +110,8 @@ Cache::fill(Addr block_addr, LineState state, const DataBlock &data)
     SWEX_ASSERT(block_addr == blockAlign(block_addr),
                 "fill address not block aligned");
 
-    CacheLine &slot = _sets[indexOf(block_addr)];
+    const unsigned index = indexOf(block_addr);
+    CacheLine &slot = _sets[index];
     Eviction ev;
     if (slot.valid() && slot.blockAddr != block_addr)
         ev = pushToVictim(slot);
@@ -121,6 +125,7 @@ Cache::fill(Addr block_addr, LineState state, const DataBlock &data)
     slot.blockAddr = block_addr;
     slot.state = state;
     slot.data = data;
+    markFilled(index);
     return ev;
 }
 
@@ -213,6 +218,7 @@ Cache::flushAll()
     for (auto &line : _sets)
         line.state = LineState::Invalid;
     _victim.clear();
+    std::fill(_filled.begin(), _filled.end(), 0);
 }
 
 } // namespace swex

@@ -15,6 +15,8 @@
 #ifndef SWEX_MEM_CACHE_HH
 #define SWEX_MEM_CACHE_HH
 
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -146,14 +148,25 @@ class Cache
      */
     CacheLine *findLine(Addr block_addr);
 
-    /** Visit every valid line (main array, then victim buffer). */
+    /**
+     * Visit every valid line: main-array sets in ascending order,
+     * then the victim buffer oldest first. Only sets marked in the
+     * filled-set bitmap are looked at, so the walk costs what the
+     * run touched, not the cache's capacity.
+     */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &line : _sets)
-            if (line.valid())
-                fn(line);
+        for (std::size_t w = 0; w < _filled.size(); ++w) {
+            for (std::uint64_t bits = _filled[w]; bits != 0;
+                 bits &= bits - 1) {
+                const CacheLine &line =
+                    _sets[w * 64 + std::countr_zero(bits)];
+                if (line.valid())
+                    fn(line);
+            }
+        }
         for (const auto &line : _victim)
             if (line.valid())
                 fn(line);
@@ -177,10 +190,25 @@ class Cache
   private:
     Eviction pushToVictim(const CacheLine &line);
 
+    /** Record that set @p index has held a line. */
+    void
+    markFilled(unsigned index)
+    {
+        _filled[index / 64] |= std::uint64_t{1} << (index % 64);
+    }
+
     unsigned _numSets;
     unsigned _victimEntries;
     std::vector<CacheLine> _sets;
     std::deque<CacheLine> _victim;   ///< FIFO, front = oldest
+
+    /**
+     * One bit per set, set by every path that installs a line into
+     * it (fill, victim swap-back) and cleared only by flushAll. A
+     * clear bit means the set is invalid; a set bit may still hold
+     * an invalidated line, which forEachLine skips.
+     */
+    std::vector<std::uint64_t> _filled;
 };
 
 } // namespace swex

@@ -31,7 +31,9 @@ DeliveryLayer::DeliveryLayer(MeshNetwork &network,
       acksSent(&statsGroup, "acksSent", "cumulative acks issued"),
       acksDropped(&statsGroup, "acksDropped",
                   "acks lost to the fault stream"),
-      net(network), injector(network.config.faults)
+      net(network), injector(network.config.faults),
+      _channels(static_cast<std::size_t>(network.numNodes) *
+                static_cast<std::size_t>(network.numNodes))
 {
 }
 
@@ -40,21 +42,19 @@ DeliveryLayer::~DeliveryLayer() = default;
 DeliveryLayer::Channel &
 DeliveryLayer::channel(NodeId src, NodeId dst)
 {
-    std::uint32_t key =
-        static_cast<std::uint32_t>(src) *
-            static_cast<std::uint32_t>(net.numNodes) +
-        static_cast<std::uint32_t>(dst);
-    auto it = _channels.find(key);
-    if (it == _channels.end()) {
-        auto ch = std::make_unique<Channel>();
-        ch->src = src;
-        ch->dst = dst;
-        Channel *raw = ch.get();
-        ch->retransmitEvent.setCallback(
+    std::unique_ptr<Channel> &slot =
+        _channels[static_cast<std::size_t>(src) *
+                      static_cast<std::size_t>(net.numNodes) +
+                  static_cast<std::size_t>(dst)];
+    if (!slot) {
+        slot = std::make_unique<Channel>();
+        slot->src = src;
+        slot->dst = dst;
+        Channel *raw = slot.get();
+        slot->retransmitEvent.setCallback(
             [this, raw] { onRetransmitTimer(*raw); });
-        it = _channels.emplace(key, std::move(ch)).first;
     }
-    return *it->second;
+    return *slot;
 }
 
 void
@@ -68,7 +68,7 @@ DeliveryLayer::send(Message msg)
 
     // The injected message's flits were already counted by
     // MeshNetwork::send; only extra wire copies charge more below.
-    transmitCopy(ch, msg, /*charge_flits=*/false);
+    transmitCopy(msg, /*charge_flits=*/false);
 
     if (!ch.retransmitEvent.scheduled()) {
         net.eventq.scheduleIn(ch.retransmitEvent,
@@ -77,8 +77,7 @@ DeliveryLayer::send(Message msg)
 }
 
 void
-DeliveryLayer::transmitCopy(Channel &ch, const Message &msg,
-                            bool charge_flits)
+DeliveryLayer::transmitCopy(const Message &msg, bool charge_flits)
 {
     if (charge_flits)
         net.flitCount += msg.flits();
@@ -210,7 +209,7 @@ DeliveryLayer::onRetransmitTimer(Channel &ch)
         ch.maxAttempts = std::max(ch.maxAttempts, tries);
         _maxAttempts = std::max(_maxAttempts, tries);
         ++retransmits;
-        transmitCopy(ch, msg, /*charge_flits=*/true);
+        transmitCopy(msg, /*charge_flits=*/true);
     }
     if (!ch.unacked.empty()) {
         net.eventq.scheduleIn(ch.retransmitEvent,
@@ -222,7 +221,9 @@ void
 DeliveryLayer::checkQuiescent(const DeliveryViolationFn &fn) const
 {
     const unsigned bound = net.config.faults.retransmitBound;
-    for (const auto &[key, chp] : _channels) {
+    for (const auto &chp : _channels) {
+        if (!chp)
+            continue;
         const Channel &ch = *chp;
         if (!ch.unacked.empty()) {
             fn(ch.src, ch.dst,

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/stats.hh"
 #include "net/fault.hh"
@@ -104,8 +105,7 @@ class DeliveryLayer
     static void wireArriveHandler(void *ctx, Message &msg);
 
     Channel &channel(NodeId src, NodeId dst);
-    void transmitCopy(Channel &ch, const Message &msg,
-                      bool charge_flits);
+    void transmitCopy(const Message &msg, bool charge_flits);
     void sendAck(Channel &ch);
     void onAck(Channel &ch, std::uint32_t up_to);
     void onRetransmitTimer(Channel &ch);
@@ -114,10 +114,11 @@ class DeliveryLayer
     FaultInjector injector;
     unsigned _maxAttempts = 1;
 
-    /** std::map keyed by src * numNodes + dst: deterministic
-     *  iteration order for quiescent checks; unique_ptr so channel
-     *  addresses (captured by their retransmit events) stay stable. */
-    std::map<std::uint32_t, std::unique_ptr<Channel>> _channels;
+    /** Indexed by src * numNodes + dst, each created on first use:
+     *  index order is the deterministic order quiescent checks
+     *  report in; unique_ptr so channel addresses (captured by their
+     *  retransmit events) stay stable. */
+    std::vector<std::unique_ptr<Channel>> _channels;
 };
 
 } // namespace swex

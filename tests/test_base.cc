@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
@@ -192,4 +195,92 @@ TEST(Stats, DumpJsonEscapesAndNonFinite)
     root.dumpJson(os);
     minijson::Value v = minijson::parse(os.str());
     EXPECT_DOUBLE_EQ(v.at("odd\"name\\x").number, 0.0);
+}
+
+namespace
+{
+
+/** printf's "%.17g", with JSON's clamp of NaN, the infinities and
+ *  magnitudes past 1e308 to 0. */
+std::string
+refJson(double v)
+{
+    if (!(v == v) || v > 1e308 || v < -1e308)
+        return "0";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+} // anonymous namespace
+
+/**
+ * Both renderers against references: JSON numbers against printf's
+ * "%.17g", text against what a default std::ostringstream prints.
+ */
+TEST(Stats, RenderedNumbersMatchPrintfAndOstream)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {
+        0.0, -0.0, 1.0, 123456.0, 1234567.0,
+        9007199254740992.0,   // 2^53
+        9007199254740994.0,   // 2^53 + 2
+        1e15, 1e16, 1e17, 0.1, 1.0 / 3.0, 1e-7, 5e-324,
+        1.7976931348623157e308, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()};
+    for (double v : values) {
+        SCOPED_TRACE(refJson(v));
+        stats::Group root;
+        stats::Group node(&root, "n");
+        stats::Scalar s(&node, "s", "a scalar");
+        stats::Distribution d(&node, "d", "a distribution");
+        stats::Histogram h(&node, "h", "a histogram");
+        s = v;
+        d.sample(v, 3);
+        d.sample(0.5);
+        h.init(3, v > 0 ? v : 1.0);
+        h.sample(0, 1234567);
+        h.sample(1e300, 9007199254740993ull);
+
+        std::ostringstream text;
+        text << "n.s " << s.value() << " # a scalar\n"
+             << "n.d::count " << d.count() << " # a distribution\n"
+             << "n.d::mean " << d.mean() << "\n"
+             << "n.d::min " << d.minValue() << "\n"
+             << "n.d::max " << d.maxValue() << "\n"
+             << "n.d::stddev " << d.stddev() << "\n"
+             << "n.h::total " << h.totalCount() << " # a histogram\n";
+        for (unsigned i = 0; i < h.numBuckets(); ++i) {
+            if (h.bucketCount(i) != 0)
+                text << "n.h::bucket" << i << " " << h.bucketCount(i)
+                     << "\n";
+        }
+        std::ostringstream json;
+        json << "{\"n\":{\"s\":" << refJson(s.value())
+             << ",\"d\":{\"count\":" << d.count()
+             << ",\"mean\":" << refJson(d.mean())
+             << ",\"min\":" << refJson(d.minValue())
+             << ",\"max\":" << refJson(d.maxValue())
+             << ",\"stddev\":" << refJson(d.stddev())
+             << "},\"h\":{\"total\":" << h.totalCount()
+             << ",\"width\":" << refJson(h.bucketWidth())
+             << ",\"buckets\":[";
+        for (unsigned i = 0; i < h.numBuckets(); ++i)
+            json << (i ? "," : "") << h.bucketCount(i);
+        json << "]}}}";
+
+        std::string rendered;
+        root.renderText(rendered);
+        EXPECT_EQ(rendered, text.str());
+        rendered.clear();
+        root.renderJson(rendered);
+        EXPECT_EQ(rendered, json.str());
+
+        // The stream wrappers emit the same bytes.
+        std::ostringstream os_text, os_json;
+        root.dump(os_text);
+        root.dumpJson(os_json);
+        EXPECT_EQ(os_text.str(), text.str());
+        EXPECT_EQ(os_json.str(), json.str());
+    }
 }

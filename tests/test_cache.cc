@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/cache.hh"
 
 using namespace swex;
@@ -178,4 +181,89 @@ TEST_F(CacheTest, IndexMasksBlockAddress)
     EXPECT_EQ(c.indexOf(0), 0u);
     EXPECT_EQ(c.indexOf(15 * blockBytes), 15u);
     EXPECT_EQ(c.indexOf(16 * blockBytes), 0u);
+}
+
+namespace
+{
+
+/** forEachLine's visit order as (block, state) pairs. */
+std::vector<std::pair<Addr, LineState>>
+walk(const Cache &cache)
+{
+    std::vector<std::pair<Addr, LineState>> seen;
+    cache.forEachLine([&](const CacheLine &line) {
+        seen.emplace_back(line.blockAddr, line.state);
+    });
+    return seen;
+}
+
+} // anonymous namespace
+
+TEST(CacheWalk, VisitsExactlyTheValidLinesInSetThenVictimOrder)
+{
+    // 256 sets, so the filled-set bitmap spans four words; the sets
+    // used straddle the word boundaries at 64 and 128.
+    stats::Group g;
+    Cache c(4096, 2, &g);
+    auto at = [](unsigned set, unsigned way) {
+        return static_cast<Addr>(set) * blockBytes +
+               static_cast<Addr>(way) * 4096;
+    };
+    using P = std::pair<Addr, LineState>;
+    EXPECT_TRUE(walk(c).empty());
+
+    c.fill(at(130, 0), LineState::Shared, blk(1, 0));
+    c.fill(at(5, 0), LineState::Modified, blk(2, 0));
+    c.fill(at(64, 0), LineState::Exclusive, blk(3, 0));
+    c.fill(at(63, 0), LineState::Modified, blk(4, 0));
+    EXPECT_EQ(walk(c), (std::vector<P>{{at(5, 0), LineState::Modified},
+                                       {at(63, 0), LineState::Modified},
+                                       {at(64, 0), LineState::Exclusive},
+                                       {at(130, 0), LineState::Shared}}));
+
+    // Conflict evictions: set 5's and set 64's occupants go to the
+    // victim buffer; a third conflict pushes the oldest out.
+    c.fill(at(5, 1), LineState::Shared, blk(5, 0));
+    c.fill(at(64, 1), LineState::Owned, blk(6, 0));
+    Eviction ev = c.fill(at(64, 2), LineState::Shared, blk(7, 0));
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.blockAddr, at(5, 0));
+    EXPECT_EQ(walk(c), (std::vector<P>{{at(5, 1), LineState::Shared},
+                                       {at(63, 0), LineState::Modified},
+                                       {at(64, 2), LineState::Shared},
+                                       {at(130, 0), LineState::Shared},
+                                       {at(64, 0), LineState::Exclusive},
+                                       {at(64, 1), LineState::Owned}}));
+
+    // Victim swap-back: at(64, 0) returns to its set and the set's
+    // occupant joins the victim buffer as its newest entry.
+    bool victim_hit = false;
+    ASSERT_NE(c.access(at(64, 0), victim_hit), nullptr);
+    EXPECT_TRUE(victim_hit);
+    EXPECT_EQ(walk(c), (std::vector<P>{{at(5, 1), LineState::Shared},
+                                       {at(63, 0), LineState::Modified},
+                                       {at(64, 0), LineState::Exclusive},
+                                       {at(130, 0), LineState::Shared},
+                                       {at(64, 1), LineState::Owned},
+                                       {at(64, 2), LineState::Shared}}));
+
+    // remove() empties a set and a victim slot; downgrade() keeps the
+    // line valid in its new state.
+    EXPECT_TRUE(c.remove(at(63, 0)).wasPresent);
+    EXPECT_TRUE(c.remove(at(64, 1)).wasPresent);
+    c.fill(at(255, 0), LineState::Modified, blk(8, 0));
+    EXPECT_TRUE(c.downgrade(at(255, 0)).wasDirty);
+    EXPECT_EQ(walk(c), (std::vector<P>{{at(5, 1), LineState::Shared},
+                                       {at(64, 0), LineState::Exclusive},
+                                       {at(130, 0), LineState::Shared},
+                                       {at(255, 0), LineState::Shared},
+                                       {at(64, 2), LineState::Shared}}));
+
+    // flushAll leaves nothing to visit; later fills are seen again.
+    c.flushAll();
+    EXPECT_TRUE(walk(c).empty());
+    c.fill(at(0, 3), LineState::Shared, blk(9, 0));
+    c.fill(at(200, 0), LineState::Modified, blk(10, 0));
+    EXPECT_EQ(walk(c), (std::vector<P>{{at(0, 3), LineState::Shared},
+                                       {at(200, 0), LineState::Modified}}));
 }

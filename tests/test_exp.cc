@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "core/spectrum.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 
@@ -312,6 +313,103 @@ TEST(RunnerParallel, LogMergesInSpecOrder)
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(doc.at("records").array[i].at("id").str,
                   specs[i].id);
+}
+
+// ------------------------------------------------------------------
+// Record bytes.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Every directory protocol under audit, jitter and faults; every
+ *  snooping protocol; and one 64-node Figure 4 cell with its
+ *  sequential reference. */
+std::vector<ExperimentSpec>
+recordBytesGrid()
+{
+    std::vector<ExperimentSpec> specs;
+    for (const SpectrumPoint &pt : protocolSpectrum()) {
+        ExperimentSpec s;
+        s.id = "bytes/worker/" + pt.label;
+        s.app = "worker";
+        s.params = {{"wss", "4"}, {"iterations", "2"}};
+        s.protocol = pt.protocol;
+        s.nodes = 16;
+        s.victimEntries = 6;
+        s.seed = 1;
+        s.audit = true;
+        s.jitterMax = 37;
+        s.faultDropPerMille = 20;
+        s.faultDupPerMille = 10;
+        s.faultBlackoutPerMille = 5;
+        specs.push_back(std::move(s));
+    }
+    for (SnoopProtocol sp : {SnoopProtocol::Mesi, SnoopProtocol::Moesi,
+                             SnoopProtocol::Mesif,
+                             SnoopProtocol::Dragon}) {
+        ExperimentSpec s;
+        s.id = std::string("bytes/falseshare/") + snoopProtocolName(sp);
+        s.app = "falseshare";
+        s.params = {{"iterations", "8"}};
+        s.nodes = 16;
+        s.machineModel = MachineModel::Snoop;
+        s.snoopProtocol = sp;
+        s.victimEntries = 6;
+        s.audit = true;
+        specs.push_back(std::move(s));
+    }
+    ExperimentSpec mp3d;
+    mp3d.id = "fig4/MP3D/h5";
+    mp3d.app = "mp3d";
+    mp3d.protocol = ProtocolConfig::hw(5);
+    mp3d.nodes = 64;
+    mp3d.victimEntries = 6;
+    specs.push_back(mp3d);
+    mp3d.id = "fig4/MP3D/seq";
+    mp3d.sequential = true;
+    specs.push_back(mp3d);
+    return specs;
+}
+
+} // anonymous namespace
+
+/**
+ * The bytes every record consumer depends on, pinned: the canonical
+ * swex-run-v1 document (stats JSON embedded) and the text stats tree
+ * that `swex_cli --stats` prints and the result cache stores. Any
+ * drift in the stats renderers, the image hash, or simulated timing
+ * moves one of the two digests.
+ */
+TEST(RunRecord, CanonicalBytesArePinned)
+{
+    setQuiet(true);
+    std::vector<ExperimentSpec> specs = recordBytesGrid();
+    Runner runner;
+    std::vector<RunRecord *> recs = runner.runAll(specs, 2);
+    ASSERT_EQ(recs.size(), specs.size());
+
+    std::ostringstream doc;
+    runner.log().writeJson(doc, /*canonical=*/true);
+    std::string text;
+    for (const RunRecord *r : recs) {
+        EXPECT_TRUE(r->verified) << r->id;
+        EXPECT_EQ(r->auditViolations, 0u) << r->id;
+        text += r->statsText;
+    }
+    EXPECT_EQ(fnv1a(doc.str()), 0xb5fe5955c03b80f9ull);
+    EXPECT_EQ(fnv1a(text), 0xf5dc92ea00b3fe7eull);
 }
 
 // ------------------------------------------------------------------

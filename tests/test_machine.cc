@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "apps/worker.hh"
 #include "core/spectrum.hh"
 #include "machine/mem_api.hh"
+#include "machine/node.hh"
 #include "runtime/sync.hh"
 
 using namespace swex;
@@ -303,4 +307,126 @@ TEST(MachineStats, TrapsOccurOnlyPastHwCapacity)
     WorkerApp app2(wc2);
     app2.runParallel(m2);
     EXPECT_GT(m2.sumStat("home.trapsRaised"), 0.0);
+}
+
+// ------------------------------------------------------------------
+// Image hash and coherence check
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * The image hash computed word by word through debugRead, which
+ * probes every node's cache for a dirty copy before falling back to
+ * home memory: the reference Machine::imageHash must match.
+ */
+std::uint64_t
+referenceImageHash(const Machine &m)
+{
+    std::set<Addr> blocks;
+    for (const auto &node : m.nodes) {
+        node->mem.forEachBlock(
+            [&](Addr a, const DataBlock &) { blocks.insert(a); });
+        node->cache().forEachLine([&](const CacheLine &line) {
+            if (line.state != LineState::Instr)
+                blocks.insert(line.blockAddr);
+        });
+    }
+    std::uint64_t h = 0x243f6a8885a308d3ULL;
+    auto mix = [&h](std::uint64_t v) {
+        std::uint64_t z = h ^ v;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        h = z ^ (z >> 31);
+    };
+    for (Addr b : blocks) {
+        Word words[wordsPerBlock];
+        bool nonzero = false;
+        for (unsigned i = 0; i < wordsPerBlock; ++i) {
+            words[i] = m.debugRead(b + i * sizeof(Word));
+            nonzero = nonzero || words[i] != 0;
+        }
+        if (!nonzero)
+            continue;
+        mix(b);
+        for (unsigned i = 0; i < wordsPerBlock; ++i)
+            mix(words[i]);
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(MachineImage, HashMatchesPerWordDebugReadReference)
+{
+    for (const auto &[label, proto] : protocolSpectrum()) {
+        SCOPED_TRACE(label);
+        MachineConfig mc = smallConfig(proto);
+        mc.cacheCtrl.victimEntries = 6;
+        Machine m(mc);
+        // Each thread writes four blocks that share one cache set,
+        // so its first three dirty lines are pushed into the victim
+        // buffer. Only the second starts with a value in memory (now
+        // stale): the others, until a writeback, exist only in
+        // caches. Each thread then reads its neighbour's last block,
+        // which fetches that dirty copy back to memory and leaves two
+        // shared copies behind.
+        std::vector<std::vector<Addr>> mine(4);
+        for (int t = 0; t < 4; ++t) {
+            for (int i = 0; i < 4; ++i) {
+                mine[static_cast<std::size_t>(t)].push_back(
+                    m.allocAtIndex((t + 1) % 4, blockBytes,
+                                   300 + static_cast<unsigned>(t)));
+            }
+            m.debugWrite(mine[static_cast<std::size_t>(t)][1], 999);
+        }
+        m.run([&](Mem &mem, int tid) -> Task<void> {
+            const auto &own = mine[static_cast<std::size_t>(tid)];
+            for (std::size_t i = 0; i < own.size(); ++i) {
+                co_await mem.write(own[i],
+                                   static_cast<Word>(100 * tid + i + 1));
+                co_await mem.write(own[i] + sizeof(Word),
+                                   static_cast<Word>(tid + 7));
+            }
+            co_await mem.work(200);
+            (void)co_await mem.read(
+                mine[static_cast<std::size_t>((tid + 1) % 4)].back());
+        });
+        m.checkInvariants();
+
+        bool victim_dirty = false;
+        bool cache_only = false;
+        for (const auto &blocks : mine) {
+            for (Addr a : blocks) {
+                for (const auto &node : m.nodes) {
+                    Cache &c = node->cache();
+                    const CacheLine *line = c.peek(a);
+                    if (!line || !line->dirty())
+                        continue;
+                    victim_dirty |= c.probeMain(a) == nullptr;
+                    cache_only |= m.nodes[static_cast<std::size_t>(
+                                              m.homeOf(a))]
+                                      ->mem.readBlock(a) == DataBlock{};
+                }
+            }
+        }
+        EXPECT_TRUE(victim_dirty);
+        EXPECT_TRUE(cache_only);
+        EXPECT_EQ(m.imageHash(), referenceImageHash(m));
+    }
+}
+
+TEST(MachineCoherenceDeath, SecondDirtyCopyPanics)
+{
+    Machine m(smallConfig(ProtocolConfig::fullMap()));
+    Addr a = m.allocOn(2, blockBytes, blockBytes);
+    m.run([&](Mem &mem, int) -> Task<void> {
+        co_await mem.write(a, 5);
+    }, 1);
+    m.checkCoherence();
+    DataBlock stale;
+    stale.words = {6, 0};
+    m.nodes[3]->cache().fill(a, LineState::Modified, stale);
+    EXPECT_DEATH(m.checkCoherence(), "2 dirty copies of block");
 }
