@@ -103,10 +103,39 @@ connectBounded(int fd, const sockaddr *sa, socklen_t len,
     }
 }
 
-/** Pull the raw "record" object bytes out of a response line: the
- *  value runs from after the key to the line's closing brace.
- *  Substring, not re-render — byte identity with the server's
- *  canonical record is the whole point. */
+/** Decode response line @p r.line into @p r: the parsed doc, and ok
+ *  or the server's error, error_kind and busy hint. @return false,
+ *  with a "parse" error, if the line is not a JSON object. */
+bool
+decodeResponse(Response &r)
+{
+    JsonParser p(r.line);
+    if (!p.parseWhole(r.doc) ||
+        r.doc.kind != JsonValue::Kind::Object) {
+        r.error = "unparseable response" +
+                  (p.err.empty() ? std::string() : ": " + p.err);
+        r.errorKind = "parse";
+        return false;
+    }
+    const JsonValue *okv = r.doc.find("ok");
+    r.ok = okv != nullptr && okv->kind == JsonValue::Kind::Bool &&
+           okv->boolean;
+    if (r.ok)
+        return true;
+    if (const JsonValue *e = r.doc.find("error"))
+        if (e->kind == JsonValue::Kind::String)
+            r.error = e->raw;
+    r.errorKind = "error";
+    if (const JsonValue *k = r.doc.find("error_kind"))
+        if (k->kind == JsonValue::Kind::String)
+            r.errorKind = k->raw;
+    if (const JsonValue *ra = r.doc.find("retry_after_ms"))
+        numberAsU64(*ra, r.retryAfterMs);
+    return true;
+}
+
+} // anonymous namespace
+
 bool
 recordBytes(const std::string &line, std::string &out)
 {
@@ -119,8 +148,6 @@ recordBytes(const std::string &line, std::string &out)
                       line.size() - 1 - (at + key.size()));
     return true;
 }
-
-} // anonymous namespace
 
 ServeClient::ServeClient(const ClientConfig &cfg_) : cfg(cfg_) {}
 
@@ -346,33 +373,10 @@ ServeClient::rpc(const std::string &request_line)
         r.errorKind = "deadline";
         return r;
     }
-    JsonParser p(r.line);
-    if (!p.parseWhole(r.doc) ||
-        r.doc.kind != JsonValue::Kind::Object) {
-        // A half-line means the stream is torn; resync by
-        // reconnecting rather than guessing at framing.
+    // A half-line means the stream is torn; resync by reconnecting
+    // rather than guessing at framing.
+    if (!decodeResponse(r))
         disconnect();
-        r.error = "unparseable response" +
-                  (p.err.empty() ? std::string()
-                                 : ": " + p.err);
-        r.errorKind = "parse";
-        return r;
-    }
-    const JsonValue *okv = r.doc.find("ok");
-    if (okv != nullptr && okv->kind == JsonValue::Kind::Bool &&
-        okv->boolean) {
-        r.ok = true;
-        return r;
-    }
-    if (const JsonValue *e = r.doc.find("error"))
-        if (e->kind == JsonValue::Kind::String)
-            r.error = e->raw;
-    r.errorKind = "error";
-    if (const JsonValue *k = r.doc.find("error_kind"))
-        if (k->kind == JsonValue::Kind::String)
-            r.errorKind = k->raw;
-    if (const JsonValue *ra = r.doc.find("retry_after_ms"))
-        numberAsU64(*ra, r.retryAfterMs);
     return r;
 }
 
@@ -493,8 +497,8 @@ ServeClient::runSweep(const std::string &base_request)
         bool chunk_over = false;
         bool interrupted = false;
         while (!chunk_over && !interrupted) {
-            std::string line;
-            ReadStatus rs = readLine(line, cfg.requestDeadlineMs);
+            Response resp;
+            ReadStatus rs = readLine(resp.line, cfg.requestDeadlineMs);
             if (rs != ReadStatus::Line) {
                 disconnect();
                 ++attempt;
@@ -506,37 +510,22 @@ ServeClient::runSweep(const std::string &base_request)
                 interrupted = true;
                 continue;
             }
-            JsonValue doc;
-            JsonParser p(line);
-            if (!p.parseWhole(doc) ||
-                doc.kind != JsonValue::Kind::Object) {
+            if (!decodeResponse(resp)) {
                 // Torn frame on a live stream: resync via reconnect.
                 disconnect();
                 ++attempt;
-                last_err = "unparseable response" +
-                           (p.err.empty() ? std::string()
-                                          : ": " + p.err);
+                last_err = resp.error;
                 last_kind = "parse";
                 interrupted = true;
                 continue;
             }
-            const JsonValue *okv = doc.find("ok");
-            if (okv == nullptr ||
-                okv->kind != JsonValue::Kind::Bool ||
-                !okv->boolean) {
-                std::string kind = "error";
-                if (const JsonValue *k = doc.find("error_kind"))
-                    if (k->kind == JsonValue::Kind::String)
-                        kind = k->raw;
-                std::string msg = "server error";
-                if (const JsonValue *e = doc.find("error"))
-                    if (e->kind == JsonValue::Kind::String)
-                        msg = e->raw;
+            const JsonValue &doc = resp.doc;
+            if (!resp.ok) {
+                const std::string &kind = resp.errorKind;
+                const std::string msg =
+                    resp.error.empty() ? "server error" : resp.error;
                 if (kind == "busy") {
-                    busy_hint = 0;
-                    if (const JsonValue *ra =
-                            doc.find("retry_after_ms"))
-                        numberAsU64(*ra, busy_hint);
+                    busy_hint = resp.retryAfterMs;
                     ++attempt;
                     last_err = msg;
                     last_kind = "busy";
@@ -592,7 +581,7 @@ ServeClient::runSweep(const std::string &base_request)
             if (!know_total || idx >= total)
                 continue;
             std::string rec;
-            if (!recordBytes(line, rec)) {
+            if (!recordBytes(resp.line, rec)) {
                 res.error = "cell response carried no record";
                 res.errorKind = "parse";
                 return res;

@@ -108,6 +108,13 @@ struct SweepResult
     unsigned duplicates = 0;   ///< cells received more than once
 };
 
+/** Pull the raw "record" object bytes out of a response line: the
+ *  value runs from after the key to the line's closing brace.
+ *  Substring, not re-render — byte identity with the server's
+ *  canonical record is the whole point. @return false if @p line
+ *  carries no record. */
+bool recordBytes(const std::string &line, std::string &out);
+
 class ServeClient
 {
   public:

@@ -29,10 +29,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/spectrum.hh"
+#include "base/json.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
+#include "exp/spec_codec.hh"
 #include "exp/wire_json.hh"
 
 namespace swex
@@ -45,153 +46,8 @@ namespace
 
 using wire::JsonValue;
 using wire::JsonParser;
-using wire::jsonEscape;
 using wire::numberAsU64;
 using wire::renderJson;
-
-/**
- * Build an ExperimentSpec from a "run" request object. The accepted
- * fields mirror swex_cli's option surface (see serve.hh); unknown
- * fields are errors so a typo'd knob can never silently run the
- * default. @return "" on success, else the error message.
- */
-std::string
-specFromJson(const JsonValue &req, ExperimentSpec &spec)
-{
-    spec = ExperimentSpec{};
-    spec.id = "serve";
-    spec.nodes = 16;
-    spec.victimEntries = 6;
-    std::string proto = "h5";
-    std::string bus;
-
-    auto u64Field = [](const JsonValue &v, const char *name,
-                       std::uint64_t lo, std::uint64_t hi,
-                       std::uint64_t &out) -> std::string {
-        if (!numberAsU64(v, out) || out < lo || out > hi)
-            return std::string("bad value for '") + name +
-                   "' (want an integer in range)";
-        return "";
-    };
-
-    for (const auto &[key, v] : req.members) {
-        std::string e;
-        std::uint64_t n = 0;
-        if (key == "op" || key == "tag" || key == "canonical" ||
-            key == "cursor" || key == "chunk") {
-            continue;   // envelope fields, handled by the caller
-        } else if (key == "id") {
-            if (v.kind != JsonValue::Kind::String)
-                return "bad value for 'id' (want a string)";
-            spec.id = v.raw;
-        } else if (key == "app") {
-            if (v.kind != JsonValue::Kind::String)
-                return "bad value for 'app' (want a string)";
-            spec.app = v.raw;
-        } else if (key == "params") {
-            if (v.kind != JsonValue::Kind::Object)
-                return "bad value for 'params' (want an object of "
-                       "string values)";
-            for (const auto &[pk, pv] : v.members) {
-                if (pv.kind == JsonValue::Kind::String)
-                    spec.params[pk] = pv.raw;
-                else if (pv.kind == JsonValue::Kind::Number)
-                    spec.params[pk] = pv.raw;
-                else
-                    return "bad value for params." + pk +
-                           " (want string or number)";
-            }
-        } else if (key == "protocol") {
-            if (v.kind != JsonValue::Kind::String)
-                return "bad value for 'protocol' (want a string)";
-            proto = v.raw;
-        } else if (key == "bus") {
-            if (v.kind != JsonValue::Kind::String)
-                return "bad value for 'bus' (want fifo or rr)";
-            bus = v.raw;
-        } else if (key == "profile") {
-            if (v.kind != JsonValue::Kind::String ||
-                (v.raw != "c" && v.raw != "asm"))
-                return "bad value for 'profile' (want c or asm)";
-            spec.profile = v.raw == "asm" ? HandlerProfile::TunedAsm
-                                          : HandlerProfile::FlexibleC;
-        } else if (key == "nodes") {
-            e = u64Field(v, "nodes", 1, maxNodes, n);
-            spec.nodes = static_cast<int>(n);
-        } else if (key == "victim") {
-            e = u64Field(v, "victim", 0, 4096, n);
-            spec.victimEntries = static_cast<unsigned>(n);
-        } else if (key == "seed") {
-            e = u64Field(v, "seed", 0, ~0ull, spec.seed);
-        } else if (key == "seq") {
-            if (v.kind != JsonValue::Kind::Bool)
-                return "bad value for 'seq' (want a bool)";
-            spec.sequential = v.boolean;
-        } else if (key == "audit") {
-            if (v.kind != JsonValue::Kind::Bool)
-                return "bad value for 'audit' (want a bool)";
-            spec.audit = v.boolean;
-        } else if (key == "track_sharing") {
-            if (v.kind != JsonValue::Kind::Bool)
-                return "bad value for 'track_sharing' (want a bool)";
-            spec.trackSharing = v.boolean;
-        } else if (key == "jitter") {
-            e = u64Field(v, "jitter", 0, 1u << 20, n);
-            spec.jitterMax = static_cast<Cycles>(n);
-        } else if (key == "jitter_seed") {
-            e = u64Field(v, "jitter_seed", 0, ~0ull, spec.jitterSeed);
-        } else if (key == "fault_drop") {
-            e = u64Field(v, "fault_drop", 0, 1000, n);
-            spec.faultDropPerMille = static_cast<unsigned>(n);
-        } else if (key == "fault_dup") {
-            e = u64Field(v, "fault_dup", 0, 1000, n);
-            spec.faultDupPerMille = static_cast<unsigned>(n);
-        } else if (key == "fault_blackout") {
-            e = u64Field(v, "fault_blackout", 0, 1000, n);
-            spec.faultBlackoutPerMille = static_cast<unsigned>(n);
-        } else if (key == "fault_seed") {
-            e = u64Field(v, "fault_seed", 0, ~0ull, spec.faultSeed);
-        } else if (key == "deadline") {
-            e = u64Field(v, "deadline", 0, ~0ull, n);
-            spec.deadline = static_cast<Tick>(n);
-        } else {
-            return "unknown field '" + key + "'";
-        }
-        if (!e.empty())
-            return e;
-    }
-
-    if (!AppRegistry::instance().contains(spec.app))
-        return "unknown app '" + spec.app + "'";
-
-    SnoopProtocol sp{};
-    if (parseSnoopProtocol(proto, sp)) {
-        spec.machineModel = MachineModel::Snoop;
-        spec.snoopProtocol = sp;
-        if (spec.jitterMax != 0 || spec.faultDropPerMille != 0 ||
-            spec.faultDupPerMille != 0 ||
-            spec.faultBlackoutPerMille != 0)
-            return "the snooping bus models no network: drop "
-                   "jitter/fault fields";
-    } else if (!parseSpectrumKey(proto, spec.protocol)) {
-        return "unknown protocol '" + proto + "'";
-    }
-    if (!bus.empty()) {
-        if (spec.machineModel != MachineModel::Snoop)
-            return "'bus' applies to snooping protocols only";
-        if (!parseBusArbitration(bus, spec.busArbitration))
-            return "bad value for 'bus' (want fifo or rr)";
-    }
-    // Fault injection can legitimately livelock; same guard as the
-    // CLI, so a served cell and a CLI cell with equal knobs key (and
-    // run) identically.
-    const bool faults_on = spec.faultDropPerMille != 0 ||
-                           spec.faultDupPerMille != 0 ||
-                           spec.faultBlackoutPerMille != 0;
-    if (faults_on && spec.deadline == 0)
-        spec.deadline = 50'000'000;
-    return "";
-}
 
 /** Reject request lines past this size — a runaway (or adversarial)
  *  client must not grow the server's buffer without bound. Generous:
@@ -337,28 +193,33 @@ struct Connection
     }
 };
 
-/** @p tag_json is a pre-rendered JSON value ("" = no tag), so error
- *  responses can echo a tag of any type verbatim. @p kind is the
- *  machine-readable error class; @p extra is a pre-rendered fragment
- *  spliced before the closing brace (e.g. retry_after_ms). */
+/** Every response line: {"ok":<ok>[,"tag":<tag>]<members>}.
+ *  @p tag_json is a pre-rendered JSON value ("" = no tag), so an
+ *  error can echo a tag of any type verbatim; @p members is a
+ *  pre-rendered run of ,"key":value pairs. */
+std::string
+envelope(bool ok, const std::string &tag_json, const std::string &members)
+{
+    std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
+    if (!tag_json.empty())
+        out += ",\"tag\":" + tag_json;
+    out += members;
+    out += '}';
+    return out;
+}
+
+/** An error envelope. @p kind is the machine-readable error class;
+ *  @p extra is a pre-rendered fragment spliced after it (e.g.
+ *  retry_after_ms). */
 std::string
 errorLine(const std::string &tag_json, const std::string &msg,
           const std::string &kind, const std::string &extra = "")
 {
-    std::string out = "{\"ok\":false";
-    if (!tag_json.empty())
-        out += ",\"tag\":" + tag_json;
-    out += ",\"error\":\"" + jsonEscape(msg) + "\"";
-    out += ",\"error_kind\":\"" + kind + "\"";
-    out += extra;
-    out += "}";
-    return out;
+    std::string members = ",\"error\":";
+    json::appendString(members, msg);
+    members += ",\"error_kind\":\"" + kind + "\"" + extra;
+    return envelope(false, tag_json, members);
 }
-
-} // anonymous namespace
-
-namespace
-{
 
 /** One request's chunk stops here: a client that wants more issues
  *  the next cursor — bounded responses per request line, resumable
@@ -557,40 +418,14 @@ struct ServerState
     }
 };
 
-/**
- * Execute @p spec and format its response line. @p extra is a
- * pre-rendered fragment spliced into the envelope (sweep cell
- * coordinates); "" for plain runs, so a sweep cell's "record" value
- * stays byte-identical to the same cell requested as a single run.
- */
-std::string
-runResponse(const Runner &runner, const ExperimentSpec &spec,
-            const std::string &tag_json, const std::string &extra,
-            bool canonical)
+/** The work one request admits, every cell validated before any
+ *  runs: a "run" is a one-cell batch, a "sweep" one chunk of its
+ *  grid. */
+struct Batch
 {
-    Runner::ExecSource src = Runner::ExecSource::Sim;
-    RunRecord rec = runner.execute(spec, &src);
-    std::ostringstream os;
-    os << "{\"ok\":true";
-    if (!tag_json.empty())
-        os << ",\"tag\":" << tag_json;
-    os << extra;
-    os << ",\"source\":\""
-       << (src == Runner::ExecSource::Cache ? "cache" : "sim")
-       << "\",\"record\":";
-    rec.writeJson(os, canonical);
-    os << "}";
-    return os.str();
-}
-
-/** One chunk of a sweep request, expanded to per-cell specs, every
- *  one validated before anything runs. */
-struct SweepPlan
-{
-    std::size_t totalCells = 0;   ///< whole grid, all chunks
-    std::size_t cursor = 0;       ///< first cell of this chunk
-    std::vector<ExperimentSpec> specs;   ///< cells [cursor, cursor+n)
-    std::vector<std::string> extras;   ///< ,"cell":K,"of":N,"cell_key":...
+    std::vector<ExperimentSpec> specs;
+    std::vector<std::string> cellFields;   ///< ,"cell":K,"of":N,...
+    std::string trailer;   ///< sent after the last cell; "" = none
 };
 
 /**
@@ -607,7 +442,7 @@ struct SweepPlan
  * cells byte-identical. @return "" on success.
  */
 std::string
-planSweep(const JsonValue &req, SweepPlan &plan)
+planSweep(const JsonValue &req, Batch &batch)
 {
     const JsonValue *gv = req.find("grid");
     if (gv == nullptr || gv->kind != JsonValue::Kind::Object)
@@ -631,12 +466,11 @@ planSweep(const JsonValue &req, SweepPlan &plan)
         cursor = static_cast<std::size_t>(n);
     }
 
-    JsonValue base;
-    base.kind = JsonValue::Kind::Object;
-    for (const auto &[k, v] : req.members)
-        if (k != "grid" && k != "op" && k != "tag" &&
-            k != "canonical" && k != "cursor" && k != "chunk")
-            base.members.emplace_back(k, v);
+    // The decoder skips the envelope keys, so the base is the request
+    // less its grid.
+    JsonValue base = req;
+    std::erase_if(base.members,
+                  [](const auto &m) { return m.first == "grid"; });
 
     std::size_t cells = 1;
     for (const auto &[k, axis] : gv->members) {
@@ -654,9 +488,7 @@ planSweep(const JsonValue &req, SweepPlan &plan)
             if (p != nullptr && p->find(sub) != nullptr)
                 return "grid key '" + k + "' duplicates a base field";
         } else {
-            if (k == "op" || k == "tag" || k == "canonical" ||
-                k == "grid" || k == "params" || k == "cursor" ||
-                k == "chunk")
+            if (codec::isEnvelopeKey(k) || k == "grid" || k == "params")
                 return "grid key '" + k + "' is not sweepable";
             if (base.find(k) != nullptr)
                 return "grid key '" + k + "' duplicates a base field";
@@ -671,10 +503,7 @@ planSweep(const JsonValue &req, SweepPlan &plan)
                " past the end of the grid (" + std::to_string(cells) +
                " cells)";
 
-    plan.totalCells = cells;
-    plan.cursor = cursor;
     const std::size_t chunk_end = std::min(cells, cursor + chunk);
-
     const auto &axes = gv->members;
     for (std::size_t c = cursor; c < chunk_end; ++c) {
         std::vector<std::size_t> idx(axes.size());
@@ -696,37 +525,90 @@ planSweep(const JsonValue &req, SweepPlan &plan)
                 cell_key += val.raw;
             else
                 renderJson(val, cell_key);
-            if (k.rfind("params.", 0) == 0) {
-                JsonValue *params = nullptr;
-                for (auto &[bk, bv] : cell_req.members)
-                    if (bk == "params")
-                        params = &bv;
-                if (params == nullptr) {
-                    JsonValue obj;
-                    obj.kind = JsonValue::Kind::Object;
-                    cell_req.members.emplace_back("params",
-                                                  std::move(obj));
-                    params = &cell_req.members.back().second;
-                }
-                params->members.emplace_back(k.substr(7), val);
-            } else {
-                cell_req.members.emplace_back(k, val);
-            }
+            codec::put(cell_req, k, val);
         }
 
         ExperimentSpec spec;
-        std::string err = specFromJson(cell_req, spec);
+        std::string err = codec::decode(cell_req, "serve", spec);
         if (!err.empty())
             return "sweep cell " + std::to_string(c) + " (" +
                    cell_key + "): " + err;
 
-        std::ostringstream ex;
-        ex << ",\"cell\":" << c << ",\"of\":" << cells
-           << ",\"cell_key\":\"" << jsonEscape(cell_key) << "\"";
-        plan.specs.push_back(std::move(spec));
-        plan.extras.push_back(ex.str());
+        std::string fields = ",\"cell\":" + std::to_string(c) +
+                             ",\"of\":" + std::to_string(cells) +
+                             ",\"cell_key\":";
+        json::appendString(fields, cell_key);
+        batch.specs.push_back(std::move(spec));
+        batch.cellFields.push_back(std::move(fields));
     }
+    batch.trailer =
+        chunk_end == cells
+            ? ",\"sweep_done\":true,\"cells\":" + std::to_string(cells)
+            : ",\"sweep_chunk_done\":true,\"cells\":" +
+                  std::to_string(cells) +
+                  ",\"next_cursor\":" + std::to_string(chunk_end);
     return "";
+}
+
+/**
+ * Admit @p batch (one work unit per cell) and queue its cells on the
+ * fair queue. Hot or cold, a cell runs on the pool: a hit is just a
+ * task that returns in microseconds, and its response streams back
+ * whenever it lands. execute() itself does the cache probe (and the
+ * store on a miss) and reports which side served, so the serve path
+ * and the CLI path share one cache discipline. A cell's envelope
+ * fields come before "record", so a sweep cell's record bytes equal
+ * the same cell requested as a run. Cells land in completion order,
+ * so the task that lands last sends the trailer.
+ */
+void
+submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
+       Batch batch, const std::string &tag_json, bool canonical)
+{
+    const int send_timeout = srv.cfg.sendTimeoutMs;
+    const std::size_t n = batch.specs.size();
+    std::uint64_t depth = 0;
+    if (!srv.admit(n, depth)) {
+        conn->sendLine(errorLine(
+            tag_json, "server busy (admission queue full)", "busy",
+            ",\"retry_after_ms\":" +
+                std::to_string(srv.retryAfterMs(depth))),
+            send_timeout);
+        return;
+    }
+    conn->pending.fetch_add(n, std::memory_order_acq_rel);
+    struct Progress
+    {
+        std::atomic<std::size_t> done{0};
+        std::string trailer;
+    };
+    auto progress = std::make_shared<Progress>();
+    progress->trailer = std::move(batch.trailer);
+    for (std::size_t i = 0; i < n; ++i) {
+        srv.fair.enqueue(conn->id,
+                         [&srv, conn, spec = std::move(batch.specs[i]),
+                          fields = std::move(batch.cellFields[i]),
+                          tag_json, canonical, progress, n,
+                          send_timeout] {
+            Runner::ExecSource src = Runner::ExecSource::Sim;
+            RunRecord rec = srv.runner.execute(spec, &src);
+            std::ostringstream os;
+            os << fields << ",\"source\":\""
+               << (src == Runner::ExecSource::Cache ? "cache" : "sim")
+               << "\",\"record\":";
+            rec.writeJson(os, canonical);
+            conn->sendLine(envelope(true, tag_json, os.str()),
+                           send_timeout);
+            const std::size_t landed =
+                progress->done.fetch_add(1, std::memory_order_acq_rel) + 1;
+            if (landed == n && !progress->trailer.empty())
+                conn->sendLine(envelope(true, tag_json,
+                                        progress->trailer),
+                               send_timeout);
+            conn->pending.fetch_sub(1, std::memory_order_acq_rel);
+            srv.queuedUnits.fetch_sub(1, std::memory_order_acq_rel);
+        });
+    }
 }
 
 /**
@@ -786,7 +668,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
                     "bad_request"), send_timeout);
                 continue;
             }
-            tag_json = "\"" + jsonEscape(t->raw) + "\"";
+            json::appendString(tag_json, t->raw);
         }
 
         const JsonValue *opv = req.find("op");
@@ -801,11 +683,9 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             // send attempted) before the acknowledgment below.
             srv.beginShutdown();
             srv.pool.wait();
-            std::string out = "{\"ok\":true";
-            if (!tag_json.empty())
-                out += ",\"tag\":" + tag_json;
-            out += ",\"shutdown\":true}";
-            conn->sendLine(out, send_timeout);
+            conn->sendLine(
+                envelope(true, tag_json, ",\"shutdown\":true"),
+                send_timeout);
             srv.wakeAccept();
             break;
         }
@@ -813,30 +693,36 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             cache::ResultCache::Counters c;
             if (srv.cache)
                 c = srv.cache->counters();
-            std::ostringstream os;
-            os << "{\"ok\":true,\"stats\":{\"requests\":"
-               << srv.requests.load(std::memory_order_relaxed)
-               << ",\"cache\":" << (srv.cache ? "true" : "false")
-               << ",\"hits\":" << c.hits
-               << ",\"misses\":" << c.misses
-               << ",\"stores\":" << c.stores
-               << ",\"corrupt\":" << c.corrupt
-               << ",\"stale\":" << c.stale
-               << ",\"evictions\":" << c.evictions
-               << ",\"accepted\":"
-               << srv.accepted.load(std::memory_order_relaxed)
-               << ",\"shed\":"
-               << srv.shed.load(std::memory_order_relaxed)
-               << ",\"fd_exhausted\":"
-               << srv.fdExhausted.load(std::memory_order_relaxed)
-               << ",\"idle_closed\":"
-               << srv.idleClosed.load(std::memory_order_relaxed)
-               << ",\"readers_reaped\":"
-               << srv.readersReaped.load(std::memory_order_relaxed)
-               << ",\"queued\":"
-               << srv.queuedUnits.load(std::memory_order_relaxed)
-               << "}}";
-            conn->sendLine(os.str(), send_timeout);
+            auto now = [](const std::atomic<std::uint64_t> &n) {
+                return n.load(std::memory_order_relaxed);
+            };
+            const std::pair<const char *, std::uint64_t> counters[] = {
+                {"hits", c.hits}, {"misses", c.misses},
+                {"stores", c.stores}, {"corrupt", c.corrupt},
+                {"stale", c.stale}, {"evictions", c.evictions},
+                {"accepted", now(srv.accepted)}, {"shed", now(srv.shed)},
+                {"fd_exhausted", now(srv.fdExhausted)},
+                {"idle_closed", now(srv.idleClosed)},
+                {"readers_reaped", now(srv.readersReaped)},
+                {"queued", now(srv.queuedUnits)}};
+            std::string stats = ",\"stats\":{\"requests\":" +
+                                std::to_string(now(srv.requests)) +
+                                ",\"cache\":" +
+                                (srv.cache ? "true" : "false");
+            for (const auto &[name, n] : counters)
+                stats.append(",\"").append(name).append("\":")
+                    .append(std::to_string(n));
+            conn->sendLine(envelope(true, tag_json, stats + "}"),
+                           send_timeout);
+            continue;
+        }
+        if (op != "run" && op != "sweep") {
+            conn->sendLine(errorLine(
+                tag_json,
+                op.empty()
+                    ? "missing 'op' (want run|sweep|stats|shutdown)"
+                    : "unknown op '" + op + "'", "bad_request"),
+                send_timeout);
             continue;
         }
 
@@ -845,115 +731,23 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             canonical = cv->kind == JsonValue::Kind::Bool &&
                         cv->boolean;
 
+        // A run is decoded directly (no grid expansion) into a
+        // one-cell batch; it carries no cell fields and no trailer.
+        Batch batch;
+        std::string err;
         if (op == "run") {
-            ExperimentSpec spec;
-            std::string err = specFromJson(req, spec);
-            if (!err.empty()) {
-                conn->sendLine(errorLine(tag_json, err, "bad_request"),
-                               send_timeout);
-                continue;
-            }
-            std::uint64_t depth = 0;
-            if (!srv.admit(1, depth)) {
-                conn->sendLine(errorLine(
-                    tag_json, "server busy (admission queue full)",
-                    "busy",
-                    ",\"retry_after_ms\":" +
-                        std::to_string(srv.retryAfterMs(depth))),
-                    send_timeout);
-                continue;
-            }
-            conn->pending.fetch_add(1, std::memory_order_acq_rel);
-            // Hot or cold, the op runs on the (fairly scheduled)
-            // pool: a hit is just a task that returns in
-            // microseconds, and the response streams back whenever
-            // it lands. execute() itself does the cache probe (and
-            // the store on a miss) and reports which side served, so
-            // the serve path and the CLI path share one cache
-            // discipline.
-            srv.fair.enqueue(conn->id,
-                             [&srv, conn, spec = std::move(spec),
-                              tag_json, canonical, send_timeout] {
-                conn->sendLine(runResponse(srv.runner, spec, tag_json,
-                                           "", canonical),
-                               send_timeout);
-                conn->pending.fetch_sub(1, std::memory_order_acq_rel);
-                srv.queuedUnits.fetch_sub(1,
-                                          std::memory_order_acq_rel);
-            });
+            batch.specs.emplace_back();
+            batch.cellFields.emplace_back();
+            err = codec::decode(req, "serve", batch.specs.back());
+        } else {
+            err = planSweep(req, batch);
+        }
+        if (!err.empty()) {
+            conn->sendLine(errorLine(tag_json, err, "bad_request"),
+                           send_timeout);
             continue;
         }
-        if (op == "sweep") {
-            SweepPlan plan;
-            std::string err = planSweep(req, plan);
-            if (!err.empty()) {
-                conn->sendLine(errorLine(tag_json, err, "bad_request"),
-                               send_timeout);
-                continue;
-            }
-            const std::size_t n = plan.specs.size();
-            std::uint64_t depth = 0;
-            if (!srv.admit(n, depth)) {
-                conn->sendLine(errorLine(
-                    tag_json, "server busy (admission queue full)",
-                    "busy",
-                    ",\"retry_after_ms\":" +
-                        std::to_string(srv.retryAfterMs(depth))),
-                    send_timeout);
-                continue;
-            }
-            conn->pending.fetch_add(n, std::memory_order_acq_rel);
-            const std::size_t chunk_end = plan.cursor + n;
-            const bool last_chunk = chunk_end == plan.totalCells;
-            const std::size_t total = plan.totalCells;
-            auto done = std::make_shared<std::atomic<std::size_t>>(0);
-            for (std::size_t i = 0; i < n; ++i) {
-                srv.fair.enqueue(conn->id,
-                                 [&srv, conn,
-                                  spec = std::move(plan.specs[i]),
-                                  extra = std::move(plan.extras[i]),
-                                  tag_json, canonical, done, n, total,
-                                  chunk_end, last_chunk,
-                                  send_timeout] {
-                    conn->sendLine(runResponse(srv.runner, spec,
-                                               tag_json, extra,
-                                               canonical),
-                                   send_timeout);
-                    // The task that lands last sends the chunk (or
-                    // sweep) trailer — cells stream in completion
-                    // order, so "last scheduled" and "last done"
-                    // differ.
-                    if (done->fetch_add(1,
-                            std::memory_order_acq_rel) + 1 == n) {
-                        std::string out = "{\"ok\":true";
-                        if (!tag_json.empty())
-                            out += ",\"tag\":" + tag_json;
-                        if (last_chunk) {
-                            out += ",\"sweep_done\":true,\"cells\":" +
-                                   std::to_string(total) + "}";
-                        } else {
-                            out += ",\"sweep_chunk_done\":true,"
-                                   "\"cells\":" +
-                                   std::to_string(total) +
-                                   ",\"next_cursor\":" +
-                                   std::to_string(chunk_end) + "}";
-                        }
-                        conn->sendLine(out, send_timeout);
-                    }
-                    conn->pending.fetch_sub(
-                        1, std::memory_order_acq_rel);
-                    srv.queuedUnits.fetch_sub(
-                        1, std::memory_order_acq_rel);
-                });
-            }
-            continue;
-        }
-
-        conn->sendLine(errorLine(
-            tag_json,
-            op.empty() ? "missing 'op' (want run|sweep|stats|shutdown)"
-                       : "unknown op '" + op + "'", "bad_request"),
-            send_timeout);
+        submit(srv, conn, std::move(batch), tag_json, canonical);
     }
 }
 
@@ -966,6 +760,33 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
 }
 
+/** One bound listening socket. */
+struct Listener
+{
+    int fd;
+    std::string unixPath;   ///< socket file to unlink; "" for TCP
+};
+
+/** Every bound listener. The destructor is the one close-and-unlink
+ *  path, so every exit from serveLoop (a bind or pipe error, or the
+ *  end of a drain) releases the sockets the same way. */
+struct Listeners
+{
+    std::vector<Listener> all;
+
+    Listeners() = default;
+    Listeners(const Listeners &) = delete;
+    Listeners &operator=(const Listeners &) = delete;
+    ~Listeners()
+    {
+        for (const Listener &l : all) {
+            ::close(l.fd);
+            if (!l.unixPath.empty())
+                ::unlink(l.unixPath.c_str());
+        }
+    }
+};
+
 /**
  * Bind + listen on the Unix path. A *stale* socket file (nothing
  * accepting) is replaced; a *live* one — the probe connect()
@@ -974,7 +795,7 @@ setNonBlocking(int fd)
  * socket out from under it. @return "" on success.
  */
 std::string
-bindUnixListener(const ServeConfig &cfg, int &out)
+bindUnixListener(const ServeConfig &cfg, Listeners &out)
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -1025,14 +846,14 @@ bindUnixListener(const ServeConfig &cfg, int &out)
         ::unlink(cfg.socketPath.c_str());
         return e;
     }
-    out = fd;
+    out.all.push_back({fd, cfg.socketPath});
     return "";
 }
 
 /** Bind + listen on "host:port" (numeric port; port 0 = ephemeral,
  *  published through cfg.tcpPortOut). @return "" on success. */
 std::string
-bindTcpListener(const ServeConfig &cfg, int &out)
+bindTcpListener(const ServeConfig &cfg, Listeners &out)
 {
     const std::string &hp = cfg.tcpHostPort;
     std::size_t colon = hp.rfind(':');
@@ -1090,7 +911,7 @@ bindTcpListener(const ServeConfig &cfg, int &out)
         }
         cfg.tcpPortOut->store(bound, std::memory_order_release);
     }
-    out = fd;
+    out.all.push_back({fd, ""});
     return "";
 }
 
@@ -1157,36 +978,23 @@ serveLoop(const ServeConfig &cfg)
         return 1;
     }
 
-    int unix_fd = -1;
-    int tcp_fd = -1;
-    if (!cfg.socketPath.empty()) {
-        std::string err = bindUnixListener(cfg, unix_fd);
-        if (!err.empty()) {
-            std::fprintf(stderr, "serve: %s\n", err.c_str());
-            return 1;
-        }
-    }
-    if (!cfg.tcpHostPort.empty()) {
-        std::string err = bindTcpListener(cfg, tcp_fd);
-        if (!err.empty()) {
-            std::fprintf(stderr, "serve: %s\n", err.c_str());
-            if (unix_fd >= 0) {
-                ::close(unix_fd);
-                ::unlink(cfg.socketPath.c_str());
-            }
-            return 1;
-        }
+    // TCP first: once the Unix socket accepts, every listener is up
+    // and cfg.tcpPortOut is published, so a caller may probe the Unix
+    // path alone before reading the port.
+    Listeners listeners;
+    std::string err;
+    if (!cfg.tcpHostPort.empty())
+        err = bindTcpListener(cfg, listeners);
+    if (err.empty() && !cfg.socketPath.empty())
+        err = bindUnixListener(cfg, listeners);
+    if (!err.empty()) {
+        std::fprintf(stderr, "serve: %s\n", err.c_str());
+        return 1;
     }
 
     int wake[2];
     if (::pipe(wake) != 0) {
         std::perror("serve: pipe");
-        if (unix_fd >= 0) {
-            ::close(unix_fd);
-            ::unlink(cfg.socketPath.c_str());
-        }
-        if (tcp_fd >= 0)
-            ::close(tcp_fd);
         return 1;
     }
     // Both ends non-blocking: readers poking a full pipe must not
@@ -1255,15 +1063,8 @@ serveLoop(const ServeConfig &cfg)
     while (!srv.stopping.load(std::memory_order_acquire)) {
         pollfd fds[4];
         int nfds = 0;
-        int unix_slot = -1, tcp_slot = -1;
-        if (unix_fd >= 0) {
-            unix_slot = nfds;
-            fds[nfds++] = {unix_fd, POLLIN, 0};
-        }
-        if (tcp_fd >= 0) {
-            tcp_slot = nfds;
-            fds[nfds++] = {tcp_fd, POLLIN, 0};
-        }
+        for (const Listener &l : listeners.all)
+            fds[nfds++] = {l.fd, POLLIN, 0};
         int wake_slot = nfds;
         fds[nfds++] = {wake[0], POLLIN, 0};
         int sig_slot = -1;
@@ -1305,14 +1106,13 @@ serveLoop(const ServeConfig &cfg)
         if (srv.stopping.load(std::memory_order_acquire))
             break;
 
-        int lfd = -1;
-        if (unix_slot >= 0 && (fds[unix_slot].revents & POLLIN) != 0)
-            lfd = unix_fd;
-        else if (tcp_slot >= 0 && (fds[tcp_slot].revents & POLLIN) != 0)
-            lfd = tcp_fd;
-        if (lfd < 0)
+        const Listener *ready = nullptr;
+        for (std::size_t i = 0; i < listeners.all.size(); ++i)
+            if (ready == nullptr && (fds[i].revents & POLLIN) != 0)
+                ready = &listeners.all[i];
+        if (ready == nullptr)
             continue;
-        int cfd = ::accept(lfd, nullptr, nullptr);
+        int cfd = ::accept(ready->fd, nullptr, nullptr);
         if (cfd < 0) {
             if (errno == EINTR || errno == ECONNABORTED ||
                 errno == EAGAIN || errno == EWOULDBLOCK)
@@ -1336,7 +1136,7 @@ serveLoop(const ServeConfig &cfg)
             break;
         }
         setNonBlocking(cfd);
-        if (lfd == tcp_fd) {
+        if (ready->unixPath.empty()) {
             int one = 1;
             ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
                          sizeof(one));
@@ -1378,12 +1178,6 @@ serveLoop(const ServeConfig &cfg)
 
     ::close(wake[0]);
     ::close(wake[1]);
-    if (unix_fd >= 0) {
-        ::close(unix_fd);
-        ::unlink(cfg.socketPath.c_str());
-    }
-    if (tcp_fd >= 0)
-        ::close(tcp_fd);
     return 0;
 }
 

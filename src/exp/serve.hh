@@ -73,17 +73,17 @@
  * echoed, as the JSON it was). error_kind is machine-readable
  * ("parse", "bad_request", "busy", "idle_timeout", "overflow") so
  * clients and triage tooling can cluster without string-matching
- * prose. "run" accepts the swex_cli option surface by name: id, app,
- * params, protocol, bus, profile, nodes, victim, seed, seq, audit,
- * track_sharing, jitter, jitter_seed, fault_drop, fault_dup,
- * fault_blackout, fault_seed, deadline, canonical. "sweep" takes the
- * same base fields plus "grid": each entry maps a field name (or
- * "params.<key>") to a non-empty array of values; cells are the
- * cartesian product (row-major, last key fastest, at most 2^20
- * total), "cursor" (default 0) names the first cell of this chunk
- * and "chunk" (default and max 4096) bounds the cells served by this
- * request; the whole grid shape and every cell of the chunk are
- * validated before any cell runs.
+ * prose. Every response echoes the request's tag. "run" is a one-cell
+ * batch: besides op, tag and canonical it takes the spec fields of
+ * the codec's table (exp/spec_codec.cc), among them the hardware
+ * toggles local_bit, perfect_ifetch and parallel_inv; a missing id
+ * is "serve". "sweep" takes the same base fields plus "grid": each
+ * entry maps a field name (or "params.<key>") to a non-empty array of
+ * values; cells are the cartesian product (row-major, last key
+ * fastest, at most 2^20 total), "cursor" (default 0) names the first
+ * cell of this chunk and "chunk" (default and max 4096) bounds the
+ * cells served by this request; the whole grid shape and every cell
+ * of the chunk are validated before any cell runs.
  */
 
 #ifndef SWEX_EXP_SERVE_HH

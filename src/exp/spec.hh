@@ -135,6 +135,14 @@ struct ExperimentSpec
         mc.deadline = deadline;
         return mc;
     }
+
+    /** Whether any fault rate is set. */
+    bool
+    faultsOn() const
+    {
+        return faultDropPerMille != 0 || faultDupPerMille != 0 ||
+               faultBlackoutPerMille != 0;
+    }
 };
 
 } // namespace swex

@@ -1,9 +1,10 @@
 #include "exp/wire_json.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "base/json.hh"
 
 namespace swex
 {
@@ -200,33 +201,6 @@ JsonParser::parseWhole(JsonValue &out)
     return true;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
-
 namespace
 {
 
@@ -252,7 +226,7 @@ renderJsonAt(const JsonValue &v, std::string &out, int depth)
         out += v.raw;
         break;
       case JsonValue::Kind::String:
-        out += "\"" + jsonEscape(v.raw) + "\"";
+        json::appendString(out, v.raw);
         break;
       case JsonValue::Kind::Object: {
         out += "{";
@@ -261,7 +235,8 @@ renderJsonAt(const JsonValue &v, std::string &out, int depth)
             if (!first)
                 out += ",";
             first = false;
-            out += "\"" + jsonEscape(k) + "\":";
+            json::appendString(out, k);
+            out += ":";
             renderJsonAt(m, out, depth + 1);
         }
         out += "}";

@@ -75,12 +75,9 @@ struct JsonParser
     bool valueAt(JsonValue &out, int depth);
 };
 
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
-
-/** Re-render a parsed value as JSON — used to echo a rejected tag
- *  back verbatim (whatever its type), so the peer can correlate the
- *  error with the request that caused it. Bounded like the parser:
+/** Render a value as JSON — used to send codec-built requests and to
+ *  echo a rejected tag back verbatim (whatever its type), so the peer
+ *  can correlate the error with the request. Bounded like the parser:
  *  anything nested past JsonParser::maxDepth renders as null, so
  *  echoing can never recurse deeper than parsing accepts. */
 void renderJson(const JsonValue &v, std::string &out);

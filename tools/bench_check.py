@@ -29,11 +29,12 @@ the canonical swex-run-v1 documents to be byte-identical, checks that
 a $SWEX_CACHE_EPOCH bump invalidates (and transparently recomputes)
 the entry, then starts `swex_cli --serve` on a scratch Unix socket
 and requires the served record to equal the direct run's, with the
-stats op accounting the hit and surfacing the eviction counter. The
-serve session is also exercised as a real server: a server-side sweep
-must stream every cell byte-identical to direct runs of the same
-cells, and three simultaneous client connections must each get the
-direct run's bytes back.
+stats op accounting the hit and surfacing the eviction counter; the
+record `swex_cli --connect` writes for the same spec must equal it
+too. The serve session is also exercised as a real server: a
+server-side sweep must stream every cell byte-identical to direct
+runs of the same cells, and three simultaneous client connections
+must each get the direct run's bytes back.
 
 All validators reject unknown schema versions outright. Exits
 non-zero on any malformed or missing output, so CI catches a broken
@@ -67,9 +68,16 @@ RECORD_REQUIRED = ["id", "app", "protocol", "nodes", "sequential",
 CLI_USAGE_ERRORS = [
     ["--bus", "bogus"],
     ["--nodes", "16x"],
+    ["--nodes", "+16"],
     ["--protocol", "bogus"],
     ["--profile", "ASM"],
     ["--faults", "1,2,3,4"],
+    ["--param", "novalue"],
+    ["--app", "bogus"],
+    ["--bogus-flag"],
+    ["--connect", "/nonexistent.sock", "--sweep", "--seeds", "2",
+     "--faults", "1"],
+    ["--nodes"],
 ]
 
 
@@ -387,14 +395,17 @@ def check_cache_equiv(binary, tmp):
          "--jobs", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
+        # Ready when it accepts: the file appears at bind(), not listen().
         for _ in range(200):
-            if os.path.exists(sock_path):
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                conn.connect(sock_path)
                 break
-            time.sleep(0.05)
+            except (FileNotFoundError, ConnectionRefusedError):
+                conn.close()
+                time.sleep(0.05)
         else:
-            sys.exit("FAIL: --serve never created its socket")
-        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        conn.connect(sock_path)
+            sys.exit("FAIL: --serve never accepted on its socket")
         f = conn.makefile("rw")
 
         def rpc(obj):
@@ -420,6 +431,24 @@ def check_cache_equiv(binary, tmp):
         if resp.get("record") != direct_rec:
             sys.exit("FAIL: served record differs from the direct "
                      "run's record")
+
+        # swex_cli --connect sends the same spec, id included, so the
+        # record it writes is the direct run's record.
+        remote_json = os.path.join(tmp, "remote.json")
+        proc = subprocess.run(
+            [binary, "--connect", sock_path, *spec, "--json",
+             remote_json],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"FAIL: swex_cli --connect exited with "
+                     f"{proc.returncode}:\n{proc.stdout}")
+        remote = load_doc(remote_json, "swex-run-v1")["records"]
+        if remote != [direct_rec]:
+            sys.exit("FAIL: swex_cli --connect record differs from the "
+                     "direct run's record")
+        print("OK: swex_cli --connect record identical to the direct "
+              "run's")
+        checks += 1
         stats = rpc({"op": "stats"})
         if not stats.get("ok") or \
                 stats.get("stats", {}).get("hits", 0) < 1:

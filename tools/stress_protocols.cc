@@ -25,7 +25,6 @@
  * sweep is `stress_protocols --app worker --seeds 200 --jobs 8`.
  */
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -41,7 +40,7 @@
 #include "core/spectrum.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/pool.hh"
-#include "exp/spec.hh"
+#include "exp/spec_codec.hh"
 #include "machine/machine.hh"
 #include "trace/recorder.hh"
 #include "trace/replay.hh"
@@ -182,38 +181,41 @@ struct RunResult
     std::string diagnostics;   ///< failure report; empty when ok
 };
 
-/** One stress run. Runs on a worker thread: all diagnostics are
- *  buffered into the result, never printed here, so concurrent runs
- *  cannot interleave their reports. @p adversarial enables the
- *  jitter/fault stressors from @p opt; the reference run clears it. */
-RunResult
-stressRun(const StressApp &sa, const GridPoint &pt,
-          const Options &opt, std::uint64_t seed, bool adversarial,
-          const std::uint64_t *expect_image)
+/**
+ * The spec of one grid cell: what stressRun() runs, and the
+ * result-cache key for --cache. A warm cell's stored (cycles, image)
+ * pair feeds the summaries and the grid digest exactly as a fresh
+ * run's would, so warm, cold, and cache-off sweeps print the same
+ * digest bit for bit. With @p adversarial false it is the quiet
+ * reference run: no jitter, faults, deadline or app jitter.
+ */
+ExperimentSpec
+cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
+         std::uint64_t seed, bool adversarial = true)
 {
-    // The bus machine has no network: seeds perturb the app's own
-    // compute via the `jitter` parameter instead of delivery delays.
-    const Cycles jitter_max =
-        adversarial && !pt.snoop ? opt.jitterMax : 0;
-
-    AppParams params = sa.params;
-    if (pt.snoop && adversarial)
-        params["jitter"] = std::to_string(seed);
-
     ExperimentSpec spec;
+    spec.id = strfmt("stress/%s/%s/s%llu", sa.name.c_str(),
+                     pt.label.c_str(),
+                     static_cast<unsigned long long>(seed));
     spec.app = sa.name;
-    spec.params = params;
+    spec.params = sa.params;
     spec.nodes = opt.nodes;
     spec.victimEntries = 6;
+    spec.audit = true;
     if (pt.snoop) {
+        // The bus machine has no network: seeds perturb the app's own
+        // compute via the `jitter` parameter instead of delivery
+        // delays.
         spec.machineModel = MachineModel::Snoop;
         spec.snoopProtocol = pt.sp;
         spec.busArbitration = pt.arb;
+        if (adversarial)
+            spec.params["jitter"] = std::to_string(seed);
     } else {
         spec.protocol = pt.dir;
-        spec.jitterMax = jitter_max;
         spec.jitterSeed = seed;
         if (adversarial) {
+            spec.jitterMax = opt.jitterMax;
             spec.faultDropPerMille = opt.drop;
             spec.faultDupPerMille = opt.dup;
             spec.faultBlackoutPerMille = opt.blackout;
@@ -221,17 +223,28 @@ stressRun(const StressApp &sa, const GridPoint &pt,
             spec.deadline = opt.deadline;
         }
     }
+    return spec;
+}
 
+/** Run @p spec, the cell labelled @p label at @p seed, with the
+ *  auditor attached. Runs on a worker thread: all diagnostics are
+ *  buffered into the result, never printed here, so concurrent runs
+ *  cannot interleave their reports. @p replay also records the op
+ *  streams and requires a replay of them to match. */
+RunResult
+stressRun(const ExperimentSpec &spec, const std::string &label,
+          std::uint64_t seed, bool replay,
+          const std::uint64_t *expect_image)
+{
     MachineConfig mc = spec.machine();
     mc.net.traceDepth = 64;
     // --replay: capture the op streams during the direct run so the
     // cell can be re-executed from the trace below.
-    const bool replaying = opt.replay && adversarial;
-    if (replaying)
+    if (replay)
         mc.executionMode = ExecutionMode::Record;
 
-    auto app = AppRegistry::instance().make(sa.name, params,
-                                            opt.nodes);
+    auto app = AppRegistry::instance().make(spec.app, spec.params,
+                                            spec.nodes);
     Machine m(mc);
     CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
     m.attachAuditor(&auditor);
@@ -282,18 +295,18 @@ stressRun(const StressApp &sa, const GridPoint &pt,
     // print the same grid digest. Cells that blew their deadline have
     // truncated streams and cannot replay; their direct numbers feed
     // the digest unchanged.
-    if (replaying && completed) {
+    if (replay && completed) {
         const TraceRecorder *rec = m.recorder();
         trace::Trace t;
-        t.meta.appNodes = static_cast<std::uint32_t>(opt.nodes);
+        t.meta.appNodes = static_cast<std::uint32_t>(spec.nodes);
         t.meta.numThreads =
             static_cast<std::uint32_t>(rec->numThreads());
         t.meta.configFingerprint = trace::configFingerprint(mc);
         t.meta.recordedCycles = r.cycles;
         t.meta.recordedImageHash = r.image;
         t.meta.seed = mc.seed;
-        t.meta.app = sa.name;
-        t.meta.params = trace::canonicalAppParams(params);
+        t.meta.app = spec.app;
+        t.meta.params = trace::canonicalAppParams(spec.params);
         t.meta.protocol = mc.protocol.name();
         for (int i = 0; i < rec->numThreads(); ++i)
             t.streams.push_back(rec->stream(i));
@@ -301,8 +314,8 @@ stressRun(const StressApp &sa, const GridPoint &pt,
 
         MachineConfig rmc = mc;
         rmc.executionMode = ExecutionMode::Replay;
-        auto rapp = AppRegistry::instance().make(sa.name, params,
-                                                opt.nodes);
+        auto rapp = AppRegistry::instance().make(spec.app, spec.params,
+                                                 spec.nodes);
         Machine rm(rmc);
         rapp->setup(rm);
         Tick rcycles = rm.runReplay(prog.sources());
@@ -326,11 +339,10 @@ stressRun(const StressApp &sa, const GridPoint &pt,
         std::ostringstream os;
         os << strfmt("\nFAIL: app=%s protocol=%s nodes=%d jitter=%llu "
                      "faults=%u,%u,%u seed=%llu\n",
-                     sa.name.c_str(), pt.label.c_str(), opt.nodes,
-                     static_cast<unsigned long long>(jitter_max),
-                     adversarial ? opt.drop : 0,
-                     adversarial ? opt.dup : 0,
-                     adversarial ? opt.blackout : 0,
+                     spec.app.c_str(), label.c_str(), spec.nodes,
+                     static_cast<unsigned long long>(spec.jitterMax),
+                     spec.faultDropPerMille, spec.faultDupPerMille,
+                     spec.faultBlackoutPerMille,
                      static_cast<unsigned long long>(seed));
         for (const std::string &f : failures)
             os << "  " << f << "\n";
@@ -352,93 +364,21 @@ stressRun(const StressApp &sa, const GridPoint &pt,
         }
         os << "last messages delivered:\n";
         m.network.dumpTrace(os);
-        // The stress machine uses the default machine seed; only the
-        // jitter and fault streams (directory) or the app's jitter
-        // parameter (snoop) are seeded per run, so the replay sets
-        // those knobs (NOT --seed, which would change the machine).
-        // Every reproduction flag appears even at its default, so the
-        // line is self-contained. Snoop seeds ride in `params`
-        // already, so the --param loop reproduces them.
-        std::string replay;
-        if (pt.snoop) {
-            std::string proto = snoopProtocolName(pt.sp);
-            for (char &c : proto)
-                c = static_cast<char>(std::tolower(
-                    static_cast<unsigned char>(c)));
-            replay = strfmt(
-                "swex_cli --app %s --nodes %d --protocol %s --bus %s "
-                "--audit",
-                sa.name.c_str(), opt.nodes, proto.c_str(),
-                busArbitrationName(pt.arb));
-        } else {
-            replay = strfmt(
-                "swex_cli --app %s --nodes %d --protocol %s --victim "
-                "6 --jitter %llu --jitter-seed %llu --faults "
-                "%u,%u,%u --fault-seed %llu --deadline %llu --audit",
-                sa.name.c_str(), opt.nodes,
-                spectrumKey(pt.label).c_str(),
-                static_cast<unsigned long long>(jitter_max),
-                static_cast<unsigned long long>(seed),
-                adversarial ? opt.drop : 0, adversarial ? opt.dup : 0,
-                adversarial ? opt.blackout : 0,
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(
-                    adversarial ? opt.deadline : 0));
-        }
-        for (const auto &[k, v] : params)
-            replay += strfmt(" --param %s=%s", k.c_str(), v.c_str());
-        os << "replay: " << replay << "\n";
+        os << "replay: " << codec::toCommandLine(spec) << "\n";
         r.diagnostics = os.str();
     }
     m.attachAuditor(nullptr);
     return r;
 }
 
-/**
- * The declarative spec of one adversarial grid cell, mirroring the
- * knobs stressRun() applies — the result-cache key for --cache. A
- * warm cell's stored (cycles, image) pair feeds the summaries and
- * the grid digest exactly as a fresh run's would, so warm, cold, and
- * cache-off sweeps print the same digest bit for bit.
- */
-ExperimentSpec
-cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
-         std::uint64_t seed)
-{
-    ExperimentSpec spec;
-    spec.id = strfmt("stress/%s/%s/s%llu", sa.name.c_str(),
-                     pt.label.c_str(),
-                     static_cast<unsigned long long>(seed));
-    spec.app = sa.name;
-    spec.params = sa.params;
-    spec.nodes = opt.nodes;
-    spec.victimEntries = 6;
-    spec.audit = true;
-    if (pt.snoop) {
-        spec.machineModel = MachineModel::Snoop;
-        spec.snoopProtocol = pt.sp;
-        spec.busArbitration = pt.arb;
-        spec.params["jitter"] = std::to_string(seed);
-    } else {
-        spec.protocol = pt.dir;
-        spec.jitterMax = opt.jitterMax;
-        spec.jitterSeed = seed;
-        spec.faultDropPerMille = opt.drop;
-        spec.faultDupPerMille = opt.dup;
-        spec.faultBlackoutPerMille = opt.blackout;
-        spec.faultSeed = seed;
-        spec.deadline = opt.deadline;
-    }
-    return spec;
-}
-
 /** Quiet full-map run: the reference memory image for this app. */
 std::uint64_t
 referenceImage(const StressApp &sa, const Options &opt)
 {
+    const GridPoint fullmap{"FULLMAP", false, ProtocolConfig::fullMap()};
     RunResult r = stressRun(
-        sa, {"FULLMAP", false, ProtocolConfig::fullMap()}, opt,
-        /*seed=*/0, /*adversarial=*/false, nullptr);
+        cellSpec(sa, fullmap, opt, /*seed=*/0, /*adversarial=*/false),
+        fullmap.label, /*seed=*/0, /*replay=*/false, nullptr);
     if (!r.ok) {
         std::fputs(r.diagnostics.c_str(), stderr);
         std::fprintf(stderr, "stress_protocols: reference run of %s "
@@ -627,9 +567,9 @@ main(int argc, char **argv)
         const Pair &p = pairs[j.pair];
         const std::uint64_t *expect =
             apps[p.app].imageStable ? &references[p.app] : nullptr;
-        ExperimentSpec spec;
+        const ExperimentSpec spec =
+            cellSpec(apps[p.app], p.pt, opt, j.seed);
         if (rcache) {
-            spec = cellSpec(apps[p.app], p.pt, opt, j.seed);
             RunRecord rec;
             if (rcache->lookup(spec, rec)) {
                 results[i].ok = true;
@@ -638,8 +578,8 @@ main(int argc, char **argv)
                 return;
             }
         }
-        results[i] = stressRun(apps[p.app], p.pt, opt, j.seed,
-                               /*adversarial=*/true, expect);
+        results[i] = stressRun(spec, p.pt.label, j.seed, opt.replay,
+                               expect);
         if (rcache && results[i].ok) {
             RunRecord rec;
             rec.id = spec.id;

@@ -15,22 +15,22 @@
  *   swex_cli --list
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "core/spectrum.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/client.hh"
 #include "exp/runner.hh"
 #include "exp/serve.hh"
+#include "exp/spec_codec.hh"
 #include "exp/wire_json.hh"
 
 using namespace swex;
@@ -38,52 +38,30 @@ using namespace swex;
 namespace
 {
 
-/**
- * Malformed numeric option values ("16x", "", "99999999999999999999",
- * "-3" where a count is expected) must produce a usage error and exit
- * code 2, not an uncaught std::invalid_argument from bare std::stoi.
- */
+/** A malformed invocation: say why and exit 2 before anything runs. */
 [[noreturn]] void
-badValue(const std::string &opt, const std::string &value,
-         const char *why)
+usageError(const std::string &msg)
 {
-    std::fprintf(stderr, "swex_cli: bad value '%s' for %s: %s\n",
-                 value.c_str(), opt.c_str(), why);
+    std::fprintf(stderr, "swex_cli: %s\n", msg.c_str());
     std::fprintf(stderr, "run 'swex_cli --help' for usage\n");
     std::exit(2);
 }
 
-/** Parse a whole string as a bounded non-negative integer. */
-int
-parseCount(const std::string &opt, const std::string &value, int lo,
-           int hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        badValue(opt, value, "not an integer");
-    if (errno == ERANGE || v < lo || v > hi) {
-        badValue(opt, value,
-                 strfmt("must be in [%d, %d]", lo, hi).c_str());
-    }
-    return static_cast<int>(v);
-}
-
-/** Parse a whole string as an unsigned 64-bit integer. */
+/** Parse @p value as an integer in [@p lo, @p hi], in the wire's
+ *  number grammar (digits only), or exit 2. */
 std::uint64_t
-parseU64(const std::string &opt, const std::string &value)
+parseCount(const std::string &opt, const std::string &value,
+           std::uint64_t lo, std::uint64_t hi)
 {
-    if (!value.empty() && value[0] == '-')
-        badValue(opt, value, "must be non-negative");
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        badValue(opt, value, "not an integer");
-    if (errno == ERANGE)
-        badValue(opt, value, "out of range");
-    return static_cast<std::uint64_t>(v);
+    wire::JsonValue v;
+    v.kind = wire::JsonValue::Kind::Number;
+    v.raw = value;
+    std::uint64_t n = 0;
+    if (!wire::numberAsU64(v, n) || n < lo || n > hi)
+        usageError("bad value '" + value + "' for " + opt +
+                   ": want an integer in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+    return n;
 }
 
 void
@@ -176,12 +154,14 @@ usage()
         "                     hint (default 4096, 0 = unbounded)\n"
         "  --serve-idle-ms <n> close connections idle this long with\n"
         "                     no outstanding work (default 0 = never)\n"
-        "  --connect <addr>   run remotely against a server instead of\n"
-        "                     simulating locally: a path is a Unix\n"
-        "                     socket, host:port is TCP. Retries with\n"
-        "                     seeded exponential backoff, honors busy\n"
-        "                     hints, and resumes interrupted --sweep\n"
-        "                     chunks from the first missing cell\n"
+        "  --connect <addr>   run the same cells on a server (every spec\n"
+        "                     flag, hardware toggles too): a path is a\n"
+        "                     Unix socket, host:port is TCP. Retries\n"
+        "                     with seeded exponential backoff, honors\n"
+        "                     busy hints, and resumes interrupted\n"
+        "                     --sweep chunks from the first missing\n"
+        "                     cell; refuses --sweep with --faults and\n"
+        "                     --seeds > 1\n"
         "  --rpc-deadline <ms> per-response deadline for --connect\n"
         "                     (default 30000)\n"
         "  --rpc-attempts <n> retry budget for --connect (default 5;\n"
@@ -194,73 +174,6 @@ usage()
         "  --json <path>      write the run record(s) as a "
         "swex-run-v1 document\n"
         "  --list             list apps and protocols and exit\n");
-}
-
-/** Parse "--faults d[,u[,b]]" (per-mille rates) into @p spec. */
-void
-parseFaults(const std::string &value, ExperimentSpec &spec)
-{
-    unsigned rates[3] = {0, 0, 0};
-    std::size_t pos = 0;
-    for (int k = 0;; ++k) {
-        if (k == 3)
-            badValue("--faults", value, "at most three rates");
-        std::size_t comma = value.find(',', pos);
-        rates[k] = static_cast<unsigned>(parseCount(
-            "--faults", value.substr(pos, comma - pos), 0, 1000));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    spec.faultDropPerMille = rates[0];
-    spec.faultDupPerMille = rates[1];
-    spec.faultBlackoutPerMille = rates[2];
-}
-
-/**
- * One self-contained command line that reproduces @p sp exactly:
- * every determinism-relevant knob is spelled out, so a failure line
- * pasted from a sweep replays the same simulation at any --jobs.
- */
-std::string
-replayLine(const ExperimentSpec &sp, const std::string &proto_key,
-           bool local_bit_off)
-{
-    std::string s = strfmt("swex_cli --app %s --nodes %d --protocol "
-                           "%s --victim %u --seed %llu",
-                           sp.app.c_str(), sp.nodes, proto_key.c_str(),
-                           sp.victimEntries,
-                           static_cast<unsigned long long>(sp.seed));
-    if (sp.profile == HandlerProfile::TunedAsm)
-        s += " --profile asm";
-    for (const auto &[k, v] : sp.params)
-        s += strfmt(" --param %s=%s", k.c_str(), v.c_str());
-    if (sp.jitterMax != 0) {
-        s += strfmt(" --jitter %llu --jitter-seed %llu",
-                    static_cast<unsigned long long>(sp.jitterMax),
-                    static_cast<unsigned long long>(
-                        sp.jitterSeed != 0 ? sp.jitterSeed : sp.seed));
-    }
-    if (sp.faultDropPerMille != 0 || sp.faultDupPerMille != 0 ||
-        sp.faultBlackoutPerMille != 0) {
-        s += strfmt(" --faults %u,%u,%u --fault-seed %llu",
-                    sp.faultDropPerMille, sp.faultDupPerMille,
-                    sp.faultBlackoutPerMille,
-                    static_cast<unsigned long long>(
-                        sp.faultSeed != 0 ? sp.faultSeed : sp.seed));
-    }
-    if (sp.deadline != 0)
-        s += strfmt(" --deadline %llu",
-                    static_cast<unsigned long long>(sp.deadline));
-    if (sp.perfectIfetch)
-        s += " --perfect-ifetch";
-    if (local_bit_off)
-        s += " --no-local-bit";
-    if (sp.parallelInv)
-        s += " --parallel-inv";
-    if (sp.audit)
-        s += " --audit";
-    return s;
 }
 
 void
@@ -295,8 +208,9 @@ listEverything()
 struct RemoteRec
 {
     std::uint64_t cycles = 0;
-    bool verified = false;
+    bool ok = false;   ///< status "ok" and verified
     std::string status = "?";
+    std::string image;
 };
 
 bool
@@ -308,26 +222,14 @@ parseRemoteRecord(const std::string &record_json, RemoteRec &out)
         return false;
     if (const wire::JsonValue *c = v.find("sim_cycles"))
         wire::numberAsU64(*c, out.cycles);
-    if (const wire::JsonValue *ve = v.find("verified"))
-        out.verified =
-            ve->kind == wire::JsonValue::Kind::Bool && ve->boolean;
     if (const wire::JsonValue *s = v.find("status"))
         if (s->kind == wire::JsonValue::Kind::String)
             out.status = s->raw;
-    return true;
-}
-
-/** The raw record-object bytes out of a response line (substring,
- *  not re-render, so --json writes exactly what the server sent). */
-bool
-extractRecord(const std::string &line, std::string &out)
-{
-    const std::string key = "\"record\":";
-    std::size_t at = line.find(key);
-    if (at == std::string::npos || line.empty() || line.back() != '}')
-        return false;
-    out = line.substr(at + key.size(),
-                      line.size() - 1 - (at + key.size()));
+    if (const wire::JsonValue *h = v.find("image_hash"))
+        out.image = h->raw;
+    const wire::JsonValue *ve = v.find("verified");
+    out.ok = out.status == "ok" && ve != nullptr &&
+             ve->kind == wire::JsonValue::Kind::Bool && ve->boolean;
     return true;
 }
 
@@ -344,8 +246,7 @@ writeRemoteJson(const std::string &path,
         std::fprintf(f, "%s%s\n", records[i].c_str(),
                      i + 1 < records.size() ? "," : "");
     std::fprintf(f, "]}\n");
-    bool ok = std::fclose(f) == 0;
-    return ok;
+    return std::fclose(f) == 0;
 }
 
 /** A swex-run-v1 record for a remote request that never produced
@@ -354,249 +255,203 @@ writeRemoteJson(const std::string &path,
  *  tools/triage_failures.py can cluster serve-side failures next to
  *  simulator stalls. */
 std::string
-remoteFailureRecord(const ExperimentSpec &spec,
-                    const std::string &proto, const std::string &error,
-                    const std::string &kind)
+remoteFailureRecord(const ExperimentSpec &spec, const std::string &proto,
+                    const std::string &error, const std::string &kind)
 {
-    std::string r = "{\"id\":\"" + wire::jsonEscape(spec.id) + "\"";
-    r += ",\"app\":\"" + wire::jsonEscape(spec.app) + "\"";
-    r += ",\"protocol\":\"" + wire::jsonEscape(proto) + "\"";
+    std::string r = "{\"id\":";
+    json::appendString(r, spec.id);
+    r += ",\"app\":";
+    json::appendString(r, spec.app);
+    r += ",\"protocol\":";
+    json::appendString(r, proto);
     r += ",\"nodes\":" + std::to_string(spec.nodes);
-    r += ",\"status\":\"error\"";
-    r += ",\"error\":\"" + wire::jsonEscape(error) + "\"";
-    r += ",\"error_kind\":\"" +
-         wire::jsonEscape(kind.empty() ? "transport" : kind) + "\"}";
-    return r;
+    r += ",\"status\":\"error\",\"error\":";
+    json::appendString(r, error);
+    r += ",\"error_kind\":";
+    json::appendString(r, kind.empty() ? "transport" : kind);
+    return r + "}";
 }
 
 /**
- * Build the shared part of a remote request from the CLI options.
- * Returns the object *without* its closing brace so the caller can
- * splice op-specific fields (grid, jitter_seed). canonical:true keeps
- * the returned records deterministic (host wall time zeroed), so
- * remote output is byte-comparable across runs and servers.
+ * A request line for @p op: the request fields @p fields, then the
+ * pre-rendered @p extra members. canonical:true keeps the returned
+ * records deterministic (host wall time zeroed), so remote output is
+ * byte-comparable across runs and servers.
  */
 std::string
-remoteRequest(const char *op, const ExperimentSpec &spec,
-              const std::string &proto, const std::string &bus,
-              bool include_protocol)
+requestLine(const char *op, const wire::JsonValue &fields,
+            const std::string &extra = "")
 {
-    std::string r = std::string("{\"op\":\"") + op + "\"";
-    r += ",\"app\":\"" + wire::jsonEscape(spec.app) + "\"";
-    r += ",\"nodes\":" + std::to_string(spec.nodes);
-    if (include_protocol)
-        r += ",\"protocol\":\"" + wire::jsonEscape(proto) + "\"";
-    if (!bus.empty())
-        r += ",\"bus\":\"" + wire::jsonEscape(bus) + "\"";
-    if (spec.profile == HandlerProfile::TunedAsm)
-        r += ",\"profile\":\"asm\"";
-    r += ",\"victim\":" + std::to_string(spec.victimEntries);
-    r += ",\"seed\":" + std::to_string(spec.seed);
-    if (!spec.params.empty()) {
-        r += ",\"params\":{";
-        bool first = true;
-        for (const auto &[k, v] : spec.params) {
-            if (!first)
-                r += ",";
-            first = false;
-            r += "\"" + wire::jsonEscape(k) + "\":\"" +
-                 wire::jsonEscape(v) + "\"";
-        }
-        r += "}";
+    std::string line = std::string("{\"op\":\"") + op +
+                       "\",\"canonical\":true";
+    for (const auto &[k, v] : fields.members) {
+        line += ",";
+        json::appendString(line, k);
+        line += ":";
+        wire::renderJson(v, line);
     }
-    if (spec.audit)
-        r += ",\"audit\":true";
-    if (spec.jitterMax != 0)
-        r += ",\"jitter\":" +
-             std::to_string(static_cast<unsigned long long>(
-                 spec.jitterMax));
-    if (spec.faultDropPerMille != 0)
-        r += ",\"fault_drop\":" +
-             std::to_string(spec.faultDropPerMille);
-    if (spec.faultDupPerMille != 0)
-        r += ",\"fault_dup\":" + std::to_string(spec.faultDupPerMille);
-    if (spec.faultBlackoutPerMille != 0)
-        r += ",\"fault_blackout\":" +
-             std::to_string(spec.faultBlackoutPerMille);
-    if (spec.faultSeed != 0)
-        r += ",\"fault_seed\":" + std::to_string(spec.faultSeed);
-    if (spec.deadline != 0)
-        r += ",\"deadline\":" +
-             std::to_string(static_cast<unsigned long long>(
-                 spec.deadline));
-    r += ",\"canonical\":true";
-    return r;
+    return line + extra + "}";
+}
+
+/** One spectrum point's line of a sweep summary. */
+void
+printPoint(const std::string &label, int ok, int seeds,
+           std::uint64_t cycles, const std::string &image)
+{
+    std::printf("  %-10s %3d/%d ok  s0: %llu cycles, image %s\n",
+                label.c_str(), ok, seeds,
+                static_cast<unsigned long long>(cycles), image.c_str());
 }
 
 /**
- * The --connect front end: the same option surface, executed by a
- * server instead of the local simulator. Knobs that only the local
- * machine honors (trace record/replay, --seq, --stats, structural
- * protocol edits) are usage errors, not silent no-ops.
+ * The --connect front end: the same cells, executed by a server
+ * instead of the local simulator. A run sends the spec itself, id
+ * included, so its record and cache entry equal the local run's. A
+ * sweep sends the spec flags @p req plus the grid the local sweep
+ * walks; the server cannot give its cells per-cell ids.
  */
 int
-remoteMain(const std::string &addr, const ExperimentSpec &spec,
-           const std::string &proto, const std::string &bus,
-           bool want_sweep, int sweep_seeds, bool record_replay,
-           bool seq_stats, bool local_bit_off,
-           const std::string &json_path, int deadline_ms,
-           int attempts, int chunk_cells)
+remoteMain(client::ClientConfig ccfg, const wire::JsonValue &req,
+           const ExperimentSpec &spec, bool want_sweep, int sweep_seeds,
+           const std::string &json_path)
 {
-    auto usageError = [](const std::string &msg) {
-        std::fprintf(stderr, "swex_cli: %s\n", msg.c_str());
-        std::fprintf(stderr, "run 'swex_cli --help' for usage\n");
-        std::exit(2);
-    };
-    if (record_replay)
-        usageError("--record/--replay drive the local trace cache; "
-                   "drop them for --connect");
-    if (seq_stats)
-        usageError("--seq and --stats need the local simulator; drop "
-                   "them for --connect");
-    if (local_bit_off || spec.perfectIfetch || spec.parallelInv)
-        usageError("--no-local-bit/--perfect-ifetch/--parallel-inv "
-                   "are not in the serve protocol; run locally");
-
-    client::ClientConfig ccfg;
-    ccfg.address = addr;
-    ccfg.requestDeadlineMs = deadline_ms;
-    ccfg.maxAttempts = static_cast<unsigned>(attempts);
+    const std::string &addr = ccfg.address;
     ccfg.backoffSeed = spec.seed;
-    ccfg.chunk = static_cast<std::size_t>(chunk_cells);
     client::ServeClient cli(ccfg);
+    const wire::JsonValue fields = codec::toRequest(spec);
 
+    bool ok = false;
+    std::string error, kind;
+    std::vector<std::string> records;
     if (!want_sweep) {
-        std::string req = remoteRequest("run", spec, proto, bus,
-                                        /*include_protocol=*/true);
-        if (spec.jitterSeed != 0)
-            req += ",\"jitter_seed\":" +
-                   std::to_string(spec.jitterSeed);
-        req += "}";
-        client::Response resp = cli.rpcRetry(req);
-        if (!resp.ok) {
-            std::fprintf(stderr,
-                         "swex_cli: remote run failed (%s): %s\n",
-                         resp.errorKind.c_str(), resp.error.c_str());
-            if (!json_path.empty())
-                writeRemoteJson(json_path,
-                                {remoteFailureRecord(spec, proto,
-                                                     resp.error,
-                                                     resp.errorKind)});
-            return 1;
+        client::Response resp = cli.rpcRetry(requestLine("run", fields));
+        records.emplace_back();
+        ok = resp.ok && client::recordBytes(resp.line, records[0]);
+        error = resp.ok ? "response carried no record" : resp.error;
+        kind = resp.ok ? "parse" : resp.errorKind;
+        if (const wire::JsonValue *s = resp.doc.find("source"); ok && s)
+            std::printf("remote run via %s: source=%s\n", addr.c_str(),
+                        s->raw.c_str());
+    } else {
+        // Same grid the local sweep runs: spectrum x jitter seeds,
+        // expressed as a server-side sweep so warm cells never leave
+        // the server's cache and resumes survive connection loss.
+        wire::JsonValue base = req;
+        codec::set(base, "id", spec.id);
+        const std::uint64_t seed0 =
+            spec.jitterSeed != 0 ? spec.jitterSeed : spec.seed;
+        std::string grid = ",\"grid\":{\"protocol\":[";
+        for (const char *key : spectrumKeys) {
+            if (key != spectrumKeys[0])
+                grid += ',';
+            json::appendString(grid, key);
         }
-        std::string record;
-        RemoteRec rec;
-        if (!extractRecord(resp.line, record) ||
-            !parseRemoteRecord(record, rec)) {
-            std::fprintf(stderr,
-                         "swex_cli: malformed remote response\n");
-            return 1;
+        grid += "],\"jitter_seed\":[";
+        for (int s = 0; s < sweep_seeds; ++s) {
+            if (s != 0)
+                grid += ',';
+            grid += std::to_string(seed0 + static_cast<std::uint64_t>(s));
         }
-        std::string source = "?";
-        if (const wire::JsonValue *s = resp.doc.find("source"))
-            if (s->kind == wire::JsonValue::Kind::String)
-                source = s->raw;
-        std::printf("remote run via %s: source=%s\n", addr.c_str(),
-                    source.c_str());
-        std::printf("run time: %llu cycles (%.3f s at 33 MHz)\n",
-                    static_cast<unsigned long long>(rec.cycles),
-                    static_cast<double>(rec.cycles) / 33.0e6);
-        if (rec.status != "ok")
-            std::printf("status: %s\n", rec.status.c_str());
-        else
-            std::printf("verification: %s\n",
-                        rec.verified ? "PASSED" : "FAILED");
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            json_ok = writeRemoteJson(json_path, {record});
-            if (!json_ok)
-                std::fprintf(stderr, "error: could not write %s\n",
-                             json_path.c_str());
-        }
-        return rec.status == "ok" && rec.verified && json_ok ? 0 : 1;
+        std::printf("remote sweep via %s: app=%s nodes=%d victim=%u "
+                    "(%zu points x %d seeds, chunk %zu)\n",
+                    addr.c_str(), spec.app.c_str(), spec.nodes,
+                    spec.victimEntries, protocolSpectrum().size(),
+                    sweep_seeds, ccfg.chunk);
+        client::SweepResult res =
+            cli.runSweep(requestLine("sweep", base, grid + "]}"));
+        ok = res.ok;
+        error = res.error;
+        kind = res.errorKind;
+        records = std::move(res.records);
+        if (res.reconnects != 0 || res.duplicates != 0)
+            std::printf("  (resumed: %u reconnects, %u duplicate "
+                        "cells)\n", res.reconnects, res.duplicates);
     }
-
-    SnoopProtocol sp{};
-    if (parseSnoopProtocol(proto, sp))
-        usageError("--sweep walks the directory protocol spectrum; "
-                   "snooping protocols have no remote sweep grid");
-    // Same grid the local sweep runs: spectrum x jitter seeds,
-    // expressed as a server-side sweep so warm cells never leave the
-    // server's cache and resumes survive connection loss.
-    std::uint64_t seed0 =
-        spec.jitterSeed != 0 ? spec.jitterSeed : spec.seed;
-    std::string base = remoteRequest("sweep", spec, proto, bus,
-                                     /*include_protocol=*/false);
-    base += ",\"grid\":{\"protocol\":[";
-    {
-        bool first = true;
-        for (const auto &pt : protocolSpectrum()) {
-            if (!first)
-                base += ",";
-            first = false;
-            base += "\"" + spectrumKey(pt.label) + "\"";
-        }
-    }
-    base += "],\"jitter_seed\":[";
-    for (int s = 0; s < sweep_seeds; ++s) {
-        if (s != 0)
-            base += ",";
-        base += std::to_string(seed0 + static_cast<std::uint64_t>(s));
-    }
-    base += "]}}";
-
-    std::printf("remote sweep via %s: app=%s nodes=%d victim=%u "
-                "(%zu points x %d seeds, chunk %d)\n",
-                addr.c_str(), spec.app.c_str(), spec.nodes,
-                spec.victimEntries, protocolSpectrum().size(),
-                sweep_seeds, chunk_cells);
-
-    client::SweepResult res = cli.runSweep(base);
-    if (!res.ok) {
-        std::fprintf(stderr,
-                     "swex_cli: remote sweep failed (%s): %s\n",
-                     res.errorKind.c_str(), res.error.c_str());
+    if (!ok) {
+        std::fprintf(stderr, "swex_cli: remote %s failed (%s): %s\n",
+                     want_sweep ? "sweep" : "run", kind.c_str(),
+                     error.c_str());
         if (!json_path.empty())
             writeRemoteJson(json_path,
-                            {remoteFailureRecord(spec, proto,
-                                                 res.error,
-                                                 res.errorKind)});
+                            {remoteFailureRecord(
+                                spec, fields.find("protocol")->raw,
+                                error, kind)});
         return 1;
     }
 
-    bool all_ok = true;
-    std::size_t i = 0;
-    for (const auto &pt : protocolSpectrum()) {
-        int ok = 0;
-        RemoteRec first;
-        for (int s = 0; s < sweep_seeds && i < res.records.size();
-             ++s, ++i) {
-            RemoteRec rec;
-            if (parseRemoteRecord(res.records[i], rec) &&
-                rec.status == "ok" && rec.verified) {
-                ++ok;
-            } else {
-                all_ok = false;
-            }
-            if (s == 0)
-                parseRemoteRecord(res.records[i], first);
+    std::vector<RemoteRec> recs(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        if (!parseRemoteRecord(records[i], recs[i])) {
+            std::fprintf(stderr,
+                         "swex_cli: malformed remote record\n");
+            return 1;
         }
-        std::printf("  %-10s %3d/%d ok  s0: %llu cycles\n",
-                    pt.label.c_str(), ok, sweep_seeds,
-                    static_cast<unsigned long long>(first.cycles));
     }
-    if (res.reconnects != 0 || res.duplicates != 0)
-        std::printf("  (resumed: %u reconnects, %u duplicate "
-                    "cells)\n", res.reconnects, res.duplicates);
+    bool all_ok = true;
+    for (const RemoteRec &r : recs)
+        all_ok = all_ok && r.ok;
+    if (!want_sweep) {
+        std::printf("run time: %llu cycles (%.3f s at 33 MHz)\n",
+                    static_cast<unsigned long long>(recs[0].cycles),
+                    static_cast<double>(recs[0].cycles) / 33.0e6);
+        if (recs[0].status != "ok")
+            std::printf("status: %s\n", recs[0].status.c_str());
+        else
+            std::printf("verification: %s\n",
+                        recs[0].ok ? "PASSED" : "FAILED");
+    }
+    const auto points = protocolSpectrum();
+    for (std::size_t p = 0; want_sweep && p < points.size(); ++p) {
+        const std::size_t first = p * static_cast<std::size_t>(sweep_seeds);
+        int ok_cells = 0;
+        for (int s = 0; s < sweep_seeds; ++s)
+            ok_cells += recs[first + static_cast<std::size_t>(s)].ok;
+        printPoint(points[p].label, ok_cells, sweep_seeds,
+                   recs[first].cycles, recs[first].image);
+    }
 
-    bool json_ok = true;
-    if (!json_path.empty()) {
-        json_ok = writeRemoteJson(json_path, res.records);
-        if (!json_ok)
-            std::fprintf(stderr, "error: could not write %s\n",
-                         json_path.c_str());
-    }
+    bool json_ok = json_path.empty() || writeRemoteJson(json_path, records);
+    if (!json_ok)
+        std::fprintf(stderr, "error: could not write %s\n",
+                     json_path.c_str());
     return all_ok && json_ok ? 0 : 1;
+}
+
+/**
+ * The --sweep grid: every spectrum point x @p seeds jitter seeds.
+ * Each cell is the spec flags @p req with its protocol, seeds and id
+ * set, decoded like any other request. Fault injection steps the
+ * fault seed with the jitter seed.
+ */
+std::vector<ExperimentSpec>
+sweepCells(const wire::JsonValue &req, const ExperimentSpec &spec,
+           int seeds)
+{
+    const std::uint64_t seed0 =
+        spec.jitterSeed != 0 ? spec.jitterSeed : spec.seed;
+    const std::uint64_t fseed0 =
+        spec.faultSeed != 0 ? spec.faultSeed : spec.seed;
+    const auto points = protocolSpectrum();
+    std::vector<ExperimentSpec> specs;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        for (int s = 0; s < seeds; ++s) {
+            const std::uint64_t step = static_cast<std::uint64_t>(s);
+            wire::JsonValue cell = req;
+            codec::set(cell, "protocol", spectrumKeys[p]);
+            codec::set(cell, "jitter_seed", std::to_string(seed0 + step));
+            if (spec.faultsOn())
+                codec::set(cell, "fault_seed",
+                           std::to_string(fseed0 + step));
+            codec::set(cell, "id",
+                       "sweep/" + points[p].label + "/s" +
+                           std::to_string(seed0 + step));
+            specs.emplace_back();
+            std::string err = codec::decode(cell, "cli", specs.back());
+            if (!err.empty())
+                usageError(err);
+        }
+    }
+    return specs;
 }
 
 } // anonymous namespace
@@ -604,13 +459,9 @@ remoteMain(const std::string &addr, const ExperimentSpec &spec,
 int
 main(int argc, char **argv)
 {
-    ExperimentSpec spec;
-    spec.id = "cli";
-    spec.nodes = 16;
-    spec.victimEntries = 6;
-    std::string proto = "h5";
-    std::string bus;
-    bool local_bit_off = false;
+    wire::JsonValue req;   // the spec flags, as a request
+    req.kind = wire::JsonValue::Kind::Object;
+    std::string trace_dir;
     bool want_record = false;
     bool want_replay = false;
     bool want_seq = false;
@@ -622,160 +473,117 @@ main(int argc, char **argv)
     std::string cache_dir;
     std::uint64_t cache_max_bytes = 0;
     std::uint64_t cache_max_entries = 0;
-    std::string serve_socket;
-    std::string serve_tcp;
-    int serve_backlog = 64;
-    std::uint64_t serve_max_queue = 4096;
-    int serve_idle_ms = 0;
-    std::string connect_addr;
-    int rpc_deadline_ms = 30'000;
-    int rpc_attempts = 5;
-    int chunk_cells = 4096;
+    serve::ServeConfig scfg;     // the --serve* knobs
+    client::ClientConfig ccfg;   // the --connect knobs
+    const std::uint64_t anyU64 = ~std::uint64_t{0};
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("%s needs a value", a.c_str());
+                usageError(a + " needs a value");
             return argv[++i];
         };
-        if (a == "--app") spec.app = next();
-        else if (a == "--nodes")
-            spec.nodes = parseCount(a, next(), 1, maxNodes);
-        else if (a == "--protocol") proto = next();
-        else if (a == "--bus") bus = next();
-        else if (a == "--profile") {
-            std::string p = next();
-            if (p != "c" && p != "asm")
-                badValue(a, p, "expected c or asm");
-            spec.profile = p == "asm" ? HandlerProfile::TunedAsm
-                                      : HandlerProfile::FlexibleC;
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return parseCount(a, next(), lo, hi);
+        };
+        if (int n = codec::flagValues(a); n >= 0) {
+            std::string err = codec::setFlag(req, a, n > 0 ? next() : "");
+            if (!err.empty())
+                usageError(err);
         }
-        else if (a == "--victim")
-            spec.victimEntries = static_cast<unsigned>(
-                parseCount(a, next(), 0, 4096));
-        else if (a == "--param") {
-            std::string kv = next();
-            std::size_t eq = kv.find('=');
-            if (eq == std::string::npos || eq == 0)
-                fatal("--param wants key=value, got '%s'", kv.c_str());
-            spec.params[kv.substr(0, eq)] = kv.substr(eq + 1);
-        }
-        else if (a == "--wss") spec.params["wss"] = next();
-        else if (a == "--iters") spec.params["iterations"] = next();
-        else if (a == "--seed")
-            spec.seed = parseU64(a, next());
-        else if (a == "--audit") spec.audit = true;
-        else if (a == "--jitter")
-            spec.jitterMax = static_cast<Cycles>(
-                parseCount(a, next(), 0, 1 << 20));
-        else if (a == "--jitter-seed")
-            spec.jitterSeed = parseU64(a, next());
-        else if (a == "--faults") parseFaults(next(), spec);
-        else if (a == "--fault-seed")
-            spec.faultSeed = parseU64(a, next());
-        else if (a == "--deadline")
-            spec.deadline = static_cast<Tick>(parseU64(a, next()));
         else if (a == "--record") want_record = true;
         else if (a == "--replay") want_replay = true;
-        else if (a == "--trace-dir") spec.traceDir = next();
+        else if (a == "--trace-dir") trace_dir = next();
         else if (a == "--cache-dir") cache_dir = next();
         else if (a == "--cache-max-bytes")
-            cache_max_bytes = parseU64(a, next());
+            cache_max_bytes = count(0, anyU64);
         else if (a == "--cache-max-entries")
-            cache_max_entries = parseU64(a, next());
-        else if (a == "--serve") serve_socket = next();
-        else if (a == "--serve-tcp") serve_tcp = next();
+            cache_max_entries = count(0, anyU64);
+        else if (a == "--serve") scfg.socketPath = next();
+        else if (a == "--serve-tcp") scfg.tcpHostPort = next();
         else if (a == "--serve-backlog")
-            serve_backlog = parseCount(a, next(), 1, 65535);
+            scfg.backlog = static_cast<int>(count(1, 65535));
         else if (a == "--serve-max-queue")
-            serve_max_queue = parseU64(a, next());
+            scfg.maxQueuedUnits = count(0, anyU64);
         else if (a == "--serve-idle-ms")
-            serve_idle_ms = parseCount(a, next(), 0, 86'400'000);
-        else if (a == "--connect") connect_addr = next();
+            scfg.idleTimeoutMs = static_cast<int>(count(0, 86'400'000));
+        else if (a == "--connect") ccfg.address = next();
         else if (a == "--rpc-deadline")
-            rpc_deadline_ms = parseCount(a, next(), 1, 86'400'000);
+            ccfg.requestDeadlineMs = static_cast<int>(count(1, 86'400'000));
         else if (a == "--rpc-attempts")
-            rpc_attempts = parseCount(a, next(), 1, 1000);
+            ccfg.maxAttempts = static_cast<unsigned>(count(1, 1000));
         else if (a == "--chunk")
-            chunk_cells = parseCount(a, next(), 1, 4096);
+            ccfg.chunk = count(1, 4096);
         else if (a == "--sweep") want_sweep = true;
         else if (a == "--seeds")
-            sweep_seeds = parseCount(a, next(), 1, 1'000'000);
+            sweep_seeds = static_cast<int>(count(1, 1'000'000));
         else if (a == "--jobs")
-            jobs = static_cast<unsigned>(parseCount(a, next(), 1, 256));
-        else if (a == "--perfect-ifetch") spec.perfectIfetch = true;
-        else if (a == "--no-local-bit") local_bit_off = true;
-        else if (a == "--parallel-inv") spec.parallelInv = true;
+            jobs = static_cast<unsigned>(count(1, 256));
         else if (a == "--seq") want_seq = true;
         else if (a == "--stats") want_stats = true;
         else if (a == "--json") json_path = next();
         else if (a == "--list") {
             listEverything();
             return 0;
-        } else {
+        } else if (a == "--help" || a == "-h") {
             usage();
-            return a == "--help" || a == "-h" ? 0 : 1;
+            return 0;
+        } else {
+            usageError("unknown option '" + a + "'");
         }
     }
 
+    ExperimentSpec spec;
+    if (std::string err = codec::decode(req, "cli", spec); !err.empty())
+        usageError(err);
+
     // --serve is its own front end: the spec comes per request over
-    // the socket, so every other positional knob is ignored. Only
-    // --jobs (worker pool size), the cache knobs, and the serve
-    // robustness knobs travel with it.
-    if (!serve_socket.empty() || !serve_tcp.empty()) {
+    // the socket, so the spec flags are checked above and otherwise
+    // ignored. Only --jobs (worker pool size), the cache knobs, and
+    // the serve robustness knobs travel with it.
+    if (!scfg.socketPath.empty() || !scfg.tcpHostPort.empty()) {
         setQuiet(true);
-        serve::ServeConfig scfg;
-        scfg.socketPath = serve_socket;
-        scfg.tcpHostPort = serve_tcp;
         scfg.cacheDir = cache::resolveCacheDir(cache_dir);
         scfg.jobs = jobs;
         scfg.cacheMaxBytes = cache_max_bytes;
         scfg.cacheMaxEntries = cache_max_entries;
-        scfg.backlog = serve_backlog;
-        scfg.maxQueuedUnits = serve_max_queue;
-        scfg.idleTimeoutMs = serve_idle_ms;
         // The CLI owns the process, so SIGTERM means "drain and
         // exit 0" (embedders of serveLoop opt in explicitly).
         scfg.handleSignals = true;
         return serve::serveLoop(scfg);
     }
 
-    if (!connect_addr.empty())
-        return remoteMain(connect_addr, spec, proto, bus, want_sweep,
-                          sweep_seeds, want_record || want_replay,
-                          want_seq || want_stats, local_bit_off,
-                          json_path, rpc_deadline_ms, rpc_attempts,
-                          chunk_cells);
-
-    SnoopProtocol snoop_proto{};
-    const bool snoop = parseSnoopProtocol(proto, snoop_proto);
-    if (snoop) {
-        // Directory knobs (spec.protocol, victim cache, local bit)
-        // stay at their defaults and are inert on the bus machine.
-        spec.machineModel = MachineModel::Snoop;
-        spec.snoopProtocol = snoop_proto;
-    } else if (parseSpectrumKey(proto, spec.protocol)) {
-        if (local_bit_off)
-            spec.protocol.localBit = false;
-    } else {
-        badValue("--protocol", proto, "unknown protocol (try --list)");
+    if (want_sweep && spec.machineModel == MachineModel::Snoop) {
+        usageError("--sweep walks the directory protocol spectrum; "
+                   "sweep the snooping grid with 'stress_protocols "
+                   "--family snoop' instead");
     }
-    if (!bus.empty() && !parseBusArbitration(bus, spec.busArbitration))
-        badValue("--bus", bus, "expected fifo or rr");
-    if (!AppRegistry::instance().contains(spec.app))
-        fatal("unknown app '%s' (try --list)", spec.app.c_str());
+
+    if (!ccfg.address.empty()) {
+        // Knobs that only the local machine honors are usage errors,
+        // not silent no-ops.
+        if (want_record || want_replay)
+            usageError("--record/--replay drive the local trace cache; "
+                       "drop them for --connect");
+        if (want_seq || want_stats)
+            usageError("--seq and --stats need the local simulator; "
+                       "drop them for --connect");
+        if (want_sweep && spec.faultsOn() && sweep_seeds > 1)
+            usageError("a remote --sweep is a cartesian grid and cannot "
+                       "step the fault seed with the jitter seed; run "
+                       "a faulted multi-seed sweep locally, or one "
+                       "--seeds at a time");
+        return remoteMain(ccfg, req, spec, want_sweep, sweep_seeds,
+                          json_path);
+    }
 
     // Record/replay plumbing. Misuse is a usage error (exit 2), per
     // the CLI convention for malformed invocations: the run never
     // starts, and the message says exactly how to fix the call.
-    auto usageError = [](const std::string &msg) {
-        std::fprintf(stderr, "swex_cli: %s\n", msg.c_str());
-        std::fprintf(stderr, "run 'swex_cli --help' for usage\n");
-        std::exit(2);
-    };
     if (want_record && want_replay)
         usageError("--record and --replay are mutually exclusive");
+    spec.traceDir = trace_dir;
     if (want_record)
         spec.execMode = ExecutionMode::Record;
     if (want_replay)
@@ -790,30 +598,6 @@ main(int argc, char **argv)
         usageError("--replay runs one recorded kernel; drop --seq "
                    "(record and replay the sequential reference via "
                    "--seq --record / a sequential spec instead)");
-    const bool faults_on = spec.faultDropPerMille != 0 ||
-                           spec.faultDupPerMille != 0 ||
-                           spec.faultBlackoutPerMille != 0;
-    // The snooping machine model carries coherence on a lossless
-    // shared bus: there is no network to jitter or fault, and the
-    // --sweep grid is the directory spectrum by definition.
-    if (snoop && want_sweep) {
-        usageError("--sweep walks the directory protocol spectrum; "
-                   "sweep the snooping grid with 'stress_protocols "
-                   "--family snoop' instead");
-    }
-    if (snoop && (spec.jitterMax != 0 || faults_on)) {
-        usageError("the snooping bus models no interconnection "
-                   "network; drop --jitter/--faults (directory "
-                   "machine model only)");
-    }
-    if (!snoop && !bus.empty()) {
-        usageError("--bus applies to the snooping machine model "
-                   "only (pick --protocol mesi|moesi|mesif|dragon)");
-    }
-    // Fault injection can legitimately livelock a run (every
-    // retransmission re-dropped); never run it without a deadline.
-    if (faults_on && spec.deadline == 0)
-        spec.deadline = 50'000'000;
 
     // After every config default is in force (the deadline is part of
     // the machine fingerprint): a --replay with no usable trace must
@@ -847,83 +631,53 @@ main(int argc, char **argv)
         }
     }
 
+    Runner runner(/*fail_fast=*/false);
+    runner.attachCache(result_cache.get());
+    auto passed = [](const RunRecord &r) {
+        return !r.failed() && r.verified && r.auditViolations == 0;
+    };
+    bool all_ok = true;
     if (want_sweep) {
         // Grid: every spectrum point x sweep_seeds jitter seeds, run
         // through Runner::runAll. Records land in the log in spec
         // order regardless of --jobs, so the summary, the emitted
         // swex-run-v1 document, and the exit code are identical at
         // any concurrency.
-        std::uint64_t seed0 = spec.jitterSeed != 0 ? spec.jitterSeed
-                                                   : spec.seed;
-        std::uint64_t fseed0 = spec.faultSeed != 0 ? spec.faultSeed
-                                                   : spec.seed;
-        std::vector<ExperimentSpec> specs;
-        for (const auto &pt : protocolSpectrum()) {
-            for (int s = 0; s < sweep_seeds; ++s) {
-                ExperimentSpec sp = spec;
-                sp.protocol = pt.protocol;
-                if (local_bit_off)
-                    sp.protocol.localBit = false;
-                sp.jitterSeed = seed0 + static_cast<std::uint64_t>(s);
-                if (faults_on) {
-                    sp.faultSeed =
-                        fseed0 + static_cast<std::uint64_t>(s);
-                }
-                sp.id = strfmt("sweep/%s/s%llu", pt.label.c_str(),
-                               static_cast<unsigned long long>(
-                                   sp.jitterSeed));
-                specs.push_back(std::move(sp));
-            }
-        }
-
+        std::vector<ExperimentSpec> specs =
+            sweepCells(req, spec, sweep_seeds);
+        const auto points = protocolSpectrum();
         std::printf("sweep: app=%s nodes=%d victim=%u jitter=%llu "
                     "(%zu points x %d seeds, --jobs %u)\n",
                     spec.app.c_str(), spec.nodes, spec.victimEntries,
                     static_cast<unsigned long long>(spec.jitterMax),
-                    specs.size() / static_cast<std::size_t>(sweep_seeds),
-                    sweep_seeds, jobs);
+                    points.size(), sweep_seeds, jobs);
 
         // --replay/--record engage record-once sweeps: each portable
         // trace key records one cell, every other cell replays it;
         // non-portable apps fall back to direct cells.
-        Runner runner(/*fail_fast=*/false);
-        runner.attachCache(result_cache.get());
         std::vector<RunRecord *> recs =
             want_replay || want_record
                 ? runner.runAllReplay(specs, jobs, spec.traceDir)
                 : runner.runAll(specs, jobs);
 
-        bool all_ok = true;
-        std::size_t i = 0;
-        for (const auto &pt : protocolSpectrum()) {
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            const std::size_t base =
+                p * static_cast<std::size_t>(sweep_seeds);
             int ok = 0;
-            const RunRecord *first = recs[i];
-            const std::size_t base = i;
-            for (int s = 0; s < sweep_seeds; ++s, ++i) {
-                const RunRecord *r = recs[i];
-                if (!r->failed() && r->verified &&
-                    r->auditViolations == 0) {
-                    ++ok;
-                } else {
-                    all_ok = false;
-                }
-            }
-            std::printf("  %-10s %3d/%d ok  s0: %llu cycles, image "
-                        "%016llx\n",
-                        pt.label.c_str(), ok, sweep_seeds,
-                        static_cast<unsigned long long>(
-                            first->simCycles),
-                        static_cast<unsigned long long>(
-                            first->imageHash));
+            for (int s = 0; s < sweep_seeds; ++s)
+                ok += passed(*recs[base + s]);
+            all_ok = all_ok && ok == sweep_seeds;
+            printPoint(points[p].label, ok, sweep_seeds,
+                       recs[base]->simCycles,
+                       strfmt("%016llx", static_cast<unsigned long long>(
+                                             recs[base]->imageHash)));
             // One replay line per failing cell: every determinism
             // knob spelled out, so the cell reruns exactly, alone,
             // at any --jobs level.
             for (int s = 0; s < sweep_seeds; ++s) {
                 const RunRecord *r = recs[base + s];
-                if (!r->failed() && r->verified &&
-                    r->auditViolations == 0) {
+                if (passed(*r))
                     continue;
-                }
                 std::printf("    FAIL %s: status=%s verified=%s "
                             "violations=%llu last_progress=%llu\n",
                             r->id.c_str(), r->status.c_str(),
@@ -933,88 +687,73 @@ main(int argc, char **argv)
                             static_cast<unsigned long long>(
                                 r->lastProgress));
                 std::printf("      replay: %s\n",
-                            replayLine(specs[base + s],
-                                       spectrumKey(pt.label),
-                                       local_bit_off).c_str());
+                            codec::toCommandLine(specs[base + s])
+                                .c_str());
             }
         }
-
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            json_ok = runner.log().writeFile(json_path);
-            if (!json_ok)
-                std::fprintf(stderr, "error: could not write %s\n",
-                             json_path.c_str());
+    } else {
+        if (spec.machineModel == MachineModel::Snoop) {
+            std::printf("app=%s nodes=%d machine=snoop protocol=%s "
+                        "bus=%s\n",
+                        spec.app.c_str(), spec.nodes,
+                        snoopProtocolName(spec.snoopProtocol),
+                        busArbitrationName(spec.busArbitration));
+        } else {
+            std::printf("app=%s nodes=%d protocol=%s profile=%s "
+                        "victim=%u\n",
+                        spec.app.c_str(), spec.nodes,
+                        spec.protocol.name().c_str(),
+                        spec.profile == HandlerProfile::TunedAsm ? "asm"
+                                                                 : "C",
+                        spec.victimEntries);
         }
-        bool emit_ok = runner.emitRecords();
-        return all_ok && json_ok && emit_ok ? 0 : 1;
+
+        RunRecord &r = runner.run(spec);
+        if (want_stats)
+            std::cout << r.statsText;
+        if (want_seq) {
+            ExperimentSpec seq_spec = spec;
+            seq_spec.id = "cli/seq";
+            RunRecord &s = runner.runSequential(seq_spec);
+            r.seqCycles = static_cast<double>(s.simCycles);
+            r.speedup = static_cast<double>(s.simCycles) /
+                        static_cast<double>(r.simCycles);
+            std::printf("sequential: %llu cycles; speedup %.2f\n",
+                        static_cast<unsigned long long>(s.simCycles),
+                        r.speedup);
+        }
+
+        std::printf("run time: %llu cycles (%.3f s at 33 MHz)\n",
+                    static_cast<unsigned long long>(r.simCycles),
+                    static_cast<double>(r.simCycles) / 33.0e6);
+        std::printf("traps: %.0f; handler cycles: %.0f; messages: "
+                    "%.0f\n",
+                    r.trapsRaised, r.handlerCycles, r.messages);
+        if (r.failed()) {
+            std::printf("status: %s (last progress at tick %llu)\n",
+                        r.status.c_str(),
+                        static_cast<unsigned long long>(r.lastProgress));
+            if (!r.stallSummary.empty())
+                std::printf("%s", r.stallSummary.c_str());
+        } else {
+            std::printf("verification: %s\n",
+                        r.verified ? "PASSED" : "FAILED");
+        }
+        if (r.audited) {
+            std::printf("audit: %llu transitions checked, %llu "
+                        "violations\n",
+                        static_cast<unsigned long long>(
+                            r.auditTransitions),
+                        static_cast<unsigned long long>(
+                            r.auditViolations));
+        }
+        all_ok = passed(r);
     }
 
-    if (snoop) {
-        std::printf("app=%s nodes=%d machine=snoop protocol=%s "
-                    "bus=%s\n",
-                    spec.app.c_str(), spec.nodes,
-                    snoopProtocolName(spec.snoopProtocol),
-                    busArbitrationName(spec.busArbitration));
-    } else {
-        std::printf("app=%s nodes=%d protocol=%s profile=%s "
-                    "victim=%u\n",
-                    spec.app.c_str(), spec.nodes,
-                    spec.protocol.name().c_str(),
-                    spec.profile == HandlerProfile::TunedAsm ? "asm"
-                                                             : "C",
-                    spec.victimEntries);
-    }
-
-    Runner runner(/*fail_fast=*/false);
-    runner.attachCache(result_cache.get());
-    RunRecord &r = runner.run(spec);
-    if (want_stats)
-        std::cout << r.statsText;
-
-    if (want_seq) {
-        ExperimentSpec seq_spec = spec;
-        seq_spec.id = "cli/seq";
-        RunRecord &s = runner.runSequential(seq_spec);
-        r.seqCycles = static_cast<double>(s.simCycles);
-        r.speedup = static_cast<double>(s.simCycles) /
-                    static_cast<double>(r.simCycles);
-        std::printf("sequential: %llu cycles; speedup %.2f\n",
-                    static_cast<unsigned long long>(s.simCycles),
-                    r.speedup);
-    }
-
-    std::printf("run time: %llu cycles (%.3f s at 33 MHz)\n",
-                static_cast<unsigned long long>(r.simCycles),
-                static_cast<double>(r.simCycles) / 33.0e6);
-    std::printf("traps: %.0f; handler cycles: %.0f; messages: %.0f\n",
-                r.trapsRaised, r.handlerCycles, r.messages);
-    if (r.failed()) {
-        std::printf("status: %s (last progress at tick %llu)\n",
-                    r.status.c_str(),
-                    static_cast<unsigned long long>(r.lastProgress));
-        if (!r.stallSummary.empty())
-            std::printf("%s", r.stallSummary.c_str());
-    } else {
-        std::printf("verification: %s\n",
-                    r.verified ? "PASSED" : "FAILED");
-    }
-    if (r.audited) {
-        std::printf("audit: %llu transitions checked, %llu "
-                    "violations\n",
-                    static_cast<unsigned long long>(r.auditTransitions),
-                    static_cast<unsigned long long>(r.auditViolations));
-    }
-
-    bool json_ok = true;
-    if (!json_path.empty()) {
-        json_ok = runner.log().writeFile(json_path);
-        if (!json_ok)
-            std::fprintf(stderr, "error: could not write %s\n",
-                         json_path.c_str());
-    }
+    bool json_ok = json_path.empty() || runner.log().writeFile(json_path);
+    if (!json_ok)
+        std::fprintf(stderr, "error: could not write %s\n",
+                     json_path.c_str());
     bool emit_ok = runner.emitRecords();
-    return !r.failed() && r.verified && json_ok && emit_ok &&
-                   r.auditViolations == 0
-               ? 0 : 1;
+    return all_ok && json_ok && emit_ok ? 0 : 1;
 }
