@@ -2,10 +2,14 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "base/json.hh"
 
 namespace swex::bench
 {
@@ -24,6 +28,39 @@ peakRssKb()
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return ru.ru_maxrss;
+}
+
+HarnessArgs
+parseHarnessArgs(const char *tool, int argc, char **argv,
+                 const std::vector<std::string> &row_names)
+{
+    auto usage_error = [tool](const std::string &why) {
+        std::fprintf(stderr, "%s: %s\n", tool, why.c_str());
+        std::exit(2);
+    };
+    HarnessArgs args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--jobs") {
+            std::uint64_t n = 0;
+            if (i + 1 >= argc || !json::parseU64(argv[i + 1], n) ||
+                n < 1 || n > 256)
+                usage_error("--jobs wants an integer in [1, 256]");
+            args.jobs = static_cast<unsigned>(n);
+            ++i;
+        } else if (std::find(row_names.begin(), row_names.end(), a) !=
+                   row_names.end()) {
+            args.rows.push_back(a);
+        } else {
+            std::string known;
+            for (const std::string &r : row_names)
+                known += " " + r;
+            usage_error("unknown argument '" + a + "' (want --jobs N" +
+                        (known.empty() ? "" : " or a row:" + known) +
+                        ")");
+        }
+    }
+    return args;
 }
 
 void

@@ -41,6 +41,23 @@ void rule(int width = 72);
 /** Peak resident set size of this process, in kilobytes. */
 long peakRssKb();
 
+/** A harness command line: `--jobs N` and row filters. */
+struct HarnessArgs
+{
+    unsigned jobs = 1;
+    std::vector<std::string> rows;   ///< empty = every row
+};
+
+/**
+ * Parse @p argv for harness @p tool: `--jobs N` (a plain number, at
+ * least 1) and, when @p row_names is non-empty, positional names of
+ * rows to run. Anything else prints what is wrong and exits 2, so a
+ * typo never prints an empty table that looks like a pass.
+ */
+HarnessArgs parseHarnessArgs(const char *tool, int argc, char **argv,
+                             const std::vector<std::string> &row_names =
+                                 {});
+
 /** One named result: a flat bag of numeric metrics. */
 struct BenchEntry
 {

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,23 +60,16 @@ main(int argc, char **argv)
     // Optional positional filters run only the named apps
     // (case-sensitive, e.g. `fig4_speedups TSP WATER`); --jobs N
     // spreads the grid over host threads.
-    unsigned jobs = 1;
-    std::vector<const char *> filters;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-        else
-            filters.push_back(argv[i]);
-    }
+    std::vector<std::string> labels;
+    for (const Fig4Row &row : rows)
+        labels.push_back(row.label);
+    const HarnessArgs args =
+        parseHarnessArgs("fig4_speedups", argc, argv, labels);
+    const unsigned jobs = args.jobs;
     auto selected = [&](const char *name) {
-        if (filters.empty())
-            return true;
-        for (const char *f : filters) {
-            if (std::strcmp(f, name) == 0)
-                return true;
-        }
-        return false;
+        return args.rows.empty() ||
+               std::find(args.rows.begin(), args.rows.end(), name) !=
+                   args.rows.end();
     };
 
     // The grid, in document order: per row the sequential reference

@@ -50,10 +50,11 @@ main()
         std::putchar('\n');
     }
     rule();
-    std::printf("Expected shape: near-geometric decay from thousands "
-                "of singleton sets,\nwith a small population of "
-                "machine-wide (size-64) sets from the global\nbest "
-                "record and popular ridge vertices.\n");
+    std::printf("Expected shape: near-geometric decay from hundreds "
+                "of small sets to a\nhandful of large ones (popular "
+                "ridge vertices). The global best is\nper-thread "
+                "slots that thread 0 reduces, so no set spans the "
+                "machine.\n");
     runner.emitRecords();
     return 0;
 }

@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,12 +124,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
 
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-    }
+    const unsigned jobs =
+        parseHarnessArgs("fig_cache_sweep", argc, argv).jobs;
 
     char dir_template[] = "/tmp/swex-cache-bench-XXXXXX";
     char *cache_dir = mkdtemp(dir_template);

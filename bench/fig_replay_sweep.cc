@@ -25,11 +25,9 @@
  * into BENCH_FIGS.json.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -117,12 +115,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
 
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-    }
+    const unsigned jobs =
+        parseHarnessArgs("fig_replay_sweep", argc, argv).jobs;
 
     char dir_template[] = "/tmp/swex-replay-bench-XXXXXX";
     char *trace_dir = mkdtemp(dir_template);

@@ -6,9 +6,7 @@
  * seconds at the paper's 33 MHz clock for comparison.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -48,12 +46,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++i])));
-    }
+    const unsigned jobs = parseHarnessArgs("table3_apps", argc, argv).jobs;
 
     std::printf("Table 3: application characteristics "
                 "(sequential time at 33 MHz)\n");

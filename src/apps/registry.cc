@@ -31,6 +31,16 @@ ParamReader::lookup(const std::string &key)
     return it == _params.end() ? nullptr : &it->second;
 }
 
+void
+ParamReader::fail(const std::string &key, const std::string &why)
+{
+    if (!_error.empty())
+        return;
+    auto it = _params.find(key);
+    _error = _app + ": parameter " + key +
+             (it == _params.end() ? "" : "=" + it->second) + " " + why;
+}
+
 int
 ParamReader::getInt(const std::string &key, int def)
 {
@@ -40,12 +50,14 @@ ParamReader::getInt(const std::string &key, int def)
     errno = 0;
     char *end = nullptr;
     long n = std::strtol(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        fatal("%s: parameter %s=%s is not an integer", _app.c_str(),
-              key.c_str(), v->c_str());
-    if (errno == ERANGE || n < INT_MIN || n > INT_MAX)
-        fatal("%s: parameter %s=%s is out of range", _app.c_str(),
-              key.c_str(), v->c_str());
+    if (end == v->c_str() || *end != '\0') {
+        fail(key, "is not an integer");
+        return def;
+    }
+    if (errno == ERANGE || n < INT_MIN || n > INT_MAX) {
+        fail(key, "is out of range");
+        return def;
+    }
     return static_cast<int>(n);
 }
 
@@ -53,9 +65,10 @@ int
 ParamReader::getCount(const std::string &key, int def)
 {
     int n = getInt(key, def);
-    if (n < 0)
-        fatal("%s: parameter %s must be a non-negative count, got %d",
-              _app.c_str(), key.c_str(), n);
+    if (n < 0) {
+        fail(key, "is not a non-negative count");
+        return def;
+    }
     return n;
 }
 
@@ -69,18 +82,21 @@ ParamReader::getU64(const std::string &key, std::uint64_t def)
     const char *s = v->c_str();
     while (*s == ' ' || *s == '\t')
         ++s;
-    if (*s == '-')
-        fatal("%s: parameter %s=%s must be non-negative",
-              _app.c_str(), key.c_str(), v->c_str());
+    if (*s == '-') {
+        fail(key, "must be non-negative");
+        return def;
+    }
     errno = 0;
     char *end = nullptr;
     unsigned long long n = std::strtoull(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        fatal("%s: parameter %s=%s is not an integer", _app.c_str(),
-              key.c_str(), v->c_str());
-    if (errno == ERANGE)
-        fatal("%s: parameter %s=%s is out of range", _app.c_str(),
-              key.c_str(), v->c_str());
+    if (end == v->c_str() || *end != '\0') {
+        fail(key, "is not an integer");
+        return def;
+    }
+    if (errno == ERANGE) {
+        fail(key, "is out of range");
+        return def;
+    }
     return n;
 }
 
@@ -92,9 +108,10 @@ ParamReader::getDouble(const std::string &key, double def)
         return def;
     char *end = nullptr;
     double d = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0')
-        fatal("%s: parameter %s=%s is not a number", _app.c_str(),
-              key.c_str(), v->c_str());
+    if (end == v->c_str() || *end != '\0') {
+        fail(key, "is not a number");
+        return def;
+    }
     return d;
 }
 
@@ -108,20 +125,22 @@ ParamReader::getBool(const std::string &key, bool def)
         return true;
     if (*v == "0" || *v == "false" || *v == "no")
         return false;
-    fatal("%s: parameter %s=%s is not a boolean", _app.c_str(),
-          key.c_str(), v->c_str());
+    fail(key, "is not a boolean");
+    return def;
 }
 
-void
+std::string
 ParamReader::finish() const
 {
+    if (!_error.empty())
+        return _error;
     for (const auto &[key, value] : _params) {
         if (std::find(_consumed.begin(), _consumed.end(), key) ==
-                _consumed.end()) {
-            fatal("%s: unknown parameter '%s' (=%s)", _app.c_str(),
-                  key.c_str(), value.c_str());
-        }
+                _consumed.end())
+            return _app + ": unknown parameter '" + key + "' (=" + value +
+                   ")";
     }
+    return "";
 }
 
 AppRegistry &
@@ -184,11 +203,32 @@ AppRegistry::names() const
     return out;
 }
 
+std::string
+AppRegistry::check(const std::string &name, const AppParams &params,
+                   int nodes) const
+{
+    const Entry *e = nullptr;
+    {
+        std::lock_guard<std::mutex> hold(_mutex);
+        e = find(name);
+    }
+    if (e == nullptr)
+        return "unknown app '" + name + "'";
+    ParamReader r(params, name);
+    e->parse(r, nodes);
+    return r.finish();
+}
+
 std::unique_ptr<App>
 AppRegistry::make(const std::string &name, const AppParams &params,
                   int nodes) const
 {
-    return entry(name).make(params, nodes);
+    ParamReader r(params, name);
+    Builder build = entry(name).parse(r, nodes);
+    std::string err = r.finish();
+    if (!err.empty())
+        fatal("%s", err.c_str());
+    return build();
 }
 
 AppRegistry::AppRegistry()
@@ -196,15 +236,19 @@ AppRegistry::AppRegistry()
     add({"worker",
          "synthetic benchmark with exact worker-set sizes (Sec. 5)",
          {{"wss", "2"}, {"iterations", "2"}},
-         [](const AppParams &p, int nodes) -> std::unique_ptr<App> {
-             ParamReader r(p, "worker");
+         [](ParamReader &r, int nodes) -> Builder {
              WorkerConfig c;
              c.workerSetSize = r.getCount("wss", c.workerSetSize);
              c.iterations = r.getCount("iterations", c.iterations);
              c.thinkTime = static_cast<Cycles>(
                  r.getU64("think", c.thinkTime));
-             r.finish();
-             return std::make_unique<WorkerApp>(c, nodes);
+             r.require("wss", c.workerSetSize >= 1 &&
+                                  c.workerSetSize <= nodes,
+                       "must be in [1, nodes=" + std::to_string(nodes) +
+                           "]");
+             return [c, nodes] {
+                 return std::make_unique<WorkerApp>(c, nodes);
+             };
          },
          1.0,
          /*tracePortable=*/true});
@@ -212,8 +256,7 @@ AppRegistry::AppRegistry()
     add({"tsp",
          "branch-and-bound traveling salesman (Sec. 6)",
          {{"cities", "6"}, {"frontier", "8"}},
-         [](const AppParams &p, int) -> std::unique_ptr<App> {
-             ParamReader r(p, "tsp");
+         [](ParamReader &r, int) -> Builder {
              TspConfig c;
              c.numCities = r.getCount("cities", c.numCities);
              c.seed = r.getU64("seed", c.seed);
@@ -221,8 +264,9 @@ AppRegistry::AppRegistry()
                  r.getU64("expand_work", c.expandWork));
              c.collideLayout = r.getBool("collide", c.collideLayout);
              c.frontierTarget = r.getU64("frontier", c.frontierTarget);
-             r.finish();
-             return std::make_unique<TspApp>(c);
+             r.require("cities", c.numCities >= 3 && c.numCities <= 16,
+                       "must be in [3, 16]");
+             return [c] { return std::make_unique<TspApp>(c); };
          },
          20.0});
 
@@ -230,23 +274,20 @@ AppRegistry::AppRegistry()
          "adaptive quadrature over a work queue (Sec. 6)",
          {{"tolerance", "0.001"}, {"max_depth", "8"},
           {"eval_work", "500"}},
-         [](const AppParams &p, int) -> std::unique_ptr<App> {
-             ParamReader r(p, "aq");
+         [](ParamReader &r, int) -> Builder {
              AqConfig c;
              c.tolerance = r.getDouble("tolerance", c.tolerance);
              c.maxDepth = r.getCount("max_depth", c.maxDepth);
              c.evalWork = static_cast<Cycles>(
                  r.getU64("eval_work", c.evalWork));
-             r.finish();
-             return std::make_unique<AqApp>(c);
+             return [c] { return std::make_unique<AqApp>(c); };
          },
          2.0});
 
     add({"smgrid",
          "static multigrid PDE solver (Sec. 6)",
          {{"fine", "9"}, {"levels", "2"}},
-         [](const AppParams &p, int) -> std::unique_ptr<App> {
-             ParamReader r(p, "smgrid");
+         [](ParamReader &r, int) -> Builder {
              SmgridConfig c;
              c.fineSize = r.getCount("fine", c.fineSize);
              c.levels = r.getCount("levels", c.levels);
@@ -254,8 +295,9 @@ AppRegistry::AppRegistry()
              c.vcycles = r.getCount("vcycles", c.vcycles);
              c.pointWork = static_cast<Cycles>(
                  r.getU64("point_work", c.pointWork));
-             r.finish();
-             return std::make_unique<SmgridApp>(c);
+             r.require("fine", c.fineSize >= 5 && c.fineSize % 2 == 1,
+                       "must be odd and at least 5");
+             return [c] { return std::make_unique<SmgridApp>(c); };
          },
          5.0,
          // Static grid partition, hardware barriers, per-thread
@@ -266,18 +308,20 @@ AppRegistry::AppRegistry()
     add({"evolve",
          "genome evolution as hypercube traversal (Sec. 6)",
          {{"dims", "6"}, {"walks", "1"}},
-         [](const AppParams &p, int nodes) -> std::unique_ptr<App> {
-             ParamReader r(p, "evolve");
+         [](ParamReader &r, int nodes) -> Builder {
              EvolveConfig c;
              c.dimensions = r.getCount("dims", c.dimensions);
              c.walksPerThread = r.getCount("walks", c.walksPerThread);
              c.seed = r.getU64("seed", c.seed);
              c.stepWork = static_cast<Cycles>(
                  r.getU64("step_work", c.stepWork));
-             r.finish();
-             auto app = std::make_unique<EvolveApp>(c);
-             app->computeGroundTruth(nodes);
-             return app;
+             r.require("dims", c.dimensions >= 4 && c.dimensions <= 20,
+                       "must be in [4, 20]");
+             return [c, nodes] {
+                 auto app = std::make_unique<EvolveApp>(c);
+                 app->computeGroundTruth(nodes);
+                 return app;
+             };
          },
          2.0,
          // Walks branch only on the fitness table, which is written
@@ -289,48 +333,43 @@ AppRegistry::AppRegistry()
     add({"mp3d",
          "rarefied-fluid particle simulation (SPLASH, Sec. 6)",
          {{"particles", "64"}, {"steps", "2"}},
-         [](const AppParams &p, int) -> std::unique_ptr<App> {
-             ParamReader r(p, "mp3d");
+         [](ParamReader &r, int) -> Builder {
              Mp3dConfig c;
              c.particles = r.getCount("particles", c.particles);
              c.steps = r.getCount("steps", c.steps);
              c.seed = r.getU64("seed", c.seed);
              c.moveWork = static_cast<Cycles>(
                  r.getU64("move_work", c.moveWork));
-             r.finish();
-             return std::make_unique<Mp3dApp>(c);
+             return [c] { return std::make_unique<Mp3dApp>(c); };
          },
          10.0});
 
     add({"water",
          "N-body molecular dynamics (SPLASH, Sec. 6)",
          {{"molecules", "8"}, {"steps", "1"}},
-         [](const AppParams &p, int) -> std::unique_ptr<App> {
-             ParamReader r(p, "water");
+         [](ParamReader &r, int) -> Builder {
              WaterConfig c;
              c.molecules = r.getCount("molecules", c.molecules);
              c.steps = r.getCount("steps", c.steps);
              c.seed = r.getU64("seed", c.seed);
              c.pairWork = static_cast<Cycles>(
                  r.getU64("pair_work", c.pairWork));
-             r.finish();
-             return std::make_unique<WaterApp>(c);
+             return [c] { return std::make_unique<WaterApp>(c); };
          },
          15.0});
 
     // The sharing-pattern microworkloads share one factory shape:
     // iterations / work / jitter, kind baked into the entry.
     auto micro_factory = [](MicroKind kind) {
-        return [kind](const AppParams &p,
-                      int nodes) -> std::unique_ptr<App> {
-            ParamReader r(p, "micro");
+        return [kind](ParamReader &r, int nodes) -> Builder {
             MicroConfig c;
             c.iterations = r.getCount("iterations", c.iterations);
             c.workCycles = static_cast<Cycles>(
                 r.getU64("work", c.workCycles));
             c.jitter = r.getU64("jitter", c.jitter);
-            r.finish();
-            return std::make_unique<MicroApp>(kind, c, nodes);
+            return [kind, c, nodes] {
+                return std::make_unique<MicroApp>(kind, c, nodes);
+            };
         };
     };
 

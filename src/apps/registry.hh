@@ -26,13 +26,15 @@ namespace swex
 /**
  * Per-app configuration as an ordered key -> value map of strings
  * (e.g. {"wss","8"} for WORKER). Each app's factory parses and
- * validates its own keys; unknown keys are fatal.
+ * validates its own keys; unknown keys are errors.
  */
 using AppParams = std::map<std::string, std::string>;
 
 /**
  * Typed accessor over an AppParams map that tracks which keys were
- * consumed, so a factory can reject misspelled parameters.
+ * consumed, so a factory can reject misspelled parameters. A value
+ * that does not parse reads as the default and leaves an error, which
+ * finish() reports: a bad request never stops the process.
  */
 class ParamReader
 {
@@ -49,15 +51,27 @@ class ParamReader
     double getDouble(const std::string &key, double def);
     bool getBool(const std::string &key, bool def);
 
-    /** Fatal if any parameter key was never consumed. */
-    void finish() const;
+    /** Unless @p ok, the error that parameter @p key @p why (a range
+     *  the app needs, e.g. "must be in [3, 16]"). */
+    void
+    require(const std::string &key, bool ok, const std::string &why)
+    {
+        if (!ok)
+            fail(key, why);
+    }
+
+    /** "" if every value read parsed and every key was consumed; else
+     *  the first error, naming the app and the parameter. */
+    std::string finish() const;
 
   private:
     const std::string *lookup(const std::string &key);
+    void fail(const std::string &key, const std::string &why);
 
     const AppParams &_params;
     std::string _app;
     std::vector<std::string> _consumed;
+    std::string _error;   ///< the first get* error
 };
 
 /**
@@ -72,14 +86,22 @@ class ParamReader
 class AppRegistry
 {
   public:
+    /** Builds a configured app. */
+    using Builder = std::function<std::unique_ptr<App>()>;
+
     struct Entry
     {
         std::string name;        ///< registry key (lower case)
         std::string summary;     ///< one-line description
         /** A tiny configuration every smoke test can afford to run. */
         AppParams smokeParams;
-        std::function<std::unique_ptr<App>(const AppParams &,
-                                           int nodes)> make;
+        /**
+         * Read and range-check the app's parameters for a machine of
+         * `nodes` nodes, and return the builder of the configured
+         * app. Parsing builds nothing (EVOLVE computes its ground
+         * truth in the builder), so checking a request stays cheap.
+         */
+        std::function<Builder(ParamReader &, int nodes)> parse;
 
         /**
          * Rough host cost of one run relative to WORKER (= 1.0), for
@@ -128,10 +150,17 @@ class AppRegistry
     /** Registered names, in registration order. */
     std::vector<std::string> names() const;
 
+    /** "" if @p params configure app @p name on @p nodes nodes, else
+     *  why not (unknown app, unknown parameter, malformed or
+     *  out-of-range value). Builds no app. */
+    std::string check(const std::string &name, const AppParams &params,
+                      int nodes) const;
+
     /**
      * Construct a configured app. @p nodes is the machine size the
      * app will run on (some apps precompute per-thread-count ground
-     * truth). Fatal on unknown names or parameters.
+     * truth). Fatal on unknown names or parameters: front ends check()
+     * first.
      */
     std::unique_ptr<App> make(const std::string &name,
                               const AppParams &params,

@@ -42,4 +42,17 @@ appendString(std::string &out, const std::string &s)
     out += '"';
 }
 
+bool
+parseU64(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty())
+        return false;
+    for (char c : text)
+        if (c < '0' || c > '9')
+            return false;
+    auto res = std::from_chars(text.data(), text.data() + text.size(),
+                               out);
+    return res.ec == std::errc{} && res.ptr == text.data() + text.size();
+}
+
 } // namespace swex::json

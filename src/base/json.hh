@@ -1,14 +1,16 @@
 /**
  * @file
- * JSON scalar encoding shared by every document the simulator writes
- * itself: stats trees and swex-run-v1 records. Canonical records,
- * result-cache entries and pinned digests hash these bytes, so a
- * number prints exactly as printf's "%.17g" prints it.
+ * JSON scalars: the encoding shared by every document the simulator
+ * writes itself (stats trees and swex-run-v1 records), and the one
+ * unsigned-number grammar its wire and command lines read. Canonical
+ * records, result-cache entries and pinned digests hash the encoded
+ * bytes, so a number prints exactly as printf's "%.17g" prints it.
  */
 
 #ifndef SWEX_BASE_JSON_HH
 #define SWEX_BASE_JSON_HH
 
+#include <cstdint>
 #include <string>
 
 namespace swex::json
@@ -23,6 +25,13 @@ void appendNumber(std::string &out, double v);
 
 /** Append @p s quoted, escaping '"', '\\' and control characters. */
 void appendString(std::string &out, const std::string &s);
+
+/**
+ * Parse @p text as an unsigned decimal integer in the wire's number
+ * grammar for counts and seeds: digits only (no sign, space, fraction
+ * or exponent) and no overflow. Every command line uses it too.
+ */
+bool parseU64(const std::string &text, std::uint64_t &out);
 
 } // namespace swex::json
 

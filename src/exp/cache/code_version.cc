@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "base/binary_io.hh"
 #include "base/logging.hh"
 #include "exp/spec.hh"
 
@@ -13,17 +14,6 @@ namespace cache
 
 namespace
 {
-
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        h = (h ^ ((v >> (8 * i)) & 0xff)) * fnvPrime;
-    return h;
-}
 
 std::uint64_t
 envEpoch()
@@ -60,10 +50,10 @@ CodeVersions::current()
 std::uint64_t
 codeFingerprint(const ExperimentSpec &spec, const CodeVersions &versions)
 {
-    std::uint64_t h = fnvOffset;
-    h = mix(h, versions.core);
-    h = mix(h, versions.apps);
-    h = mix(h, versions.epoch);
+    std::uint64_t h = bin::fnvOffset;
+    h = bin::fnv1aU64(h, versions.core);
+    h = bin::fnv1aU64(h, versions.apps);
+    h = bin::fnv1aU64(h, versions.epoch);
     // Only the backend the run actually exercises participates, so a
     // directory-stack bump leaves every snooping cell warm and vice
     // versa. Sequential references always run on the 1-node full-map
@@ -71,11 +61,11 @@ codeFingerprint(const ExperimentSpec &spec, const CodeVersions &versions)
     bool on_directory = spec.sequential ||
                         spec.machineModel == MachineModel::Directory;
     if (on_directory) {
-        h = mix(h, 0xD1);
-        h = mix(h, versions.directory);
+        h = bin::fnv1aU64(h, 0xD1);
+        h = bin::fnv1aU64(h, versions.directory);
     } else {
-        h = mix(h, 0x5B);
-        h = mix(h, versions.snoop);
+        h = bin::fnv1aU64(h, 0x5B);
+        h = bin::fnv1aU64(h, versions.snoop);
     }
     return h;
 }

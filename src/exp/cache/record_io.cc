@@ -2,146 +2,22 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "base/atomic_file.hh"
+#include "base/binary_io.hh"
 
 namespace swex
 {
 namespace cache
 {
 
-namespace
+std::vector<std::uint8_t>
+encodeRecord(const RunRecord &r, std::uint64_t spec_key,
+             std::uint64_t code_fp)
 {
-
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i)
-        h = (h ^ p[i]) * fnvPrime;
-    return h;
-}
-
-struct Writer
-{
-    std::vector<std::uint8_t> out;
-
-    void
-    u8(std::uint8_t v)
-    {
-        out.push_back(v);
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    d(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u32(static_cast<std::uint32_t>(s.size()));
-        out.insert(out.end(), s.begin(), s.end());
-    }
-};
-
-struct Reader
-{
-    const std::uint8_t *cur;
-    const std::uint8_t *end;
-
-    bool
-    bytes(void *dst, std::size_t n)
-    {
-        if (static_cast<std::size_t>(end - cur) < n)
-            return false;
-        std::memcpy(dst, cur, n);
-        cur += n;
-        return true;
-    }
-
-    bool
-    u8(std::uint8_t &v)
-    {
-        return bytes(&v, 1);
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        std::uint8_t b[4];
-        if (!bytes(b, 4))
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        std::uint8_t b[8];
-        if (!bytes(b, 8))
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return true;
-    }
-
-    bool
-    d(double &v)
-    {
-        std::uint64_t bits;
-        if (!u64(bits))
-            return false;
-        std::memcpy(&v, &bits, sizeof(v));
-        return true;
-    }
-
-    bool
-    str(std::string &s)
-    {
-        std::uint32_t n;
-        if (!u32(n) || static_cast<std::size_t>(end - cur) < n)
-            return false;
-        s.assign(reinterpret_cast<const char *>(cur), n);
-        cur += n;
-        return true;
-    }
-};
-
-} // anonymous namespace
-
-bool
-saveRecord(const std::string &path, const RunRecord &r,
-           std::uint64_t spec_key, std::uint64_t code_fp,
-           std::string &err)
-{
-    Writer w;
+    bin::Writer w;
     w.out.insert(w.out.end(), recordMagic, recordMagic + 8);
     w.u32(recordVersion);
     w.u64(spec_key);
@@ -165,28 +41,36 @@ saveRecord(const std::string &path, const RunRecord &r,
     w.u64(r.faultSeed);
     w.u64(r.deadline);
     w.u64(r.imageHash);
-    w.d(r.trapsRaised);
-    w.d(r.handlerCycles);
-    w.d(r.messages);
-    w.d(r.readHandlerMean);
+    w.f64(r.trapsRaised);
+    w.f64(r.handlerCycles);
+    w.f64(r.messages);
+    w.f64(r.readHandlerMean);
     w.u64(r.readHandlerCount);
-    w.d(r.writeHandlerMean);
+    w.f64(r.writeHandlerMean);
     w.u64(r.writeHandlerCount);
-    w.d(r.hostWallSeconds);
-    w.d(r.hostEvents);
+    w.f64(r.hostWallSeconds);
+    w.f64(r.hostEvents);
     w.u8(r.audited ? 1 : 0);
     w.u64(r.auditTransitions);
     w.u64(r.auditViolations);
-    w.d(r.seqCycles);
-    w.d(r.speedup);
+    w.f64(r.seqCycles);
+    w.f64(r.speedup);
     w.u32(static_cast<std::uint32_t>(r.workerSets.size()));
     for (std::uint64_t v : r.workerSets)
         w.u64(v);
     w.str(r.statsJson);
     w.str(r.statsText);
 
-    w.u64(fnv1a(fnvOffset, w.out.data(), w.out.size()));
-    return atomicWriteFile(path, w.out, err);
+    w.u64(bin::fnv1a(bin::fnvOffset, w.out.data(), w.out.size()));
+    return std::move(w.out);
+}
+
+bool
+saveRecord(const std::string &path, const RunRecord &r,
+           std::uint64_t spec_key, std::uint64_t code_fp,
+           std::string &err)
+{
+    return atomicWriteFile(path, encodeRecord(r, spec_key, code_fp), err);
 }
 
 LoadStatus
@@ -210,7 +94,14 @@ loadRecord(const std::string &path, RunRecord &out,
         err = "I/O error reading " + path;
         return LoadStatus::Corrupt;
     }
+    return decodeRecord(raw, path, out, spec_key, code_fp, err);
+}
 
+LoadStatus
+decodeRecord(const std::vector<std::uint8_t> &raw, const std::string &path,
+             RunRecord &out, std::uint64_t spec_key, std::uint64_t code_fp,
+             std::string &err)
+{
     if (raw.size() < 8 + 4 + 8 + 8 + 8) {
         err = path + ": truncated cache entry";
         return LoadStatus::Corrupt;
@@ -220,19 +111,16 @@ loadRecord(const std::string &path, RunRecord &out,
         return LoadStatus::Corrupt;
     }
     // The checksum covers everything before the trailing u64.
+    const std::uint8_t *body_end = raw.data() + raw.size() - 8;
     std::uint64_t stored_fnv = 0;
-    for (int i = 0; i < 8; ++i) {
-        stored_fnv |= static_cast<std::uint64_t>(
-                          raw[raw.size() - 8 + static_cast<std::size_t>(
-                                                   i)])
-                      << (8 * i);
-    }
-    if (fnv1a(fnvOffset, raw.data(), raw.size() - 8) != stored_fnv) {
+    bin::Reader{body_end, body_end + 8}.u64(stored_fnv);
+    if (bin::fnv1a(bin::fnvOffset, raw.data(), raw.size() - 8) !=
+        stored_fnv) {
         err = path + ": checksum mismatch (corrupt cache entry)";
         return LoadStatus::Corrupt;
     }
 
-    Reader r{raw.data() + 8, raw.data() + raw.size() - 8};
+    bin::Reader r{raw.data() + 8, body_end};
     std::uint32_t version = 0;
     std::uint64_t key = 0, fp = 0;
     if (!r.u32(version) || !r.u64(key) || !r.u64(fp)) {
@@ -266,15 +154,19 @@ loadRecord(const std::string &path, RunRecord &out,
               r.u32(rec.faultDrop) && r.u32(rec.faultDup) &&
               r.u32(rec.faultBlackout) && r.u64(rec.faultSeed) &&
               r.u64(rec.deadline) && r.u64(rec.imageHash) &&
-              r.d(rec.trapsRaised) && r.d(rec.handlerCycles) &&
-              r.d(rec.messages) && r.d(rec.readHandlerMean) &&
+              r.f64(rec.trapsRaised) && r.f64(rec.handlerCycles) &&
+              r.f64(rec.messages) && r.f64(rec.readHandlerMean) &&
               r.u64(rec.readHandlerCount) &&
-              r.d(rec.writeHandlerMean) &&
+              r.f64(rec.writeHandlerMean) &&
               r.u64(rec.writeHandlerCount) &&
-              r.d(rec.hostWallSeconds) && r.d(rec.hostEvents) &&
+              r.f64(rec.hostWallSeconds) && r.f64(rec.hostEvents) &&
               r.u8(audited) && r.u64(rec.auditTransitions) &&
-              r.u64(rec.auditViolations) && r.d(rec.seqCycles) &&
-              r.d(rec.speedup) && r.u32(nsets);
+              r.u64(rec.auditViolations) && r.f64(rec.seqCycles) &&
+              r.f64(rec.speedup) && r.u32(nsets);
+    // Every count is checked against the bytes left before it sizes
+    // an allocation: a crafted count is a malformed body, not a
+    // bad_alloc.
+    ok = ok && nsets <= r.left() / 8;
     if (ok) {
         rec.workerSets.resize(nsets);
         for (std::uint32_t i = 0; ok && i < nsets; ++i)

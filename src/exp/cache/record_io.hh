@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "exp/run_record.hh"
 
@@ -31,6 +32,12 @@ namespace cache
 constexpr std::uint32_t recordVersion = 1;
 constexpr char recordMagic[8] = {'S', 'W', 'E', 'X', 'R', 'E', 'C',
                                  '1'};
+
+/** The swex-rec-v1 bytes of @p record under (@p spec_key,
+ *  @p code_fp), checksum included. */
+std::vector<std::uint8_t> encodeRecord(const RunRecord &record,
+                                       std::uint64_t spec_key,
+                                       std::uint64_t code_fp);
 
 /**
  * Serialize @p record under (@p spec_key, @p code_fp) and atomically
@@ -59,6 +66,13 @@ enum class LoadStatus
 LoadStatus loadRecord(const std::string &path, RunRecord &out,
                       std::uint64_t spec_key, std::uint64_t code_fp,
                       std::string &err);
+
+/** loadRecord() of a file's bytes already in memory; @p path only
+ *  names them in errors. */
+LoadStatus decodeRecord(const std::vector<std::uint8_t> &raw,
+                        const std::string &path, RunRecord &out,
+                        std::uint64_t spec_key, std::uint64_t code_fp,
+                        std::string &err);
 
 } // namespace cache
 } // namespace swex

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "base/binary_io.hh"
 #include "exp/cache/record_io.hh"
 #include "exp/runner.hh"
 #include "trace/trace_format.hh"
@@ -23,32 +24,11 @@ namespace cache
 namespace
 {
 
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-mixBytes(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i)
-        h = (h ^ p[i]) * fnvPrime;
-    return h;
-}
-
-std::uint64_t
-mixU64(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        h = (h ^ ((v >> (8 * i)) & 0xff)) * fnvPrime;
-    return h;
-}
-
 /** Length-prefixed string mix, so ("ab","c") != ("a","bc"). */
 std::uint64_t
 mixStr(std::uint64_t h, const std::string &s)
 {
-    h = mixU64(h, s.size());
-    return mixBytes(h, s.data(), s.size());
+    return bin::fnv1a(bin::fnv1aU64(h, s.size()), s.data(), s.size());
 }
 
 std::string
@@ -134,17 +114,18 @@ ResultCache::specKey(const ExperimentSpec &spec)
     // fingerprint does not cover. Execution strategy (execMode,
     // traceDir) stays out: replay is bit-identical to direct
     // execution, so it is not part of the experiment's identity.
-    std::uint64_t h = fnvOffset;
-    h = mixU64(h, trace::configFingerprint(Runner::machineFor(spec)));
+    std::uint64_t h = bin::fnvOffset;
+    h = bin::fnv1aU64(h,
+                      trace::configFingerprint(Runner::machineFor(spec)));
     h = mixStr(h, spec.id);
     h = mixStr(h, spec.app);
     h = mixStr(h, trace::canonicalAppParams(spec.params));
-    h = mixU64(h, spec.sequential ? 1 : 0);
-    h = mixU64(h, spec.audit ? 1 : 0);
+    h = bin::fnv1aU64(h, spec.sequential ? 1 : 0);
+    h = bin::fnv1aU64(h, spec.audit ? 1 : 0);
     // trackSharing changes the record (workerSets) without changing
     // timing, so configFingerprint deliberately ignores it — the
     // cache must not.
-    h = mixU64(h, spec.trackSharing ? 1 : 0);
+    h = bin::fnv1aU64(h, spec.trackSharing ? 1 : 0);
     return h;
 }
 

@@ -205,8 +205,12 @@ build(Draft &d, ExperimentSpec &spec)
         return badValue(*fieldFor("profile"));
     d.profile = d.profileKey == "asm" ? HandlerProfile::TunedAsm
                                       : HandlerProfile::FlexibleC;
-    if (!AppRegistry::instance().contains(d.app))
-        return "unknown app '" + d.app + "'";
+    // The app's own parameters too: a request naming an unknown or
+    // malformed one is a decode error, never a failed run.
+    std::string err =
+        AppRegistry::instance().check(d.app, d.params, d.nodes);
+    if (!err.empty())
+        return err;
 
     if (parseSnoopProtocol(d.protocolKey, d.snoopProtocol)) {
         d.machineModel = MachineModel::Snoop;

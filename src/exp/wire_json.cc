@@ -1,7 +1,5 @@
 #include "exp/wire_json.hh"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "base/json.hh"
@@ -268,18 +266,7 @@ renderJson(const JsonValue &v, std::string &out)
 bool
 numberAsU64(const JsonValue &v, std::uint64_t &out)
 {
-    if (v.kind != JsonValue::Kind::Number || v.raw.empty())
-        return false;
-    for (char c : v.raw)
-        if (c < '0' || c > '9')
-            return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long r = std::strtoull(v.raw.c_str(), &end, 10);
-    if (end != v.raw.c_str() + v.raw.size() || errno == ERANGE)
-        return false;
-    out = static_cast<std::uint64_t>(r);
-    return true;
+    return v.kind == JsonValue::Kind::Number && json::parseU64(v.raw, out);
 }
 
 } // namespace wire

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "base/atomic_file.hh"
+#include "base/binary_io.hh"
 #include "core/directory.hh"
 #include "machine/machine.hh"
 
@@ -16,135 +17,53 @@ namespace trace
 namespace
 {
 
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i)
-        h = (h ^ p[i]) * fnvPrime;
-    return h;
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putStr(std::vector<std::uint8_t> &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-struct Reader
-{
-    const std::uint8_t *cur;
-    const std::uint8_t *end;
-
-    bool
-    bytes(void *dst, std::size_t n)
-    {
-        if (static_cast<std::size_t>(end - cur) < n)
-            return false;
-        std::memcpy(dst, cur, n);
-        cur += n;
-        return true;
-    }
-
-    bool
-    u32(std::uint32_t &v)
-    {
-        std::uint8_t b[4];
-        if (!bytes(b, 4))
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &v)
-    {
-        std::uint8_t b[8];
-        if (!bytes(b, 8))
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return true;
-    }
-
-    bool
-    str(std::string &s)
-    {
-        std::uint32_t n;
-        if (!u32(n) || static_cast<std::size_t>(end - cur) < n)
-            return false;
-        s.assign(reinterpret_cast<const char *>(cur), n);
-        cur += n;
-        return true;
-    }
-};
-
 /** Header flag bits. */
 constexpr std::uint32_t flagPortable = 1u << 0;
 constexpr std::uint32_t flagSequential = 1u << 1;
 
 } // anonymous namespace
 
+std::vector<std::uint8_t>
+Trace::encode() const
+{
+    bin::Writer w;
+    w.out.insert(w.out.end(), traceMagic, traceMagic + 8);
+    w.u32(meta.version);
+    w.u32(meta.schema);
+    w.u32((meta.portable ? flagPortable : 0u) |
+          (meta.sequential ? flagSequential : 0u));
+    w.u32(meta.appNodes);
+    w.u32(static_cast<std::uint32_t>(streams.size()));
+    w.u64(meta.configFingerprint);
+    w.u64(meta.recordedCycles);
+    w.u64(meta.recordedImageHash);
+    w.u64(meta.seed);
+    w.str(meta.app);
+    w.str(meta.params);
+    w.str(meta.protocol);
+    for (const auto &s : streams) {
+        w.u64(s.bytes.size());
+        w.u64(s.ops);
+    }
+    w.u64(bin::fnv1a(bin::fnvOffset, w.out.data(), w.out.size()));
+
+    std::uint64_t payload_fnv = bin::fnvOffset;
+    for (const auto &s : streams) {
+        payload_fnv = bin::fnv1a(payload_fnv, s.bytes.data(),
+                                 s.bytes.size());
+        w.out.insert(w.out.end(), s.bytes.begin(), s.bytes.end());
+    }
+    w.u64(payload_fnv);
+    return std::move(w.out);
+}
+
 bool
 Trace::save(const std::string &path, std::string &err) const
 {
-    std::vector<std::uint8_t> header;
-    header.insert(header.end(), traceMagic, traceMagic + 8);
-    putU32(header, meta.version);
-    putU32(header, meta.schema);
-    std::uint32_t flags = (meta.portable ? flagPortable : 0u) |
-                          (meta.sequential ? flagSequential : 0u);
-    putU32(header, flags);
-    putU32(header, meta.appNodes);
-    putU32(header, static_cast<std::uint32_t>(streams.size()));
-    putU64(header, meta.configFingerprint);
-    putU64(header, meta.recordedCycles);
-    putU64(header, meta.recordedImageHash);
-    putU64(header, meta.seed);
-    putStr(header, meta.app);
-    putStr(header, meta.params);
-    putStr(header, meta.protocol);
-    for (const auto &s : streams) {
-        putU64(header, s.bytes.size());
-        putU64(header, s.ops);
-    }
-    putU64(header, fnv1a(fnvOffset, header.data(), header.size()));
-
-    std::uint64_t payload_fnv = fnvOffset;
-    for (const auto &s : streams)
-        payload_fnv = fnv1a(payload_fnv, s.bytes.data(),
-                            s.bytes.size());
-
-    // Assemble the whole container and hand it to the atomic writer:
-    // a uniquely named temp sibling plus rename, so concurrent sweep
-    // workers recording the same key never observe (or produce) a
-    // half-written trace.
-    std::vector<std::uint8_t> blob = std::move(header);
-    for (const auto &s : streams)
-        blob.insert(blob.end(), s.bytes.begin(), s.bytes.end());
-    putU64(blob, payload_fnv);
-    return atomicWriteFile(path, blob, err);
+    // The whole container goes to the atomic writer: a uniquely named
+    // temp sibling plus rename, so concurrent sweep workers recording
+    // the same key never observe (or produce) a half-written trace.
+    return atomicWriteFile(path, encode(), err);
 }
 
 bool
@@ -166,8 +85,14 @@ Trace::load(const std::string &path, Trace &out, std::string &err)
         err = "I/O error reading " + path;
         return false;
     }
+    return decode(raw, path, out, err);
+}
 
-    Reader r{raw.data(), raw.data() + raw.size()};
+bool
+Trace::decode(const std::vector<std::uint8_t> &raw, const std::string &path,
+              Trace &out, std::string &err)
+{
+    bin::Reader r{raw.data(), raw.data() + raw.size()};
     char magic[8];
     if (!r.bytes(magic, 8)) {
         err = path + ": truncated (no magic)";
@@ -233,25 +158,24 @@ Trace::load(const std::string &path, Trace &out, std::string &err)
         err = path + ": truncated header checksum";
         return false;
     }
-    if (fnv1a(fnvOffset, raw.data(), header_len) !=
+    if (bin::fnv1a(bin::fnvOffset, raw.data(), header_len) !=
         stored_header_fnv) {
         err = path + ": header checksum mismatch (corrupt trace)";
         return false;
     }
 
-    std::uint64_t payload_fnv = fnvOffset;
+    std::uint64_t payload_fnv = bin::fnvOffset;
     t.streams.resize(nstreams);
     for (std::uint32_t i = 0; i < nstreams; ++i) {
         auto &s = t.streams[i];
         s.ops = lens[i].second;
-        s.bytes.resize(lens[i].first);
-        if (!r.bytes(s.bytes.data(), s.bytes.size())) {
+        if (!r.blob(s.bytes, lens[i].first)) {
             err = path + ": truncated payload (stream " +
                   std::to_string(i) + ")";
             return false;
         }
-        payload_fnv = fnv1a(payload_fnv, s.bytes.data(),
-                            s.bytes.size());
+        payload_fnv = bin::fnv1a(payload_fnv, s.bytes.data(),
+                                 s.bytes.size());
     }
 
     std::uint64_t stored_payload_fnv;
@@ -307,9 +231,9 @@ canonicalAppParams(const std::map<std::string, std::string> &params)
 std::uint64_t
 configFingerprint(const MachineConfig &mc)
 {
-    std::uint64_t h = fnvOffset;
+    std::uint64_t h = bin::fnvOffset;
     auto mix = [&h](std::uint64_t v) {
-        h = fnv1a(h, &v, sizeof(v));
+        h = bin::fnv1a(h, &v, sizeof(v));
     };
     mix(static_cast<std::uint64_t>(mc.numNodes));
     mix(static_cast<std::uint64_t>(mc.protocol.hwPointers));
@@ -368,8 +292,9 @@ traceFileName(const std::string &app,
               bool sequential, bool portable,
               std::uint64_t config_fingerprint)
 {
-    std::uint64_t ph = fnv1a(fnvOffset, canonical_params.data(),
-                             canonical_params.size());
+    std::uint64_t ph = bin::fnv1a(bin::fnvOffset,
+                                  canonical_params.data(),
+                                  canonical_params.size());
     char buf[64];
     std::snprintf(buf, sizeof(buf), "-p%016llx-n%d",
                   static_cast<unsigned long long>(ph), app_nodes);

@@ -71,6 +71,9 @@ struct Trace
     TraceMeta meta;
     std::vector<TraceRecorder::Stream> streams;
 
+    /** The swex-trace-v1 bytes of this trace, checksums included. */
+    std::vector<std::uint8_t> encode() const;
+
     /** Serialize to @p path. @return false with @p err set on I/O
      *  failure. */
     bool save(const std::string &path, std::string &err) const;
@@ -82,6 +85,12 @@ struct Trace
      */
     static bool load(const std::string &path, Trace &out,
                      std::string &err);
+
+    /** load() of a file's bytes already in memory; @p path only names
+     *  them in errors. */
+    static bool decode(const std::vector<std::uint8_t> &raw,
+                       const std::string &path, Trace &out,
+                       std::string &err);
 
     /**
      * Does this trace's key match the requested run? @return empty

@@ -16,7 +16,7 @@
 #include "base/rng.hh"
 #include "base/stats.hh"
 
-#include "mini_json.hh"
+#include "json_helpers.hh"
 
 using namespace swex;
 
@@ -163,27 +163,27 @@ TEST(Stats, DumpJsonRoundTrip)
 
     std::ostringstream os;
     root.dumpJson(os);
-    minijson::Value v = minijson::parse(os.str());
+    wire::JsonValue v = parseJson(os.str());
 
-    ASSERT_EQ(v.type, minijson::Value::Type::Object);
-    EXPECT_DOUBLE_EQ(v.at("net").at("msgs").number, 12.0);
+    ASSERT_EQ(v.kind, wire::JsonValue::Kind::Object);
+    EXPECT_DOUBLE_EQ(numberOf(at(at(v, "net"), "msgs")), 12.0);
 
-    const minijson::Value &d = v.at("node0").at("lat");
-    EXPECT_DOUBLE_EQ(d.at("count").number, 2.0);
-    EXPECT_DOUBLE_EQ(d.at("mean").number, 3.0);
-    EXPECT_DOUBLE_EQ(d.at("min").number, 2.0);
-    EXPECT_DOUBLE_EQ(d.at("max").number, 4.0);
+    const wire::JsonValue &d = at(at(v, "node0"), "lat");
+    EXPECT_DOUBLE_EQ(numberOf(at(d, "count")), 2.0);
+    EXPECT_DOUBLE_EQ(numberOf(at(d, "mean")), 3.0);
+    EXPECT_DOUBLE_EQ(numberOf(at(d, "min")), 2.0);
+    EXPECT_DOUBLE_EQ(numberOf(at(d, "max")), 4.0);
 
-    const minijson::Value &h = v.at("node0").at("hist");
-    EXPECT_DOUBLE_EQ(h.at("total").number, 2.0);
-    ASSERT_EQ(h.at("buckets").array.size(), 2u);
-    EXPECT_DOUBLE_EQ(h.at("buckets").array[0].number, 1.0);
-    EXPECT_DOUBLE_EQ(h.at("buckets").array[1].number, 1.0);
+    const wire::JsonValue &h = at(at(v, "node0"), "hist");
+    EXPECT_DOUBLE_EQ(numberOf(at(h, "total")), 2.0);
+    ASSERT_EQ(at(h, "buckets").items.size(), 2u);
+    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items[0]), 1.0);
+    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items[1]), 1.0);
 
     // Deterministic key order: children appear in registration order.
-    ASSERT_EQ(v.object.size(), 2u);
-    EXPECT_EQ(v.object[0].first, "net");
-    EXPECT_EQ(v.object[1].first, "node0");
+    ASSERT_EQ(v.members.size(), 2u);
+    EXPECT_EQ(v.members[0].first, "net");
+    EXPECT_EQ(v.members[1].first, "node0");
 }
 
 TEST(Stats, DumpJsonEscapesAndNonFinite)
@@ -193,8 +193,8 @@ TEST(Stats, DumpJsonEscapesAndNonFinite)
     s += 1.0 / 0.0;   // infinity must not leak into JSON
     std::ostringstream os;
     root.dumpJson(os);
-    minijson::Value v = minijson::parse(os.str());
-    EXPECT_DOUBLE_EQ(v.at("odd\"name\\x").number, 0.0);
+    wire::JsonValue v = parseJson(os.str());
+    EXPECT_DOUBLE_EQ(numberOf(at(v, "odd\"name\\x")), 0.0);
 }
 
 namespace

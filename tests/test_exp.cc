@@ -19,7 +19,7 @@
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 
-#include "mini_json.hh"
+#include "json_helpers.hh"
 
 using namespace swex;
 
@@ -179,29 +179,29 @@ TEST(RunRecord, SerializesAsValidSwexRunV1)
 
     std::ostringstream os;
     runner.log().writeJson(os);
-    minijson::Value doc = minijson::parse(os.str());
+    wire::JsonValue doc = parseJson(os.str());
 
-    EXPECT_EQ(doc.at("schema").str, "swex-run-v1");
-    ASSERT_EQ(doc.at("records").array.size(), 2u);
+    EXPECT_EQ(at(doc, "schema").raw, "swex-run-v1");
+    ASSERT_EQ(at(doc, "records").items.size(), 2u);
 
-    const minijson::Value &rec = doc.at("records").array[0];
-    EXPECT_EQ(rec.at("id").str, "test/worker");
-    EXPECT_EQ(rec.at("app").str, "worker");
-    EXPECT_EQ(rec.at("nodes").number, 4.0);
-    EXPECT_EQ(rec.at("sequential").boolean, false);
-    EXPECT_TRUE(rec.at("verified").boolean);
-    EXPECT_GT(rec.at("sim_cycles").number, 0.0);
-    EXPECT_TRUE(rec.at("metrics").has("messages"));
-    EXPECT_TRUE(rec.at("host").has("events"));
-    EXPECT_GT(rec.at("speedup").number, 0.0);
-    EXPECT_FALSE(rec.at("worker_sets").array.empty());
+    const wire::JsonValue &rec = at(doc, "records").items[0];
+    EXPECT_EQ(at(rec, "id").raw, "test/worker");
+    EXPECT_EQ(at(rec, "app").raw, "worker");
+    EXPECT_EQ(numberOf(at(rec, "nodes")), 4.0);
+    EXPECT_EQ(at(rec, "sequential").boolean, false);
+    EXPECT_TRUE(at(rec, "verified").boolean);
+    EXPECT_GT(numberOf(at(rec, "sim_cycles")), 0.0);
+    EXPECT_TRUE(has(at(rec, "metrics"), "messages"));
+    EXPECT_TRUE(has(at(rec, "host"), "events"));
+    EXPECT_GT(numberOf(at(rec, "speedup")), 0.0);
+    EXPECT_FALSE(at(rec, "worker_sets").items.empty());
 
     // The embedded stats tree parses and has per-node groups.
-    EXPECT_TRUE(rec.at("stats").has("node0"));
+    EXPECT_TRUE(has(at(rec, "stats"), "node0"));
 
-    const minijson::Value &seq = doc.at("records").array[1];
-    EXPECT_TRUE(seq.at("sequential").boolean);
-    EXPECT_FALSE(seq.has("speedup"));
+    const wire::JsonValue &seq = at(doc, "records").items[1];
+    EXPECT_TRUE(at(seq, "sequential").boolean);
+    EXPECT_FALSE(has(seq, "speedup"));
 }
 
 TEST(RunLog, WritesAndMergesNothingWhenEnvUnset)
@@ -308,10 +308,10 @@ TEST(RunnerParallel, LogMergesInSpecOrder)
     // is what makes the emitted document independent of scheduling.
     std::ostringstream os;
     runner.log().writeJson(os, /*canonical=*/true);
-    minijson::Value doc = minijson::parse(os.str());
-    ASSERT_EQ(doc.at("records").array.size(), specs.size());
+    wire::JsonValue doc = parseJson(os.str());
+    ASSERT_EQ(at(doc, "records").items.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(doc.at("records").array[i].at("id").str,
+        EXPECT_EQ(at(at(doc, "records").items[i], "id").raw,
                   specs[i].id);
 }
 
@@ -506,12 +506,12 @@ TEST(RunnerFailure, DeadlineYieldsStructuredRecordNotFatal)
     // The record serializes with the failure fields.
     std::ostringstream os;
     runner.log().writeJson(os, /*canonical=*/true);
-    minijson::Value doc = minijson::parse(os.str());
-    const minijson::Value &rec = doc.at("records").array[0];
-    EXPECT_EQ(rec.at("status").str, "deadline");
-    EXPECT_TRUE(rec.has("last_progress"));
-    EXPECT_TRUE(rec.has("stall"));
-    EXPECT_EQ(rec.at("deadline").number, 10000.0);
+    wire::JsonValue doc = parseJson(os.str());
+    const wire::JsonValue &rec = at(doc, "records").items[0];
+    EXPECT_EQ(at(rec, "status").raw, "deadline");
+    EXPECT_TRUE(has(rec, "last_progress"));
+    EXPECT_TRUE(has(rec, "stall"));
+    EXPECT_EQ(numberOf(at(rec, "deadline")), 10000.0);
 }
 
 TEST(RunnerFailure, LivelockedCellIsQuarantinedAtAnyJobs)

@@ -1,10 +1,11 @@
 /**
  * @file
  * Seeded mutation fuzz of the request decoder. The valid request
- * lines tests/test_serve.cc sends are mutated by byte flips,
- * truncations, and duplicated and deleted spans, then fed through
- * JsonParser::parseWhole and codec::decode as the server feeds a
- * request line. Every input must come back as a spec or a non-empty
+ * lines tests/test_serve.cc sends, plus lines setting every kind of
+ * app parameter, are mutated by byte flips, truncations, and
+ * duplicated and deleted spans, then fed through
+ * JsonParser::parseWhole and codec::decode (app parameters included)
+ * as the server feeds a request line. Every input must come back as a spec or a non-empty
  * error (never a crash, a hang or a sanitizer report), and every
  * accepted spec must re-encode and decode to the same result-cache
  * key. The seed is fixed, so a failure reproduces exactly.
@@ -52,6 +53,22 @@ const std::vector<std::string> corpus = {
     R"("fault_blackout":5,"fault_seed":11,"deadline":123456789,)"
     R"("local_bit":false,"perfect_ifetch":true,"parallel_inv":true})",
     R"({"op":"run","app":"falseshare","protocol":"mesi","bus":"rr"})",
+    // App parameters of every reader kind (count, u64, double, bool)
+    // across the apps, so mutants reach each one's parse errors.
+    R"({"op":"run","app":"worker","params":{"wss":"3","iterations":"2",)"
+    R"("think":"10"}})",
+    R"({"op":"run","app":"tsp","nodes":8,"params":{"cities":"6",)"
+    R"("seed":"3","expand_work":"40","collide":"true","frontier":"8"}})",
+    R"({"op":"run","app":"aq","params":{"tolerance":"0.001",)"
+    R"("max_depth":"8","eval_work":"500"}})",
+    R"({"op":"run","app":"smgrid","params":{"fine":"9","levels":"2",)"
+    R"("sweeps":"1","vcycles":"1","point_work":"5"}})",
+    R"({"op":"run","app":"evolve","params":{"dims":"6","walks":"1",)"
+    R"("seed":"9","step_work":"20"}})",
+    R"({"op":"run","app":"water","params":{"molecules":"8","steps":"1",)"
+    R"("seed":"4","pair_work":"7"}})",
+    R"({"op":"run","app":"hotline","protocol":"mesi","params":)"
+    R"({"iterations":"4","work":"10","jitter":"3"}})",
 };
 
 /** splitmix64: a fixed, portable random stream. */

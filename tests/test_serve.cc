@@ -34,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -41,7 +42,7 @@
 #include "exp/client.hh"
 #include "exp/runner.hh"
 #include "exp/serve.hh"
-#include "mini_json.hh"
+#include "json_helpers.hh"
 
 using namespace swex;
 
@@ -159,13 +160,13 @@ struct Client
     }
 
     /** Send one request and parse its (single) response line. */
-    minijson::Value
+    wire::JsonValue
     rpc(const std::string &request)
     {
         sendLine(request);
         std::string line;
         EXPECT_TRUE(readLine(line)) << "no response to: " << request;
-        return minijson::parse(line.empty() ? "null" : line);
+        return parseJson(line.empty() ? "null" : line);
     }
 };
 
@@ -222,9 +223,9 @@ struct TestServer
         stopped = true;
         Client c;
         if (c.connectTo(cfg.socketPath)) {
-            minijson::Value r = c.rpc("{\"op\":\"shutdown\"}");
-            EXPECT_TRUE(r.at("ok").boolean);
-            EXPECT_TRUE(r.at("shutdown").boolean);
+            wire::JsonValue r = c.rpc("{\"op\":\"shutdown\"}");
+            EXPECT_TRUE(at(r, "ok").boolean);
+            EXPECT_TRUE(at(r, "shutdown").boolean);
         }
         thread.join();
         EXPECT_EQ(exitCode, 0);
@@ -288,10 +289,10 @@ TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
     c.sendLine(req);
     std::string cold_line;
     ASSERT_TRUE(c.readLine(cold_line));
-    minijson::Value cold = minijson::parse(cold_line);
-    EXPECT_TRUE(cold.at("ok").boolean);
-    EXPECT_EQ(cold.at("tag").str, "t");
-    EXPECT_EQ(cold.at("source").str, "sim");
+    wire::JsonValue cold = parseJson(cold_line);
+    EXPECT_TRUE(at(cold, "ok").boolean);
+    EXPECT_EQ(at(cold, "tag").raw, "t");
+    EXPECT_EQ(at(cold, "source").raw, "sim");
 
     // Same cell again: now the cache is authoritative, and the
     // response says so because execute() reported it — not because
@@ -299,8 +300,8 @@ TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
     c.sendLine(req);
     std::string warm_line;
     ASSERT_TRUE(c.readLine(warm_line));
-    minijson::Value warm = minijson::parse(warm_line);
-    EXPECT_EQ(warm.at("source").str, "cache");
+    wire::JsonValue warm = parseJson(warm_line);
+    EXPECT_EQ(at(warm, "source").raw, "cache");
 
     // Hot or cold, the record bytes match a direct execution.
     Runner direct(/*fail_fast=*/false);
@@ -319,18 +320,18 @@ TEST(Serve, NonStringTagIsRejectedButEchoed)
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
 
-    minijson::Value num = c.rpc("{\"op\":\"run\",\"tag\":7}");
-    EXPECT_FALSE(num.at("ok").boolean);
-    ASSERT_EQ(num.at("tag").type, minijson::Value::Type::Number);
-    EXPECT_EQ(num.at("tag").number, 7);
-    EXPECT_NE(num.at("error").str.find("tag"), std::string::npos);
+    wire::JsonValue num = c.rpc("{\"op\":\"run\",\"tag\":7}");
+    EXPECT_FALSE(at(num, "ok").boolean);
+    ASSERT_EQ(at(num, "tag").kind, wire::JsonValue::Kind::Number);
+    EXPECT_EQ(numberOf(at(num, "tag")), 7);
+    EXPECT_NE(at(num, "error").raw.find("tag"), std::string::npos);
 
     // Structured tags echo back as the JSON they were.
-    minijson::Value arr = c.rpc("{\"op\":\"run\",\"tag\":[1,\"x\"]}");
-    EXPECT_FALSE(arr.at("ok").boolean);
-    ASSERT_EQ(arr.at("tag").type, minijson::Value::Type::Array);
-    ASSERT_EQ(arr.at("tag").array.size(), 2u);
-    EXPECT_EQ(arr.at("tag").array[1].str, "x");
+    wire::JsonValue arr = c.rpc("{\"op\":\"run\",\"tag\":[1,\"x\"]}");
+    EXPECT_FALSE(at(arr, "ok").boolean);
+    ASSERT_EQ(at(arr, "tag").kind, wire::JsonValue::Kind::Array);
+    ASSERT_EQ(at(arr, "tag").items.size(), 2u);
+    EXPECT_EQ(at(arr, "tag").items[1].raw, "x");
 
     server.stop();
 }
@@ -342,18 +343,18 @@ TEST(Serve, DuplicateRequestKeysAreRejected)
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
 
-    minijson::Value top = c.rpc(
+    wire::JsonValue top = c.rpc(
         "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,\"nodes\":8}");
-    EXPECT_FALSE(top.at("ok").boolean);
-    EXPECT_NE(top.at("error").str.find("duplicate key 'nodes'"),
+    EXPECT_FALSE(at(top, "ok").boolean);
+    EXPECT_NE(at(top, "error").raw.find("duplicate key 'nodes'"),
               std::string::npos);
 
     // Nested objects are held to the same standard.
-    minijson::Value nested = c.rpc(
+    wire::JsonValue nested = c.rpc(
         "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
         "\"params\":{\"wss\":\"3\",\"wss\":\"4\"}}");
-    EXPECT_FALSE(nested.at("ok").boolean);
-    EXPECT_NE(nested.at("error").str.find("duplicate key 'wss'"),
+    EXPECT_FALSE(at(nested, "ok").boolean);
+    EXPECT_NE(at(nested, "error").raw.find("duplicate key 'wss'"),
               std::string::npos);
 
     server.stop();
@@ -367,11 +368,11 @@ TEST(Serve, GarbageAndOversizedLinesNeverTakeTheServerDown)
     {
         Client c;
         ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-        EXPECT_FALSE(c.rpc("this is not json").at("ok").boolean);
-        EXPECT_FALSE(c.rpc("[1,2,3]").at("ok").boolean);
-        EXPECT_FALSE(c.rpc("{\"op\":\"run\",\"app\":").at("ok").boolean);
+        EXPECT_FALSE(at(c.rpc("this is not json"), "ok").boolean);
+        EXPECT_FALSE(at(c.rpc("[1,2,3]"), "ok").boolean);
+        EXPECT_FALSE(at(c.rpc("{\"op\":\"run\",\"app\":"), "ok").boolean);
         // The connection survived all of it.
-        EXPECT_TRUE(c.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+        EXPECT_TRUE(at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean);
     }
 
     {
@@ -384,9 +385,9 @@ TEST(Serve, GarbageAndOversizedLinesNeverTakeTheServerDown)
         c.sendLine(huge);
         std::string line;
         ASSERT_TRUE(c.readLine(line));
-        minijson::Value resp = minijson::parse(line);
-        EXPECT_FALSE(resp.at("ok").boolean);
-        EXPECT_NE(resp.at("error").str.find("too long"),
+        wire::JsonValue resp = parseJson(line);
+        EXPECT_FALSE(at(resp, "ok").boolean);
+        EXPECT_NE(at(resp, "error").raw.find("too long"),
                   std::string::npos);
         EXPECT_FALSE(c.readLine(line)) << "connection not closed";
     }
@@ -394,7 +395,45 @@ TEST(Serve, GarbageAndOversizedLinesNeverTakeTheServerDown)
     // And a fresh client still gets service.
     Client after;
     ASSERT_TRUE(after.connectTo(server.cfg.socketPath));
-    EXPECT_TRUE(after.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+    EXPECT_TRUE(at(after.rpc("{\"op\":\"stats\"}"), "ok").boolean);
+
+    server.stop();
+}
+
+TEST(Serve, BadAppParametersAreBadRequestsNotAnExit)
+{
+    setQuiet(true);
+    TestServer server("badparam", 1);
+    Client c;
+    ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
+
+    // Each request names its parameter in the error; none reaches an
+    // app's constructor, so none can stop the server.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
+         "\"params\":{\"bogus\":\"1\"}}",
+         "worker: unknown parameter 'bogus' (=1)"},
+        {"{\"op\":\"run\",\"app\":\"tsp\",\"params\":{\"cities\":\"abc\"}}",
+         "tsp: parameter cities=abc is not an integer"},
+        {"{\"op\":\"run\",\"app\":\"tsp\",\"params\":{\"cities\":\"2\"}}",
+         "tsp: parameter cities=2 must be in [3, 16]"},
+        {"{\"op\":\"sweep\",\"app\":\"aq\",\"params\":"
+         "{\"tolerance\":\"tiny\"},\"grid\":{\"seed\":[1,2]}}",
+         "sweep cell 0 (seed=1): aq: parameter tolerance=tiny is not a "
+         "number"},
+    };
+    for (const auto &[req, error] : cases) {
+        wire::JsonValue r = c.rpc(req);
+        EXPECT_FALSE(at(r, "ok").boolean) << req;
+        EXPECT_EQ(at(r, "error_kind").raw, "bad_request") << req;
+        EXPECT_EQ(at(r, "error").raw, error) << req;
+    }
+
+    // Still serving, on the same connection.
+    wire::JsonValue run = c.rpc(
+        "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
+        "\"params\":{\"wss\":\"2\"}}");
+    EXPECT_TRUE(at(run, "ok").boolean);
 
     server.stop();
 }
@@ -417,18 +456,18 @@ TEST(Serve, SweepStreamsEveryCellByteIdenticalToDirectExecution)
     for (int i = 0; i < 5; ++i) {
         std::string line;
         ASSERT_TRUE(c.readLine(line));
-        minijson::Value v = minijson::parse(line);
-        ASSERT_TRUE(v.at("ok").boolean) << line;
-        EXPECT_EQ(v.at("tag").str, "grid");
-        if (v.has("sweep_done")) {
+        wire::JsonValue v = parseJson(line);
+        ASSERT_TRUE(at(v, "ok").boolean) << line;
+        EXPECT_EQ(at(v, "tag").raw, "grid");
+        if (has(v, "sweep_done")) {
             EXPECT_FALSE(done) << "two completion lines";
-            EXPECT_EQ(v.at("cells").number, 4);
+            EXPECT_EQ(numberOf(at(v, "cells")), 4);
             done = true;
             EXPECT_EQ(i, 4) << "completion line before the last cell";
             continue;
         }
-        EXPECT_EQ(v.at("of").number, 4);
-        int cell = static_cast<int>(v.at("cell").number);
+        EXPECT_EQ(numberOf(at(v, "of")), 4);
+        int cell = static_cast<int>(numberOf(at(v, "cell")));
         ASSERT_GE(cell, 0);
         ASSERT_LT(cell, 4);
         EXPECT_TRUE(cell_lines[cell].empty()) << "cell repeated";
@@ -443,11 +482,11 @@ TEST(Serve, SweepStreamsEveryCellByteIdenticalToDirectExecution)
     const char *protos[2] = {"h2", "h5"};
     const std::uint64_t seeds[2] = {1, 2};
     for (int k = 0; k < 4; ++k) {
-        minijson::Value v = minijson::parse(cell_lines[k]);
+        wire::JsonValue v = parseJson(cell_lines[k]);
         std::ostringstream want_key;
         want_key << "protocol=" << protos[k / 2] << " seed="
                  << seeds[k % 2];
-        EXPECT_EQ(v.at("cell_key").str, want_key.str());
+        EXPECT_EQ(at(v, "cell_key").raw, want_key.str());
         EXPECT_EQ(recordBytes(cell_lines[k]),
                   canonicalJson(direct.execute(
                       workerCell(protos[k / 2], seeds[k % 2]))));
@@ -455,24 +494,24 @@ TEST(Serve, SweepStreamsEveryCellByteIdenticalToDirectExecution)
 
     // All-or-nothing validation: one bad cell fails the whole sweep
     // with the offending cell named, and nothing runs.
-    minijson::Value before = c.rpc("{\"op\":\"stats\"}");
-    const double misses = before.at("stats").at("misses").number;
-    minijson::Value bad = c.rpc(
+    wire::JsonValue before = c.rpc("{\"op\":\"stats\"}");
+    const double misses = numberOf(at(at(before, "stats"), "misses"));
+    wire::JsonValue bad = c.rpc(
         "{\"op\":\"sweep\",\"app\":\"worker\",\"nodes\":4,"
         "\"grid\":{\"protocol\":[\"h2\",\"bogus\"]}}");
-    EXPECT_FALSE(bad.at("ok").boolean);
-    EXPECT_NE(bad.at("error").str.find("sweep cell 1"),
+    EXPECT_FALSE(at(bad, "ok").boolean);
+    EXPECT_NE(at(bad, "error").raw.find("sweep cell 1"),
               std::string::npos);
-    minijson::Value after = c.rpc("{\"op\":\"stats\"}");
-    EXPECT_EQ(after.at("stats").at("misses").number, misses)
+    wire::JsonValue after = c.rpc("{\"op\":\"stats\"}");
+    EXPECT_EQ(numberOf(at(at(after, "stats"), "misses")), misses)
         << "a rejected sweep must not execute any cell";
 
     // Grid keys cannot silently override base fields.
-    minijson::Value clash = c.rpc(
+    wire::JsonValue clash = c.rpc(
         "{\"op\":\"sweep\",\"app\":\"worker\",\"nodes\":4,"
         "\"grid\":{\"nodes\":[4,8]}}");
-    EXPECT_FALSE(clash.at("ok").boolean);
-    EXPECT_NE(clash.at("error").str.find("duplicates"),
+    EXPECT_FALSE(at(clash, "ok").boolean);
+    EXPECT_NE(at(clash, "error").raw.find("duplicates"),
               std::string::npos);
 
     server.stop();
@@ -503,7 +542,7 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalResponses)
             Client c;
             if (!c.connectTo(server.cfg.socketPath))
                 return;
-            if (!c.rpc("{\"op\":\"stats\"}").at("ok").boolean)
+            if (!at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean)
                 return;
             c.sendLine(sweep_req);
             int seen = 0;
@@ -511,12 +550,12 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalResponses)
                 std::string line;
                 if (!c.readLine(line))
                     return;
-                minijson::Value v = minijson::parse(line);
-                if (!v.at("ok").boolean)
+                wire::JsonValue v = parseJson(line);
+                if (!at(v, "ok").boolean)
                     return;
-                if (v.has("sweep_done"))
+                if (has(v, "sweep_done"))
                     break;
-                int cell = static_cast<int>(v.at("cell").number);
+                int cell = static_cast<int>(numberOf(at(v, "cell")));
                 records[t][static_cast<std::size_t>(cell)] =
                     recordBytes(line);
                 ++seen;
@@ -530,7 +569,7 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalResponses)
             if (!c.readLine(run_line))
                 return;
             run_records[t] = recordBytes(run_line);
-            if (!c.rpc("{\"op\":\"stats\"}").at("ok").boolean)
+            if (!at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean)
                 return;
             passed[t] = true;
         });
@@ -577,10 +616,10 @@ TEST(Serve, ClientHangUpMidSweepLeavesServerAndCacheIntact)
     // drain on a hang-up.
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-    minijson::Value run = c.rpc(
+    wire::JsonValue run = c.rpc(
         "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":8,"
         "\"canonical\":true}");
-    EXPECT_TRUE(run.at("ok").boolean);
+    EXPECT_TRUE(at(run, "ok").boolean);
 
     // Shutdown drains the orphaned cells; they must all have landed
     // in the cache (a hang-up wastes sends, not simulations).
@@ -601,15 +640,17 @@ TEST(Serve, StatsSurfacesLruEvictions)
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
 
-    EXPECT_TRUE(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
-                      "\"nodes\":4,\"seed\":1}").at("ok").boolean);
-    EXPECT_TRUE(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
-                      "\"nodes\":4,\"seed\":2}").at("ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
+                         "\"nodes\":4,\"seed\":1}"),
+                   "ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
+                         "\"nodes\":4,\"seed\":2}"),
+                   "ok").boolean);
 
-    minijson::Value stats = c.rpc("{\"op\":\"stats\"}");
-    ASSERT_TRUE(stats.at("ok").boolean);
-    EXPECT_GE(stats.at("stats").at("evictions").number, 1);
-    EXPECT_EQ(stats.at("stats").at("stores").number, 2);
+    wire::JsonValue stats = c.rpc("{\"op\":\"stats\"}");
+    ASSERT_TRUE(at(stats, "ok").boolean);
+    EXPECT_GE(numberOf(at(at(stats, "stats"), "evictions")), 1);
+    EXPECT_EQ(numberOf(at(at(stats, "stats"), "stores")), 2);
 
     server.stop();
 }
@@ -637,8 +678,8 @@ TEST(Serve, TcpListenerSpeaksTheSameProtocolByteForByte)
                  "\"protocol\":\"h5\",\"seed\":3,\"canonical\":true}");
     std::string line;
     ASSERT_TRUE(tcp.readLine(line));
-    minijson::Value v = minijson::parse(line);
-    ASSERT_TRUE(v.at("ok").boolean) << line;
+    wire::JsonValue v = parseJson(line);
+    ASSERT_TRUE(at(v, "ok").boolean) << line;
 
     Runner direct(/*fail_fast=*/false);
     EXPECT_EQ(recordBytes(line),
@@ -649,12 +690,12 @@ TEST(Serve, TcpListenerSpeaksTheSameProtocolByteForByte)
     // both.
     Client un;
     ASSERT_TRUE(un.connectTo(server.cfg.socketPath));
-    minijson::Value warm = un.rpc(
+    wire::JsonValue warm = un.rpc(
         "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
         "\"protocol\":\"h5\",\"seed\":3,\"canonical\":true}");
-    EXPECT_EQ(warm.at("source").str, "cache");
-    minijson::Value stats = un.rpc("{\"op\":\"stats\"}");
-    EXPECT_GE(stats.at("stats").at("accepted").number, 2);
+    EXPECT_EQ(at(warm, "source").raw, "cache");
+    wire::JsonValue stats = un.rpc("{\"op\":\"stats\"}");
+    EXPECT_GE(numberOf(at(at(stats, "stats"), "accepted")), 2);
 
     server.stop();
 }
@@ -681,7 +722,7 @@ TEST(Serve, LiveSocketIsRefusedButStaleSocketIsTakenOver)
     });
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-    EXPECT_TRUE(c.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean);
 
     // A second server pointed at the live socket must refuse to
     // start (exit 1) instead of unlinking it out from under the
@@ -690,7 +731,7 @@ TEST(Serve, LiveSocketIsRefusedButStaleSocketIsTakenOver)
     usurper.socketPath = server.cfg.socketPath;
     usurper.cacheDir = scratchDir("stale-usurper") + "/cache";
     EXPECT_EQ(serve::serveLoop(usurper), 1);
-    EXPECT_TRUE(c.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean);
 
     server.stop();
 }
@@ -707,22 +748,22 @@ TEST(Serve, OverloadIsShedWithARetryHintNotAHang)
     // An 8-cell chunk against a 4-unit admission queue is refused
     // deterministically — even on an idle server — with the
     // structured busy error and a retry hint, and nothing executes.
-    minijson::Value before = c.rpc("{\"op\":\"stats\"}");
-    const double misses = before.at("stats").at("misses").number;
-    minijson::Value busy = c.rpc(
+    wire::JsonValue before = c.rpc("{\"op\":\"stats\"}");
+    const double misses = numberOf(at(at(before, "stats"), "misses"));
+    wire::JsonValue busy = c.rpc(
         "{\"op\":\"sweep\",\"app\":\"worker\",\"nodes\":4,"
         "\"canonical\":true,\"grid\":{\"protocol\":[\"h2\",\"h5\"],"
         "\"seed\":[1,2,3,4]}}");
-    EXPECT_FALSE(busy.at("ok").boolean);
-    EXPECT_EQ(busy.at("error_kind").str, "busy");
-    ASSERT_TRUE(busy.has("retry_after_ms"));
-    EXPECT_GE(busy.at("retry_after_ms").number, 25);
+    EXPECT_FALSE(at(busy, "ok").boolean);
+    EXPECT_EQ(at(busy, "error_kind").raw, "busy");
+    ASSERT_TRUE(has(busy, "retry_after_ms"));
+    EXPECT_GE(numberOf(at(busy, "retry_after_ms")), 25);
 
-    minijson::Value after = c.rpc("{\"op\":\"stats\"}");
-    EXPECT_EQ(after.at("stats").at("misses").number, misses)
+    wire::JsonValue after = c.rpc("{\"op\":\"stats\"}");
+    EXPECT_EQ(numberOf(at(at(after, "stats"), "misses")), misses)
         << "a shed sweep must not execute any cell";
-    EXPECT_GE(after.at("stats").at("shed").number, 1);
-    EXPECT_EQ(after.at("stats").at("queued").number, 0);
+    EXPECT_GE(numberOf(at(at(after, "stats"), "shed")), 1);
+    EXPECT_EQ(numberOf(at(at(after, "stats"), "queued")), 0);
 
     // The same grid fits chunk by chunk: a 2-cell chunk is admitted,
     // so the busy answer was load shedding, not a broken request.
@@ -734,11 +775,11 @@ TEST(Serve, OverloadIsShedWithARetryHintNotAHang)
     for (;;) {
         std::string line;
         ASSERT_TRUE(c.readLine(line));
-        minijson::Value v = minijson::parse(line);
-        ASSERT_TRUE(v.at("ok").boolean) << line;
-        if (v.has("sweep_chunk_done")) {
-            EXPECT_EQ(v.at("next_cursor").number, 2);
-            EXPECT_EQ(v.at("cells").number, 8);
+        wire::JsonValue v = parseJson(line);
+        ASSERT_TRUE(at(v, "ok").boolean) << line;
+        if (has(v, "sweep_chunk_done")) {
+            EXPECT_EQ(numberOf(at(v, "next_cursor")), 2);
+            EXPECT_EQ(numberOf(at(v, "cells")), 8);
             break;
         }
         ++cells;
@@ -769,16 +810,16 @@ TEST(Serve, ChunkedSweepResumesAcrossConnectionsByteIdentical)
         for (int i = 0; i < 5; ++i) {
             std::string line;
             ASSERT_TRUE(first.readLine(line));
-            minijson::Value v = minijson::parse(line);
-            ASSERT_TRUE(v.at("ok").boolean) << line;
-            if (v.has("sweep_chunk_done")) {
-                EXPECT_EQ(v.at("cells").number, 6);
-                EXPECT_EQ(v.at("next_cursor").number, 4);
+            wire::JsonValue v = parseJson(line);
+            ASSERT_TRUE(at(v, "ok").boolean) << line;
+            if (has(v, "sweep_chunk_done")) {
+                EXPECT_EQ(numberOf(at(v, "cells")), 6);
+                EXPECT_EQ(numberOf(at(v, "next_cursor")), 4);
                 EXPECT_EQ(i, 4);
                 continue;
             }
-            EXPECT_EQ(v.at("of").number, 6);
-            int cell = static_cast<int>(v.at("cell").number);
+            EXPECT_EQ(numberOf(at(v, "of")), 6);
+            int cell = static_cast<int>(numberOf(at(v, "cell")));
             ASSERT_GE(cell, 0);
             ASSERT_LT(cell, 4) << "chunk leaked cells past cursor+chunk";
             cell_lines[static_cast<std::size_t>(cell)] = line;
@@ -792,14 +833,14 @@ TEST(Serve, ChunkedSweepResumesAcrossConnectionsByteIdentical)
     for (int i = 0; i < 3; ++i) {
         std::string line;
         ASSERT_TRUE(second.readLine(line));
-        minijson::Value v = minijson::parse(line);
-        ASSERT_TRUE(v.at("ok").boolean) << line;
-        if (v.has("sweep_done")) {
-            EXPECT_EQ(v.at("cells").number, 6);
+        wire::JsonValue v = parseJson(line);
+        ASSERT_TRUE(at(v, "ok").boolean) << line;
+        if (has(v, "sweep_done")) {
+            EXPECT_EQ(numberOf(at(v, "cells")), 6);
             EXPECT_EQ(i, 2);
             continue;
         }
-        int cell = static_cast<int>(v.at("cell").number);
+        int cell = static_cast<int>(numberOf(at(v, "cell")));
         ASSERT_GE(cell, 4) << "resumed chunk re-sent an earlier cell";
         ASSERT_LT(cell, 6);
         cell_lines[static_cast<std::size_t>(cell)] = line;
@@ -819,10 +860,10 @@ TEST(Serve, ChunkedSweepResumesAcrossConnectionsByteIdentical)
     }
 
     // A cursor past the grid is a structural error, not a hang.
-    minijson::Value bad = second.rpc(
+    wire::JsonValue bad = second.rpc(
         "{\"op\":\"sweep\"," + base + ",\"cursor\":6,\"chunk\":4}");
-    EXPECT_FALSE(bad.at("ok").boolean);
-    EXPECT_EQ(bad.at("error_kind").str, "bad_request");
+    EXPECT_FALSE(at(bad, "ok").boolean);
+    EXPECT_EQ(at(bad, "error_kind").raw, "bad_request");
 
     server.stop();
 }
@@ -884,9 +925,9 @@ TEST(Serve, IdleTimeoutClosesQuietClientsButNeverWaitingOnes)
         std::string line;
         ASSERT_TRUE(busy.readLine(line))
             << "server idle-closed a client awaiting sweep results";
-        minijson::Value v = minijson::parse(line);
-        ASSERT_TRUE(v.at("ok").boolean) << line;
-        if (v.has("sweep_done"))
+        wire::JsonValue v = parseJson(line);
+        ASSERT_TRUE(at(v, "ok").boolean) << line;
+        if (has(v, "sweep_done"))
             done = true;
         else
             ++cells;
@@ -897,15 +938,15 @@ TEST(Serve, IdleTimeoutClosesQuietClientsButNeverWaitingOnes)
     // and then EOF — and the close is accounted for in the stats.
     std::string line;
     ASSERT_TRUE(busy.readLine(line));
-    minijson::Value idle = minijson::parse(line);
-    EXPECT_FALSE(idle.at("ok").boolean);
-    EXPECT_EQ(idle.at("error_kind").str, "idle_timeout");
+    wire::JsonValue idle = parseJson(line);
+    EXPECT_FALSE(at(idle, "ok").boolean);
+    EXPECT_EQ(at(idle, "error_kind").raw, "idle_timeout");
     EXPECT_FALSE(busy.readLine(line)) << "connection not closed";
 
     Client fresh;
     ASSERT_TRUE(fresh.connectTo(server.cfg.socketPath));
-    minijson::Value stats = fresh.rpc("{\"op\":\"stats\"}");
-    EXPECT_GE(stats.at("stats").at("idle_closed").number, 1);
+    wire::JsonValue stats = fresh.rpc("{\"op\":\"stats\"}");
+    EXPECT_GE(numberOf(at(at(stats, "stats"), "idle_closed")), 1);
 
     server.stop();
 }
@@ -918,9 +959,9 @@ TEST(Serve, SigtermDrainsInFlightWorkAndExitsZero)
     });
     Client c;
     ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-    EXPECT_TRUE(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
-                      "\"nodes\":4,\"canonical\":true}")
-                    .at("ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
+                         "\"nodes\":4,\"canonical\":true}"),
+                   "ok").boolean);
 
     // The loop's own handler (installed because handleSignals is on,
     // restored before serveLoop returns) turns SIGTERM into a drain:
@@ -994,18 +1035,18 @@ TEST(Serve, DeeplyNestedRequestGetsAStructuredErrorNotACrash)
     // 400 KiB of '[' fits under the 1 MiB line cap, so it reaches the
     // parser — which must answer a structured error, not overflow the
     // reader thread's stack.
-    minijson::Value deep = c.rpc(std::string(400u << 10, '['));
-    EXPECT_FALSE(deep.at("ok").boolean);
-    EXPECT_NE(deep.at("error").str.find("nesting"),
+    wire::JsonValue deep = c.rpc(std::string(400u << 10, '['));
+    EXPECT_FALSE(at(deep, "ok").boolean);
+    EXPECT_NE(at(deep, "error").raw.find("nesting"),
               std::string::npos);
 
     // Same for an object chain, and the connection survives both.
     std::string obj;
     for (int i = 0; i < 40'000; ++i)
         obj += "{\"a\":";
-    minijson::Value nested = c.rpc(obj);
-    EXPECT_FALSE(nested.at("ok").boolean);
-    EXPECT_TRUE(c.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+    wire::JsonValue nested = c.rpc(obj);
+    EXPECT_FALSE(at(nested, "ok").boolean);
+    EXPECT_TRUE(at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean);
 
     server.stop();
 }
@@ -1049,15 +1090,15 @@ TEST(Serve, DisconnectedClientsReaderThreadsAreReaped)
     for (int i = 0; i < 3; ++i) {
         Client c;
         ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-        EXPECT_TRUE(c.rpc("{\"op\":\"stats\"}").at("ok").boolean);
+        EXPECT_TRUE(at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean);
     }
 
     Client watcher;
     ASSERT_TRUE(watcher.connectTo(server.cfg.socketPath));
     double reaped = 0;
     for (int i = 0; i < 500; ++i) {
-        minijson::Value stats = watcher.rpc("{\"op\":\"stats\"}");
-        reaped = stats.at("stats").at("readers_reaped").number;
+        wire::JsonValue stats = watcher.rpc("{\"op\":\"stats\"}");
+        reaped = numberOf(at(at(stats, "stats"), "readers_reaped"));
         if (reaped >= 3)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -287,6 +287,28 @@ TEST(SpecCodec, ErrorTableKeepsEveryFieldsText)
         {"{\"protocol\":\"moesi\",\"fault_blackout\":1}",
          "the snooping bus models no network: drop jitter/fault fields"},
         {"{\"bus\":\"rr\"}", "'bus' applies to snooping protocols only"},
+        // App parameters, one per reader kind.
+        {"{\"params\":{\"bogus\":\"1\"}}",
+         "worker: unknown parameter 'bogus' (=1)"},
+        {"{\"app\":\"tsp\",\"params\":{\"cities\":\"abc\"}}",
+         "tsp: parameter cities=abc is not an integer"},
+        {"{\"app\":\"aq\",\"params\":{\"max_depth\":\"-1\"}}",
+         "aq: parameter max_depth=-1 is not a non-negative count"},
+        {"{\"params\":{\"think\":\"-5\"}}",
+         "worker: parameter think=-5 must be non-negative"},
+        {"{\"app\":\"aq\",\"params\":{\"tolerance\":\"1e\"}}",
+         "aq: parameter tolerance=1e is not a number"},
+        {"{\"app\":\"tsp\",\"params\":{\"collide\":\"maybe\"}}",
+         "tsp: parameter collide=maybe is not a boolean"},
+        // ... and the ranges the apps assert.
+        {"{\"nodes\":4,\"params\":{\"wss\":\"5\"}}",
+         "worker: parameter wss=5 must be in [1, nodes=4]"},
+        {"{\"app\":\"tsp\",\"params\":{\"cities\":\"2\"}}",
+         "tsp: parameter cities=2 must be in [3, 16]"},
+        {"{\"app\":\"smgrid\",\"params\":{\"fine\":\"8\"}}",
+         "smgrid: parameter fine=8 must be odd and at least 5"},
+        {"{\"app\":\"evolve\",\"params\":{\"dims\":\"21\"}}",
+         "evolve: parameter dims=21 must be in [4, 20]"},
     };
     for (const Case &c : cases)
         EXPECT_EQ(decodeError(c.request), c.error) << c.request;

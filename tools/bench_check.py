@@ -34,7 +34,10 @@ record `swex_cli --connect` writes for the same spec must equal it
 too. The serve session is also exercised as a real server: a
 server-side sweep must stream every cell byte-identical to direct
 runs of the same cells, and three simultaneous client connections
-must each get the direct run's bytes back.
+must each get the direct run's bytes back. Last, the cache contract:
+a cache that `stress_protocols --cache` (built next to swex_cli)
+filled must serve one of its cells the same record bytes an empty
+cache's server computes.
 
 All validators reject unknown schema versions outright. Exits
 non-zero on any malformed or missing output, so CI catches a broken
@@ -42,13 +45,16 @@ reporting layer before anyone trusts a checked-in artifact.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import socket
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 
 REQUIRED_ENTRIES = [
     "BM_EventQueueScheduleRun",
@@ -73,6 +79,7 @@ CLI_USAGE_ERRORS = [
     ["--profile", "ASM"],
     ["--faults", "1,2,3,4"],
     ["--param", "novalue"],
+    ["--param", "bogus=1"],
     ["--app", "bogus"],
     ["--bogus-flag"],
     ["--connect", "/nonexistent.sock", "--sweep", "--seeds", "2",
@@ -357,13 +364,96 @@ def canonical_doc(binary, args, json_path, extra_env=None):
         return f.read()
 
 
+@contextlib.contextmanager
+def serving(binary, sock_path, cache_dir):
+    """Run `swex_cli --serve` on sock_path over cache_dir; yield the
+    server process and a connected socket. The server is killed on
+    the way out unless the caller already shut it down."""
+    srv = subprocess.Popen(
+        [binary, "--serve", sock_path, "--cache-dir", cache_dir,
+         "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        # Ready when it accepts: the file appears at bind(), not listen().
+        for _ in range(200):
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                conn.connect(sock_path)
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                conn.close()
+                time.sleep(0.05)
+        else:
+            sys.exit("FAIL: --serve never accepted on its socket")
+        with conn:
+            yield srv, conn
+    finally:
+        if srv.poll() is None:
+            srv.kill()
+            srv.wait()
+
+
+def record_bytes(line):
+    """The raw "record" member of a response line: the envelope's last
+    member, so the bytes between "record": and the final brace."""
+    key = '"record":'
+    at = line.find(key)
+    if at < 0:
+        sys.exit(f"FAIL: response carries no record: {line[:200]}")
+    return line[at + len(key):line.rstrip().rfind("}")]
+
+
+def check_stress_cache_contract(binary, tmp):
+    """A cache stress_protocols (built next to swex_cli) filled must
+    serve each cell the bytes an uncached run of it emits: the cache
+    has one writer, so a hit is always the record a direct run
+    produces."""
+    stress = os.path.join(os.path.dirname(binary), "stress_protocols")
+    filled = os.path.join(tmp, "stress_cache")
+    proc = subprocess.run(
+        [stress, "--app", "worker", "--protocol", "H5", "--seeds", "1",
+         "--cache", filled],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"FAIL: {stress} exited with {proc.returncode}:\n"
+                 f"{proc.stdout}")
+    # The stress grid's cell stress/worker/H5/s1, field for field.
+    cell = {"op": "run", "id": "stress/worker/H5/s1", "app": "worker",
+            "params": {"wss": "4", "iterations": "2"}, "nodes": 16,
+            "victim": 6, "audit": True, "protocol": "h5", "jitter": 37,
+            "jitter_seed": 1, "fault_seed": 1, "canonical": True}
+    got = {}
+    for name, cache_dir in (("filled", filled),
+                            ("empty", os.path.join(tmp, "empty_cache"))):
+        sock_path = os.path.join(tmp, f"contract_{name}.sock")
+        with serving(binary, sock_path, cache_dir) as (_, conn):
+            f = conn.makefile("rw")
+            f.write(json.dumps(cell) + "\n")
+            f.flush()
+            line = f.readline()
+            resp = json.loads(line) if line else {}
+            if not resp.get("ok"):
+                sys.exit(f"FAIL: serve over the {name} cache failed: "
+                         f"{resp!r}")
+            got[name] = (resp.get("source"), record_bytes(line))
+    if got["filled"][0] != "cache" or got["empty"][0] != "sim":
+        sys.exit(f"FAIL: sources {got['filled'][0]!r} (filled cache), "
+                 f"{got['empty'][0]!r} (empty cache); expected 'cache' "
+                 f"and 'sim'")
+    if got["filled"][1] != got["empty"][1]:
+        sys.exit(f"FAIL: the cell stress_protocols cached serves "
+                 f"{len(got['filled'][1])} record bytes, an uncached "
+                 f"run {len(got['empty'][1])}; a hit must be the bytes "
+                 f"a direct run emits")
+    print(f"OK: a stress_protocols-filled cache serves the direct "
+          f"record ({len(got['empty'][1])} bytes)")
+    return 1
+
+
 def check_cache_equiv(binary, tmp):
     """Direct, cold-cache, and warm-cache runs must emit byte-identical
     canonical documents; the serve front end must hand back the same
     record over the socket."""
-    import socket
-    import time
-
     cache_dir = os.path.join(tmp, "cache")
     spec = ["--app", "worker", "--nodes", "8", "--protocol", "h5",
             "--wss", "4", "--iters", "2"]
@@ -390,22 +480,7 @@ def check_cache_equiv(binary, tmp):
     # Serve round-trip: the record streamed over the socket must equal
     # the record in the direct document, served from the cache.
     sock_path = os.path.join(tmp, "serve.sock")
-    srv = subprocess.Popen(
-        [binary, "--serve", sock_path, "--cache-dir", cache_dir,
-         "--jobs", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    try:
-        # Ready when it accepts: the file appears at bind(), not listen().
-        for _ in range(200):
-            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                conn.connect(sock_path)
-                break
-            except (FileNotFoundError, ConnectionRefusedError):
-                conn.close()
-                time.sleep(0.05)
-        else:
-            sys.exit("FAIL: --serve never accepted on its socket")
+    with serving(binary, sock_path, cache_dir) as (srv, conn):
         f = conn.makefile("rw")
 
         def rpc(obj):
@@ -538,16 +613,11 @@ def check_cache_equiv(binary, tmp):
         if not down.get("ok"):
             sys.exit(f"FAIL: shutdown op failed: {down!r}")
         f.close()
-        conn.close()
         if srv.wait(timeout=30) != 0:
             sys.exit(f"FAIL: serve exited with {srv.returncode}")
         print("OK: serve round-trip record identical, hit accounted, "
               "clean shutdown")
         checks += 3
-    finally:
-        if srv.poll() is None:
-            srv.kill()
-            srv.wait()
     # An epoch bump must go cold (stale entry replaced) and still
     # produce the identical document — invalidation changes cost,
     # never results. The entry count must not grow: the run's stale
@@ -648,6 +718,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         if args.cache_equiv:
             n = check_cache_equiv(args.binary, tmp)
+            n += check_stress_cache_contract(args.binary, tmp)
             print(f"OK: {n} cache equivalence checks passed")
         elif args.replay_equiv:
             n = check_replay_equiv(args.binary, tmp)

@@ -5,14 +5,21 @@
  * workload on a jittered mesh (randomized per-message delivery delays)
  * with the coherence invariant auditor attached, and checks:
  *
- *  - the workload's own verification passes,
+ *  - the run completes and the workload's own verification passes,
  *  - machine invariants hold and the auditor reports zero violations,
  *  - for interleaving-independent workloads (WORKER), the final
  *    memory image is bit-identical to a quiet full-map reference run.
  *
+ * Every cell is one ExperimentSpec executed by Runner::execute, the
+ * loop behind every bench, swex_cli and the server, and judged from
+ * the record it returns; --cache and --replay are that runner's
+ * result cache and trace tier.
+ *
  * On failure it prints the protocol, app, and seed, every recorded
  * violation, the tail of the message trace, and a swex_cli command
  * line that replays the failing configuration, then exits non-zero.
+ * Those details come from one re-run of the failing cell on a live
+ * machine, which only reports: the records decide.
  *
  * The (app x protocol x seed) grid is embarrassingly parallel: every
  * run is one thread-confined Machine. --jobs N executes the grid on a
@@ -25,10 +32,10 @@
  * sweep is `stress_protocols --app worker --seeds 200 --jobs 8`.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -36,15 +43,14 @@
 
 #include "apps/registry.hh"
 #include "audit/auditor.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "core/spectrum.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/pool.hh"
+#include "exp/runner.hh"
 #include "exp/spec_codec.hh"
 #include "machine/machine.hh"
-#include "trace/recorder.hh"
-#include "trace/replay.hh"
-#include "trace/trace_format.hh"
 
 using namespace swex;
 
@@ -60,8 +66,6 @@ struct Options
     unsigned jobs = 1;
     bool replay = false;       ///< record, replay, digest the replay
     std::string cacheDir;      ///< result cache; "" = every cell runs
-    std::uint64_t cacheMaxBytes = 0;     ///< LRU budget (0=unbounded)
-    std::uint64_t cacheMaxEntries = 0;   ///< LRU budget (0=unbounded)
     std::string family = "directory";   ///< directory|snoop|all
     std::string onlyApp;       ///< empty = all stress apps
     std::string onlyProtocol;  ///< empty = full grid
@@ -71,12 +75,6 @@ struct Options
     unsigned dup = 0;          ///< per-mille duplication rate
     unsigned blackout = 0;     ///< per-mille blackout rate
     Tick deadline = 0;         ///< per-run cycle budget (0 = none)
-
-    bool
-    faultsOn() const
-    {
-        return drop != 0 || dup != 0 || blackout != 0;
-    }
 };
 
 struct StressApp
@@ -151,43 +149,32 @@ snoopPoints()
     return out;
 }
 
+/** A malformed invocation: say why and exit 2 before anything runs. */
 [[noreturn]] void
-badValue(const std::string &opt, const std::string &value)
+usageError(const std::string &msg)
 {
-    std::fprintf(stderr,
-                 "stress_protocols: bad value '%s' for %s\n",
-                 value.c_str(), opt.c_str());
+    std::fprintf(stderr, "stress_protocols: %s\n", msg.c_str());
     std::exit(2);
 }
 
-long
-parseLong(const std::string &opt, const std::string &value, long lo,
-          long hi)
+/** @p value as an integer in [@p lo, @p hi], digits only, or exit 2. */
+std::uint64_t
+parseCount(const std::string &opt, const std::string &value,
+           std::uint64_t lo, std::uint64_t hi)
 {
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-        v < lo || v > hi)
-        badValue(opt, value);
-    return v;
+    std::uint64_t n = 0;
+    if (!json::parseU64(value, n) || n < lo || n > hi)
+        usageError("bad value '" + value + "' for " + opt);
+    return n;
 }
 
-struct RunResult
-{
-    bool ok = true;
-    Tick cycles = 0;
-    std::uint64_t image = 0;
-    std::string diagnostics;   ///< failure report; empty when ok
-};
-
 /**
- * The spec of one grid cell: what stressRun() runs, and the
- * result-cache key for --cache. A warm cell's stored (cycles, image)
- * pair feeds the summaries and the grid digest exactly as a fresh
- * run's would, so warm, cold, and cache-off sweeps print the same
- * digest bit for bit. With @p adversarial false it is the quiet
- * reference run: no jitter, faults, deadline or app jitter.
+ * The spec of one grid cell: what Runner::execute runs, and so also
+ * its result-cache key. A warm cell's stored record feeds the
+ * summaries and the grid digest exactly as a fresh run's would, so
+ * warm, cold, and cache-off sweeps print the same digest bit for bit.
+ * With @p adversarial false it is the quiet reference run: no jitter,
+ * faults, deadline or app jitter.
  */
 ExperimentSpec
 cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
@@ -226,166 +213,161 @@ cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
     return spec;
 }
 
-/** Run @p spec, the cell labelled @p label at @p seed, with the
- *  auditor attached. Runs on a worker thread: all diagnostics are
- *  buffered into the result, never printed here, so concurrent runs
- *  cannot interleave their reports. @p replay also records the op
- *  streams and requires a replay of them to match. */
-RunResult
-stressRun(const ExperimentSpec &spec, const std::string &label,
-          std::uint64_t seed, bool replay,
-          const std::uint64_t *expect_image)
+/** What the sweep keeps of one cell: its digest pair and, for a
+ *  failing cell, the FAIL report. */
+struct Cell
 {
+    Tick cycles = 0;
+    std::uint64_t image = 0;
+    std::string report;   ///< empty when the cell passed
+};
+
+/** Why record @p r fails the stress checks, appended to @p reasons. */
+void
+judge(const RunRecord &r, const std::uint64_t *expect_image,
+      std::vector<std::string> &reasons)
+{
+    if (r.failed()) {
+        reasons.push_back(strfmt(
+            "%s after %llu cycles; last forward progress at tick %llu",
+            r.status == "deadline" ? "deadline exceeded" : "deadlocked",
+            static_cast<unsigned long long>(r.simCycles),
+            static_cast<unsigned long long>(r.lastProgress)));
+    } else if (!r.verified) {
+        reasons.push_back("application verification failed");
+    }
+    if (r.auditViolations > 0) {
+        reasons.push_back(strfmt(
+            "%llu coherence invariant violations",
+            static_cast<unsigned long long>(r.auditViolations)));
+    }
+    if (!r.failed() && expect_image && r.imageHash != *expect_image) {
+        reasons.push_back(strfmt(
+            "final memory image %016llx differs from the quiet "
+            "full-map reference %016llx",
+            static_cast<unsigned long long>(r.imageHash),
+            static_cast<unsigned long long>(*expect_image)));
+    }
+}
+
+/**
+ * The FAIL report of @p spec, the cell labelled @p label at @p seed:
+ * @p reasons, then what only a live machine shows. The cell runs once
+ * more, directly and with the message trace on; the re-run only
+ * reports, it decides nothing.
+ */
+std::string
+failureReport(const ExperimentSpec &spec, const std::string &label,
+              std::uint64_t seed, const std::vector<std::string> &reasons)
+{
+    std::ostringstream os;
+    os << strfmt("\nFAIL: app=%s protocol=%s nodes=%d jitter=%llu "
+                 "faults=%u,%u,%u seed=%llu\n",
+                 spec.app.c_str(), label.c_str(), spec.nodes,
+                 static_cast<unsigned long long>(spec.jitterMax),
+                 spec.faultDropPerMille, spec.faultDupPerMille,
+                 spec.faultBlackoutPerMille,
+                 static_cast<unsigned long long>(seed));
+    for (const std::string &f : reasons)
+        os << "  " << f << "\n";
+
     MachineConfig mc = spec.machine();
     mc.net.traceDepth = 64;
-    // --replay: capture the op streams during the direct run so the
-    // cell can be re-executed from the trace below.
-    if (replay)
-        mc.executionMode = ExecutionMode::Record;
-
     auto app = AppRegistry::instance().make(spec.app, spec.params,
                                             spec.nodes);
     Machine m(mc);
     CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
     m.attachAuditor(&auditor);
-
-    RunResult r;
-    r.cycles = app->runParallel(m);
-    const bool completed =
-        m.runStatus() == Machine::RunStatus::Completed;
-    bool verified = false;
-    if (completed) {
-        // Abandoned runs hold transient directory state; verification
-        // and the panic-on-violation invariant checks only make sense
-        // at quiescence.
-        verified = app->verify(m);
-        m.checkInvariants();
+    app->runParallel(m);
+    for (const AuditViolation &v : auditor.violations())
+        os << "  audit: " << v.describe() << "\n";
+    if (m.runStatus() != Machine::RunStatus::Completed) {
+        std::string stalls = auditor.stallSummary();
+        if (!stalls.empty())
+            os << "stalled transactions:\n" << stalls;
     }
-    r.image = m.imageHash();
-
-    std::vector<std::string> failures;
-    if (!completed) {
-        failures.push_back(strfmt(
-            "%s after %llu cycles; last forward progress at tick %llu",
-            m.runStatus() == Machine::RunStatus::DeadlineExceeded
-                ? "deadline exceeded"
-                : "deadlocked",
-            static_cast<unsigned long long>(r.cycles),
-            static_cast<unsigned long long>(m.lastProgressTick())));
-    } else if (!verified) {
-        failures.push_back("application verification failed");
+    if (const DeliveryLayer *d = m.network.delivery()) {
+        os << strfmt("delivery: sent=%.0f delivered=%.0f "
+                     "drops=%.0f dups=%.0f retransmits=%.0f "
+                     "max attempts=%u\n",
+                     d->sent.value(), d->delivered.value(),
+                     d->dropsInjected.value(), d->dupsInjected.value(),
+                     d->retransmits.value(), d->maxAttempts());
     }
-    if (auditor.violationCount() > 0) {
-        failures.push_back(strfmt(
-            "%llu coherence invariant violations",
-            static_cast<unsigned long long>(auditor.violationCount())));
-    }
-    if (completed && expect_image && r.image != *expect_image) {
-        failures.push_back(strfmt(
-            "final memory image %016llx differs from the quiet "
-            "full-map reference %016llx",
-            static_cast<unsigned long long>(r.image),
-            static_cast<unsigned long long>(*expect_image)));
-    }
+    os << "last messages delivered:\n";
+    m.network.dumpTrace(os);
+    os << "replay: " << codec::toCommandLine(spec) << "\n";
+    m.attachAuditor(nullptr);
+    return os.str();
+}
 
-    // --replay: re-execute the cell from the recorded op streams on a
-    // fresh machine under the identical (config-bound) configuration
-    // and require bit-identity; the digest is then computed from the
-    // replay machine's numbers, so `--replay` and direct sweeps must
-    // print the same grid digest. Cells that blew their deadline have
-    // truncated streams and cannot replay; their direct numbers feed
-    // the digest unchanged.
-    if (replay && completed) {
-        const TraceRecorder *rec = m.recorder();
-        trace::Trace t;
-        t.meta.appNodes = static_cast<std::uint32_t>(spec.nodes);
-        t.meta.numThreads =
-            static_cast<std::uint32_t>(rec->numThreads());
-        t.meta.configFingerprint = trace::configFingerprint(mc);
-        t.meta.recordedCycles = r.cycles;
-        t.meta.recordedImageHash = r.image;
-        t.meta.seed = mc.seed;
-        t.meta.app = spec.app;
-        t.meta.params = trace::canonicalAppParams(spec.params);
-        t.meta.protocol = mc.protocol.name();
-        for (int i = 0; i < rec->numThreads(); ++i)
-            t.streams.push_back(rec->stream(i));
-        trace::ReplayProgram prog(std::move(t));
+/**
+ * Execute @p spec and judge its record. Runs on a worker thread: the
+ * FAIL report is buffered into the cell, never printed here, so
+ * concurrent runs cannot interleave their reports. With a
+ * @p trace_dir the cell runs as a Record spec and, if that completes
+ * (a failed run saves no trace), again as a Replay; both records are
+ * judged and the replay's numbers feed the digest.
+ */
+Cell
+runCell(const Runner &runner, const ExperimentSpec &spec,
+        const std::string &label, std::uint64_t seed,
+        const std::uint64_t *expect_image, const std::string &trace_dir)
+{
+    ExperimentSpec run = spec;
+    if (!trace_dir.empty()) {
+        run.execMode = ExecutionMode::Record;
+        run.traceDir = trace_dir;
+    }
+    std::vector<std::string> reasons;
+    const RunRecord rec = runner.execute(run);
+    judge(rec, expect_image, reasons);
+    Cell c{rec.simCycles, rec.imageHash, ""};
 
-        MachineConfig rmc = mc;
-        rmc.executionMode = ExecutionMode::Replay;
-        auto rapp = AppRegistry::instance().make(spec.app, spec.params,
-                                                 spec.nodes);
-        Machine rm(rmc);
-        rapp->setup(rm);
-        Tick rcycles = rm.runReplay(prog.sources());
-        std::uint64_t rimage = rm.imageHash();
-        if (rm.runStatus() != Machine::RunStatus::Completed ||
-            rcycles != r.cycles || rimage != r.image) {
-            failures.push_back(strfmt(
+    if (!trace_dir.empty() && !rec.failed()) {
+        // Verified means the recorded image and, for this exact-config
+        // trace, the recorded cycle count.
+        run.execMode = ExecutionMode::Replay;
+        const RunRecord rep = runner.execute(run);
+        if (rep.failed() || !rep.verified) {
+            reasons.push_back(strfmt(
                 "replay diverged from direct execution: cycles "
                 "%llu vs %llu, image %016llx vs %016llx",
-                static_cast<unsigned long long>(rcycles),
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(rimage),
-                static_cast<unsigned long long>(r.image)));
+                static_cast<unsigned long long>(rep.simCycles),
+                static_cast<unsigned long long>(rec.simCycles),
+                static_cast<unsigned long long>(rep.imageHash),
+                static_cast<unsigned long long>(rec.imageHash)));
         }
-        r.cycles = rcycles;
-        r.image = rimage;
+        if (rep.auditViolations > 0) {
+            reasons.push_back(strfmt(
+                "%llu coherence invariant violations in the replay",
+                static_cast<unsigned long long>(rep.auditViolations)));
+        }
+        c.cycles = rep.simCycles;
+        c.image = rep.imageHash;
     }
-
-    if (!failures.empty()) {
-        r.ok = false;
-        std::ostringstream os;
-        os << strfmt("\nFAIL: app=%s protocol=%s nodes=%d jitter=%llu "
-                     "faults=%u,%u,%u seed=%llu\n",
-                     spec.app.c_str(), label.c_str(), spec.nodes,
-                     static_cast<unsigned long long>(spec.jitterMax),
-                     spec.faultDropPerMille, spec.faultDupPerMille,
-                     spec.faultBlackoutPerMille,
-                     static_cast<unsigned long long>(seed));
-        for (const std::string &f : failures)
-            os << "  " << f << "\n";
-        for (const AuditViolation &v : auditor.violations())
-            os << "  audit: " << v.describe() << "\n";
-        if (!completed) {
-            std::string stalls = auditor.stallSummary();
-            if (!stalls.empty())
-                os << "stalled transactions:\n" << stalls;
-        }
-        if (const DeliveryLayer *d = m.network.delivery()) {
-            os << strfmt("delivery: sent=%.0f delivered=%.0f "
-                         "drops=%.0f dups=%.0f retransmits=%.0f "
-                         "max attempts=%u\n",
-                         d->sent.value(), d->delivered.value(),
-                         d->dropsInjected.value(),
-                         d->dupsInjected.value(),
-                         d->retransmits.value(), d->maxAttempts());
-        }
-        os << "last messages delivered:\n";
-        m.network.dumpTrace(os);
-        os << "replay: " << codec::toCommandLine(spec) << "\n";
-        r.diagnostics = os.str();
-    }
-    m.attachAuditor(nullptr);
-    return r;
+    if (!reasons.empty())
+        c.report = failureReport(spec, label, seed, reasons);
+    return c;
 }
 
 /** Quiet full-map run: the reference memory image for this app. */
 std::uint64_t
-referenceImage(const StressApp &sa, const Options &opt)
+referenceImage(const Runner &runner, const StressApp &sa,
+               const Options &opt)
 {
     const GridPoint fullmap{"FULLMAP", false, ProtocolConfig::fullMap()};
-    RunResult r = stressRun(
-        cellSpec(sa, fullmap, opt, /*seed=*/0, /*adversarial=*/false),
-        fullmap.label, /*seed=*/0, /*replay=*/false, nullptr);
-    if (!r.ok) {
-        std::fputs(r.diagnostics.c_str(), stderr);
+    Cell c = runCell(runner,
+                     cellSpec(sa, fullmap, opt, /*seed=*/0,
+                              /*adversarial=*/false),
+                     fullmap.label, /*seed=*/0, nullptr, "");
+    if (!c.report.empty()) {
+        std::fputs(c.report.c_str(), stderr);
         std::fprintf(stderr, "stress_protocols: reference run of %s "
                              "failed; aborting\n", sa.name.c_str());
         std::exit(1);
     }
-    return r.image;
+    return c.image;
 }
 
 void
@@ -401,16 +383,14 @@ usage()
         "  --jitter <c>      max extra delivery delay (default 37)\n"
         "  --jobs <n>        concurrent runs on host threads "
         "(default 1; output is identical at any value)\n"
-        "  --replay          record each cell's op streams, replay "
-        "them on a fresh machine, and digest the replay run; the "
-        "grid digest must match a direct sweep bit for bit\n"
-        "  --cache <dir>     content-addressed result cache: warm "
-        "cells serve their stored (cycles, image) without running; "
-        "cold cells run as usual and store back. The grid digest is "
-        "identical warm, cold, or with the cache off\n"
-        "  --cache-max-bytes <n>   bound the cache directory (0 =\n"
-        "                    unbounded); stores evict LRU-by-mtime\n"
-        "  --cache-max-entries <n> same bound, counted in entries\n"
+        "  --replay          run each cell as a Record spec, then as a\n"
+        "                    Replay of its trace, judge both, digest\n"
+        "                    the replay: the grid digest must match a\n"
+        "                    direct sweep bit for bit. Not with --cache\n"
+        "  --cache <dir>     serve warm cells (quiet references too)\n"
+        "                    from the result cache; cold cells run and\n"
+        "                    store their records. The grid digest is\n"
+        "                    identical warm, cold, or with the cache off\n"
         "  --family <f>      directory|snoop|all: which machine-model\n"
         "                    grid to sweep (default directory; snoop\n"
         "                    = 4 protocols x 2 bus disciplines over\n"
@@ -437,39 +417,31 @@ main(int argc, char **argv)
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                badValue(a, "<missing>");
+                usageError(a + " needs a value");
             return argv[++i];
         };
         if (a == "--seeds")
             opt.seeds = static_cast<int>(
-                parseLong(a, next(), 1, 1'000'000));
+                parseCount(a, next(), 1, 1'000'000));
         else if (a == "--start-seed")
-            opt.startSeed = static_cast<std::uint64_t>(
-                parseLong(a, next(), 0, 1'000'000'000));
+            opt.startSeed = parseCount(a, next(), 0, 1'000'000'000);
         else if (a == "--nodes")
             opt.nodes = static_cast<int>(
-                parseLong(a, next(), 1, maxNodes));
+                parseCount(a, next(), 1, maxNodes));
         else if (a == "--jitter")
-            opt.jitterMax = static_cast<Cycles>(
-                parseLong(a, next(), 0, 1 << 20));
+            opt.jitterMax = parseCount(a, next(), 0, 1 << 20);
         else if (a == "--jobs")
             opt.jobs = static_cast<unsigned>(
-                parseLong(a, next(), 1, 256));
+                parseCount(a, next(), 1, 256));
         else if (a == "--replay")
             opt.replay = true;
         else if (a == "--cache")
             opt.cacheDir = next();
-        else if (a == "--cache-max-bytes")
-            opt.cacheMaxBytes = static_cast<std::uint64_t>(
-                parseLong(a, next(), 0, 1'000'000'000'000l));
-        else if (a == "--cache-max-entries")
-            opt.cacheMaxEntries = static_cast<std::uint64_t>(
-                parseLong(a, next(), 0, 1'000'000'000l));
         else if (a == "--family") {
             opt.family = next();
             if (opt.family != "directory" && opt.family != "snoop" &&
                 opt.family != "all")
-                badValue(a, opt.family);
+                usageError("bad value '" + opt.family + "' for " + a);
         }
         else if (a == "--app")
             opt.onlyApp = next();
@@ -477,30 +449,39 @@ main(int argc, char **argv)
             opt.onlyProtocol = next();
         else if (a == "--drop")
             opt.drop = static_cast<unsigned>(
-                parseLong(a, next(), 0, 1000));
+                parseCount(a, next(), 0, 1000));
         else if (a == "--dup")
             opt.dup = static_cast<unsigned>(
-                parseLong(a, next(), 0, 1000));
+                parseCount(a, next(), 0, 1000));
         else if (a == "--blackout")
             opt.blackout = static_cast<unsigned>(
-                parseLong(a, next(), 0, 1000));
+                parseCount(a, next(), 0, 1000));
         else if (a == "--deadline")
-            opt.deadline = static_cast<Tick>(
-                parseLong(a, next(), 1, 4'000'000'000));
+            opt.deadline = parseCount(a, next(), 1, 4'000'000'000);
         else {
             usage();
             return a == "--help" || a == "-h" ? 0 : 2;
         }
     }
+    // A warm cell would be served from the cache instead of replayed.
+    if (opt.replay && !opt.cacheDir.empty())
+        usageError("--replay and --cache cannot be combined");
 
     // A faulty wire can livelock a run by design (every retransmission
     // re-dropped); the fault tier therefore always runs under a
     // deadline so the sweep finishes whatever the protocol does.
-    if (opt.faultsOn() && opt.deadline == 0)
+    if ((opt.drop != 0 || opt.dup != 0 || opt.blackout != 0) &&
+        opt.deadline == 0)
         opt.deadline = 20'000'000;
 
     setQuiet(true);
 
+    Runner runner(/*fail_fast=*/false);
+    std::unique_ptr<cache::ResultCache> rcache;
+    if (!opt.cacheDir.empty()) {
+        rcache = std::make_unique<cache::ResultCache>(opt.cacheDir);
+        runner.attachCache(rcache.get());
+    }
     // Build the flat grid up front. The reference images are computed
     // serially first (one quiet run per image-stable app); every grid
     // cell then only reads them.
@@ -531,7 +512,7 @@ main(int argc, char **argv)
                 continue;
             apps.push_back(sa);
             references.push_back(
-                sa.imageStable ? referenceImage(sa, opt) : 0);
+                sa.imageStable ? referenceImage(runner, sa, opt) : 0);
             for (const GridPoint &pt : points) {
                 if (!opt.onlyProtocol.empty() &&
                     pt.label != opt.onlyProtocol)
@@ -549,55 +530,32 @@ main(int argc, char **argv)
     if (opt.family == "snoop" || opt.family == "all")
         addFamily(snoopStressApps(), snoopPoints());
 
-    // --cache: grid cells become content-addressed. Only passing runs
-    // are stored (a failure must re-run and re-diagnose every sweep),
-    // so a hit is always a pass and carries the direct run's exact
-    // (cycles, image) pair into the digest.
-    std::unique_ptr<cache::ResultCache> rcache;
-    if (!opt.cacheDir.empty())
-        rcache = std::make_unique<cache::ResultCache>(
-            opt.cacheDir, cache::CodeVersions::current(),
-            cache::ResultCache::Budget{opt.cacheMaxBytes,
-                                       opt.cacheMaxEntries});
+    // --replay records into a scratch directory the sweep removes.
+    std::string trace_dir;
+    if (opt.replay) {
+        trace_dir = (std::filesystem::temp_directory_path() /
+                     "swex_stress_replay_XXXXXX").string();
+        if (::mkdtemp(trace_dir.data()) == nullptr) {
+            std::perror("stress_protocols: mkdtemp");
+            return 1;
+        }
+    }
 
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<RunResult> results(jobs.size());
+    std::vector<Cell> results(jobs.size());
     parallelFor(jobs.size(), opt.jobs, [&](std::size_t i) {
         const Job &j = jobs[i];
         const Pair &p = pairs[j.pair];
         const std::uint64_t *expect =
             apps[p.app].imageStable ? &references[p.app] : nullptr;
-        const ExperimentSpec spec =
-            cellSpec(apps[p.app], p.pt, opt, j.seed);
-        if (rcache) {
-            RunRecord rec;
-            if (rcache->lookup(spec, rec)) {
-                results[i].ok = true;
-                results[i].cycles = rec.simCycles;
-                results[i].image = rec.imageHash;
-                return;
-            }
-        }
-        results[i] = stressRun(spec, p.pt.label, j.seed, opt.replay,
-                               expect);
-        if (rcache && results[i].ok) {
-            RunRecord rec;
-            rec.id = spec.id;
-            rec.app = spec.app;
-            rec.protocol = p.pt.label;
-            rec.machineModel = p.pt.snoop ? "snoop" : "directory";
-            rec.nodes = opt.nodes;
-            rec.verified = true;
-            rec.simCycles = results[i].cycles;
-            rec.imageHash = results[i].image;
-            std::string err;
-            if (!rcache->store(spec, rec, err))
-                std::fprintf(stderr, "cache store %s: %s\n",
-                             spec.id.c_str(), err.c_str());
-        }
+        results[i] = runCell(runner,
+                             cellSpec(apps[p.app], p.pt, opt, j.seed),
+                             p.pt.label, j.seed, expect, trace_dir);
     });
     double wall = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
+    if (!trace_dir.empty())
+        std::filesystem::remove_all(trace_dir);
 
     // Everything below replays the grid in order: diagnostics,
     // summaries, and the digest come out identical at any --jobs.
@@ -611,13 +569,13 @@ main(int argc, char **argv)
                               : jobs.size();
         int pass = 0, total = 0;
         for (std::size_t i = p.firstJob; i < end; ++i) {
-            const RunResult &r = results[i];
+            const Cell &r = results[i];
             ++total;
-            if (r.ok) {
+            if (r.report.empty()) {
                 ++pass;
             } else {
                 ++failed;
-                std::fputs(r.diagnostics.c_str(), stderr);
+                std::fputs(r.report.c_str(), stderr);
             }
             digest = (digest ^ static_cast<std::uint64_t>(r.cycles)) *
                      1099511628211ull;

@@ -26,7 +26,8 @@
  *   --direct computes the grid digest without any server (the
  *   reference side of the equivalence check). SWEX_SERVE_CONNS
  *   overrides the default connection count (sanitizer legs shrink
- *   it).
+ *   it); either way it must be a plain number of at least 8, one
+ *   connection per behavior, or the harness exits 2.
  */
 
 #include <fcntl.h>
@@ -49,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "exp/client.hh"
 #include "exp/runner.hh"
@@ -528,6 +530,26 @@ doChaosSweep(const std::string &addr, std::uint64_t seed,
     }
 }
 
+/** @p value of @p what as an integer in [@p lo, @p hi], digits
+ *  only, or exit 2: a malformed count must never run a smaller
+ *  harness that passes. */
+std::uint64_t
+parseCount(const std::string &what, const std::string &value,
+           std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t n = 0;
+    if (!json::parseU64(value, n) || n < lo || n > hi) {
+        std::fprintf(stderr,
+                     "stress_serve: bad value '%s' for %s (want an "
+                     "integer in [%llu, %llu])\n",
+                     value.c_str(), what.c_str(),
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+        std::exit(2);
+    }
+    return n;
+}
+
 } // anonymous namespace
 
 int
@@ -537,9 +559,11 @@ main(int argc, char **argv)
     unsigned jobs = 4;
     std::uint64_t seed = 1;
     bool direct_only = false;
+    // Connection i runs behavior i % behaviors, so fewer connections
+    // would leave a behavior unchecked behind an "all clean" verdict.
+    constexpr std::uint64_t behaviors = 8, maxConns = 1'000'000;
     if (const char *env = std::getenv("SWEX_SERVE_CONNS"))
-        conns = static_cast<std::size_t>(std::strtoull(env, nullptr,
-                                                       10));
+        conns = parseCount("$SWEX_SERVE_CONNS", env, behaviors, maxConns);
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -550,13 +574,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--conns")
-            conns = static_cast<std::size_t>(
-                std::strtoull(next(), nullptr, 10));
+            conns = parseCount(a, next(), behaviors, maxConns);
         else if (a == "--jobs")
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = static_cast<unsigned>(parseCount(a, next(), 1, 256));
         else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = parseCount(a, next(), 0, ~std::uint64_t{0});
         else if (a == "--direct")
             direct_only = true;
         else {
@@ -637,7 +659,7 @@ main(int argc, char **argv)
                 // every behavior the raw helpers support.
                 const std::string &addr =
                     (i / 8) % 2 == 0 ? sock : tcp_addr;
-                switch (i % 8) {
+                switch (i % behaviors) {
                   case 0:
                     doCleanRun(addr, s % gridCells, expected, s,
                                fails);

@@ -28,8 +28,9 @@
 # A fifth leg gates the content-addressed result cache: the grid runs
 # twice against one scratch cache directory — cold (every cell
 # simulates and stores) and warm (every cell served from disk) — and
-# both digests must equal the direct digest bit for bit. A cache that
-# changes a published number is worse than no cache.
+# both digests must equal the direct digest bit for bit, with the
+# warm pass reporting 0 cache misses. A cache that changes a
+# published number is worse than no cache.
 # SWEX_DET_CACHE=0 skips it.
 #
 # A sixth leg gates the sweep server: tools/stress_serve runs its
@@ -122,9 +123,9 @@ if [ "${SWEX_DET_CACHE:-1}" != "0" ]; then
     cold=$("${stress}" --app worker --seeds "${seeds}" \
            --jobs "${jobs}" --cache "${cache_dir}" "$@" \
            | extract_digest)
-    warm=$("${stress}" --app worker --seeds "${seeds}" \
-           --jobs "${jobs}" --cache "${cache_dir}" "$@" \
-           | extract_digest)
+    warm_out=$("${stress}" --app worker --seeds "${seeds}" \
+               --jobs "${jobs}" --cache "${cache_dir}" "$@")
+    warm=$(echo "${warm_out}" | extract_digest)
     if [ -z "${cold}" ] || [ -z "${warm}" ]; then
         echo "error: no grid digest line in --cache output" >&2
         exit 1
@@ -136,7 +137,14 @@ if [ "${SWEX_DET_CACHE:-1}" != "0" ]; then
              "(cold ${cold}, warm ${warm}, direct ${par})" >&2
         exit 1
     fi
-    echo "OK: cold and warm cached digests identical to direct"
+    if ! echo "${warm_out}" | grep -q '^cache: [0-9]* hits, 0 misses,'
+    then
+        echo "FAIL: the warm pass missed the cache:" \
+             "$(echo "${warm_out}" | grep '^cache:')" >&2
+        exit 1
+    fi
+    echo "OK: cold and warm cached digests identical to direct," \
+         "warm pass all hits"
 fi
 
 serve_bin=$(dirname "${stress}")/stress_serve

@@ -53,11 +53,8 @@ std::uint64_t
 parseCount(const std::string &opt, const std::string &value,
            std::uint64_t lo, std::uint64_t hi)
 {
-    wire::JsonValue v;
-    v.kind = wire::JsonValue::Kind::Number;
-    v.raw = value;
     std::uint64_t n = 0;
-    if (!wire::numberAsU64(v, n) || n < lo || n > hi)
+    if (!json::parseU64(value, n) || n < lo || n > hi)
         usageError("bad value '" + value + "' for " + opt +
                    ": want an integer in [" + std::to_string(lo) + ", " +
                    std::to_string(hi) + "]");
