@@ -3,9 +3,10 @@
  * Google-benchmark microbenchmarks of the simulator substrates: event
  * queue throughput (callback shim, intrusive events, spill heap, and
  * a fig2-like delay mix), message pooling, cache lookup/fill,
- * extended-directory operations, network injection, and a
- * whole-machine WORKER iteration. These track the host-side
- * performance of the simulator itself.
+ * extended-directory operations, network injection, a whole-machine
+ * WORKER iteration, and the two kernels of a warm result-cache hit:
+ * decoding a swex-rec entry and parsing the served response line.
+ * These track the host-side performance of the simulator itself.
  *
  * Besides the console table, results are merged into
  * BENCH_SUBSTRATES.json (override with SWEX_BENCH_JSON) so the
@@ -14,10 +15,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+
 #include "apps/worker.hh"
 #include "base/rng.hh"
 #include "bench_support.hh"
 #include "core/ext_directory.hh"
+#include "exp/cache/record_io.hh"
+#include "exp/runner.hh"
+#include "exp/wire_json.hh"
 #include "machine/mem_api.hh"
 #include "net/message_pool.hh"
 #include "net/network.hh"
@@ -272,6 +278,62 @@ BM_WorkerIteration16(benchmark::State &state)
         benchmark::Counter(events, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WorkerIteration16)->Unit(benchmark::kMillisecond);
+
+/** The record of a 16-node WORKER cell (wss 8, H5), run once. */
+const RunRecord &
+record16()
+{
+    static const RunRecord rec = [] {
+        setQuiet(true);
+        ExperimentSpec spec;
+        spec.id = "micro/worker16";
+        spec.app = "worker";
+        spec.params = {{"wss", "8"}, {"iterations", "2"}};
+        spec.nodes = 16;
+        spec.protocol = ProtocolConfig::hw(5);
+        return Runner().execute(spec);
+    }();
+    return rec;
+}
+
+/** A cache hit's load after the file read: checksum and body decode
+ *  of a 16-node swex-rec entry. */
+void
+BM_RecordDecode(benchmark::State &state)
+{
+    const std::vector<std::uint8_t> raw =
+        cache::encodeRecord(record16(), 1, 2);
+    for (auto _ : state) {
+        RunRecord out;
+        std::string err;
+        benchmark::DoNotOptimize(
+            cache::decodeRecord(raw, "entry", out, 1, 2, err));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(raw.size()));
+}
+BENCHMARK(BM_RecordDecode)->Unit(benchmark::kMicrosecond);
+
+/** The client's side of a warm hit: the DOM parse of the line the
+ *  server sends for a cached 16-node `run` (envelope fields, then the
+ *  canonical record). */
+void
+BM_WireParseRecord(benchmark::State &state)
+{
+    std::ostringstream os;
+    os << R"({"ok":true,"tag":"hit","source":"cache","record":)";
+    record16().writeJson(os, /*canonical=*/true);
+    os << '}';
+    const std::string line = os.str();
+    for (auto _ : state) {
+        wire::JsonValue doc;
+        wire::JsonParser p(line);
+        benchmark::DoNotOptimize(p.parseWhole(doc));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_WireParseRecord)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console output as usual, plus every finished run recorded into the

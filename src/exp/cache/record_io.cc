@@ -1,7 +1,12 @@
 #include "exp/cache/record_io.hh"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -61,7 +66,7 @@ encodeRecord(const RunRecord &r, std::uint64_t spec_key,
     w.str(r.statsJson);
     w.str(r.statsText);
 
-    w.u64(bin::fnv1a(bin::fnvOffset, w.out.data(), w.out.size()));
+    w.u64(bin::checksum(w.out.data(), w.out.size()));
     return std::move(w.out);
 }
 
@@ -78,27 +83,39 @@ loadRecord(const std::string &path, RunRecord &out,
            std::uint64_t spec_key, std::uint64_t code_fp,
            std::string &err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
         err = "no cache entry at " + path;
         return LoadStatus::Missing;
     }
-    std::vector<std::uint8_t> raw;
-    std::uint8_t buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        raw.insert(raw.end(), buf, buf + n);
-    bool read_err = std::ferror(f) != 0;
-    std::fclose(f);
+    // Entries are published by rename and never written in place, so
+    // the size fstat reports is the whole entry: one read fetches it.
+    struct stat st;
+    bool read_err = ::fstat(fd, &st) != 0;
+    const std::size_t size =
+        read_err ? 0 : static_cast<std::size_t>(st.st_size);
+    auto raw = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+    std::size_t got = 0;
+    while (!read_err && got < size) {
+        const ssize_t n = ::read(fd, raw.get() + got, size - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        read_err = n < 0;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
     if (read_err) {
         err = "I/O error reading " + path;
         return LoadStatus::Corrupt;
     }
-    return decodeRecord(raw, path, out, spec_key, code_fp, err);
+    return decodeRecord({raw.get(), got}, path, out, spec_key, code_fp,
+                        err);
 }
 
 LoadStatus
-decodeRecord(const std::vector<std::uint8_t> &raw, const std::string &path,
+decodeRecord(std::span<const std::uint8_t> raw, const std::string &path,
              RunRecord &out, std::uint64_t spec_key, std::uint64_t code_fp,
              std::string &err)
 {
@@ -110,27 +127,31 @@ decodeRecord(const std::vector<std::uint8_t> &raw, const std::string &path,
         err = path + ": not a swex-rec file (bad magic)";
         return LoadStatus::Corrupt;
     }
-    // The checksum covers everything before the trailing u64.
+    // The version comes first: an older version seals with another
+    // checksum, so its entry is stale, whatever its last 8 bytes say.
     const std::uint8_t *body_end = raw.data() + raw.size() - 8;
-    std::uint64_t stored_fnv = 0;
-    bin::Reader{body_end, body_end + 8}.u64(stored_fnv);
-    if (bin::fnv1a(bin::fnvOffset, raw.data(), raw.size() - 8) !=
-        stored_fnv) {
+    bin::Reader r{raw.data() + 8, body_end};
+    std::uint32_t version = 0;
+    r.u32(version);
+    if (version != recordVersion) {
+        const bool older = version >= 1 && version < recordVersion;
+        err = path + (older ? ": stale swex-rec version "
+                            : ": unsupported swex-rec version ") +
+              std::to_string(version) + " (expected " +
+              std::to_string(recordVersion) + ")";
+        return older ? LoadStatus::Stale : LoadStatus::Corrupt;
+    }
+    // The checksum covers everything before the trailing u64.
+    std::uint64_t stored_sum = 0;
+    bin::Reader{body_end, body_end + 8}.u64(stored_sum);
+    if (bin::checksum(raw.data(), raw.size() - 8) != stored_sum) {
         err = path + ": checksum mismatch (corrupt cache entry)";
         return LoadStatus::Corrupt;
     }
 
-    bin::Reader r{raw.data() + 8, body_end};
-    std::uint32_t version = 0;
     std::uint64_t key = 0, fp = 0;
-    if (!r.u32(version) || !r.u64(key) || !r.u64(fp)) {
+    if (!r.u64(key) || !r.u64(fp)) {
         err = path + ": truncated cache header";
-        return LoadStatus::Corrupt;
-    }
-    if (version != recordVersion) {
-        err = path + ": unsupported swex-rec version " +
-              std::to_string(version) + " (expected " +
-              std::to_string(recordVersion) + ")";
         return LoadStatus::Corrupt;
     }
     if (key != spec_key) {

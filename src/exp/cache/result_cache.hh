@@ -2,11 +2,11 @@
  * @file
  * The content-addressed experiment cache: finished swex-run-v1
  * records, keyed on (canonical ExperimentSpec hash, code-version
- * fingerprint) and stored as swex-rec-v1 files under one directory.
- * A warm cell costs a file load instead of a simulation; the Runner
- * consults the cache before building a machine, so re-sweeps after a
- * code change only recompute the cells whose fingerprint component
- * was bumped (see code_version.hh).
+ * fingerprint) and stored as swex-rec files (record_io.hh) under one
+ * directory. A warm cell costs a file load instead of a simulation;
+ * the Runner consults the cache before building a machine, so
+ * re-sweeps after a code change only recompute the cells whose
+ * fingerprint component was bumped (see code_version.hh).
  *
  * Key scheme:
  *  - spec key: FNV-1a over every result-affecting spec field — the

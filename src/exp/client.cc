@@ -15,6 +15,8 @@
 #include <cstring>
 #include <thread>
 
+#include "exp/line_io.hh"
+
 namespace swex
 {
 namespace client
@@ -286,13 +288,10 @@ ServeClient::connect(std::string *err)
 bool
 ServeClient::sendAll(const std::string &line, int deadline_ms)
 {
-    std::string out = line;
-    out.push_back('\n');
     std::size_t off = 0;
     auto start = std::chrono::steady_clock::now();
-    while (off < out.size()) {
-        ssize_t n = ::send(fd, out.data() + off, out.size() - off,
-                           MSG_NOSIGNAL);
+    while (off < line.size() + 1) {
+        ssize_t n = wire::sendLineFrom(fd, line, off);
         if (n > 0) {
             off += static_cast<std::size_t>(n);
             continue;
@@ -315,17 +314,12 @@ ServeClient::ReadStatus
 ServeClient::readLine(std::string &line, int deadline_ms)
 {
     auto last_progress = std::chrono::steady_clock::now();
+    std::size_t scanned = 0;
     for (;;) {
-        std::size_t nl = inbuf.find('\n');
-        if (nl != std::string::npos) {
-            line = inbuf.substr(0, nl);
-            inbuf.erase(0, nl + 1);
+        if (wire::takeLine(inbuf, scanned, line))
             return ReadStatus::Line;
-        }
-        char buf[4096];
-        ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        ssize_t n = wire::recvAppend(fd, inbuf);
         if (n > 0) {
-            inbuf.append(buf, static_cast<std::size_t>(n));
             last_progress = std::chrono::steady_clock::now();
             continue;
         }

@@ -31,6 +31,7 @@
 
 #include "base/json.hh"
 #include "exp/cache/result_cache.hh"
+#include "exp/line_io.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
@@ -103,21 +104,19 @@ struct Connection
     readLine(std::string &line, int idle_timeout_ms)
     {
         int idle_ms = 0;
+        std::size_t scanned = 0;
         for (;;) {
-            std::size_t nl = inbuf.find('\n');
-            if (nl != std::string::npos) {
-                line = inbuf.substr(0, nl);
-                inbuf.erase(0, nl + 1);
+            if (wire::takeLine(inbuf, scanned, line)) {
+                if (line.size() > maxRequestLine)
+                    return ReadStatus::Overflow;
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
                 return ReadStatus::Line;
             }
             if (inbuf.size() > maxRequestLine)
                 return ReadStatus::Overflow;
-            char buf[4096];
-            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+            ssize_t n = wire::recvAppend(fd, inbuf);
             if (n > 0) {
-                inbuf.append(buf, static_cast<std::size_t>(n));
                 idle_ms = 0;
                 continue;
             }
@@ -156,13 +155,10 @@ struct Connection
         std::unique_lock<std::mutex> hold(writeMutex);
         if (dead.load(std::memory_order_acquire))
             return;
-        std::string out = line;
-        out.push_back('\n');
         std::size_t off = 0;
         int stalled_ms = 0;
-        while (off < out.size()) {
-            ssize_t n = ::send(fd, out.data() + off, out.size() - off,
-                               MSG_NOSIGNAL);
+        while (off < line.size() + 1) {
+            ssize_t n = wire::sendLineFrom(fd, line, off);
             if (n > 0) {
                 off += static_cast<std::size_t>(n);
                 stalled_ms = 0;

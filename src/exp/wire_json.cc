@@ -43,12 +43,17 @@ JsonParser::string(std::string &out)
         return fail("expected string");
     ++cur;
     out.clear();
-    while (cur < end && *cur != '"') {
-        char c = *cur++;
-        if (c != '\\') {
-            out.push_back(c);
-            continue;
-        }
+    for (;;) {
+        // Append the plain bytes up to the next quote or backslash in
+        // one run.
+        const char *run = cur;
+        while (cur < end && *cur != '"' && *cur != '\\')
+            ++cur;
+        out.append(run, static_cast<std::size_t>(cur - run));
+        if (cur >= end)
+            return fail("unterminated string");
+        if (*cur++ == '"')
+            return true;
         if (cur >= end)
             return fail("dangling escape");
         char e = *cur++;
@@ -95,24 +100,92 @@ JsonParser::string(std::string &out)
             return fail("unknown escape");
         }
     }
-    if (cur >= end)
-        return fail("unterminated string");
-    ++cur;   // closing quote
-    return true;
+}
+
+/**
+ * One pass over the input before the parse: for each '{' and '[' the
+ * parser can reach (nesting at most maxDepth), in the order they
+ * open, the number of values it holds (one more than its own commas).
+ * The parse reserves each container's vector once from these counts,
+ * so it builds every value in its final slot and never moves one
+ * through a vector's regrowth. On malformed input a count can be
+ * wrong; it only sizes a reservation, never exceeds the input's
+ * length, and the parse still rejects the input.
+ */
+void
+JsonParser::countValues()
+{
+    std::size_t open[maxDepth + 1] = {};   // counts index, per level
+    std::size_t depth = 0;
+    for (const char *p = cur; p < end; ++p) {
+        switch (*p) {
+          case '"':
+            // To the closing quote: the next one not escaped by an odd
+            // run of backslashes.
+            for (;;) {
+                const auto *q = static_cast<const char *>(std::memchr(
+                    p + 1, '"', static_cast<std::size_t>(end - p - 1)));
+                if (q == nullptr)
+                    return;
+                const char *b = q;
+                while (b > p + 1 && b[-1] == '\\')
+                    --b;
+                p = q;
+                if ((q - b) % 2 == 0)
+                    break;
+            }
+            break;
+          case '{':
+          case '[':
+            if (depth <= maxDepth) {
+                open[depth] = counts.size();
+                counts.push_back(1);
+            }
+            ++depth;
+            break;
+          case ',':
+            if (depth > 0 && depth <= maxDepth + 1)
+                ++counts[open[depth - 1]];
+            break;
+          case '}':
+          case ']':
+            if (depth > 0)
+                --depth;
+            break;
+          default:
+            break;
+        }
+    }
+}
+
+std::size_t
+JsonParser::takeCount()
+{
+    return nextCount < counts.size() ? counts[nextCount++] : 0;
 }
 
 bool
 JsonParser::value(JsonValue &out)
 {
+    // Reset the output: callers reuse one JsonValue across lines,
+    // and stale members would masquerade as duplicate keys. Nested
+    // values are parsed into fresh slots, so only the root needs it.
+    out.kind = JsonValue::Kind::Null;
+    out.boolean = false;
+    out.raw.clear();
+    out.members.clear();
+    out.items.clear();
+    counts.clear();
+    nextCount = 0;
+    countValues();
     return valueAt(out, 0);
 }
 
 bool
 JsonParser::valueAt(JsonValue &out, int depth)
 {
-    // Reset the output: callers reuse one JsonValue across lines,
-    // and stale members would masquerade as duplicate keys.
-    out = JsonValue{};
+    // @p out is a default JsonValue: the root after value()'s reset,
+    // or a slot just appended to its parent, which this fills in place.
     if (depth > maxDepth)
         return fail("nesting deeper than " +
                     std::to_string(maxDepth) + " levels");
@@ -127,23 +200,24 @@ JsonParser::valueAt(JsonValue &out, int depth)
     if (c == '{') {
         ++cur;
         out.kind = JsonValue::Kind::Object;
+        const std::size_t n = takeCount();
         ws();
         if (cur < end && *cur == '}') { ++cur; return true; }
+        out.members.reserve(n);
         for (;;) {
             ws();
-            std::string key;
+            auto &[key, v] = out.members.emplace_back();
             if (!string(key))
                 return false;
             ws();
             if (cur >= end || *cur != ':')
                 return fail("expected ':'");
             ++cur;
-            JsonValue v;
             if (!valueAt(v, depth + 1))
                 return false;
-            if (out.find(key) != nullptr)
-                return fail("duplicate key '" + key + "'");
-            out.members.emplace_back(std::move(key), std::move(v));
+            for (std::size_t i = 0; i + 1 < out.members.size(); ++i)
+                if (out.members[i].first == key)
+                    return fail("duplicate key '" + key + "'");
             ws();
             if (cur < end && *cur == ',') { ++cur; continue; }
             if (cur < end && *cur == '}') { ++cur; return true; }
@@ -153,13 +227,13 @@ JsonParser::valueAt(JsonValue &out, int depth)
     if (c == '[') {
         ++cur;
         out.kind = JsonValue::Kind::Array;
+        const std::size_t n = takeCount();
         ws();
         if (cur < end && *cur == ']') { ++cur; return true; }
+        out.items.reserve(n);
         for (;;) {
-            JsonValue v;
-            if (!valueAt(v, depth + 1))
+            if (!valueAt(out.items.emplace_back(), depth + 1))
                 return false;
-            out.items.push_back(std::move(v));
             ws();
             if (cur < end && *cur == ',') { ++cur; continue; }
             if (cur < end && *cur == ']') { ++cur; return true; }

@@ -68,6 +68,13 @@ struct JsonParser
     bool parseWhole(JsonValue &out);
 
   private:
+    /** Values per container, in the order the containers open; see
+     *  countValues(). Lives and dies with the parser. */
+    std::vector<std::size_t> counts;
+    std::size_t nextCount = 0;
+
+    void countValues();
+    std::size_t takeCount();
     void ws();
     bool fail(const std::string &why);
     bool literal(const char *word);

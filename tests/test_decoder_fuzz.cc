@@ -1,7 +1,7 @@
 /**
  * @file
  * Seeded mutation fuzz of the two binary decoders: the result cache's
- * swex-rec-v1 entries (cache::decodeRecord) and swex-trace-v1 traces
+ * swex-rec entries (cache::decodeRecord) and swex-trace-v1 traces
  * (trace::Trace::decode). A valid encoding is mutated by byte flips,
  * truncations, spliced and deleted spans, and length-field
  * overwrites; half the mutants get their checksums recomputed, so
@@ -148,7 +148,7 @@ void
 resealRecord(Bytes &b)
 {
     if (b.size() >= 8)
-        putLe(b, b.size() - 8, 8, fnv1a(b, 0, b.size() - 8));
+        putLe(b, b.size() - 8, 8, bin::checksum(b.data(), b.size() - 8));
 }
 
 void

@@ -1,24 +1,38 @@
 /**
  * @file
- * Seeded mutation fuzz of the request decoder. The valid request
- * lines tests/test_serve.cc sends, plus lines setting every kind of
- * app parameter, are mutated by byte flips, truncations, and
- * duplicated and deleted spans, then fed through
+ * Seeded mutation fuzz of both sides of the serve wire. Requests: the
+ * valid request lines tests/test_serve.cc sends, plus lines setting
+ * every kind of app parameter, are mutated by byte flips, truncations,
+ * and duplicated and deleted spans, then fed through
  * JsonParser::parseWhole and codec::decode (app parameters included)
- * as the server feeds a request line. Every input must come back as a spec or a non-empty
- * error (never a crash, a hang or a sanitizer report), and every
- * accepted spec must re-encode and decode to the same result-cache
- * key. The seed is fixed, so a failure reproduces exactly.
+ * as the server feeds a request line. Every input must come back as a
+ * spec or a non-empty error (never a crash, a hang or a sanitizer
+ * report), and every accepted spec must re-encode and decode to the
+ * same result-cache key. Responses: lines a real in-process server
+ * sent (a 16-node directory record, a snoop record, and an error
+ * envelope echoing a non-string tag) must render back byte for byte
+ * from their parse into exactly sized containers, and their mutants,
+ * fed through
+ * JsonParser::parseWhole and client::recordBytes as the client feeds
+ * a response line, must each give a DOM or a non-empty error. The
+ * seeds are fixed, so a failure reproduces exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "base/logging.hh"
 #include "exp/cache/result_cache.hh"
+#include "exp/client.hh"
+#include "exp/serve.hh"
 #include "exp/spec_codec.hh"
 #include "exp/wire_json.hh"
 
@@ -93,9 +107,11 @@ struct SplitMix
     }
 };
 
-/** One or two stacked mutations of @p in. */
+/** One or two stacked mutations of @p in; duplicated spans come from
+ *  @p in itself or from a line of @p pool. */
 std::string
-mutate(std::string in, SplitMix &rng)
+mutate(std::string in, const std::vector<std::string> &pool,
+       SplitMix &rng)
 {
     const int rounds = 1 + static_cast<int>(rng.below(2));
     for (int r = 0; r < rounds; ++r) {
@@ -114,7 +130,7 @@ mutate(std::string in, SplitMix &rng)
             in.resize(rng.below(n + 1));
             break;
           case 3: {   // duplicate a span, from this line or another
-            const std::string &src = corpus[rng.below(corpus.size())];
+            const std::string &src = pool[rng.below(pool.size())];
             const std::string &from = rng.below(2) == 0 ? in : src;
             if (from.empty())
                 break;
@@ -135,6 +151,63 @@ mutate(std::string in, SplitMix &rng)
     return in;
 }
 
+/** Whether every container in @p v holds exactly as many slots as
+ *  values: the parser sizes each one before filling it, so none
+ *  regrew (and moved its values) during the parse. */
+bool
+exactlySized(const wire::JsonValue &v)
+{
+    if (v.members.capacity() != v.members.size() ||
+        v.items.capacity() != v.items.size())
+        return false;
+    for (const auto &[k, m] : v.members)
+        if (!exactlySized(m))
+            return false;
+    for (const wire::JsonValue &i : v.items)
+        if (!exactlySized(i))
+            return false;
+    return true;
+}
+
+/** The response lines a server on a fresh socket sends for a 16-node
+ *  directory run, a snooping-bus run, and a run whose tag is not a
+ *  string; fetched once and shared by the response tests. */
+const std::vector<std::string> &
+servedLines()
+{
+    static const std::vector<std::string> lines = [] {
+        setQuiet(true);
+        std::string tmpl = ::testing::TempDir() + "swexfuzz-XXXXXX";
+        const char *dir = ::mkdtemp(tmpl.data());
+        EXPECT_NE(dir, nullptr);
+        serve::ServeConfig cfg;
+        cfg.socketPath = std::string(dir != nullptr ? dir : ".") + "/sock";
+        cfg.jobs = 1;
+        std::thread server([&] { serve::serveLoop(cfg); });
+
+        client::ClientConfig ccfg;
+        ccfg.address = cfg.socketPath;
+        ccfg.maxAttempts = 20;
+        client::ServeClient cli(ccfg);
+        std::vector<std::string> out;
+        for (const char *req : {
+                 R"({"op":"run","tag":"dir","canonical":true,)"
+                 R"("app":"worker","nodes":16,"protocol":"h5",)"
+                 R"("params":{"wss":"8","iterations":"2"}})",
+                 R"({"op":"run","tag":"bus","canonical":true,)"
+                 R"("app":"falseshare","protocol":"mesi"})",
+                 R"({"op":"run","tag":[1,{"t":null}],"app":"worker"})"})
+            out.push_back(cli.rpcRetry(req).line);
+        cli.rpcRetry(R"({"op":"shutdown"})");
+        server.join();
+        ::unlink(cfg.socketPath.c_str());
+        if (dir != nullptr)
+            ::rmdir(dir);
+        return out;
+    }();
+    return lines;
+}
+
 } // anonymous namespace
 
 TEST(RequestFuzz, MutatedRequestsDecodeToASpecOrAnError)
@@ -143,7 +216,7 @@ TEST(RequestFuzz, MutatedRequestsDecodeToASpecOrAnError)
     std::size_t unparsed = 0, rejected = 0, accepted = 0;
     for (int i = 0; i < 400'000; ++i) {
         const std::string line =
-            mutate(corpus[rng.below(corpus.size())], rng);
+            mutate(corpus[rng.below(corpus.size())], corpus, rng);
         wire::JsonValue req;
         wire::JsonParser p(line);
         if (!p.parseWhole(req)) {
@@ -181,4 +254,83 @@ TEST(RequestFuzz, MutatedRequestsDecodeToASpecOrAnError)
     EXPECT_GT(accepted, 1000u);
     std::printf("unparsed %zu, rejected %zu, accepted %zu\n", unparsed,
                 rejected, accepted);
+}
+
+TEST(ResponseFuzz, ServedLinesRenderBackAndSizeExactly)
+{
+    const std::vector<std::string> &lines = servedLines();
+    ASSERT_EQ(lines.size(), 3u);
+    const char *want[] = {R"("nodes":16)", R"("machine_model":"snoop")",
+                          R"("tag":[1,{"t":null}])"};
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::string &line = lines[i];
+        EXPECT_NE(line.find(want[i]), std::string::npos) << line;
+        wire::JsonValue doc;
+        wire::JsonParser p(line);
+        ASSERT_TRUE(p.parseWhole(doc)) << p.err << " in " << line;
+        std::string again;
+        wire::renderJson(doc, again);
+        EXPECT_EQ(again, line);
+        EXPECT_TRUE(exactlySized(doc));
+    }
+    std::string rec;
+    EXPECT_TRUE(client::recordBytes(lines[0], rec));
+    EXPECT_GT(rec.size(), 10'000u);
+}
+
+// The sizing pass must skip string bodies, escaped quotes and
+// backslash runs included: a comma or bracket inside a string would
+// otherwise miscount the container around it.
+TEST(ResponseFuzz, SizingSkipsStringBodies)
+{
+    const std::string line =
+        R"({"a,b":["x]",{"y":"\\\"},["}],"c":[1,[2,3],{}],"d\\":"[,{"})";
+    wire::JsonValue doc;
+    wire::JsonParser p(line);
+    ASSERT_TRUE(p.parseWhole(doc)) << p.err;
+    EXPECT_TRUE(exactlySized(doc));
+    ASSERT_EQ(doc.members.size(), 3u);
+    EXPECT_EQ(doc.members[0].second.items.size(), 2u);
+    EXPECT_EQ(doc.members[0].second.items[1].find("y")->raw, "\\\"},[");
+    EXPECT_EQ(doc.members[1].second.items.size(), 3u);
+    EXPECT_EQ(doc.members[2].first, "d\\");
+}
+
+TEST(ResponseFuzz, MutatedServedLinesParseOrFail)
+{
+    const std::vector<std::string> &lines = servedLines();
+    ASSERT_EQ(lines.size(), 3u);
+    SplitMix rng{20261017};
+    std::size_t unparsed = 0, parsed = 0, records = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        const std::string line =
+            mutate(lines[rng.below(lines.size())], lines, rng);
+        std::string rec;
+        if (client::recordBytes(line, rec)) {
+            ASSERT_LT(rec.size(), line.size());
+            ++records;
+        }
+        wire::JsonValue doc;
+        wire::JsonParser p(line);
+        if (!p.parseWhole(doc)) {
+            ASSERT_FALSE(p.err.empty()) << line;
+            ++unparsed;
+            continue;
+        }
+        ++parsed;
+        // Whatever DOM a mutant yields renders to a line that parses
+        // back to the same rendering.
+        std::string once, twice;
+        wire::renderJson(doc, once);
+        wire::JsonValue again;
+        wire::JsonParser p2(once);
+        ASSERT_TRUE(p2.parseWhole(again)) << p2.err << " in " << once;
+        wire::renderJson(again, twice);
+        ASSERT_EQ(twice, once);
+    }
+    EXPECT_GT(unparsed, 1000u);
+    EXPECT_GT(parsed, 1000u);
+    EXPECT_GT(records, 1000u);
+    std::printf("unparsed %zu, parsed %zu, record spans %zu\n", unparsed,
+                parsed, records);
 }

@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the content-addressed result cache: the swex-rec-v1
- * container survives concurrent same-key stores, a hit serves the
- * byte-identical canonical document a direct run emits, invalidation
- * is component-scoped (a directory bump leaves snoop cells warm),
- * corrupt entries fall back to recompute-and-replace, and the warm
- * path is --jobs invariant.
+ * Tests for the content-addressed result cache: the swex-rec
+ * container survives concurrent same-key stores and its checksum
+ * catches every single-byte change and every truncation, a hit serves
+ * the byte-identical canonical document a direct run emits,
+ * invalidation is component-scoped (a directory bump leaves snoop
+ * cells warm), corrupt entries fall back to recompute-and-replace, an
+ * older version's entry is a stale miss replaced in place, and the
+ * warm path is --jobs invariant.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <dirent.h>
 #include <fcntl.h>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/binary_io.hh"
 #include "base/logging.hh"
 #include "exp/cache/code_version.hh"
 #include "exp/cache/record_io.hh"
@@ -108,6 +112,27 @@ spit(const std::string &path, const std::vector<std::uint8_t> &raw)
     std::fclose(f);
 }
 
+/** The names of the cache-entry files in @p dir. */
+std::vector<std::string>
+entryFiles(const std::string &dir)
+{
+    std::vector<std::string> names;
+    DIR *d = ::opendir(dir.c_str());
+    EXPECT_NE(d, nullptr);
+    while (d != nullptr) {
+        const dirent *e = ::readdir(d);
+        if (e == nullptr)
+            break;
+        const std::string name = e->d_name;
+        if (name.size() > 8 &&
+            name.compare(name.size() - 8, 8, ".swexrec") == 0)
+            names.push_back(name);
+    }
+    if (d != nullptr)
+        ::closedir(d);
+    return names;
+}
+
 /** Pin @p path's mtime to an explicit timestamp, so LRU ordering in
  *  the eviction tests never depends on filesystem timestamp
  *  granularity or test scheduling. */
@@ -173,6 +198,90 @@ TEST(RecordIo, ConcurrentSameKeyStoresLeaveACompleteEntry)
     EXPECT_EQ(out.id, "race/" + std::to_string(t));
     EXPECT_EQ(out.imageHash, 0xabcd0000 + t);
     EXPECT_EQ(out.stallSummary.size(), 16 * (t + 1));
+}
+
+// The checksum consumes words, not bytes, but must still catch what
+// the byte-wise FNV-1a it replaced caught: every single-byte change
+// anywhere in an entry, and every truncation.
+TEST(RecordIo, EveryByteFlipAndEveryTruncationFailsToLoad)
+{
+    setQuiet(true);
+    ExperimentSpec spec = workerSpec("cache/flip");
+    spec.nodes = 4;
+    const RunRecord rec = Runner().execute(spec);
+    ASSERT_TRUE(rec.verified);
+    constexpr std::uint64_t specKey = 0x1234;
+    constexpr std::uint64_t codeFp = 0x5678;
+    std::vector<std::uint8_t> raw =
+        cache::encodeRecord(rec, specKey, codeFp);
+    ASSERT_GT(raw.size(), 1000u);
+
+    RunRecord out;
+    std::string err;
+    ASSERT_EQ(cache::decodeRecord(raw, "entry", out, specKey, codeFp,
+                                  err),
+              cache::LoadStatus::Ok) << err;
+    EXPECT_EQ(canonicalJson(out), canonicalJson(rec));
+
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        raw[i] ^= 0xff;
+        ASSERT_NE(cache::decodeRecord(raw, "entry", out, specKey, codeFp,
+                                      err),
+                  cache::LoadStatus::Ok) << "byte " << i << " flipped";
+        ASSERT_FALSE(err.empty());
+        raw[i] ^= 0xff;
+    }
+    for (std::size_t len = 0; len < raw.size(); ++len) {
+        const std::vector<std::uint8_t> cut(raw.begin(),
+                                            raw.begin() + len);
+        ASSERT_NE(cache::decodeRecord(cut, "entry", out, specKey, codeFp,
+                                      err),
+                  cache::LoadStatus::Ok) << "cut to " << len << " bytes";
+    }
+}
+
+// An entry an older build wrote (version 1, sealed with byte-wise
+// FNV-1a) is a stale miss, and the recompute's store replaces it at
+// the same path.
+TEST(ResultCache, VersionOneEntryIsStaleAndReplacedInPlace)
+{
+    setQuiet(true);
+    const std::string dir = scratchDir("v1");
+    cache::ResultCache rcache(dir);
+    const ExperimentSpec spec = workerSpec("cache/v1");
+
+    Runner runner;
+    runner.attachCache(&rcache);
+    const RunRecord direct = runner.execute(spec);
+    ASSERT_TRUE(direct.verified);
+
+    const std::string path = rcache.entryPath(spec);
+    auto raw = slurp(path);
+    ASSERT_GT(raw.size(), 36u);
+    ASSERT_EQ(raw[8], cache::recordVersion);
+    raw[8] = 1;
+    const std::uint64_t fnv =
+        bin::fnv1a(bin::fnvOffset, raw.data(), raw.size() - 8);
+    for (int i = 0; i < 8; ++i)
+        raw[raw.size() - 8 + i] = static_cast<std::uint8_t>(fnv >> (8 * i));
+    spit(path, raw);
+
+    RunRecord out;
+    EXPECT_FALSE(rcache.lookup(spec, out));
+    auto c = rcache.counters();
+    EXPECT_EQ(c.stale, 1u);
+    EXPECT_EQ(c.corrupt, 0u);
+    EXPECT_EQ(c.misses, 2u);   // the cold run's, and this one
+
+    const RunRecord recomputed = runner.execute(spec);
+    EXPECT_EQ(canonicalJson(recomputed), canonicalJson(direct));
+    EXPECT_EQ(rcache.counters().stores, 2u);
+    EXPECT_EQ(slurp(path)[8], cache::recordVersion);
+    EXPECT_EQ(entryFiles(dir).size(), 1u);
+
+    const RunRecord served = runner.execute(spec);
+    EXPECT_EQ(canonicalJson(served), canonicalJson(direct));
+    EXPECT_EQ(rcache.counters().hits, 1u);
 }
 
 TEST(ResultCache, MissThenStoreThenByteIdenticalHit)
