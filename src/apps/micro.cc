@@ -1,5 +1,7 @@
 #include "apps/micro.hh"
 
+#include "base/rng.hh"
+
 namespace swex
 {
 
@@ -39,15 +41,9 @@ MicroApp::stepWork(int tid, int it) const
     // splitmix64 over (jitter, tid, iteration): deterministic for a
     // given parameter set, so the op stream stays trace-portable
     // while every jitter value is a distinct interleaving.
-    std::uint64_t h = cfg.jitter +
-                      (static_cast<std::uint64_t>(tid) << 32) +
-                      static_cast<std::uint64_t>(it) +
-                      0x9e3779b97f4a7c15ULL;
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
+    std::uint64_t h = mix64(cfg.jitter +
+                            (static_cast<std::uint64_t>(tid) << 32) +
+                            static_cast<std::uint64_t>(it) + goldenGamma);
     return cfg.workCycles + static_cast<Cycles>(
         h % (cfg.workCycles + 1));
 }

@@ -1,7 +1,6 @@
 #include "apps/registry.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 
@@ -13,6 +12,7 @@
 #include "apps/tsp.hh"
 #include "apps/water.hh"
 #include "apps/worker.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 
 namespace swex
@@ -41,24 +41,45 @@ ParamReader::fail(const std::string &key, const std::string &why)
              (it == _params.end() ? "" : "=" + it->second) + " " + why;
 }
 
+namespace
+{
+
+/** Parse @p text in the wire's decimal grammar (json::parseU64).
+ *  @return why it does not parse, or nullptr if it does. */
+const char *
+parseDecimal(const std::string &text, std::uint64_t &out)
+{
+    if (json::parseU64(text, out))
+        return nullptr;
+    bool digits = !text.empty() &&
+                  std::all_of(text.begin(), text.end(), [](char c) {
+                      return c >= '0' && c <= '9';
+                  });
+    return digits ? "is out of range" : "is not an integer";
+}
+
+} // anonymous namespace
+
 int
 ParamReader::getInt(const std::string &key, int def)
 {
     const std::string *v = lookup(key);
     if (!v)
         return def;
-    errno = 0;
-    char *end = nullptr;
-    long n = std::strtol(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0') {
-        fail(key, "is not an integer");
+    // A leading '-' is the one addition to the decimal grammar, so
+    // getCount can say a negative count is not a count.
+    bool negative = !v->empty() && v->front() == '-';
+    std::uint64_t n = 0;
+    if (const char *why = parseDecimal(v->substr(negative ? 1 : 0), n)) {
+        fail(key, why);
         return def;
     }
-    if (errno == ERANGE || n < INT_MIN || n > INT_MAX) {
+    if (n > (negative ? std::uint64_t{INT_MAX} + 1 : INT_MAX)) {
         fail(key, "is out of range");
         return def;
     }
-    return static_cast<int>(n);
+    return static_cast<int>(negative ? -static_cast<std::int64_t>(n)
+                                     : static_cast<std::int64_t>(n));
 }
 
 int
@@ -78,23 +99,13 @@ ParamReader::getU64(const std::string &key, std::uint64_t def)
     const std::string *v = lookup(key);
     if (!v)
         return def;
-    // strtoull silently wraps "-1" to 2^64-1; reject the sign early.
-    const char *s = v->c_str();
-    while (*s == ' ' || *s == '\t')
-        ++s;
-    if (*s == '-') {
+    if (!v->empty() && v->front() == '-') {
         fail(key, "must be non-negative");
         return def;
     }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0') {
-        fail(key, "is not an integer");
-        return def;
-    }
-    if (errno == ERANGE) {
-        fail(key, "is out of range");
+    std::uint64_t n = 0;
+    if (const char *why = parseDecimal(*v, n)) {
+        fail(key, why);
         return def;
     }
     return n;

@@ -41,6 +41,8 @@ class ParamReader
   public:
     ParamReader(const AppParams &params, std::string app);
 
+    /** Integers are decimal digits only, as on the wire (no base
+     *  prefix, '+' or space); getInt also takes a leading '-'. */
     int getInt(const std::string &key, int def);
 
     /** getInt restricted to non-negative values, for parameters that

@@ -13,6 +13,22 @@
 namespace swex
 {
 
+/** SplitMix64's Weyl increment (2^64 divided by the golden ratio). */
+constexpr std::uint64_t goldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * SplitMix64's output finalizer, the 30/27/31 mix: a bijection on
+ * 64-bit words that decorrelates nearby inputs, for seeding,
+ * counter-based draws and hashing. Not cryptographic.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /**
  * A small, fast, deterministic PRNG. Not cryptographic; used only for
  * workload generation and tie-breaking policies.
@@ -20,16 +36,13 @@ namespace swex
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL)
+    explicit Rng(std::uint64_t seed = goldenGamma)
     {
         // SplitMix64 seeding, as recommended by the xoshiro authors.
         std::uint64_t z = seed;
         for (auto &word : state) {
-            z += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t s = z;
-            s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            s = (s ^ (s >> 27)) * 0x94d049bb133111ebULL;
-            word = s ^ (s >> 31);
+            z += goldenGamma;
+            word = mix64(z);
         }
     }
 

@@ -116,6 +116,9 @@ class CoherenceInterface
     MemoryModule &memory();
 
   private:
+    /** The controller's one message builder charges sends here. */
+    friend class HomeController;
+
     HomeController &hc;
     TrapItem _item;
     bool _isWrite;

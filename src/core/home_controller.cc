@@ -103,74 +103,33 @@ CoherenceInterface::hwEntry()
 void
 CoherenceInterface::sendData(NodeId dst, bool exclusive)
 {
-    charge(Activity::DataSend);
-    Message m;
-    m.type = exclusive ? MsgType::WriteData : MsgType::ReadData;
-    m.src = hc.homeNode();
-    m.dst = dst;
-    m.addr = blockAlign(_item.msg.addr);
-    m.data = hc.node.memory().readBlock(m.addr);
-    m.hasData = true;
-    hc.node.sendMsg(m, _elapsed);
+    hc.send(this, exclusive ? MsgType::WriteData : MsgType::ReadData,
+            blockAlign(_item.msg.addr), dst);
 }
 
 void
 CoherenceInterface::sendBusy(NodeId dst, bool busy_for_write)
 {
-    charge(Activity::BusySend);
-    ++hc.busySent;
-    Message m;
-    m.type = MsgType::Busy;
-    m.src = hc.homeNode();
-    m.dst = dst;
-    m.addr = blockAlign(_item.msg.addr);
-    m.isWrite = busy_for_write;
-    hc.node.sendMsg(m, _elapsed);
+    hc.send(this, MsgType::Busy, blockAlign(_item.msg.addr), dst, 0,
+            busy_for_write);
 }
 
 void
 CoherenceInterface::sendInv(NodeId dst)
 {
-    // Section 7 enhancement: a parallel invalidation procedure
-    // pipelines message composition so that invalidations past the
-    // first cost a quarter of the sequential per-message work.
-    Cycles unit = hc.costs.cost(Activity::InvXmit, _isWrite);
-    if (hc.config().parallelInv && _invsSent > 0)
-        unit = std::max<Cycles>(1, unit / 4);
-    _elapsed += unit;
-    ++_invsSent;
-    ++hc.swInvsSent;
-    Message m;
-    m.type = MsgType::Inv;
-    m.src = hc.homeNode();
-    m.dst = dst;
-    m.addr = blockAlign(_item.msg.addr);
-    hc.node.sendMsg(m, _elapsed);
-    if (hc.audit)
-        hc.audit->onInvSent(hc.homeNode(), m.addr);
+    hc.send(this, MsgType::Inv, blockAlign(_item.msg.addr), dst);
 }
 
 void
 CoherenceInterface::sendCtl(NodeId dst, MsgType type, std::uint8_t seq)
 {
-    charge(Activity::BusySend);
-    Message m;
-    m.type = type;
-    m.src = hc.homeNode();
-    m.dst = dst;
-    m.addr = blockAlign(_item.msg.addr);
-    m.seq = seq;
-    hc.node.sendMsg(m, _elapsed);
+    hc.send(this, type, blockAlign(_item.msg.addr), dst, seq);
 }
 
 void
 CoherenceInterface::flushLocalCache()
 {
-    charge(Activity::FreePointer);
-    Addr a = blockAlign(_item.msg.addr);
-    RemovalResult r = hc.node.invalidateLocal(a);
-    if (r.wasPresent && r.wasDirty)
-        hc.node.memory().writeBlock(a, r.data);
+    hc.flushLocal(this, blockAlign(_item.msg.addr));
 }
 
 ExtEntry *
@@ -260,51 +219,73 @@ HomeController::HomeController(NodeId home_id, int num_nodes,
 }
 
 // ==================================================================
-// Hardware actions
+// Actions
 // ==================================================================
 
 void
-HomeController::hwSendData(Addr block_addr, NodeId dst, bool exclusive)
-{
-    Message m;
-    m.type = exclusive ? MsgType::WriteData : MsgType::ReadData;
-    m.src = home;
-    m.dst = dst;
-    m.addr = block_addr;
-    m.data = node.memory().readBlock(block_addr);
-    m.hasData = true;
-    node.sendMsg(m, cfg.memLatency);
-}
-
-void
-HomeController::hwSendBusy(Addr block_addr, NodeId dst, bool is_write)
-{
-    ++busySent;
-    Message m;
-    m.type = MsgType::Busy;
-    m.src = home;
-    m.dst = dst;
-    m.addr = block_addr;
-    m.isWrite = is_write;
-    node.sendMsg(m, cfg.hwCtrlLatency);
-}
-
-void
-HomeController::hwSendCtl(Addr block_addr, NodeId dst, MsgType type,
-                          std::uint8_t seq)
+HomeController::send(CoherenceInterface *ci, MsgType type, Addr a,
+                     NodeId dst, std::uint8_t seq, bool busy_for_write)
 {
     Message m;
     m.type = type;
     m.src = home;
     m.dst = dst;
-    m.addr = block_addr;
+    m.addr = a;
     m.seq = seq;
-    node.sendMsg(m, cfg.hwCtrlLatency);
+    m.isWrite = busy_for_write;
+    switch (type) {
+      case MsgType::ReadData:
+      case MsgType::WriteData:
+        m.data = node.memory().readBlock(a);
+        m.hasData = true;
+        if (ci)
+            ci->charge(Activity::DataSend);
+        break;
+      case MsgType::Inv:
+        if (ci) {
+            // Section 7 enhancement: a parallel invalidation procedure
+            // pipelines message composition so that invalidations past
+            // the first cost a quarter of the sequential per-message
+            // work.
+            Cycles unit = costs.cost(Activity::InvXmit, ci->isWrite());
+            if (cfg.parallelInv && ci->_invsSent > 0)
+                unit = std::max<Cycles>(1, unit / 4);
+            ci->_elapsed += unit;
+            ++ci->_invsSent;
+            ++swInvsSent;
+        } else {
+            ++hwInvsSent;
+        }
+        break;
+      case MsgType::Busy:
+        ++busySent;
+        [[fallthrough]];
+      default:
+        if (ci)
+            ci->charge(Activity::BusySend);
+        break;
+    }
+    // A handler's message leaves at the cycle the handler issues it;
+    // the hardware's after its DRAM access or control synthesis.
+    Cycles fixed = m.hasData ? cfg.memLatency : cfg.hwCtrlLatency;
+    node.sendMsg(m, ci ? ci->elapsed() : fixed);
+    if (type == MsgType::Inv && audit)
+        audit->onInvSent(home, a);
 }
 
 void
-HomeController::hwGrantExclusive(DirEntry &e, Addr block_addr,
-                                 NodeId owner)
+HomeController::flushLocal(CoherenceInterface *ci, Addr a)
+{
+    if (ci)
+        ci->charge(Activity::FreePointer);
+    RemovalResult r = node.invalidateLocal(a);
+    if (r.wasPresent && r.wasDirty)
+        node.memory().writeBlock(a, r.data);
+}
+
+void
+HomeController::grantExclusive(CoherenceInterface *ci, DirEntry &e,
+                               Addr a, NodeId owner)
 {
     e.state = DirState::Exclusive;
     e.clearSharers();
@@ -314,7 +295,8 @@ HomeController::hwGrantExclusive(DirEntry &e, Addr block_addr,
     e.pendingNode = invalidNode;
     e.pendingIsWrite = false;
     e.pendingSwSend = false;
-    trackExclusive(block_addr, owner);
+    trackExclusive(a, owner);
+    send(ci, MsgType::WriteData, a, owner);
 }
 
 bool
@@ -450,7 +432,7 @@ HomeController::onReadReq(const Message &msg)
             // so the hardware services the local access directly.
             ++hwHandled;
             trackShared(a, home);
-            hwSendData(a, home, false);
+            send(nullptr, MsgType::ReadData, a, home);
             return;
         }
         raise(TrapKind::SwRequest, msg);
@@ -473,33 +455,20 @@ HomeController::onReadReq(const Message &msg)
       case DirState::Shared:
         e.state = DirState::Shared;
         trackShared(a, msg.src);
+        // On pointer overflow the hardware still returns the data
+        // (Section 2.2); software records the requester.
         if (recordReaderHw(e, msg.src)) {
             ++hwHandled;
-            hwSendData(a, msg.src, false);
+            send(nullptr, MsgType::ReadData, a, msg.src);
         } else {
-            // Pointer overflow: the hardware still returns the data
-            // (Section 2.2); software records the requester.
-            hwSendData(a, msg.src, false);
+            send(nullptr, MsgType::ReadData, a, msg.src);
             raise(TrapKind::ReadOverflow, msg);
         }
         return;
 
-      case DirState::Exclusive: {
-        NodeId owner = e.ptrs[0];
-        if (owner == msg.src) {
-            // Owner lost the line (writeback in flight); retry.
-            hwSendBusy(a, msg.src, false);
-            return;
-        }
-        e.state = DirState::PendRead;
-        e.pendingNode = msg.src;
-        e.pendingIsWrite = false;
-        e.fetchOutstanding = true;
-        ++e.fetchSeq;
-        ++hwHandled;
-        hwSendCtl(a, owner, MsgType::FetchS, e.fetchSeq);
+      case DirState::Exclusive:
+        recall(nullptr, e, a, msg.src, false);
         return;
-      }
 
       case DirState::PendRead:
       case DirState::PendWrite:
@@ -524,7 +493,7 @@ HomeController::onWriteReq(const Message &msg)
         if (msg.src == home && !e.remoteTouched) {
             ++hwHandled;
             trackExclusive(a, home);
-            hwSendData(a, home, true);
+            send(nullptr, MsgType::WriteData, a, home);
             return;
         }
         raise(TrapKind::SwRequest, msg);
@@ -543,8 +512,7 @@ HomeController::onWriteReq(const Message &msg)
     switch (e.state) {
       case DirState::Uncached:
         ++hwHandled;
-        hwGrantExclusive(e, a, msg.src);
-        hwSendData(a, msg.src, true);
+        grantExclusive(nullptr, e, a, msg.src);
         return;
 
       case DirState::Shared: {
@@ -557,7 +525,6 @@ HomeController::onWriteReq(const Message &msg)
             return;
         }
         std::vector<NodeId> targets = hwSharers(e, msg.src);
-        bool local_copy = e.localBit && msg.src != home;
         if (!targets.empty() && p.hwPointers == 1 && !p.swBroadcast) {
             // One-pointer protocols transmit all data invalidations
             // with the same software routine (Section 2.4).
@@ -565,56 +532,20 @@ HomeController::onWriteReq(const Message &msg)
             return;
         }
         // Hardware can invalidate its own pointed-to copies.
-        for (NodeId t : targets) {
-            ++hwInvsSent;
-            Message inv;
-            inv.type = MsgType::Inv;
-            inv.src = home;
-            inv.dst = t;
-            inv.addr = a;
-            node.sendMsg(inv, cfg.hwCtrlLatency);
-            if (audit)
-                audit->onInvSent(home, a);
-        }
-        if (local_copy) {
-            RemovalResult r = node.invalidateLocal(a);
-            if (r.wasPresent && r.wasDirty)
-                node.memory().writeBlock(a, r.data);
-        }
-        ++hwHandled;
-        if (targets.empty()) {
-            hwGrantExclusive(e, a, msg.src);
-            hwSendData(a, msg.src, true);
-            return;
-        }
-        SWEX_ASSERT(p.ackMode != AckMode::EveryAck,
+        SWEX_ASSERT(targets.empty() || p.ackMode != AckMode::EveryAck,
                     "EveryAck protocols cannot count acks in hw");
-        e.clearSharers();
-        e.ackCount = static_cast<std::uint32_t>(targets.size());
-        if (activeMutation() == ProtocolMutation::AckOvercount)
+        ++hwHandled;
+        invalidate(nullptr, e, a, msg.src, targets,
+                   e.localBit && msg.src != home, false);
+        if (e.ackCount > 0 &&
+            activeMutation() == ProtocolMutation::AckOvercount)
             ++e.ackCount;   // injected bug: one phantom ack expected
-        e.state = DirState::PendWrite;
-        e.pendingNode = msg.src;
-        e.pendingIsWrite = true;
-        e.pendingSwSend = (p.ackMode == AckMode::LastAck);
         return;
       }
 
-      case DirState::Exclusive: {
-        NodeId owner = e.ptrs[0];
-        if (owner == msg.src) {
-            hwSendBusy(a, msg.src, true);
-            return;
-        }
-        e.state = DirState::PendRead;
-        e.pendingNode = msg.src;
-        e.pendingIsWrite = true;
-        e.fetchOutstanding = true;
-        ++e.fetchSeq;
-        ++hwHandled;
-        hwSendCtl(a, owner, MsgType::FetchI, e.fetchSeq);
+      case DirState::Exclusive:
+        recall(nullptr, e, a, msg.src, true);
         return;
-      }
 
       case DirState::PendRead:
       case DirState::PendWrite:
@@ -650,9 +581,7 @@ HomeController::onInvAck(const Message &msg)
                 return;   // injected bug: the LACK trap never fires
             raise(TrapKind::LastAck, msg);
         } else {
-            NodeId w = e.pendingNode;
-            hwGrantExclusive(e, a, w);
-            hwSendData(a, w, true);
+            grantExclusive(nullptr, e, a, e.pendingNode);
             replayDeferred(a);
         }
     }
@@ -661,11 +590,10 @@ HomeController::onInvAck(const Message &msg)
 void
 HomeController::onWriteback(const Message &msg)
 {
-    const ProtocolConfig &p = cfg.protocol;
     Addr a = blockAlign(msg.addr);
     DirEntry &e = dir.entry(a);
 
-    if (p.hwPointers == 0) {
+    if (cfg.protocol.hwPointers == 0) {
         if (msg.src == home && !e.remoteTouched) {
             ++hwHandled;
             node.memory().writeBlock(a, msg.data);
@@ -674,9 +602,81 @@ HomeController::onWriteback(const Message &msg)
         raise(TrapKind::SwRequest, msg);
         return;
     }
-
-    node.memory().writeBlock(a, msg.data);
     ++hwHandled;
+    writeback(nullptr, e, msg);
+}
+
+void
+HomeController::onFetchReply(const Message &msg)
+{
+    if (cfg.protocol.hwPointers == 0) {
+        raise(TrapKind::SwRequest, msg);
+        return;
+    }
+    ++hwHandled;
+    fetchReply(nullptr, dir.entry(blockAlign(msg.addr)), msg);
+}
+
+// ==================================================================
+// Transitions shared by the hardware and the protocol software
+// ==================================================================
+
+void
+HomeController::recall(CoherenceInterface *ci, DirEntry &e, Addr a,
+                       NodeId req, bool is_write)
+{
+    NodeId owner = e.ptrs[0];
+    if (owner == req) {
+        // Owner lost the line (writeback in flight); retry.
+        send(ci, MsgType::Busy, a, req, 0, is_write);
+        return;
+    }
+    e.state = DirState::PendRead;
+    e.pendingNode = req;
+    e.pendingIsWrite = is_write;
+    e.fetchOutstanding = true;
+    ++e.fetchSeq;
+    if (!ci)
+        ++hwHandled;
+    send(ci, is_write ? MsgType::FetchI : MsgType::FetchS, a, owner,
+         e.fetchSeq);
+}
+
+void
+HomeController::fetchReply(CoherenceInterface *ci, DirEntry &e,
+                           const Message &msg)
+{
+    if (msg.seq != e.fetchSeq)
+        return;   // reply from a superseded fetch transaction
+    SWEX_ASSERT(e.fetchOutstanding, "FetchReply with no fetch pending");
+    e.fetchOutstanding = false;
+
+    Addr a = blockAlign(msg.addr);
+    if (msg.hasData) {
+        SWEX_ASSERT(e.state == DirState::PendRead,
+                    "FetchReply(data) in state %s",
+                    dirStateName(e.state));
+        node.memory().writeBlock(a, msg.data);
+        completeFetch(ci, e, a);
+        return;
+    }
+    if (e.state == DirState::PendRead) {
+        // The owner NACKed: either its writeback is still in flight
+        // (and will complete this transaction) or our own grant has
+        // not reached it yet (the window-of-vulnerability race).
+        // Re-fetch; the loop ends when either message lands.
+        e.fetchOutstanding = true;
+        send(ci, e.pendingIsWrite ? MsgType::FetchI : MsgType::FetchS, a,
+             e.ptrs[0], e.fetchSeq);
+    }
+}
+
+void
+HomeController::writeback(CoherenceInterface *ci, DirEntry &e,
+                          const Message &msg)
+{
+    Addr a = blockAlign(msg.addr);
+    node.memory().writeBlock(a, msg.data);
 
     if (e.state == DirState::Exclusive && e.ptrCount == 1 &&
         e.ptrs[0] == msg.src) {
@@ -687,61 +687,28 @@ HomeController::onWriteback(const Message &msg)
     if (e.state == DirState::PendRead && e.ptrs[0] == msg.src) {
         // Owner evicted the line while our fetch was in flight; this
         // writeback carries the data and completes the transaction.
-        completePendingFetch(e, a);
+        completeFetch(ci, e, a);
         return;
     }
-    panic("unexpected writeback in state %s (node %d, src %d)",
-          dirStateName(e.state), static_cast<int>(home),
-          static_cast<int>(msg.src));
+    // The software-only directory accepts a stale writeback from the
+    // uniprocessor-mode transition: memory is updated, nothing else
+    // to do. The hardware never sees one.
+    if (!ci)
+        panic("unexpected writeback in state %s (node %d, src %d)",
+              dirStateName(e.state), static_cast<int>(home),
+              static_cast<int>(msg.src));
 }
 
 void
-HomeController::onFetchReply(const Message &msg)
-{
-    const ProtocolConfig &p = cfg.protocol;
-    Addr a = blockAlign(msg.addr);
-
-    if (p.hwPointers == 0) {
-        raise(TrapKind::SwRequest, msg);
-        return;
-    }
-
-    DirEntry &e = dir.entry(a);
-    ++hwHandled;
-    if (msg.seq != e.fetchSeq)
-        return;   // reply from a superseded fetch transaction
-    SWEX_ASSERT(e.fetchOutstanding, "FetchReply with no fetch pending");
-    e.fetchOutstanding = false;
-
-    if (msg.hasData) {
-        SWEX_ASSERT(e.state == DirState::PendRead,
-                    "FetchReply(data) in state %s",
-                    dirStateName(e.state));
-        node.memory().writeBlock(a, msg.data);
-        completePendingFetch(e, a);
-        return;
-    }
-    if (e.state == DirState::PendRead) {
-        // The owner NACKed: either its writeback is still in flight
-        // (and will complete this transaction) or our own grant has
-        // not reached it yet (the window-of-vulnerability race).
-        // Re-fetch; the loop ends when either message lands.
-        e.fetchOutstanding = true;
-        hwSendCtl(a, e.ptrs[0],
-                  e.pendingIsWrite ? MsgType::FetchI : MsgType::FetchS,
-                  e.fetchSeq);
-    }
-}
-
-void
-HomeController::completePendingFetch(DirEntry &e, Addr block_addr)
+HomeController::completeFetch(CoherenceInterface *ci, DirEntry &e,
+                              Addr a)
 {
     NodeId req = e.pendingNode;
     NodeId owner = e.ptrs[0];
     bool is_write = e.pendingIsWrite;
     // The owner retains a read-only copy only for a downgrade: a
     // FetchS answered with data (fetchOutstanding already cleared by
-    // onFetchReply). On the writeback-completion path the fetch is
+    // fetchReply). On the writeback-completion path the fetch is
     // still outstanding and the owner's copy is gone.
     bool owner_retains = !is_write && !e.fetchOutstanding;
 
@@ -750,28 +717,66 @@ HomeController::completePendingFetch(DirEntry &e, Addr block_addr)
     e.pendingIsWrite = false;
 
     if (is_write) {
-        hwGrantExclusive(e, block_addr, req);
-        hwSendData(block_addr, req, true);
-        replayDeferred(block_addr);
+        grantExclusive(ci, e, a, req);
+        if (!ci)
+            replayDeferred(a);
         return;
     }
 
     e.state = DirState::Shared;
+    trackShared(a, req);
+    if (ci) {
+        // The software-only directory records readers in software.
+        ExtEntry &xe = ci->extAlloc();
+        if (owner_retains)
+            ci->recordSharer(xe, owner);
+        ci->recordSharer(xe, req);
+        send(ci, MsgType::ReadData, a, req);
+        return;
+    }
     if (owner_retains)
         recordReaderHw(e, owner);
-    trackShared(block_addr, req);
-    if (recordReaderHw(e, req)) {
-        hwSendData(block_addr, req, false);
-        replayDeferred(block_addr);
+    bool recorded = recordReaderHw(e, req);
+    send(nullptr, MsgType::ReadData, a, req);
+    if (recorded) {
+        replayDeferred(a);
+        return;
+    }
+    Message synth;
+    synth.type = MsgType::ReadReq;
+    synth.src = req;
+    synth.dst = home;
+    synth.addr = a;
+    raise(TrapKind::ReadOverflow, synth);
+    // Deferred requests replay when the trap completes.
+}
+
+void
+HomeController::invalidate(CoherenceInterface *ci, DirEntry &e, Addr a,
+                           NodeId req, const std::vector<NodeId> &targets,
+                           bool flush_local, bool release_ext)
+{
+    for (NodeId t : targets)
+        send(ci, MsgType::Inv, a, t);
+    if (flush_local)
+        flushLocal(ci, a);
+    if (release_ext)
+        ci->extRelease();
+
+    e.clearSharers();
+    e.overflowed = false;
+    e.ackCount = static_cast<std::uint32_t>(targets.size());
+    if (e.ackCount == 0) {
+        grantExclusive(ci, e, a, req);
+        return;
+    }
+    e.pendingNode = req;
+    e.pendingIsWrite = true;
+    if (cfg.protocol.ackMode == AckMode::EveryAck) {
+        e.state = DirState::SwPendWrite;
     } else {
-        hwSendData(block_addr, req, false);
-        Message synth;
-        synth.type = MsgType::ReadReq;
-        synth.src = req;
-        synth.dst = home;
-        synth.addr = block_addr;
-        raise(TrapKind::ReadOverflow, synth);
-        // Deferred requests replay when the trap completes.
+        e.state = DirState::PendWrite;
+        e.pendingSwSend = (cfg.protocol.ackMode == AckMode::LastAck);
     }
 }
 
@@ -883,59 +888,27 @@ HomeController::handleWriteOverflow(CoherenceInterface &ci)
     SWEX_ASSERT(e.state == DirState::Shared,
                 "write overflow in state %s", dirStateName(e.state));
     NodeId req = ci.item().msg.src;
-    Addr a = blockAlign(ci.item().msg.addr);
 
-    // Union of hardware pointers and software-extended sharers.
+    // Union of hardware pointers and software-extended sharers; the
+    // home's own copy is flushed locally instead.
     std::vector<NodeId> targets;
+    bool home_has_copy = e.localBit;
     auto add_target = [&](NodeId n) {
-        if (n == req || n == home)
-            return;
-        if (std::find(targets.begin(), targets.end(), n) ==
-            targets.end())
+        ci.charge(Activity::FreePointer);
+        if (n == home)
+            home_has_copy = true;
+        if (n != req && n != home &&
+            std::find(targets.begin(), targets.end(), n) == targets.end())
             targets.push_back(n);
     };
-
-    bool home_has_copy = e.localBit;
-    for (unsigned i = 0; i < e.ptrCount; ++i) {
-        ci.charge(Activity::FreePointer);
-        if (e.ptrs[i] == home)
-            home_has_copy = true;
+    for (unsigned i = 0; i < e.ptrCount; ++i)
         add_target(e.ptrs[i]);
-    }
     ExtEntry *xe = ci.extLookup();
-    if (xe) {
-        ext.forEachSharer(*xe, [&](NodeId n) {
-            ci.charge(Activity::FreePointer);
-            if (n == home)
-                home_has_copy = true;
-            add_target(n);
-        });
-    }
-
-    for (NodeId t : targets)
-        ci.sendInv(t);
-    if (home_has_copy && req != home)
-        ci.flushLocalCache();
-
     if (xe)
-        ci.extRelease();
-    e.clearSharers();
-    e.overflowed = false;
-    e.ackCount = static_cast<std::uint32_t>(targets.size());
+        ext.forEachSharer(*xe, add_target);
 
-    if (e.ackCount == 0) {
-        hwGrantExclusive(e, a, req);
-        ci.sendData(req, true);
-        return;
-    }
-    e.pendingNode = req;
-    e.pendingIsWrite = true;
-    if (cfg.protocol.ackMode == AckMode::EveryAck) {
-        e.state = DirState::SwPendWrite;
-    } else {
-        e.state = DirState::PendWrite;
-        e.pendingSwSend = (cfg.protocol.ackMode == AckMode::LastAck);
-    }
+    invalidate(&ci, e, blockAlign(ci.item().msg.addr), req, targets,
+               home_has_copy && req != home, xe != nullptr);
 }
 
 void
@@ -948,27 +921,12 @@ HomeController::handleWriteBroadcast(CoherenceInterface &ci)
 
     // Dir1SW: the software does not know who holds copies; it
     // broadcasts an invalidation to every node.
-    unsigned sent = 0;
-    for (NodeId n = 0; n < nodes; ++n) {
-        if (n == req || n == home)
-            continue;
-        ci.sendInv(n);
-        ++sent;
-    }
-    if (req != home)
-        ci.flushLocalCache();
-
-    e.clearSharers();
-    e.ackCount = sent;
-    if (sent == 0) {
-        hwGrantExclusive(e, blockAlign(ci.item().msg.addr), req);
-        ci.sendData(req, true);
-        return;
-    }
-    e.state = DirState::PendWrite;
-    e.pendingNode = req;
-    e.pendingIsWrite = true;
-    e.pendingSwSend = true;   // LACK
+    std::vector<NodeId> targets;
+    for (NodeId n = 0; n < nodes; ++n)
+        if (n != req && n != home)
+            targets.push_back(n);
+    invalidate(&ci, e, blockAlign(ci.item().msg.addr), req, targets,
+               req != home, false);
 }
 
 void
@@ -977,9 +935,7 @@ HomeController::handleLastAck(CoherenceInterface &ci)
     DirEntry &e = ci.hwEntry();
     SWEX_ASSERT(e.state == DirState::PendWrite && e.ackCount == 0 &&
                 e.pendingSwSend, "bad LastAck trap");
-    NodeId w = e.pendingNode;
-    ci.sendData(w, true);
-    hwGrantExclusive(e, blockAlign(ci.item().msg.addr), w);
+    grantExclusive(&ci, e, blockAlign(ci.item().msg.addr), e.pendingNode);
 }
 
 void
@@ -988,14 +944,12 @@ HomeController::handleEveryAck(CoherenceInterface &ci)
     DirEntry &e = ci.hwEntry();
     SWEX_ASSERT(e.state == DirState::SwPendWrite && e.ackCount > 0,
                 "bad EveryAck trap");
+    Addr a = blockAlign(ci.item().msg.addr);
     --e.ackCount;
     if (audit)
-        audit->onInvAckCounted(home, blockAlign(ci.item().msg.addr));
-    if (e.ackCount == 0) {
-        NodeId w = e.pendingNode;
-        ci.sendData(w, true);
-        hwGrantExclusive(e, blockAlign(ci.item().msg.addr), w);
-    }
+        audit->onInvAckCounted(home, a);
+    if (e.ackCount == 0)
+        grantExclusive(&ci, e, a, e.pendingNode);
 }
 
 void
@@ -1015,6 +969,7 @@ HomeController::handleSwRequest(CoherenceInterface &ci)
 {
     const Message &msg = ci.item().msg;
     DirEntry &e = ci.hwEntry();
+    Addr a = blockAlign(msg.addr);
 
     if (!e.remoteTouched && msg.src != home) {
         // First inter-node access: set the bit and flush the block
@@ -1024,203 +979,51 @@ HomeController::handleSwRequest(CoherenceInterface &ci)
     }
 
     switch (msg.type) {
-      case MsgType::ReadReq: swHandleRead(ci, e); break;
-      case MsgType::WriteReq: swHandleWrite(ci, e); break;
-      case MsgType::Writeback: swHandleWriteback(ci, e); break;
-      case MsgType::FetchReply: swHandleFetchReply(ci, e); break;
+      case MsgType::ReadReq:
+      case MsgType::WriteReq:
+        break;
+      case MsgType::Writeback:
+        writeback(&ci, e, msg);
+        return;
+      case MsgType::FetchReply:
+        fetchReply(&ci, e, msg);
+        return;
       default:
         panic("SwRequest trap for %s", msg.describe().c_str());
     }
-}
 
-void
-HomeController::swHandleRead(CoherenceInterface &ci, DirEntry &e)
-{
-    const Message &msg = ci.item().msg;
-    NodeId src = msg.src;
-    Addr a = blockAlign(msg.addr);
-
+    bool is_write = msg.type == MsgType::WriteReq;
     switch (e.state) {
       case DirState::Uncached:
-      case DirState::Shared: {
-        ExtEntry &xe = ci.extAlloc();
-        ci.recordSharer(xe, src);
-        e.state = DirState::Shared;
-        trackShared(a, src);
-        ci.sendData(src, false);
-        return;
-      }
-      case DirState::Exclusive: {
-        NodeId owner = e.ptrs[0];
-        if (owner == src) {
-            ci.sendBusy(src, false);
-            return;
+      case DirState::Shared:
+        if (!is_write) {
+            ExtEntry &xe = ci.extAlloc();
+            ci.recordSharer(xe, msg.src);
+            e.state = DirState::Shared;
+            trackShared(a, msg.src);
+            ci.sendData(msg.src, false);
+        } else if (e.state == DirState::Shared) {
+            // No pointers, local bit or overflow flag: the sharers
+            // are all in the extension, as after a write overflow.
+            handleWriteOverflow(ci);
+        } else {
+            grantExclusive(&ci, e, a, msg.src);
         }
-        e.state = DirState::PendRead;
-        e.pendingNode = src;
-        e.pendingIsWrite = false;
-        e.fetchOutstanding = true;
-        ++e.fetchSeq;
-        ci.sendCtl(owner, MsgType::FetchS, e.fetchSeq);
-        return;
-      }
-      case DirState::PendRead:
-      case DirState::PendWrite:
-      case DirState::SwPendWrite:
-        ci.sendBusy(src, false);
-        return;
-      default:
-        panic("swHandleRead: bad state");
-    }
-}
-
-void
-HomeController::swHandleWrite(CoherenceInterface &ci, DirEntry &e)
-{
-    const Message &msg = ci.item().msg;
-    NodeId src = msg.src;
-    Addr a = blockAlign(msg.addr);
-
-    switch (e.state) {
-      case DirState::Uncached:
-        hwGrantExclusive(e, a, src);
-        ci.sendData(src, true);
         return;
 
-      case DirState::Shared: {
-        ExtEntry *xe = ci.extLookup();
-        std::vector<NodeId> targets;
-        bool home_has_copy = false;
-        if (xe) {
-            ext.forEachSharer(*xe, [&](NodeId n) {
-                ci.charge(Activity::FreePointer);
-                if (n == src)
-                    return;
-                if (n == home) {
-                    home_has_copy = true;
-                    return;
-                }
-                if (std::find(targets.begin(), targets.end(), n) ==
-                    targets.end())
-                    targets.push_back(n);
-            });
-        }
-        for (NodeId t : targets)
-            ci.sendInv(t);
-        if (home_has_copy && src != home)
-            ci.flushLocalCache();
-        if (xe)
-            ci.extRelease();
-        e.clearSharers();
-        e.ackCount = static_cast<std::uint32_t>(targets.size());
-        if (e.ackCount == 0) {
-            hwGrantExclusive(e, a, src);
-            ci.sendData(src, true);
-            return;
-        }
-        e.state = DirState::SwPendWrite;
-        e.pendingNode = src;
-        e.pendingIsWrite = true;
+      case DirState::Exclusive:
+        recall(&ci, e, a, msg.src, is_write);
         return;
-      }
-
-      case DirState::Exclusive: {
-        NodeId owner = e.ptrs[0];
-        if (owner == src) {
-            ci.sendBusy(src, true);
-            return;
-        }
-        e.state = DirState::PendRead;
-        e.pendingNode = src;
-        e.pendingIsWrite = true;
-        e.fetchOutstanding = true;
-        ++e.fetchSeq;
-        ci.sendCtl(owner, MsgType::FetchI, e.fetchSeq);
-        return;
-      }
 
       case DirState::PendRead:
       case DirState::PendWrite:
       case DirState::SwPendWrite:
-        ci.sendBusy(src, true);
+        ci.sendBusy(msg.src, is_write);
         return;
 
       default:
-        panic("swHandleWrite: bad state");
+        panic("SwRequest in bad state %s", dirStateName(e.state));
     }
-}
-
-void
-HomeController::swHandleWriteback(CoherenceInterface &ci, DirEntry &e)
-{
-    const Message &msg = ci.item().msg;
-    Addr a = blockAlign(msg.addr);
-    ci.memory().writeBlock(a, msg.data);
-
-    if (e.state == DirState::Exclusive && e.ptrCount == 1 &&
-        e.ptrs[0] == msg.src) {
-        e.state = DirState::Uncached;
-        e.clearSharers();
-        return;
-    }
-    if (e.state == DirState::PendRead && e.ptrs[0] == msg.src) {
-        swCompleteFetch(ci, e);
-        return;
-    }
-    // Stale writeback from the uniprocessor-mode transition; memory
-    // is updated, nothing else to do.
-}
-
-void
-HomeController::swHandleFetchReply(CoherenceInterface &ci, DirEntry &e)
-{
-    const Message &msg = ci.item().msg;
-    if (msg.seq != e.fetchSeq)
-        return;   // superseded fetch transaction
-    SWEX_ASSERT(e.fetchOutstanding, "sw FetchReply with none pending");
-    e.fetchOutstanding = false;
-    if (msg.hasData) {
-        SWEX_ASSERT(e.state == DirState::PendRead,
-                    "sw FetchReply(data) in state %s",
-                    dirStateName(e.state));
-        ci.memory().writeBlock(blockAlign(msg.addr), msg.data);
-        swCompleteFetch(ci, e);
-        return;
-    }
-    if (e.state == DirState::PendRead) {
-        // Owner NACK: re-fetch (see onFetchReply for the rationale).
-        e.fetchOutstanding = true;
-        ci.sendCtl(e.ptrs[0],
-                   e.pendingIsWrite ? MsgType::FetchI : MsgType::FetchS,
-                   e.fetchSeq);
-    }
-}
-
-void
-HomeController::swCompleteFetch(CoherenceInterface &ci, DirEntry &e)
-{
-    Addr a = blockAlign(ci.item().msg.addr);
-    NodeId req = e.pendingNode;
-    NodeId owner = e.ptrs[0];
-    bool is_write = e.pendingIsWrite;
-    bool owner_retains = !is_write && !e.fetchOutstanding;
-
-    e.clearSharers();
-    e.pendingNode = invalidNode;
-    e.pendingIsWrite = false;
-
-    if (is_write) {
-        hwGrantExclusive(e, a, req);
-        ci.sendData(req, true);
-        return;
-    }
-    e.state = DirState::Shared;
-    ExtEntry &xe = ci.extAlloc();
-    if (owner_retains)
-        ci.recordSharer(xe, owner);
-    ci.recordSharer(xe, req);
-    trackShared(a, req);
-    ci.sendData(req, false);
 }
 
 // ==================================================================

@@ -142,14 +142,6 @@ class HomeController
     void onWriteback(const Message &msg);
     void onFetchReply(const Message &msg);
 
-    // Hardware actions
-    void hwSendData(Addr block_addr, NodeId dst, bool exclusive);
-    void hwSendBusy(Addr block_addr, NodeId dst, bool is_write);
-    void hwSendCtl(Addr block_addr, NodeId dst, MsgType type,
-                   std::uint8_t seq);
-    void hwGrantExclusive(DirEntry &e, Addr block_addr, NodeId owner);
-    void completePendingFetch(DirEntry &e, Addr block_addr);
-
     /** Record a read grant in hardware; true if it fit, false if the
      *  pointers overflowed (caller must trap). */
     bool recordReaderHw(DirEntry &e, NodeId reader);
@@ -160,6 +152,52 @@ class HomeController
 
     void raise(TrapKind kind, const Message &msg);
 
+    // Actions and transitions shared by the hardware and the protocol
+    // software. Each takes the running handler's interface, or null
+    // when the hardware acts: a handler charges its work to its
+    // occupancy and sends at elapsed(), the hardware sends after its
+    // fixed memory or control latency. Only the hardware counts
+    // hwHandled and replays deferred requests.
+
+    /** Build and send a home-side message about block @p a: every
+     *  message the home sends is built here. */
+    void send(CoherenceInterface *ci, MsgType type, Addr a, NodeId dst,
+              std::uint8_t seq = 0, bool busy_for_write = false);
+
+    /** Flush the home node's own cached copy (dirty data goes back
+     *  to memory). */
+    void flushLocal(CoherenceInterface *ci, Addr a);
+
+    /** Make @p owner the block's exclusive owner and send it data. */
+    void grantExclusive(CoherenceInterface *ci, DirEntry &e, Addr a,
+                        NodeId owner);
+
+    /** Recall an Exclusive block from its owner for @p req, or tell
+     *  an owner that asks again to retry. */
+    void recall(CoherenceInterface *ci, DirEntry &e, Addr a, NodeId req,
+                bool is_write);
+
+    /** An owner's answer to a recall: data completes it, a NACK
+     *  fetches again, a superseded reply is dropped. */
+    void fetchReply(CoherenceInterface *ci, DirEntry &e,
+                    const Message &msg);
+
+    /** An owner's writeback; it completes a recall in flight. */
+    void writeback(CoherenceInterface *ci, DirEntry &e,
+                   const Message &msg);
+
+    /** Finish a recall: grant the writer, or share with the reader
+     *  (recorded in hardware pointers, or in software when @p ci). */
+    void completeFetch(CoherenceInterface *ci, DirEntry &e, Addr a);
+
+    /** Invalidate @p targets (and the home's own copy if
+     *  @p flush_local), then grant @p req at once if no acks are due,
+     *  else wait for them. @p release_ext frees the block's extended
+     *  entry first. */
+    void invalidate(CoherenceInterface *ci, DirEntry &e, Addr a,
+                    NodeId req, const std::vector<NodeId> &targets,
+                    bool flush_local, bool release_ext);
+
     // Software handlers (built-in protocol extension software)
     void handleReadOverflow(CoherenceInterface &ci);
     void handleWriteOverflow(CoherenceInterface &ci);
@@ -168,13 +206,6 @@ class HomeController
     void handleEveryAck(CoherenceInterface &ci);
     void handleSwRequest(CoherenceInterface &ci);
     void handleSwBusy(CoherenceInterface &ci);
-
-    // SwRequest (software-only directory) helpers
-    void swHandleRead(CoherenceInterface &ci, DirEntry &e);
-    void swHandleWrite(CoherenceInterface &ci, DirEntry &e);
-    void swHandleWriteback(CoherenceInterface &ci, DirEntry &e);
-    void swHandleFetchReply(CoherenceInterface &ci, DirEntry &e);
-    void swCompleteFetch(CoherenceInterface &ci, DirEntry &e);
 
     void trackShared(Addr block_addr, NodeId n);
     void trackExclusive(Addr block_addr, NodeId n);

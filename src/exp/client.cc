@@ -15,6 +15,7 @@
 #include <cstring>
 #include <thread>
 
+#include "base/rng.hh"
 #include "exp/line_io.hh"
 
 namespace swex
@@ -28,17 +29,6 @@ namespace
 using wire::JsonValue;
 using wire::JsonParser;
 using wire::numberAsU64;
-
-/** SplitMix64 finalizer: the jitter and chaos draws only need
- *  deterministic decorrelation, not cryptography. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 void
 sleepMs(std::uint64_t ms)
@@ -183,7 +173,8 @@ ServeClient::backoffDelayMs(unsigned attempt)
     // schedule does not re-stampede in lockstep; the draw counter
     // keeps successive delays decorrelated under one seed.
     std::uint64_t half = base / 2;
-    std::uint64_t j = mix64(cfg.backoffSeed ^ (0x9e37u + backoffDraws));
+    std::uint64_t j =
+        mix64((cfg.backoffSeed ^ (0x9e37u + backoffDraws)) + goldenGamma);
     ++backoffDraws;
     return half + j % (base - half + 1);
 }
@@ -193,7 +184,8 @@ ServeClient::chaosRoll()
 {
     if (cfg.chaosKillPerMille == 0)
         return false;
-    std::uint64_t r = mix64(cfg.chaosSeed ^ (0xc4a05u + chaosDraws));
+    std::uint64_t r =
+        mix64((cfg.chaosSeed ^ (0xc4a05u + chaosDraws)) + goldenGamma);
     ++chaosDraws;
     return r % 1000 < cfg.chaosKillPerMille;
 }

@@ -78,35 +78,7 @@ void
 parallelFor(std::size_t n, unsigned jobs,
             const std::function<void(std::size_t)> &fn)
 {
-    if (n == 0)
-        return;
-    if (jobs <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    unsigned threads = jobs;
-    if (static_cast<std::size_t>(threads) > n)
-        threads = static_cast<unsigned>(n);
-
-    // One shared cursor over the index space: uniform sweep grids
-    // self-balance, and the order indices are *claimed* in does not
-    // matter because results are merged by index afterwards.
-    std::atomic<std::size_t> next{0};
-    ThreadPool pool(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        pool.submit([&] {
-            for (;;) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                fn(i);
-            }
-        });
-    }
-    pool.wait();
+    parallelFor(n, jobs, {}, fn);
 }
 
 std::vector<std::size_t>
@@ -128,19 +100,28 @@ parallelFor(std::size_t n, unsigned jobs,
             const std::vector<double> &costs,
             const std::function<void(std::size_t)> &fn)
 {
-    if (costs.size() != n || n == 0 || jobs <= 1 || n == 1) {
+    if (n == 0)
+        return;
+    if (jobs <= 1 || n == 1) {
         // Serial execution gains nothing from reordering; keep the
         // natural order so single-job traces stay easy to follow.
-        parallelFor(n, jobs, fn);
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
         return;
     }
 
-    std::vector<std::size_t> order = longestFirstOrder(costs);
+    // Natural order, unless a cost per index asks for longest first.
+    const std::vector<std::size_t> order =
+        costs.size() == n ? longestFirstOrder(costs)
+                          : std::vector<std::size_t>{};
 
     unsigned threads = jobs;
     if (static_cast<std::size_t>(threads) > n)
         threads = static_cast<unsigned>(n);
 
+    // One shared cursor over the claim order: uniform sweep grids
+    // self-balance, and the order indices are *claimed* in does not
+    // matter because results are merged by index afterwards.
     std::atomic<std::size_t> next{0};
     ThreadPool pool(threads);
     for (unsigned t = 0; t < threads; ++t) {
@@ -150,7 +131,7 @@ parallelFor(std::size_t n, unsigned jobs,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= n)
                     return;
-                fn(order[i]);
+                fn(order.empty() ? i : order[i]);
             }
         });
     }

@@ -7,6 +7,7 @@
 #include "audit/auditor.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "machine/mem_api.hh"
 #include "trace/recorder.hh"
 
@@ -232,12 +233,7 @@ Machine::imageHash() const
                  copies.end());
 
     std::uint64_t h = 0x243f6a8885a308d3ULL;
-    auto mix = [&h](std::uint64_t v) {
-        std::uint64_t z = h ^ v;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-    };
+    auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
     for (const Copy &c : copies) {
         // All-zero blocks hash to nothing: which zero blocks were ever
         // materialized depends on the protocol and interleaving, not

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "base/rng.hh"
 #include "base/types.hh"
 
 namespace swex
@@ -78,10 +79,9 @@ class FaultInjector
     FaultRoll
     roll()
     {
-        std::uint64_t z1 = mix(_cfg.seed +
-                               0x9e3779b97f4a7c15ULL * ++_counter);
-        std::uint64_t z2 = mix(z1);
-        std::uint64_t z3 = mix(z2);
+        std::uint64_t z1 = mix64(_cfg.seed + goldenGamma * ++_counter);
+        std::uint64_t z2 = mix64(z1);
+        std::uint64_t z3 = mix64(z2);
 
         FaultRoll r;
         r.drop = z1 % 1000 < _cfg.dropPerMille;
@@ -96,14 +96,6 @@ class FaultInjector
     std::uint64_t rolls() const { return _counter; }
 
   private:
-    static std::uint64_t
-    mix(std::uint64_t z)
-    {
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
-
     FaultConfig _cfg;
     std::uint64_t _counter = 0;
 };

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "base/trace.hh"
 
 namespace swex
@@ -99,11 +100,8 @@ MeshNetwork::jitterFor()
     // One SplitMix64 step per message: deterministic in (seed,
     // message index), independent of host state, cheap enough to sit
     // on the send path.
-    std::uint64_t z = config.jitterSeed + 0x9e3779b97f4a7c15ULL *
-                      ++_jitterCounter;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
+    std::uint64_t z =
+        mix64(config.jitterSeed + goldenGamma * ++_jitterCounter);
     return static_cast<Cycles>(z % (config.jitterMax + 1));
 }
 

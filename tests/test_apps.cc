@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "apps/aq.hh"
 #include "apps/evolve.hh"
 #include "apps/mp3d.hh"
+#include "apps/registry.hh"
 #include "apps/smgrid.hh"
 #include "apps/tsp.hh"
 #include "apps/water.hh"
@@ -290,4 +293,33 @@ TEST(Speedup, ParallelFasterThanSequentialOnFullMap)
         static_cast<double>(t_seq) / static_cast<double>(t_par);
     EXPECT_GT(speedup, 2.0);
     EXPECT_LT(speedup, 8.5);
+}
+
+TEST(ParamReader, IntegersAreDecimalDigitsOnly)
+{
+    // "010" is ten, not octal eight.
+    AppParams params{{"wss", "010"}, {"think", "007"}, {"neg", "-3"}};
+    ParamReader r(params, "demo");
+    EXPECT_EQ(r.getCount("wss", 0), 10);
+    EXPECT_EQ(r.getU64("think", 0), 7u);
+    EXPECT_EQ(r.getInt("neg", 0), -3);
+    EXPECT_EQ(r.finish(), "");
+
+    // A base prefix, a sign other than getInt's '-', and spaces are
+    // refused; the value reads as the default.
+    for (const char *bad : {"0x8", "+8", " 8", "8 ", "", "-", "1e3"}) {
+        const AppParams one{{"wss", bad}};
+        ParamReader b(one, "demo");
+        EXPECT_EQ(b.getInt("wss", 4), 4) << bad;
+        EXPECT_EQ(b.finish(),
+                  std::string("demo: parameter wss=") + bad +
+                      " is not an integer");
+    }
+    const AppParams past{{"n", "-2147483649"}};
+    ParamReader big(past, "demo");
+    EXPECT_EQ(big.getInt("n", 1), 1);
+    EXPECT_EQ(big.finish(), "demo: parameter n=-2147483649 is out of range");
+    const AppParams least{{"n", "-2147483648"}};
+    ParamReader min(least, "demo");
+    EXPECT_EQ(min.getInt("n", 1), INT_MIN);
 }

@@ -124,10 +124,53 @@ struct Harness
         }
     }
 
+    /**
+     * Deliver @p m, which must queue exactly one trap, and run that
+     * trap's handler. Clears the sent log first, so afterwards it
+     * holds only what the handler sent.
+     * @return the handler's cycles.
+     */
+    Cycles
+    trapped(const Message &m)
+    {
+        node.sent.clear();
+        hc.handleMessage(m);
+        EXPECT_EQ(node.traps.size(), 1u);
+        if (node.traps.empty())
+            return 0;
+        TrapItem item = node.traps.front();
+        node.traps.clear();
+        Cycles c = hc.runTrap(item);
+        node.drainScheduled();
+        return c;
+    }
+
     StubNode node;
     HomeConfig home_cfg;
     HomeController hc;
 };
+
+/** One expected home-side message: its type, target and delay. */
+struct Want
+{
+    MsgType type;
+    NodeId dst;
+    Cycles delay;
+};
+
+void
+expectSent(const StubNode &node, const std::vector<Want> &want)
+{
+    ASSERT_EQ(node.sent.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const StubNode::Sent &s = node.sent[i];
+        EXPECT_EQ(s.msg.type, want[i].type) << "message " << i;
+        EXPECT_EQ(s.msg.src, 0) << "message " << i;
+        EXPECT_EQ(s.msg.dst, want[i].dst) << "message " << i;
+        EXPECT_EQ(s.msg.addr, 0x100u) << "message " << i;
+        EXPECT_EQ(s.delay, want[i].delay) << "message " << i;
+    }
+}
 
 } // anonymous namespace
 
@@ -301,6 +344,37 @@ TEST(HomeHw, RequestsDuringTrapAreDeferredAndReplayed)
     EXPECT_EQ(h.node.countSent(MsgType::ReadData), 1);
 }
 
+TEST(HomeHw, RepliesLeaveAfterFixedLatencies)
+{
+    // Data waits for the DRAM access (10), control for the hardware's
+    // message synthesis (2); hardware sends never charge a handler.
+    Harness h(ProtocolConfig::hw(5));
+    h.hc.handleMessage(h.req(MsgType::WriteReq, 2));
+    expectSent(h.node, {{MsgType::WriteData, 2, 10}});
+
+    h.node.sent.clear();
+    h.hc.handleMessage(h.req(MsgType::ReadReq, 2));   // owner again
+    h.hc.handleMessage(h.req(MsgType::ReadReq, 5));
+    Message nack = h.req(MsgType::FetchReply, 2);
+    nack.seq = 1;
+    h.hc.handleMessage(nack);
+    Message rep = nack;
+    rep.hasData = true;
+    h.hc.handleMessage(rep);
+    expectSent(h.node, {{MsgType::Busy, 2, 2},
+                        {MsgType::FetchS, 2, 2},
+                        {MsgType::FetchS, 2, 2},
+                        {MsgType::ReadData, 5, 10}});
+    EXPECT_EQ(h.hc.busySent.value(), 1);
+
+    h.node.sent.clear();
+    h.hc.handleMessage(h.req(MsgType::WriteReq, 3));
+    expectSent(h.node, {{MsgType::Inv, 2, 2}, {MsgType::Inv, 5, 2}});
+    EXPECT_EQ(h.hc.hwInvsSent.value(), 2);
+    EXPECT_EQ(h.hc.dir.lookup(0x100)->state, DirState::PendWrite);
+    EXPECT_TRUE(h.node.traps.empty());
+}
+
 // ------------------------------------------------------------------
 // Software handlers
 // ------------------------------------------------------------------
@@ -454,4 +528,288 @@ TEST(HomeSw, FullMapNeverTraps)
     EXPECT_TRUE(h.node.traps.empty());
     EXPECT_EQ(h.hc.dir.lookup(0x100)->state, DirState::Exclusive);
     EXPECT_EQ(h.node.countSent(MsgType::WriteData), 1);
+}
+
+// ------------------------------------------------------------------
+// The software-only directory (Dir_n H_0 S_{NB,ACK}), handler by
+// handler: the messages sent, their delays, the handler's cycles and
+// the entry left behind.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+// FlexibleC costs (cost_model.cc). A handler for a ReadReq or a
+// FetchReply pays 91 cycles on entry (69 of prologue, 22 to decode
+// the directory) and 14 to return; one for a WriteReq, a Writeback or
+// an InvAck pays 108 (56 + 52) and 9. A send is charged before it
+// leaves: a busy reply or a fetch 15, a data reply 30, each
+// invalidation 52.
+constexpr Cycles rdIn = 91, rdOut = 14, wrIn = 108, wrOut = 9;
+constexpr Cycles ctl = 15, data = 30, inv = 52;
+// Extended-directory work: 12 per pointer freed (or for the local
+// flush), 39 per pointer stored, a hash lookup 80 (read) or 74
+// (write), a free-list operation 60 (read) or 28 (write).
+constexpr Cycles freePtr = 12, storePtr = 39;
+constexpr Cycles rdHash = 80, wrHash = 74, rdMem = 60, wrMem = 28;
+
+/** An H0 home whose block 0x100 node 2 owns, after a remote write. */
+struct OwnedH0 : Harness
+{
+    OwnedH0() : Harness(ProtocolConfig::h0())
+    {
+        // The first remote access also flushes the home's own copy.
+        EXPECT_EQ(trapped(req(MsgType::WriteReq, 2)),
+                  wrIn + freePtr + data + wrOut);
+        expectSent(node, {{MsgType::WriteData, 2, wrIn + freePtr + data}});
+    }
+
+    const DirEntry &entry() const { return *hc.dir.lookup(0x100); }
+
+    Message
+    fetchReply(std::uint8_t seq, bool with_data, Word value = 0)
+    {
+        Message m = req(MsgType::FetchReply, 2);
+        m.seq = seq;
+        m.hasData = with_data;
+        if (with_data)
+            m.data.write(0x100, value);
+        return m;
+    }
+};
+
+/** A read and a write from node 6 each get a busy reply. */
+void
+expectBusiesBoth(Harness &h, DirState state)
+{
+    EXPECT_EQ(h.trapped(h.req(MsgType::ReadReq, 6)), rdIn + ctl + rdOut);
+    expectSent(h.node, {{MsgType::Busy, 6, rdIn + ctl}});
+    EXPECT_FALSE(h.node.sent.at(0).msg.isWrite);
+    EXPECT_EQ(h.trapped(h.req(MsgType::WriteReq, 6)), wrIn + ctl + wrOut);
+    expectSent(h.node, {{MsgType::Busy, 6, wrIn + ctl}});
+    EXPECT_TRUE(h.node.sent.at(0).msg.isWrite);
+    EXPECT_EQ(h.hc.dir.lookup(0x100)->state, state);
+}
+
+} // anonymous namespace
+
+TEST(HomeSw, H0RecallsAnOwnedBlockOrTellsTheOwnerToRetry)
+{
+    OwnedH0 h;
+    EXPECT_EQ(h.entry().state, DirState::Exclusive);
+    EXPECT_EQ(h.entry().ptrs[0], 2);
+
+    // The owner asks again (its writeback is in flight): retry.
+    EXPECT_EQ(h.trapped(h.req(MsgType::ReadReq, 2)), rdIn + ctl + rdOut);
+    expectSent(h.node, {{MsgType::Busy, 2, rdIn + ctl}});
+    EXPECT_FALSE(h.node.sent[0].msg.isWrite);
+    EXPECT_EQ(h.trapped(h.req(MsgType::WriteReq, 2)), wrIn + ctl + wrOut);
+    expectSent(h.node, {{MsgType::Busy, 2, wrIn + ctl}});
+    EXPECT_TRUE(h.node.sent[0].msg.isWrite);
+    EXPECT_EQ(h.entry().state, DirState::Exclusive);
+    EXPECT_EQ(h.hc.busySent.value(), 2);
+
+    // A reader recalls the block for a shared copy.
+    EXPECT_EQ(h.trapped(h.req(MsgType::ReadReq, 5)), rdIn + ctl + rdOut);
+    expectSent(h.node, {{MsgType::FetchS, 2, rdIn + ctl}});
+    EXPECT_EQ(h.node.sent[0].msg.seq, 1);
+    EXPECT_EQ(h.entry().state, DirState::PendRead);
+    EXPECT_EQ(h.entry().pendingNode, 5);
+    EXPECT_FALSE(h.entry().pendingIsWrite);
+    EXPECT_TRUE(h.entry().fetchOutstanding);
+
+    // A writer recalls it for ownership.
+    OwnedH0 w;
+    EXPECT_EQ(w.trapped(w.req(MsgType::WriteReq, 6)), wrIn + ctl + wrOut);
+    expectSent(w.node, {{MsgType::FetchI, 2, wrIn + ctl}});
+    EXPECT_EQ(w.node.sent[0].msg.seq, 1);
+    EXPECT_EQ(w.entry().state, DirState::PendRead);
+    EXPECT_EQ(w.entry().pendingNode, 6);
+    EXPECT_TRUE(w.entry().pendingIsWrite);
+    EXPECT_TRUE(w.entry().fetchOutstanding);
+}
+
+TEST(HomeSw, H0DropsAStaleFetchReplyAndRefetchesOnANack)
+{
+    OwnedH0 h;
+    h.trapped(h.req(MsgType::ReadReq, 5));   // FetchS, seq 1
+
+    // A reply tagged for another fetch changes nothing.
+    EXPECT_EQ(h.trapped(h.fetchReply(2, true, 9)), rdIn + rdOut);
+    expectSent(h.node, {});
+    EXPECT_EQ(h.entry().state, DirState::PendRead);
+    EXPECT_TRUE(h.entry().fetchOutstanding);
+    EXPECT_EQ(h.node.memImpl.readWord(0x100), 0u);
+
+    // The owner NACKs: fetch again, with the same tag.
+    EXPECT_EQ(h.trapped(h.fetchReply(1, false)), rdIn + ctl + rdOut);
+    expectSent(h.node, {{MsgType::FetchS, 2, rdIn + ctl}});
+    EXPECT_EQ(h.node.sent[0].msg.seq, 1);
+    EXPECT_EQ(h.entry().state, DirState::PendRead);
+    EXPECT_EQ(h.entry().pendingNode, 5);
+    EXPECT_TRUE(h.entry().fetchOutstanding);
+
+    // A write recall fetches again for ownership. A FetchReply
+    // handler is charged at read costs either way.
+    OwnedH0 w;
+    w.trapped(w.req(MsgType::WriteReq, 6));
+    EXPECT_EQ(w.trapped(w.fetchReply(1, false)), rdIn + ctl + rdOut);
+    expectSent(w.node, {{MsgType::FetchI, 2, rdIn + ctl}});
+    EXPECT_EQ(w.entry().state, DirState::PendRead);
+    EXPECT_TRUE(w.entry().fetchOutstanding);
+}
+
+TEST(HomeSw, H0FetchReplyCompletesARecallInTheExtendedDirectory)
+{
+    OwnedH0 h;
+    h.trapped(h.req(MsgType::ReadReq, 5));
+
+    // The owner keeps a shared copy: the handler allocates the
+    // block's entry (hash lookup and free list) and stores both.
+    Cycles sent = rdIn + rdHash + rdMem + 2 * storePtr + data;
+    EXPECT_EQ(h.trapped(h.fetchReply(1, true, 77)), sent + rdOut);
+    expectSent(h.node, {{MsgType::ReadData, 5, sent}});
+    EXPECT_EQ(h.node.sent[0].msg.data.read(0x100), 77u);
+    EXPECT_EQ(h.node.memImpl.readWord(0x100), 77u);
+    EXPECT_EQ(h.entry().state, DirState::Shared);
+    EXPECT_EQ(h.entry().ptrCount, 0);
+    EXPECT_EQ(h.entry().pendingNode, invalidNode);
+    EXPECT_FALSE(h.entry().fetchOutstanding);
+    const ExtEntry *xe = h.hc.ext.lookup(0x100);
+    ASSERT_NE(xe, nullptr);
+    EXPECT_EQ(xe->sharerCount, 2u);
+    EXPECT_TRUE(xe->hasSharer(2));
+    EXPECT_TRUE(xe->hasSharer(5));
+
+    // A write recall's data grants ownership and records nothing in
+    // software.
+    OwnedH0 w;
+    w.trapped(w.req(MsgType::WriteReq, 6));
+    EXPECT_EQ(w.trapped(w.fetchReply(1, true, 88)), rdIn + data + rdOut);
+    expectSent(w.node, {{MsgType::WriteData, 6, rdIn + data}});
+    EXPECT_EQ(w.node.sent[0].msg.data.read(0x100), 88u);
+    EXPECT_EQ(w.entry().state, DirState::Exclusive);
+    EXPECT_EQ(w.entry().ptrCount, 1);
+    EXPECT_EQ(w.entry().ptrs[0], 6);
+    EXPECT_EQ(w.hc.ext.lookup(0x100), nullptr);
+}
+
+TEST(HomeSw, H0WritebackCompletesARecallAndAStaleOneIsAccepted)
+{
+    OwnedH0 h;
+    h.trapped(h.req(MsgType::ReadReq, 5));
+
+    // The owner evicted the block while the fetch was in flight: its
+    // writeback completes the recall, and only the reader is
+    // recorded.
+    Message wb = h.req(MsgType::Writeback, 2);
+    wb.hasData = true;
+    wb.data.write(0x100, 55);
+    Cycles sent = wrIn + wrHash + wrMem + storePtr + data;
+    EXPECT_EQ(h.trapped(wb), sent + wrOut);
+    expectSent(h.node, {{MsgType::ReadData, 5, sent}});
+    EXPECT_EQ(h.node.sent[0].msg.data.read(0x100), 55u);
+    EXPECT_EQ(h.node.memImpl.readWord(0x100), 55u);
+    EXPECT_EQ(h.entry().state, DirState::Shared);
+    const ExtEntry *xe = h.hc.ext.lookup(0x100);
+    ASSERT_NE(xe, nullptr);
+    EXPECT_EQ(xe->sharerCount, 1u);
+    EXPECT_TRUE(xe->hasSharer(5));
+    EXPECT_TRUE(h.entry().fetchOutstanding);
+
+    // The owner's NACK of the superseded fetch lands afterwards.
+    EXPECT_EQ(h.trapped(h.fetchReply(1, false)), rdIn + rdOut);
+    expectSent(h.node, {});
+    EXPECT_FALSE(h.entry().fetchOutstanding);
+    EXPECT_EQ(h.entry().state, DirState::Shared);
+
+    // A stale writeback (the home's own, from before the block left
+    // uniprocessor mode) only updates memory.
+    Message stale = h.req(MsgType::Writeback, 0);
+    stale.hasData = true;
+    stale.data.write(0x100, 66);
+    EXPECT_EQ(h.trapped(stale), wrIn + wrOut);
+    expectSent(h.node, {});
+    EXPECT_EQ(h.node.memImpl.readWord(0x100), 66u);
+    EXPECT_EQ(h.entry().state, DirState::Shared);
+    EXPECT_EQ(h.hc.ext.lookup(0x100)->sharerCount, 1u);
+
+    // A writeback completes a write recall with the grant.
+    OwnedH0 w;
+    w.trapped(w.req(MsgType::WriteReq, 6));
+    Message wwb = w.req(MsgType::Writeback, 2);
+    wwb.hasData = true;
+    EXPECT_EQ(w.trapped(wwb), wrIn + data + wrOut);
+    expectSent(w.node, {{MsgType::WriteData, 6, wrIn + data}});
+    EXPECT_EQ(w.entry().state, DirState::Exclusive);
+    EXPECT_EQ(w.entry().ptrs[0], 6);
+}
+
+TEST(HomeSw, H0WriteToSharedInvalidatesAndCountsAcksInSoftware)
+{
+    Harness h(ProtocolConfig::h0());
+    for (NodeId n : {1, 2, 3, 0})
+        h.trapped(h.req(MsgType::ReadReq, n));
+    ASSERT_EQ(h.hc.ext.lookup(0x100)->sharerCount, 4u);
+
+    // The writer looks the entry up and frees its four pointers,
+    // invalidates the three remote readers, flushes the home's own
+    // copy and releases the entry.
+    Cycles looked = wrIn + wrHash + 4 * freePtr;
+    EXPECT_EQ(h.trapped(h.req(MsgType::WriteReq, 4)),
+              looked + 3 * inv + freePtr + wrMem + wrOut);
+    expectSent(h.node, {{MsgType::Inv, 1, looked + inv},
+                        {MsgType::Inv, 2, looked + 2 * inv},
+                        {MsgType::Inv, 3, looked + 3 * inv}});
+    const DirEntry &e = *h.hc.dir.lookup(0x100);
+    EXPECT_EQ(e.state, DirState::SwPendWrite);
+    EXPECT_EQ(e.ackCount, 3u);
+    EXPECT_EQ(e.pendingNode, 4);
+    EXPECT_TRUE(e.pendingIsWrite);
+    EXPECT_EQ(h.hc.ext.lookup(0x100), nullptr);
+    EXPECT_EQ(h.hc.swInvsSent.value(), 3);
+
+    // Every ack traps; the last one grants.
+    for (NodeId n : {1, 2}) {
+        EXPECT_EQ(h.trapped(h.req(MsgType::InvAck, n)), wrIn + wrOut);
+        expectSent(h.node, {});
+    }
+    EXPECT_EQ(h.trapped(h.req(MsgType::InvAck, 3)), wrIn + data + wrOut);
+    expectSent(h.node, {{MsgType::WriteData, 4, wrIn + data}});
+    EXPECT_EQ(e.state, DirState::Exclusive);
+    EXPECT_EQ(e.ptrs[0], 4);
+
+    // A writer that is the only reader is granted at once.
+    Harness g(ProtocolConfig::h0());
+    g.trapped(g.req(MsgType::ReadReq, 4));
+    looked = wrIn + wrHash + freePtr;
+    EXPECT_EQ(g.trapped(g.req(MsgType::WriteReq, 4)),
+              looked + wrMem + data + wrOut);
+    expectSent(g.node, {{MsgType::WriteData, 4, looked + wrMem + data}});
+    EXPECT_EQ(g.hc.dir.lookup(0x100)->state, DirState::Exclusive);
+    EXPECT_EQ(g.hc.ext.lookup(0x100), nullptr);
+}
+
+TEST(HomeSw, H0BusiesRequestsInEveryPendingState)
+{
+    // A recall in flight.
+    OwnedH0 r;
+    r.trapped(r.req(MsgType::ReadReq, 5));
+    expectBusiesBoth(r, DirState::PendRead);
+
+    // Acks counted in software.
+    Harness s(ProtocolConfig::h0());
+    s.trapped(s.req(MsgType::ReadReq, 1));
+    s.trapped(s.req(MsgType::WriteReq, 4));
+    expectBusiesBoth(s, DirState::SwPendWrite);
+
+    // H0's own handlers never leave an entry in PendWrite (they count
+    // acks in software), but a request that finds one is busied too.
+    Harness p(ProtocolConfig::h0());
+    p.trapped(p.req(MsgType::ReadReq, 1));
+    DirEntry &e = p.hc.dir.entry(0x100);
+    e.state = DirState::PendWrite;
+    e.pendingNode = 4;
+    e.ackCount = 1;
+    expectBusiesBoth(p, DirState::PendWrite);
 }

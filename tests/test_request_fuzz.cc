@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/client.hh"
 #include "exp/serve.hh"
@@ -93,10 +94,7 @@ struct SplitMix
     std::uint64_t
     next()
     {
-        std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
+        return mix64(s += goldenGamma);
     }
 
     /** Uniform in [0, n), n > 0. */

@@ -296,6 +296,17 @@ TEST(SpecCodec, ErrorTableKeepsEveryFieldsText)
          "aq: parameter max_depth=-1 is not a non-negative count"},
         {"{\"params\":{\"think\":\"-5\"}}",
          "worker: parameter think=-5 must be non-negative"},
+        // Integers are decimal digits only, as on the wire.
+        {"{\"params\":{\"wss\":\"0x8\"}}",
+         "worker: parameter wss=0x8 is not an integer"},
+        {"{\"params\":{\"wss\":\" 8\"}}",
+         "worker: parameter wss= 8 is not an integer"},
+        {"{\"params\":{\"wss\":\"+8\"}}",
+         "worker: parameter wss=+8 is not an integer"},
+        {"{\"params\":{\"wss\":\"2147483648\"}}",
+         "worker: parameter wss=2147483648 is out of range"},
+        {"{\"params\":{\"think\":\"18446744073709551616\"}}",
+         "worker: parameter think=18446744073709551616 is out of range"},
         {"{\"app\":\"aq\",\"params\":{\"tolerance\":\"1e\"}}",
          "aq: parameter tolerance=1e is not a number"},
         {"{\"app\":\"tsp\",\"params\":{\"collide\":\"maybe\"}}",

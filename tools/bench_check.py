@@ -80,6 +80,9 @@ CLI_USAGE_ERRORS = [
     ["--faults", "1,2,3,4"],
     ["--param", "novalue"],
     ["--param", "bogus=1"],
+    ["--param", "wss=0x2"],
+    ["--param", "wss= 2"],
+    ["--param", "wss=+2"],
     ["--app", "bogus"],
     ["--bogus-flag"],
     ["--connect", "/nonexistent.sock", "--sweep", "--seeds", "2",

@@ -52,6 +52,7 @@
 
 #include "base/json.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "exp/client.hh"
 #include "exp/runner.hh"
 #include "exp/serve.hh"
@@ -140,15 +141,6 @@ digestRecords(const std::vector<std::string> &records)
         h = fnv1a(h, "\n");
     }
     return h;
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
 }
 
 // ---------------------------------------------------------------
@@ -654,7 +646,8 @@ main(int argc, char **argv)
                 std::size_t i = nextConn.fetch_add(1);
                 if (i >= conns)
                     return;
-                std::uint64_t s = mix64(seed ^ (i * 2654435761ull));
+                std::uint64_t s =
+                    mix64((seed ^ (i * 2654435761ull)) + goldenGamma);
                 // Alternate address families so both listeners see
                 // every behavior the raw helpers support.
                 const std::string &addr =
