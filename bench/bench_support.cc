@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "base/json.hh"
+#include "exp/wire_json.hh"
 
 namespace swex::bench
 {
@@ -75,7 +76,12 @@ bool
 JsonTrajectory::updateFile(const std::string &path) const
 {
     std::string out = resolvePath(path);
-    std::vector<BenchEntry> merged = readFile(out);
+    std::vector<BenchEntry> merged;
+    if (!readFile(out, merged)) {
+        std::fprintf(stderr, "%s: not a readable swex-bench-v1 file; "
+                             "left unchanged\n", out.c_str());
+        return false;
+    }
     for (const BenchEntry &e : _entries) {
         bool replaced = false;
         for (BenchEntry &old : merged) {
@@ -126,62 +132,62 @@ jsonNumber(double v)
 std::string
 JsonTrajectory::entryLine(const BenchEntry &e)
 {
-    std::ostringstream os;
-    os << "{\"name\":\"" << e.name << "\",\"metrics\":{";
+    std::string out = "{\"name\":";
+    json::appendString(out, e.name);
+    out += ",\"metrics\":{";
     for (std::size_t i = 0; i < e.metrics.size(); ++i) {
-        os << (i ? "," : "") << '"' << e.metrics[i].first
-           << "\":" << jsonNumber(e.metrics[i].second);
+        if (i != 0)
+            out += ',';
+        json::appendString(out, e.metrics[i].first);
+        out += ':' + jsonNumber(e.metrics[i].second);
     }
-    os << "}}";
-    return os.str();
+    out += "}}";
+    return out;
 }
 
 /**
- * Line-oriented reader for exactly the format updateFile emits
- * (one entry per line). Anything it cannot parse is dropped; the
- * file is regenerated from scratch in that case.
+ * The entries of the swex-bench-v1 file at @p path, appended to
+ * @p out. A missing file is an empty trajectory. @return false when
+ * the file exists but is not one this code wrote: not JSON, another
+ * schema, or an entry that is not a name and numeric metrics.
  */
-std::vector<BenchEntry>
-JsonTrajectory::readFile(const std::string &path)
+bool
+JsonTrajectory::readFile(const std::string &path,
+                         std::vector<BenchEntry> &out)
 {
-    std::vector<BenchEntry> entries;
-    std::ifstream f(path);
+    std::ifstream f(path, std::ios::binary);
     if (!f)
-        return entries;
-    std::string line;
-    while (std::getline(f, line)) {
-        std::size_t n = line.find("{\"name\":\"");
-        if (n == std::string::npos)
-            continue;
-        n += 9;
-        std::size_t nEnd = line.find('"', n);
-        std::size_t m = line.find("\"metrics\":{", n);
-        if (nEnd == std::string::npos || m == std::string::npos)
-            continue;
-        BenchEntry e;
-        e.name = line.substr(n, nEnd - n);
-        std::size_t p = m + 11;
-        while (p < line.size() && line[p] != '}') {
-            std::size_t kBeg = line.find('"', p);
-            if (kBeg == std::string::npos)
-                break;
-            std::size_t kEnd = line.find('"', kBeg + 1);
-            std::size_t colon = line.find(':', kEnd);
-            if (kEnd == std::string::npos ||
-                colon == std::string::npos) {
-                break;
-            }
-            char *end = nullptr;
-            double v = std::strtod(line.c_str() + colon + 1, &end);
-            e.metrics.emplace_back(
-                line.substr(kBeg + 1, kEnd - kBeg - 1), v);
-            p = static_cast<std::size_t>(end - line.c_str());
-            if (p < line.size() && line[p] == ',')
-                ++p;
+        return true;
+    std::ostringstream text;
+    text << f.rdbuf();
+    const std::string bytes = text.str();
+    using wire::JsonValue;
+    JsonValue doc;
+    wire::JsonParser parser(bytes);
+    if (!parser.parseWhole(doc) || doc.kind != JsonValue::Kind::Object)
+        return false;
+    const JsonValue *schema = doc.find("schema");
+    const JsonValue *entries = doc.find("entries");
+    if (schema == nullptr || schema->raw != "swex-bench-v1" ||
+        entries == nullptr || entries->kind != JsonValue::Kind::Array)
+        return false;
+    for (const JsonValue &e : entries->items) {
+        const JsonValue *name = e.find("name");
+        const JsonValue *metrics = e.find("metrics");
+        if (name == nullptr || name->kind != JsonValue::Kind::String ||
+            metrics == nullptr ||
+            metrics->kind != JsonValue::Kind::Object)
+            return false;
+        BenchEntry entry{name->raw, {}};
+        for (const auto &[key, v] : metrics->members) {
+            if (v.kind != JsonValue::Kind::Number)
+                return false;
+            entry.metrics.emplace_back(key,
+                                       std::strtod(v.raw.c_str(), nullptr));
         }
-        entries.push_back(std::move(e));
+        out.push_back(std::move(entry));
     }
-    return entries;
+    return true;
 }
 
 } // namespace swex::bench

@@ -75,7 +75,8 @@ class JsonTrajectory
      * Merge the recorded entries into @p path (or $SWEX_BENCH_JSON
      * when set): existing entries with other names are kept in
      * place, same-name entries are replaced, new names are appended.
-     * @return true on success.
+     * A file that does not parse as a swex-bench-v1 trajectory is
+     * left untouched. @return true on success.
      */
     bool updateFile(const std::string &path) const;
 
@@ -83,7 +84,8 @@ class JsonTrajectory
 
   private:
     static std::string entryLine(const BenchEntry &e);
-    static std::vector<BenchEntry> readFile(const std::string &path);
+    static bool readFile(const std::string &path,
+                         std::vector<BenchEntry> &out);
 
     std::vector<BenchEntry> _entries;
 };

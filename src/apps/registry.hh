@@ -129,15 +129,6 @@ class AppRegistry
          * thread may write during the run is always disqualifying.
          */
         bool tracePortable = false;
-
-        /**
-         * Machine models the app runs on, as shown by swex_cli
-         * --list. Every registry app is written against the Mem API
-         * only, so all of them carry coherence on either the
-         * directory stack or the snooping bus; an out-of-tree app
-         * that pokes directory internals would narrow this.
-         */
-        std::string machineModels = "directory,snoop";
     };
 
     /** The singleton, with the built-in apps already registered. */

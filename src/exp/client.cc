@@ -1,12 +1,9 @@
 #include "exp/client.hh"
 
-#include <fcntl.h>
-#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,7 +13,6 @@
 #include <thread>
 
 #include "base/rng.hh"
-#include "exp/line_io.hh"
 
 namespace swex
 {
@@ -37,17 +33,6 @@ sleepMs(std::uint64_t ms)
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-int
-elapsedMs(std::chrono::steady_clock::time_point since)
-{
-    return static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - since)
-            .count());
-}
-
-constexpr int pollSliceMs = 50;
-
 /**
  * connect() on an already non-blocking @p fd, bounded by
  * @p timeout_ms. TCP reports EINPROGRESS and completes via poll();
@@ -66,7 +51,7 @@ connectBounded(int fd, const sockaddr *sa, socklen_t len,
         int rc = ::connect(fd, sa, len);
         if (rc == 0 || errno == EISCONN)
             return 0;
-        int left = timeout_ms - elapsedMs(start);
+        int left = timeout_ms - wire::msSince(start);
         if (errno == EINPROGRESS || errno == EALREADY ||
             errno == EINTR) {
             pollfd p{fd, POLLOUT, 0};
@@ -91,7 +76,7 @@ connectBounded(int fd, const sockaddr *sa, socklen_t len,
             return -1;
         }
         sleepMs(static_cast<std::uint64_t>(
-            std::min(left, pollSliceMs)));
+            std::min(left, wire::pollSliceMs)));
     }
 }
 
@@ -126,6 +111,16 @@ decodeResponse(Response &r)
     return true;
 }
 
+/** Whether a failure of @p kind is worth another try: the request or
+ *  its answer was lost, or refused for load or an idle close — not
+ *  understood and refused. */
+bool
+retryable(const std::string &kind)
+{
+    return kind == "transport" || kind == "deadline" || kind == "parse" ||
+           kind == "busy" || kind == "idle_timeout";
+}
+
 } // anonymous namespace
 
 bool
@@ -155,7 +150,7 @@ ServeClient::disconnect()
         ::close(fd);
         fd = -1;
     }
-    inbuf.clear();
+    in.clear();
 }
 
 std::uint64_t
@@ -194,410 +189,227 @@ bool
 ServeClient::connect(std::string *err)
 {
     disconnect();
-    auto failWith = [&](const std::string &why) {
-        if (err != nullptr)
-            *err = why;
-        disconnect();
-        return false;
-    };
-
-    const bool is_unix =
-        cfg.address.find('/') != std::string::npos;
-    if (is_unix) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (cfg.address.size() >= sizeof(addr.sun_path))
-            return failWith("socket path too long");
-        std::memcpy(addr.sun_path, cfg.address.c_str(),
-                    cfg.address.size() + 1);
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return failWith(std::string("socket: ") +
-                            std::strerror(errno));
-        // Non-blocking from the start: a live server whose backlog is
-        // full would otherwise block this connect() indefinitely,
-        // breaking the deadline-bounded contract on the Unix path.
-        int fl = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-        if (connectBounded(fd, reinterpret_cast<sockaddr *>(&addr),
-                           sizeof(addr), cfg.connectTimeoutMs) != 0)
-            return failWith("connect " + cfg.address + ": " +
-                            std::strerror(errno));
-    } else {
-        std::size_t colon = cfg.address.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= cfg.address.size())
-            return failWith("bad address '" + cfg.address +
-                            "' (want host:port or a socket path)");
-        const std::string host = cfg.address.substr(0, colon);
-        const std::string port = cfg.address.substr(colon + 1);
-        addrinfo hints{};
-        hints.ai_family = AF_UNSPEC;
-        hints.ai_socktype = SOCK_STREAM;
-        hints.ai_flags = AI_NUMERICSERV;
-        addrinfo *res = nullptr;
-        int gai =
-            ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-        if (gai != 0)
-            return failWith("resolve " + cfg.address + ": " +
-                            ::gai_strerror(gai));
-        std::string why = "no usable address for " + cfg.address;
-        for (addrinfo *ai = res; ai != nullptr; ai = ai->ai_next) {
-            fd = ::socket(ai->ai_family, ai->ai_socktype,
-                          ai->ai_protocol);
-            if (fd < 0) {
-                why = std::string("socket: ") + std::strerror(errno);
-                continue;
-            }
-            // Non-blocking connect so connectTimeoutMs is honored
-            // even against a blackholed address.
-            int fl = ::fcntl(fd, F_GETFL, 0);
-            ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-            int rc = connectBounded(fd, ai->ai_addr, ai->ai_addrlen,
-                                    cfg.connectTimeoutMs);
-            if (rc != 0) {
-                why = "connect " + cfg.address + ": " +
-                      std::strerror(errno);
-                ::close(fd);
-                fd = -1;
-                continue;
-            }
+    const bool unix_path = cfg.address.find('/') != std::string::npos;
+    auto connectTo = [&](int s, const sockaddr *sa,
+                         socklen_t len) -> std::string {
+        // Non-blocking from the start: connectTimeoutMs then bounds a
+        // blackholed TCP address and a live Unix server whose backlog
+        // is full alike.
+        wire::setNonBlocking(s);
+        if (connectBounded(s, sa, len, cfg.connectTimeoutMs) != 0)
+            return "connect " + cfg.address + ": " + std::strerror(errno);
+        if (!unix_path) {
             int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof(one));
-            break;
+            ::setsockopt(s, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         }
-        ::freeaddrinfo(res);
-        if (fd < 0)
-            return failWith(why);
-    }
-    // Poll-driven I/O from here on.
-    int fl = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-    return true;
+        return "";
+    };
+    std::string why;
+    fd = wire::openStream(cfg.address, unix_path, /*passive=*/false,
+                          connectTo, why);
+    if (fd < 0 && err != nullptr)
+        *err = why;
+    return fd >= 0;
 }
 
 bool
-ServeClient::sendAll(const std::string &line, int deadline_ms)
+ServeClient::send(const std::string &line, Response &r)
 {
-    std::size_t off = 0;
-    auto start = std::chrono::steady_clock::now();
-    while (off < line.size() + 1) {
-        ssize_t n = wire::sendLineFrom(fd, line, off);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            if (deadline_ms > 0 && elapsedMs(start) >= deadline_ms)
-                return false;
-            pollfd p{fd, POLLOUT, 0};
-            ::poll(&p, 1, pollSliceMs);
-            continue;
-        }
-        return false;
-    }
-    return true;
+    if (fd >= 0 && wire::sendLine(fd, line, cfg.requestDeadlineMs))
+        return true;
+    r.ok = false;
+    r.error = fd < 0 ? "not connected" : "send failed";
+    r.errorKind = "transport";
+    disconnect();
+    return false;
 }
 
-ServeClient::ReadStatus
-ServeClient::readLine(std::string &line, int deadline_ms)
+bool
+ServeClient::receive(Response &r)
 {
-    auto last_progress = std::chrono::steady_clock::now();
-    std::size_t scanned = 0;
-    for (;;) {
-        if (wire::takeLine(inbuf, scanned, line))
-            return ReadStatus::Line;
-        ssize_t n = wire::recvAppend(fd, inbuf);
-        if (n > 0) {
-            last_progress = std::chrono::steady_clock::now();
-            continue;
-        }
-        if (n == 0)
-            return ReadStatus::Closed;
-        if (errno == EINTR)
-            continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK)
-            return ReadStatus::Closed;
-        if (deadline_ms > 0 &&
-            elapsedMs(last_progress) >= deadline_ms)
-            return ReadStatus::Deadline;
-        pollfd p{fd, POLLIN, 0};
-        ::poll(&p, 1, pollSliceMs);
+    const wire::ReadStatus rs =
+        in.read(fd, r.line, maxResponseLine, cfg.requestDeadlineMs);
+    // A half-line means the stream is torn; resync by reconnecting
+    // rather than guessing at framing.
+    if (rs == wire::ReadStatus::Line && decodeResponse(r))
+        return true;
+    if (rs == wire::ReadStatus::Closed) {
+        r.error = "connection closed before response";
+        r.errorKind = "transport";
+    } else if (rs == wire::ReadStatus::Quiet) {
+        r.error = "response deadline (" +
+                  std::to_string(cfg.requestDeadlineMs) + " ms) expired";
+        r.errorKind = "deadline";
+    } else if (rs == wire::ReadStatus::Overflow) {
+        r.error = "response line longer than " +
+                  std::to_string(maxResponseLine) + " bytes";
+        r.errorKind = "overflow";
     }
+    disconnect();
+    return false;
 }
 
 Response
 ServeClient::rpc(const std::string &request_line)
 {
     Response r;
-    if (fd < 0) {
-        r.error = "not connected";
-        r.errorKind = "transport";
-        return r;
-    }
-    if (!sendAll(request_line, cfg.requestDeadlineMs)) {
-        disconnect();
-        r.error = "send failed";
-        r.errorKind = "transport";
-        return r;
-    }
-    ReadStatus rs = readLine(r.line, cfg.requestDeadlineMs);
-    if (rs == ReadStatus::Closed) {
-        disconnect();
-        r.error = "connection closed before response";
-        r.errorKind = "transport";
-        return r;
-    }
-    if (rs == ReadStatus::Deadline) {
-        disconnect();
-        r.error = "response deadline (" +
-                  std::to_string(cfg.requestDeadlineMs) +
-                  " ms) expired";
-        r.errorKind = "deadline";
-        return r;
-    }
-    // A half-line means the stream is torn; resync by reconnecting
-    // rather than guessing at framing.
-    if (!decodeResponse(r))
-        disconnect();
+    if (send(request_line, r))
+        receive(r);
     return r;
 }
 
 Response
-ServeClient::rpcRetry(const std::string &request_line)
+ServeClient::retry(const std::function<Response(bool &)> &attempt,
+                   unsigned *reconnects)
 {
     Response last;
-    for (unsigned attempt = 0; attempt < cfg.maxAttempts; ++attempt) {
-        if (attempt > 0) {
+    last.error = "request never sent";
+    last.errorKind = "transport";
+    bool had_connection = connected();
+    for (unsigned tries = 0; tries < cfg.maxAttempts;) {
+        if (tries > 0) {
             // The server's own estimate beats the local schedule when
             // the refusal was load, not loss.
             if (last.errorKind == "busy" && last.retryAfterMs > 0)
                 sleepMs(last.retryAfterMs);
             else
-                sleepMs(backoffDelayMs(attempt - 1));
+                sleepMs(backoffDelayMs(tries - 1));
         }
         if (fd < 0) {
-            std::string err;
-            if (!connect(&err)) {
-                last.ok = false;
-                last.error = err;
+            last = Response{};
+            if (!connect(&last.error)) {
                 last.errorKind = "transport";
+                ++tries;
                 continue;
             }
+            if (had_connection && reconnects != nullptr)
+                ++*reconnects;
+            had_connection = true;
         }
-        last = rpc(request_line);
-        if (last.ok)
+        bool progress = false;
+        last = attempt(progress);
+        if (last.ok || !retryable(last.errorKind))
             return last;
-        if (last.errorKind != "transport" &&
-            last.errorKind != "deadline" &&
-            last.errorKind != "parse" && last.errorKind != "busy")
-            return last;   // the server understood and refused
+        // A busy server keeps the connection; after any other failure
+        // the stream is closed or can no longer be trusted.
+        if (last.errorKind != "busy")
+            disconnect();
+        tries = progress ? 1 : tries + 1;
     }
     return last;
+}
+
+Response
+ServeClient::rpcRetry(const std::string &request_line)
+{
+    return retry([&](bool &) { return rpc(request_line); });
 }
 
 SweepResult
 ServeClient::runSweep(const std::string &base_request)
 {
     SweepResult res;
-    std::string base = base_request;
-    while (!base.empty() &&
-           (base.back() == '\n' || base.back() == '\r' ||
-            base.back() == ' '))
-        base.pop_back();
-    if (base.empty() || base.back() != '}') {
+    const std::size_t close = base_request.find_last_not_of("\r\n ");
+    if (close == std::string::npos || base_request[close] != '}') {
         res.error = "sweep base request must be a JSON object line";
         res.errorKind = "bad_request";
         return res;
     }
-    const std::string prefix = base.substr(0, base.size() - 1);
+    const std::string prefix = base_request.substr(0, close);
     // Clamp to the server's per-request maximum (serve.cc's
     // maxSweepChunk) rather than letting an over-large config draw a
     // terminal bad_request.
-    std::size_t chunk = cfg.chunk == 0 ? 4096
-                        : std::min<std::size_t>(cfg.chunk, 4096);
+    const std::size_t chunk = cfg.chunk == 0 ? 4096
+                              : std::min<std::size_t>(cfg.chunk, 4096);
 
-    std::size_t total = 0;
-    bool know_total = false;
+    // Cells in hand by absolute index; empty until the first cell
+    // line's "of" gives the grid size (every chunk has a cell before
+    // its trailer).
     std::vector<char> got;
-    bool ever_connected = false;
-    unsigned attempt = 0;
-    std::string last_err = "sweep never started";
-    std::string last_kind = "transport";
-    std::uint64_t busy_hint = 0;
+    // The lowest missing cell: everything below is in hand, whatever
+    // order chunks and retries landed in. A resumed cursor can point
+    // past earlier-received cells of an interrupted chunk; the
+    // re-served duplicates are idempotent (counted, byte-checked by
+    // the harness).
+    auto firstMissing = [&] {
+        return static_cast<std::size_t>(
+            std::find(got.begin(), got.end(), 0) - got.begin());
+    };
 
-    for (;;) {
-        std::size_t cursor = 0;
-        if (know_total) {
-            while (cursor < total && got[cursor])
-                ++cursor;
-            // Lowest missing cell; everything below is already in
-            // hand, whatever order chunks and retries landed in.
-            if (cursor == total)
-                break;
-            // A resumed cursor can point past earlier-received cells
-            // of an interrupted chunk; the re-served duplicates are
-            // idempotent (counted, byte-checked by the harness).
-        }
-        if (attempt >= cfg.maxAttempts) {
-            res.error = last_err;
-            res.errorKind = last_kind;
-            return res;
-        }
-        if (attempt > 0) {
-            if (last_kind == "busy" && busy_hint > 0)
-                sleepMs(busy_hint);
-            else
-                sleepMs(backoffDelayMs(attempt - 1));
-        }
-        if (fd < 0) {
-            std::string err;
-            if (!connect(&err)) {
-                ++attempt;
-                last_err = err;
-                last_kind = "transport";
-                continue;
-            }
-            if (ever_connected)
-                ++res.reconnects;
-            ever_connected = true;
-        }
-
-        std::string req = prefix + ",\"cursor\":" +
-                          std::to_string(cursor) + ",\"chunk\":" +
-                          std::to_string(chunk) + "}";
-        if (!sendAll(req, cfg.requestDeadlineMs)) {
-            disconnect();
-            ++attempt;
-            last_err = "send failed";
-            last_kind = "transport";
-            continue;
-        }
-
-        // Drain this chunk: cells in completion order, then a
-        // trailer. Any received line is progress and resets the
-        // retry budget.
-        bool chunk_over = false;
-        bool interrupted = false;
-        while (!chunk_over && !interrupted) {
-            Response resp;
-            ReadStatus rs = readLine(resp.line, cfg.requestDeadlineMs);
-            if (rs != ReadStatus::Line) {
-                disconnect();
-                ++attempt;
-                last_err = rs == ReadStatus::Deadline
-                               ? "response deadline expired mid-sweep"
-                               : "connection lost mid-sweep";
-                last_kind = rs == ReadStatus::Deadline ? "deadline"
-                                                       : "transport";
-                interrupted = true;
-                continue;
-            }
-            if (!decodeResponse(resp)) {
-                // Torn frame on a live stream: resync via reconnect.
-                disconnect();
-                ++attempt;
-                last_err = resp.error;
-                last_kind = "parse";
-                interrupted = true;
-                continue;
-            }
-            const JsonValue &doc = resp.doc;
-            if (!resp.ok) {
-                const std::string &kind = resp.errorKind;
-                const std::string msg =
-                    resp.error.empty() ? "server error" : resp.error;
-                if (kind == "busy") {
-                    busy_hint = resp.retryAfterMs;
-                    ++attempt;
-                    last_err = msg;
-                    last_kind = "busy";
-                    interrupted = true;   // connection stays up;
-                    continue;             // re-request after the hint
+    // One attempt requests chunks from the first missing cell until
+    // the sweep completes or something interrupts it.
+    auto attempt = [&](bool &progress) {
+        Response r;
+        while (got.empty() || firstMissing() < got.size()) {
+            if (!send(prefix + ",\"cursor\":" +
+                          std::to_string(firstMissing()) +
+                          ",\"chunk\":" + std::to_string(chunk) + "}",
+                      r))
+                return r;
+            // Drain this chunk: cells in completion order, then a
+            // trailer.
+            for (;;) {
+                r = Response{};
+                if (!receive(r) || !r.ok)
+                    return r;
+                const JsonValue &doc = r.doc;
+                if (doc.find("sweep_done") != nullptr ||
+                    doc.find("sweep_chunk_done") != nullptr)
+                    break;
+                const JsonValue *cellv = doc.find("cell");
+                std::uint64_t idx = 0, of = 0;
+                if (cellv == nullptr || !numberAsU64(*cellv, idx))
+                    continue;   // unrelated ok line (e.g. a stats echo)
+                if (const JsonValue *ofv = doc.find("of"))
+                    numberAsU64(*ofv, of);
+                if (got.empty() && of > 0) {
+                    got.assign(of, 0);
+                    res.records.assign(of, "");
+                    res.cellKeys.assign(of, "");
+                    res.sources.assign(of, "");
                 }
-                if (kind == "idle_timeout") {
-                    disconnect();
-                    ++attempt;
-                    last_err = msg;
-                    last_kind = "transport";
-                    interrupted = true;
+                if (idx >= got.size())
                     continue;
+                std::string rec;
+                if (!recordBytes(r.line, rec)) {
+                    r.ok = false;
+                    r.error = "cell response carried no record";
+                    r.errorKind = "parse";
+                    return r;
                 }
-                res.error = msg;
-                res.errorKind = kind;
-                return res;
-            }
-
-            if (doc.find("sweep_done") != nullptr ||
-                doc.find("sweep_chunk_done") != nullptr) {
-                std::uint64_t n = 0;
-                if (const JsonValue *cv = doc.find("cells"))
-                    numberAsU64(*cv, n);
-                if (!know_total && n > 0) {
-                    total = static_cast<std::size_t>(n);
-                    know_total = true;
-                    got.assign(total, 0);
-                    res.records.assign(total, "");
-                    res.cellKeys.assign(total, "");
-                    res.sources.assign(total, "");
+                if (got[idx]) {
+                    ++res.duplicates;
+                } else {
+                    got[idx] = 1;
+                    progress = true;   // the server is alive and serving
                 }
-                chunk_over = true;
-                continue;
-            }
-
-            const JsonValue *cellv = doc.find("cell");
-            if (cellv == nullptr)
-                continue;   // unrelated ok line (e.g. a stats echo)
-            std::uint64_t idx = 0, of = 0;
-            if (!numberAsU64(*cellv, idx))
-                continue;
-            if (const JsonValue *ofv = doc.find("of"))
-                numberAsU64(*ofv, of);
-            if (!know_total && of > 0) {
-                total = static_cast<std::size_t>(of);
-                know_total = true;
-                got.assign(total, 0);
-                res.records.assign(total, "");
-                res.cellKeys.assign(total, "");
-                res.sources.assign(total, "");
-            }
-            if (!know_total || idx >= total)
-                continue;
-            std::string rec;
-            if (!recordBytes(resp.line, rec)) {
-                res.error = "cell response carried no record";
-                res.errorKind = "parse";
-                return res;
-            }
-            if (got[idx]) {
-                ++res.duplicates;
-            } else {
-                got[idx] = 1;
-            }
-            res.records[idx] = rec;
-            if (const JsonValue *k = doc.find("cell_key"))
-                if (k->kind == JsonValue::Kind::String)
-                    res.cellKeys[idx] = k->raw;
-            if (const JsonValue *s = doc.find("source"))
-                if (s->kind == JsonValue::Kind::String)
-                    res.sources[idx] = s->raw;
-            attempt = 0;   // progress: the server is alive and serving
-
-            if (chaosRoll()) {
-                disconnect();
-                ++attempt;
-                last_err = "chaos kill";
-                last_kind = "transport";
-                interrupted = true;
+                res.records[idx] = std::move(rec);
+                if (const JsonValue *k = doc.find("cell_key"))
+                    if (k->kind == JsonValue::Kind::String)
+                        res.cellKeys[idx] = k->raw;
+                if (const JsonValue *s = doc.find("source"))
+                    if (s->kind == JsonValue::Kind::String)
+                        res.sources[idx] = s->raw;
+                if (chaosRoll()) {
+                    // Unless that was the last cell, the next send
+                    // finds no connection: a "transport" failure.
+                    disconnect();
+                    break;
+                }
             }
         }
-    }
+        r.ok = true;
+        return r;
+    };
 
+    const Response end = retry(attempt, &res.reconnects);
+    if (!end.ok) {
+        res.error = end.error.empty() ? "server error" : end.error;
+        res.errorKind = end.errorKind;
+        return res;
+    }
     res.ok = true;
-    res.cells = total;
+    res.cells = got.size();
     return res;
 }
 

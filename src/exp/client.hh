@@ -3,26 +3,30 @@
  * Client library for the sweep server (exp/serve.*), used by
  * `swex_cli --connect` and the chaos harness (tools/stress_serve).
  * The server's failure answers are structured (error_kind); this side
- * supplies the discipline a remote caller needs on top of them:
+ * supplies the discipline a remote caller needs on top of them, over
+ * the server's own transport (exp/line_io.hh):
  *
- *   - request deadlines: every response read is bounded; a server (or
- *     network) that goes quiet yields error_kind "deadline" locally
- *     instead of a hang. Any received line counts as progress and
- *     re-arms the deadline, so a long sweep chunk is not mistaken for
- *     a dead peer.
- *   - retry with exponential backoff and seeded jitter: transport
- *     failures and deadlines reconnect and retry up to maxAttempts,
- *     sleeping min(backoffMaxMs, backoffBaseMs << attempt) plus a
+ *   - bounds: a response read gives up after requestDeadlineMs with
+ *     no byte received (local error_kind "deadline", never a hang),
+ *     a send after requestDeadlineMs in which no byte could leave,
+ *     and a response line past maxResponseLine is "overflow".
+ *   - one retry loop behind rpcRetry() and runSweep(): it connects on
+ *     demand and retries "transport", "deadline", "parse", "busy" and
+ *     "idle_timeout" up to maxAttempts, sleeping
+ *     min(backoffMaxMs, backoffBaseMs << attempt) plus a
  *     deterministic jitter drawn from backoffSeed — the schedule is
  *     reproducible, so a chaos run's replay line replays its timing
- *     decisions too. A "busy" rejection honors the server's
- *     retry_after_ms hint instead of the local schedule.
+ *     decisions too. "busy" honors the server's retry_after_ms hint
+ *     and keeps the connection; any other retried failure reconnects.
+ *     Every other refusal comes straight back: the server understood
+ *     the request and would refuse it again.
  *   - reconnect-and-resume: runSweep() drives the server's chunked
  *     sweep protocol (cursor/chunk, see serve.hh) and places cells by
  *     absolute index, so after any disconnect it resumes from the
- *     first cell it is missing. Re-executed cells are idempotent —
- *     the server's result cache makes the canonical record bytes
- *     identical — so duplicate receipt is harmless by construction.
+ *     first cell it is missing; each new cell resets the retry
+ *     budget. Re-executed cells are idempotent — the server's result
+ *     cache makes the canonical record bytes identical — so duplicate
+ *     receipt is harmless by construction.
  *
  * chaosKillPerMille is test instrumentation: a seeded probability of
  * the client killing its own connection after a received sweep line,
@@ -33,9 +37,11 @@
 #define SWEX_EXP_CLIENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "exp/line_io.hh"
 #include "exp/wire_json.hh"
 
 namespace swex
@@ -51,12 +57,12 @@ struct ClientConfig
 
     int connectTimeoutMs = 2000;
 
-    /** Bound on waiting for the *next* response line; any line
-     *  received re-arms it. Expired -> error_kind "deadline". */
+    /** Bound on a read with no byte received ("deadline") and on a
+     *  send with no byte sent ("transport"). */
     int requestDeadlineMs = 30'000;
 
     /** Total tries per request (first attempt included). Progress
-     *  (a received line) resets the count. */
+     *  (a newly received sweep cell) resets the count. */
     unsigned maxAttempts = 5;
 
     unsigned backoffBaseMs = 50;
@@ -78,10 +84,16 @@ struct ClientConfig
     std::uint64_t chaosSeed = 0;
 };
 
+/** The longest response line the client accepts: 16 MiB, over 60
+ *  times the largest line a server sends (a 256-node WORKER record
+ *  is ~259 KB). A peer that streams more without a newline is answered
+ *  with a local "overflow" instead of an unbounded buffer. */
+constexpr std::size_t maxResponseLine = std::size_t{16} << 20;
+
 /** One request's outcome. ok means the server answered {"ok":true};
  *  otherwise errorKind holds the server's error_kind, or a local
- *  "deadline" / "transport" / "parse" when the failure never reached
- *  (or never came back from) the server. */
+ *  "deadline" / "transport" / "parse" / "overflow" when the failure
+ *  never reached (or never came back from) the server. */
 struct Response
 {
     bool ok = false;
@@ -132,19 +144,13 @@ class ServeClient
 
     /**
      * One request line -> one response line, over the current
-     * connection, bounded by requestDeadlineMs. No retries: a
-     * transport failure or deadline comes back as a local errorKind
-     * with the connection closed.
+     * connection. No retries: a transport failure, deadline, overflow
+     * or unparseable line comes back as a local errorKind with the
+     * connection closed.
      */
     Response rpc(const std::string &request_line);
 
-    /**
-     * rpc() plus the retry discipline: reconnects and retries on
-     * "transport"/"deadline", honors retry_after_ms on "busy", gives
-     * structural errors ("parse", "bad_request", ...) straight back —
-     * retrying a request the server understood and refused would
-     * yield the same refusal.
-     */
+    /** rpc() through the retry loop (see the file comment). */
     Response rpcRetry(const std::string &request_line);
 
     /**
@@ -163,14 +169,22 @@ class ServeClient
     std::uint64_t backoffDelayMs(unsigned attempt);
 
   private:
-    enum class ReadStatus { Line, Deadline, Closed };
-    ReadStatus readLine(std::string &line, int deadline_ms);
-    bool sendAll(const std::string &line, int deadline_ms);
+    /** One line each way; a failure fills @p r with the local error
+     *  and closes the connection. */
+    bool send(const std::string &line, Response &r);
+    bool receive(Response &r);
+
+    /** The retry loop around @p attempt, which sets its argument on
+     *  progress. @p reconnects counts connections made after an
+     *  earlier one was lost. */
+    Response retry(const std::function<Response(bool &)> &attempt,
+                   unsigned *reconnects = nullptr);
+
     bool chaosRoll();
 
     ClientConfig cfg;
     int fd = -1;
-    std::string inbuf;
+    wire::LineReader in;
     std::uint64_t backoffDraws = 0;
     std::uint64_t chaosDraws = 0;
 };

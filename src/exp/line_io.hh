@@ -1,20 +1,29 @@
 /**
  * @file
- * Newline framing for the serve wire, shared by the server's
- * connections (exp/serve.cc) and the client library (exp/client.cc):
- * receive into a line buffer in large reads, split complete lines off
- * it scanning each received byte once, and send a line and its '\n'
- * in one gathered write without copying the line.
+ * The serve wire's one transport, shared by the server's connections
+ * (exp/serve.cc), the client library (exp/client.cc) and the raw
+ * clients of the chaos harness and the tests: Unix-path and
+ * "host:port" resolution, a bounded line reader, and a line sender
+ * that gives up on a stalled peer. Reads and sends pass MSG_DONTWAIT
+ * and wait in poll(), so the descriptor's mode does not matter, and
+ * both timers measure elapsed time since the last byte moved.
  */
 
 #ifndef SWEX_EXP_LINE_IO_HH
 #define SWEX_EXP_LINE_IO_HH
 
+#include <fcntl.h>
+#include <netdb.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <sys/uio.h>
+#include <sys/un.h>
+#include <unistd.h>
 
-#include <cstddef>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
+#include <functional>
 #include <string>
 
 namespace swex
@@ -22,59 +31,210 @@ namespace swex
 namespace wire
 {
 
-/** The most one recvAppend() takes off the socket. */
+/** The most one recv() takes off the socket. */
 constexpr std::size_t recvChunk = 64 * 1024;
 
-/** One recv() of up to recvChunk bytes, appended to @p buf.
- *  @return what recv() returned. */
-inline ssize_t
-recvAppend(int fd, std::string &buf)
+/** How often a reader that is owed bytes re-asks its predicate. */
+constexpr int pollSliceMs = 50;
+
+/** Milliseconds elapsed since @p since. */
+inline int
+msSince(std::chrono::steady_clock::time_point since)
 {
-    char chunk[recvChunk];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0)
-        buf.append(chunk, static_cast<std::size_t>(n));
-    return n;
+    return static_cast<int>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - since)
+            .count());
+}
+
+inline void
+setNonBlocking(int fd)
+{
+    const int fl = ::fcntl(fd, F_GETFL, 0);
+    if (fl >= 0)
+        ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+}
+
+/** Wait up to @p wait_ms (-1 = no bound) for @p events on @p fd.
+ *  @return false on a poll() failure other than EINTR. */
+inline bool
+waitFor(int fd, short events, int wait_ms)
+{
+    pollfd p{fd, events, 0};
+    return ::poll(&p, 1, wait_ms) >= 0 || errno == EINTR;
 }
 
 /**
- * Move the first complete line of @p buf into @p line, without its
- * '\n'. @p scanned is how many leading bytes of @p buf are known to
- * hold no '\n' (start it at 0): a miss advances it to the end of the
- * buffer, so a line spread over many reads is scanned once, not once
- * per read. Taking a line resets it. @return whether a line was taken.
+ * Send @p line and its '\n' in gathered writes, without copying the
+ * line. @return false once the peer is gone, or when no byte could
+ * leave for @p stall_ms (0 = no bound).
  */
 inline bool
-takeLine(std::string &buf, std::size_t &scanned, std::string &line)
+sendLine(int fd, const std::string &line, int stall_ms)
 {
-    const std::size_t nl = buf.find('\n', scanned);
-    if (nl == std::string::npos) {
-        scanned = buf.size();
-        return false;
+    static const char newline = '\n';
+    auto last = std::chrono::steady_clock::now();
+    for (std::size_t off = 0; off <= line.size();) {
+        iovec iov[2] = {{const_cast<char *>(line.data()) + off,
+                         line.size() - off},
+                        {const_cast<char *>(&newline), 1}};
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = 2;
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n > 0) {
+            off += static_cast<std::size_t>(n);
+            last = std::chrono::steady_clock::now();
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+            return false;
+        const int left = stall_ms - msSince(last);
+        if ((stall_ms > 0 && left <= 0) ||
+            !waitFor(fd, POLLOUT, stall_ms > 0 ? left : -1))
+            return false;
     }
-    line = buf.substr(0, nl);
-    buf.erase(0, nl + 1);
-    scanned = 0;
     return true;
 }
 
-/** One sendmsg() of @p line from byte @p off (at most line.size())
- *  followed by its '\n'. @return what sendmsg() returned; a line is
- *  sent once the bytes sent add up to line.size() + 1. */
-inline ssize_t
-sendLineFrom(int fd, const std::string &line, std::size_t off)
+/** How a LineReader::read() ended. */
+enum class ReadStatus
 {
-    static const char newline = '\n';
-    iovec iov[2];
-    int parts = 0;
-    if (off < line.size())
-        iov[parts++] = {const_cast<char *>(line.data()) + off,
-                        line.size() - off};
-    iov[parts++] = {const_cast<char *>(&newline), 1};
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(parts);
-    return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    Line,       ///< the next line, without its '\n'
+    Closed,     ///< the peer hung up, or the socket failed
+    Quiet,      ///< nothing arrived for the quiet bound
+    Overflow,   ///< the line grew past its cap
+};
+
+/** Newline framing over one socket. Bytes past the line returned stay
+ *  buffered for the next read(), so pipelined lines are not lost. */
+class LineReader
+{
+  public:
+    /**
+     * The next line from @p fd into @p line: at most @p max_line bytes
+     * before its '\n', and Quiet after @p quiet_ms (0 = no bound) with
+     * no byte received. While @p waiting says true the reader is owed
+     * bytes, so the quiet timer is held off.
+     */
+    ReadStatus
+    read(int fd, std::string &line, std::size_t max_line, int quiet_ms = 0,
+         const std::function<bool()> &waiting = {})
+    {
+        auto last = std::chrono::steady_clock::now();
+        // Leading bytes of buf known to hold no '\n': each received
+        // byte is scanned once, however many reads a line takes.
+        std::size_t scanned = 0;
+        for (;;) {
+            const std::size_t nl = buf.find('\n', scanned);
+            if (nl != std::string::npos) {
+                line.assign(buf, 0, nl);
+                buf.erase(0, nl + 1);
+                return nl > max_line ? ReadStatus::Overflow
+                                     : ReadStatus::Line;
+            }
+            scanned = buf.size();
+            if (scanned > max_line)
+                return ReadStatus::Overflow;
+            char chunk[recvChunk];
+            const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+            if (n > 0) {
+                buf.append(chunk, static_cast<std::size_t>(n));
+                last = std::chrono::steady_clock::now();
+                continue;
+            }
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
+                return ReadStatus::Closed;
+            int wait = -1;
+            if (quiet_ms > 0) {
+                if (waiting && waiting())
+                    last = std::chrono::steady_clock::now();
+                wait = quiet_ms - msSince(last);
+                if (wait <= 0)
+                    return ReadStatus::Quiet;
+                if (waiting && wait > pollSliceMs)
+                    wait = pollSliceMs;
+            }
+            if (!waitFor(fd, POLLIN, wait))
+                return ReadStatus::Closed;
+        }
+    }
+
+    /** Drop what is buffered from a connection that is gone. */
+    void clear() { buf.clear(); }
+
+  private:
+    std::string buf;
+};
+
+/**
+ * A stream socket for @p address: a Unix-domain socket path when
+ * @p unix_path, else a "host:port" with a numeric port (@p passive
+ * for a listener). Each resolved address in turn gets a fresh socket,
+ * handed to @p ready(fd, sockaddr, length), which binds or connects
+ * it and returns "" once it is usable. @return that socket, or -1
+ * with @p err saying why not.
+ */
+template <class Ready>
+int
+openStream(const std::string &address, bool unix_path, bool passive,
+           Ready &&ready, std::string &err)
+{
+    auto open = [&](int family, int protocol, const sockaddr *sa,
+                    socklen_t len) {
+        const int fd = ::socket(family, SOCK_STREAM, protocol);
+        if (fd < 0) {
+            err = std::string("socket: ") + std::strerror(errno);
+            return -1;
+        }
+        err = ready(fd, sa, len);
+        if (err.empty())
+            return fd;
+        ::close(fd);
+        return -1;
+    };
+    if (unix_path) {
+        sockaddr_un un{};
+        un.sun_family = AF_UNIX;
+        if (address.size() >= sizeof(un.sun_path)) {
+            err = "socket path too long (" +
+                  std::to_string(address.size()) + " >= " +
+                  std::to_string(sizeof(un.sun_path)) + ")";
+            return -1;
+        }
+        std::memcpy(un.sun_path, address.c_str(), address.size() + 1);
+        return open(AF_UNIX, 0, reinterpret_cast<const sockaddr *>(&un),
+                    sizeof(un));
+    }
+    const std::size_t colon = address.rfind(':');
+    if (colon == std::string::npos || colon == 0 ||
+        colon + 1 >= address.size()) {
+        err = "bad address '" + address + "' (want host:port)";
+        return -1;
+    }
+    addrinfo hints{};
+    hints.ai_family = AF_UNSPEC;
+    hints.ai_socktype = SOCK_STREAM;
+    hints.ai_flags = AI_NUMERICSERV | (passive ? AI_PASSIVE : 0);
+    addrinfo *res = nullptr;
+    const int gai = ::getaddrinfo(address.substr(0, colon).c_str(),
+                                  address.substr(colon + 1).c_str(),
+                                  &hints, &res);
+    if (gai != 0) {
+        err = "resolve " + address + ": " + ::gai_strerror(gai);
+        return -1;
+    }
+    err = "no usable address for " + address;
+    int fd = -1;
+    for (addrinfo *ai = res; ai != nullptr && fd < 0; ai = ai->ai_next)
+        fd = open(ai->ai_family, ai->ai_protocol, ai->ai_addr,
+                  ai->ai_addrlen);
+    ::freeaddrinfo(res);
+    return fd;
 }
 
 } // namespace wire

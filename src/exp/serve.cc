@@ -1,15 +1,12 @@
 #include "exp/serve.hh"
 
 #include <algorithm>
-#include <fcntl.h>
-#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -55,13 +52,9 @@ using wire::renderJson;
  *  a maximal run request is a few hundred bytes. */
 constexpr std::size_t maxRequestLine = 1u << 20;
 
-/** Poll slice for the reader/writer progress loops: short enough
- *  that shutdown, idle, and send-stall decisions land promptly. */
-constexpr int pollSliceMs = 50;
-
 /**
- * One connected client: line reader + locked line writer over a
- * non-blocking fd. Owned by shared_ptr — the reader thread holds one
+ * One connected client: line reader + locked line writer over the
+ * accepted socket. Owned by shared_ptr — the reader thread holds one
  * reference and every pool task responding to this client holds
  * another, so the fd outlives the last in-flight response no matter
  * when the client hangs up. The destructor (last reference dropped)
@@ -71,120 +64,42 @@ struct Connection
 {
     int fd;
     const std::uint64_t id;   ///< fair-scheduling key
+    const int sendTimeoutMs;  ///< ServeConfig::sendTimeoutMs
     std::mutex writeMutex;
-    std::string inbuf;
+    wire::LineReader in;      ///< used by the reader thread only
 
     /** Admitted work units whose responses have not been sent yet; a
      *  connection waiting on them is never idle. */
     std::atomic<std::uint64_t> pending{0};
 
-    /** Set when a send stalled past the timeout (or the peer reset):
-     *  every later send for this connection is dropped immediately,
-     *  so a stalled peer costs at most one timeout, not one per
-     *  response. */
+    /** Set when a send failed (the peer reset, or stalled past the
+     *  timeout): every later send for this connection is dropped
+     *  immediately, so a stalled peer costs at most one timeout, not
+     *  one per response. */
     std::atomic<bool> dead{false};
 
-    Connection(int fd_, std::uint64_t id_) : fd(fd_), id(id_) {}
+    Connection(int fd_, std::uint64_t id_, int send_timeout_ms)
+        : fd(fd_), id(id_), sendTimeoutMs(send_timeout_ms)
+    {}
     ~Connection() { ::close(fd); }
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
-    enum class ReadStatus
-    {
-        Line,       ///< @p line holds the next request line
-        Eof,        ///< clean hang-up (or SHUT_RD during shutdown)
-        Overflow,   ///< line exceeded maxRequestLine; drop the client
-        Idle,       ///< idle timeout expired with no pending work
-    };
-
-    /** Next full line (without the '\n'). With @p idle_timeout_ms
-     *  > 0, a connection that sends nothing while owing no responses
-     *  for that long returns Idle instead of blocking forever. */
-    ReadStatus
-    readLine(std::string &line, int idle_timeout_ms)
-    {
-        int idle_ms = 0;
-        std::size_t scanned = 0;
-        for (;;) {
-            if (wire::takeLine(inbuf, scanned, line)) {
-                if (line.size() > maxRequestLine)
-                    return ReadStatus::Overflow;
-                if (!line.empty() && line.back() == '\r')
-                    line.pop_back();
-                return ReadStatus::Line;
-            }
-            if (inbuf.size() > maxRequestLine)
-                return ReadStatus::Overflow;
-            ssize_t n = wire::recvAppend(fd, inbuf);
-            if (n > 0) {
-                idle_ms = 0;
-                continue;
-            }
-            if (n == 0)
-                return ReadStatus::Eof;
-            if (errno == EINTR)
-                continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK)
-                return ReadStatus::Eof;
-            pollfd p{fd, POLLIN, 0};
-            int pr = ::poll(&p, 1, pollSliceMs);
-            if (pr < 0 && errno != EINTR)
-                return ReadStatus::Eof;
-            if (pr == 0) {
-                if (pending.load(std::memory_order_acquire) > 0) {
-                    // Waiting on its own responses, not idle.
-                    idle_ms = 0;
-                    continue;
-                }
-                if (idle_timeout_ms > 0) {
-                    idle_ms += pollSliceMs;
-                    if (idle_ms >= idle_timeout_ms)
-                        return ReadStatus::Idle;
-                }
-            }
-        }
-    }
-
     /** Send one response line. A dead client is not an error — the
      *  remaining scheduled runs still complete (and fill the cache).
-     *  A peer that stops draining its socket for @p send_timeout_ms
-     *  is declared dead so it can never wedge a pool worker. */
+     *  A failed send, including a peer that stops draining its socket
+     *  for sendTimeoutMs, marks the connection dead and shuts the
+     *  socket down, so it can never wedge a pool worker and its
+     *  reader sees the end at once. */
     void
-    sendLine(const std::string &line, int send_timeout_ms)
+    sendLine(const std::string &line)
     {
-        std::unique_lock<std::mutex> hold(writeMutex);
+        std::lock_guard<std::mutex> hold(writeMutex);
         if (dead.load(std::memory_order_acquire))
             return;
-        std::size_t off = 0;
-        int stalled_ms = 0;
-        while (off < line.size() + 1) {
-            ssize_t n = wire::sendLineFrom(fd, line, off);
-            if (n > 0) {
-                off += static_cast<std::size_t>(n);
-                stalled_ms = 0;
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                pollfd p{fd, POLLOUT, 0};
-                int pr = ::poll(&p, 1, pollSliceMs);
-                if (pr < 0 && errno == EINTR)
-                    continue;
-                if (pr <= 0) {
-                    stalled_ms += pollSliceMs;
-                    if (send_timeout_ms > 0 &&
-                        stalled_ms >= send_timeout_ms) {
-                        dead.store(true, std::memory_order_release);
-                        ::shutdown(fd, SHUT_RDWR);
-                        return;
-                    }
-                }
-                continue;
-            }
-            // Peer gone (reset, closed): drop this and later sends.
+        if (!wire::sendLine(fd, line, sendTimeoutMs)) {
             dead.store(true, std::memory_order_release);
-            return;
+            ::shutdown(fd, SHUT_RDWR);
         }
     }
 };
@@ -561,15 +476,13 @@ void
 submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
        Batch batch, const std::string &tag_json, bool canonical)
 {
-    const int send_timeout = srv.cfg.sendTimeoutMs;
     const std::size_t n = batch.specs.size();
     std::uint64_t depth = 0;
     if (!srv.admit(n, depth)) {
         conn->sendLine(errorLine(
             tag_json, "server busy (admission queue full)", "busy",
             ",\"retry_after_ms\":" +
-                std::to_string(srv.retryAfterMs(depth))),
-            send_timeout);
+                std::to_string(srv.retryAfterMs(depth))));
         return;
     }
     conn->pending.fetch_add(n, std::memory_order_acq_rel);
@@ -584,8 +497,7 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
         srv.fair.enqueue(conn->id,
                          [&srv, conn, spec = std::move(batch.specs[i]),
                           fields = std::move(batch.cellFields[i]),
-                          tag_json, canonical, progress, n,
-                          send_timeout] {
+                          tag_json, canonical, progress, n] {
             Runner::ExecSource src = Runner::ExecSource::Sim;
             RunRecord rec = srv.runner.execute(spec, &src);
             std::ostringstream os;
@@ -593,14 +505,12 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
                << (src == Runner::ExecSource::Cache ? "cache" : "sim")
                << "\",\"record\":";
             rec.writeJson(os, canonical);
-            conn->sendLine(envelope(true, tag_json, os.str()),
-                           send_timeout);
+            conn->sendLine(envelope(true, tag_json, os.str()));
             const std::size_t landed =
                 progress->done.fetch_add(1, std::memory_order_acq_rel) + 1;
             if (landed == n && !progress->trailer.empty())
-                conn->sendLine(envelope(true, tag_json,
-                                        progress->trailer),
-                               send_timeout);
+                conn->sendLine(
+                    envelope(true, tag_json, progress->trailer));
             conn->pending.fetch_sub(1, std::memory_order_acq_rel);
             srv.queuedUnits.fetch_sub(1, std::memory_order_acq_rel);
         });
@@ -619,24 +529,29 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
 void
 handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
 {
-    const int send_timeout = srv.cfg.sendTimeoutMs;
+    // A connection owing responses is never idle, however long its
+    // cells simulate.
+    const std::function<bool()> owed = [&conn] {
+        return conn->pending.load(std::memory_order_acquire) > 0;
+    };
     std::string line;
     for (;;) {
-        Connection::ReadStatus rs =
-            conn->readLine(line, srv.cfg.idleTimeoutMs);
-        if (rs == Connection::ReadStatus::Eof)
+        const wire::ReadStatus rs = conn->in.read(
+            conn->fd, line, maxRequestLine, srv.cfg.idleTimeoutMs, owed);
+        if (rs == wire::ReadStatus::Closed)
             break;
-        if (rs == Connection::ReadStatus::Overflow) {
-            conn->sendLine(errorLine("", "request line too long",
-                                     "overflow"), send_timeout);
+        if (rs == wire::ReadStatus::Overflow) {
+            conn->sendLine(
+                errorLine("", "request line too long", "overflow"));
             break;
         }
-        if (rs == Connection::ReadStatus::Idle) {
+        if (rs == wire::ReadStatus::Quiet) {
             srv.idleClosed.fetch_add(1, std::memory_order_relaxed);
-            conn->sendLine(errorLine("", "idle timeout",
-                                     "idle_timeout"), send_timeout);
+            conn->sendLine(errorLine("", "idle timeout", "idle_timeout"));
             break;
         }
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
         if (line.empty())
             continue;
         srv.requests.fetch_add(1, std::memory_order_relaxed);
@@ -646,7 +561,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
         if (!p.parseWhole(req) || req.kind != JsonValue::Kind::Object) {
             conn->sendLine(errorLine(
                 "", p.err.empty() ? "request is not a JSON object"
-                                  : p.err, "parse"), send_timeout);
+                                  : p.err, "parse"));
             continue;
         }
 
@@ -661,7 +576,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
                 renderJson(*t, echo);
                 conn->sendLine(errorLine(
                     echo, "bad value for 'tag' (want a string)",
-                    "bad_request"), send_timeout);
+                    "bad_request"));
                 continue;
             }
             json::appendString(tag_json, t->raw);
@@ -679,9 +594,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             // send attempted) before the acknowledgment below.
             srv.beginShutdown();
             srv.pool.wait();
-            conn->sendLine(
-                envelope(true, tag_json, ",\"shutdown\":true"),
-                send_timeout);
+            conn->sendLine(envelope(true, tag_json, ",\"shutdown\":true"));
             srv.wakeAccept();
             break;
         }
@@ -708,8 +621,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             for (const auto &[name, n] : counters)
                 stats.append(",\"").append(name).append("\":")
                     .append(std::to_string(n));
-            conn->sendLine(envelope(true, tag_json, stats + "}"),
-                           send_timeout);
+            conn->sendLine(envelope(true, tag_json, stats + "}"));
             continue;
         }
         if (op != "run" && op != "sweep") {
@@ -717,8 +629,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
                 tag_json,
                 op.empty()
                     ? "missing 'op' (want run|sweep|stats|shutdown)"
-                    : "unknown op '" + op + "'", "bad_request"),
-                send_timeout);
+                    : "unknown op '" + op + "'", "bad_request"));
             continue;
         }
 
@@ -739,21 +650,11 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             err = planSweep(req, batch);
         }
         if (!err.empty()) {
-            conn->sendLine(errorLine(tag_json, err, "bad_request"),
-                           send_timeout);
+            conn->sendLine(errorLine(tag_json, err, "bad_request"));
             continue;
         }
         submit(srv, conn, std::move(batch), tag_json, canonical);
     }
-}
-
-/** Make @p fd non-blocking (reader/writer loops are poll-driven). */
-void
-setNonBlocking(int fd)
-{
-    int fl = ::fcntl(fd, F_GETFL, 0);
-    if (fl >= 0)
-        ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
 }
 
 /** One bound listening socket. */
@@ -793,56 +694,44 @@ struct Listeners
 std::string
 bindUnixListener(const ServeConfig &cfg, Listeners &out)
 {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (cfg.socketPath.size() >= sizeof(addr.sun_path))
-        return "socket path too long (" +
-               std::to_string(cfg.socketPath.size()) + " >= " +
-               std::to_string(sizeof(addr.sun_path)) + ")";
-    std::memcpy(addr.sun_path, cfg.socketPath.c_str(),
-                cfg.socketPath.size() + 1);
-
-    struct stat st;
-    if (::lstat(cfg.socketPath.c_str(), &st) == 0) {
-        if (!S_ISSOCK(st.st_mode))
-            return "path exists and is not a socket: " +
-                   cfg.socketPath;
-        int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (probe < 0)
-            return std::string("probe socket: ") +
-                   std::strerror(errno);
-        int rc = ::connect(probe,
-                           reinterpret_cast<sockaddr *>(&addr),
-                           sizeof(addr));
-        int probe_errno = errno;
-        ::close(probe);
-        if (rc == 0)
-            return "address in use: a live server is accepting on " +
-                   cfg.socketPath;
-        if (probe_errno != ECONNREFUSED && probe_errno != ENOENT)
-            return "cannot probe " + cfg.socketPath + ": " +
-                   std::strerror(probe_errno);
-        // Connect refused: the socket file is a corpse. Replace it.
-        ::unlink(cfg.socketPath.c_str());
-    }
-
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const std::string &path = cfg.socketPath;
+    auto bindAndListen = [&](int fd, const sockaddr *sa,
+                             socklen_t len) -> std::string {
+        struct stat st;
+        if (::lstat(path.c_str(), &st) == 0) {
+            if (!S_ISSOCK(st.st_mode))
+                return "path exists and is not a socket: " + path;
+            int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            if (probe < 0)
+                return std::string("probe socket: ") +
+                       std::strerror(errno);
+            int rc = ::connect(probe, sa, len);
+            int probe_errno = errno;
+            ::close(probe);
+            if (rc == 0)
+                return "address in use: a live server is accepting "
+                       "on " + path;
+            if (probe_errno != ECONNREFUSED && probe_errno != ENOENT)
+                return "cannot probe " + path + ": " +
+                       std::strerror(probe_errno);
+            // Connect refused: the socket file is a corpse. Replace it.
+            ::unlink(path.c_str());
+        }
+        if (::bind(fd, sa, len) != 0)
+            return "bind " + path + ": " + std::strerror(errno);
+        if (::listen(fd, cfg.backlog) != 0) {
+            std::string e = std::string("listen: ") + std::strerror(errno);
+            ::unlink(path.c_str());
+            return e;
+        }
+        return "";
+    };
+    std::string err;
+    const int fd = wire::openStream(path, /*unix_path=*/true,
+                                    /*passive=*/true, bindAndListen, err);
     if (fd < 0)
-        return std::string("socket: ") + std::strerror(errno);
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        std::string e = std::string("bind ") + cfg.socketPath + ": " +
-                        std::strerror(errno);
-        ::close(fd);
-        return e;
-    }
-    if (::listen(fd, cfg.backlog) != 0) {
-        std::string e = std::string("listen: ") + std::strerror(errno);
-        ::close(fd);
-        ::unlink(cfg.socketPath.c_str());
-        return e;
-    }
-    out.all.push_back({fd, cfg.socketPath});
+        return err;
+    out.all.push_back({fd, path});
     return "";
 }
 
@@ -852,43 +741,18 @@ std::string
 bindTcpListener(const ServeConfig &cfg, Listeners &out)
 {
     const std::string &hp = cfg.tcpHostPort;
-    std::size_t colon = hp.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= hp.size())
-        return "bad TCP address '" + hp + "' (want host:port)";
-    const std::string host = hp.substr(0, colon);
-    const std::string port = hp.substr(colon + 1);
-
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-    addrinfo *res = nullptr;
-    int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-    if (gai != 0)
-        return "resolve " + hp + ": " + ::gai_strerror(gai);
-
-    std::string err = "no usable address for " + hp;
-    int fd = -1;
-    for (addrinfo *ai = res; ai != nullptr; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype,
-                      ai->ai_protocol);
-        if (fd < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            continue;
-        }
+    auto bindAndListen = [&](int fd, const sockaddr *sa,
+                             socklen_t len) -> std::string {
         int one = 1;
         ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (::bind(fd, ai->ai_addr, ai->ai_addrlen) != 0 ||
-            ::listen(fd, cfg.backlog) != 0) {
-            err = "bind/listen " + hp + ": " + std::strerror(errno);
-            ::close(fd);
-            fd = -1;
-            continue;
-        }
-        break;
-    }
-    ::freeaddrinfo(res);
+        if (::bind(fd, sa, len) != 0 ||
+            ::listen(fd, cfg.backlog) != 0)
+            return "bind/listen " + hp + ": " + std::strerror(errno);
+        return "";
+    };
+    std::string err;
+    const int fd = wire::openStream(hp, /*unix_path=*/false,
+                                    /*passive=*/true, bindAndListen, err);
     if (fd < 0)
         return err;
 
@@ -940,8 +804,8 @@ signalWakePipe()
         SignalPipe sp;
         int fds[2];
         if (::pipe(fds) == 0) {
-            setNonBlocking(fds[0]);
-            setNonBlocking(fds[1]);
+            wire::setNonBlocking(fds[0]);
+            wire::setNonBlocking(fds[1]);
             sp.read = fds[0];
             sp.write = fds[1];
         }
@@ -995,8 +859,8 @@ serveLoop(const ServeConfig &cfg)
     }
     // Both ends non-blocking: readers poking a full pipe must not
     // stall, and the accept loop drains it without ever blocking.
-    setNonBlocking(wake[0]);
-    setNonBlocking(wake[1]);
+    wire::setNonBlocking(wake[0]);
+    wire::setNonBlocking(wake[1]);
 
     ServerState srv(cfg);
     srv.wakeWrite = wake[1];
@@ -1131,7 +995,6 @@ serveLoop(const ServeConfig &cfg)
             srv.beginShutdown();
             break;
         }
-        setNonBlocking(cfd);
         if (ready->unixPath.empty()) {
             int one = 1;
             ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
@@ -1139,8 +1002,8 @@ serveLoop(const ServeConfig &cfg)
         }
         srv.accepted.fetch_add(1, std::memory_order_relaxed);
         auto conn = std::make_shared<Connection>(
-            cfd, srv.nextConnId.fetch_add(1,
-                                          std::memory_order_relaxed));
+            cfd, srv.nextConnId.fetch_add(1, std::memory_order_relaxed),
+            cfg.sendTimeoutMs);
         const std::uint64_t conn_id = conn->id;
         srv.registerConn(conn);
         readers.emplace(

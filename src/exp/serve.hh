@@ -36,7 +36,13 @@
  *   - stalled peers: a response send that cannot make progress for
  *     sendTimeoutMs marks the connection dead and drops its remaining
  *     sends — a reader that stops draining can never wedge a pool
- *     worker.
+ *     worker. Any failed send, a reset peer's too, also shuts the
+ *     socket down, so the connection's reader ends at once.
+ *   - one transport: requests are read and responses sent through
+ *     the serve wire's transport (exp/line_io.hh), shared with the
+ *     client library. Both timers are elapsed time since the last
+ *     byte moved, not counts of poll slices, and a request line is
+ *     capped at 1 MiB (error_kind "overflow", then a close).
  *   - resume: sweeps are chunked by cursor; re-execution of an
  *     already-served cell is idempotent (the result cache makes the
  *     canonical record bytes identical), so a client that lost its
@@ -139,11 +145,14 @@ struct ServeConfig
     std::uint64_t maxQueuedUnits = 4096;
 
     /** Close connections that are idle (nothing received AND no
-     *  responses outstanding) for this long. 0 = never. */
+     *  responses outstanding) for this long, counted from the last
+     *  byte received. 0 = never. */
     int idleTimeoutMs = 0;
 
     /** A response send that cannot progress for this long marks the
-     *  peer dead and drops the connection's remaining sends. */
+     *  peer dead, shuts its socket down and drops the connection's
+     *  remaining sends. 0 = wait while the peer keeps the socket
+     *  open. */
     int sendTimeoutMs = 10'000;
 
     /** Install SIGTERM/SIGINT handlers for a graceful drain: stop

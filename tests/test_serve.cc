@@ -11,14 +11,15 @@
  * surface: the TCP listener, stale-socket takeover vs live-socket
  * refusal, overload shedding with retry hints, cursor-chunked sweeps
  * resumed across connections (raw protocol and ServeClient under
- * chaos kills), idle timeouts, and SIGTERM drain.
+ * chaos kills), idle timeouts, and SIGTERM drain. The raw clients
+ * frame lines through the serve wire's transport (exp/line_io.hh),
+ * whose reader timers, line cap and stalled-send bound are tested
+ * on socket pairs; the client library's response cap, reconnect
+ * count and idle-close retry are tested against live listeners.
  */
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -40,6 +41,7 @@
 #include "base/logging.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/client.hh"
+#include "exp/line_io.hh"
 #include "exp/runner.hh"
 #include "exp/serve.hh"
 #include "json_helpers.hh"
@@ -61,51 +63,35 @@ scratchDir(const std::string &tag)
     return d != nullptr ? d : ".";
 }
 
-/** A raw line-oriented client on the server's Unix socket. */
+/** A raw line-oriented client on the server's Unix socket or TCP
+ *  port, framing lines through the serve wire's transport. Reads and
+ *  sends are bounded, so a wedged server fails a test instead of
+ *  hanging it. */
 struct Client
 {
+    static constexpr int ioMs = 60'000;
+
     int fd = -1;
-    std::string buf;
+    wire::LineReader in;
 
     ~Client() { disconnect(); }
 
+    /** Connect to @p address: a socket path, or "host:port". */
     bool
-    connectTo(const std::string &path)
+    connectTo(const std::string &address)
     {
         disconnect();
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return false;
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path))
-            return false;
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            disconnect();
-            return false;
-        }
-        return true;
-    }
-
-    bool
-    connectTcp(int port)
-    {
-        disconnect();
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return false;
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        addr.sin_addr.s_addr = ::inet_addr("127.0.0.1");
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            disconnect();
-            return false;
-        }
-        return true;
+        std::string err;
+        fd = wire::openStream(
+            address, address.find('/') != std::string::npos,
+            /*passive=*/false,
+            [](int s, const sockaddr *sa, socklen_t len) {
+                return std::string(::connect(s, sa, len) == 0
+                                       ? ""
+                                       : std::strerror(errno));
+            },
+            err);
+        return fd >= 0;
     }
 
     void
@@ -114,50 +100,20 @@ struct Client
         if (fd >= 0)
             ::close(fd);
         fd = -1;
-        buf.clear();
+        in.clear();
     }
 
-    /** Best-effort send (MSG_NOSIGNAL: a server-closed socket must
-     *  not kill the test with SIGPIPE). */
-    void
-    sendLine(const std::string &line)
+    /** Best-effort send: a server-closed socket fails it quietly. */
+    void sendLine(const std::string &line) { wire::sendLine(fd, line, ioMs); }
+
+    /** The next response line, or how the read ended. */
+    wire::ReadStatus
+    read(std::string &line)
     {
-        std::string out = line;
-        out.push_back('\n');
-        std::size_t off = 0;
-        while (off < out.size()) {
-            ssize_t n = ::send(fd, out.data() + off, out.size() - off,
-                               MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return;
-            }
-            off += static_cast<std::size_t>(n);
-        }
+        return in.read(fd, line, client::maxResponseLine, ioMs);
     }
 
-    /** Blocking read of the next response line; false on EOF. */
-    bool
-    readLine(std::string &line)
-    {
-        for (;;) {
-            std::size_t nl = buf.find('\n');
-            if (nl != std::string::npos) {
-                line = buf.substr(0, nl);
-                buf.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n <= 0) {
-                if (n < 0 && errno == EINTR)
-                    continue;
-                return false;
-            }
-            buf.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
+    bool readLine(std::string &line) { return read(line) == wire::ReadStatus::Line; }
 
     /** Send one request and parse its (single) response line. */
     wire::JsonValue
@@ -256,20 +212,15 @@ canonicalJson(const RunRecord &r)
     return os.str();
 }
 
-/** The raw "record" value of a response line — the envelope's last
- *  member, so exactly the bytes between "record": and the final
- *  closing brace. Byte-level on purpose: the gate is byte-identity
- *  with direct execution, not structural equality. */
+/** The raw "record" value of a response line, cut by
+ *  client::recordBytes. Byte-level on purpose: the gate is
+ *  byte-identity with direct execution, not structural equality. */
 std::string
-recordBytes(const std::string &line)
+recordOf(const std::string &line)
 {
-    const std::string key = "\"record\":";
-    std::size_t pos = line.find(key);
-    EXPECT_NE(pos, std::string::npos) << line;
-    if (pos == std::string::npos)
-        return "";
-    pos += key.size();
-    return line.substr(pos, line.size() - pos - 1);
+    std::string rec;
+    EXPECT_TRUE(client::recordBytes(line, rec)) << line;
+    return rec;
 }
 
 } // anonymous namespace
@@ -307,8 +258,8 @@ TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
     Runner direct(/*fail_fast=*/false);
     const std::string want = canonicalJson(direct.execute(
         workerCell("h2", 7)));
-    EXPECT_EQ(recordBytes(cold_line), want);
-    EXPECT_EQ(recordBytes(warm_line), want);
+    EXPECT_EQ(recordOf(cold_line), want);
+    EXPECT_EQ(recordOf(warm_line), want);
 
     server.stop();
 }
@@ -389,7 +340,8 @@ TEST(Serve, GarbageAndOversizedLinesNeverTakeTheServerDown)
         EXPECT_FALSE(at(resp, "ok").boolean);
         EXPECT_NE(at(resp, "error").raw.find("too long"),
                   std::string::npos);
-        EXPECT_FALSE(c.readLine(line)) << "connection not closed";
+        EXPECT_EQ(c.read(line), wire::ReadStatus::Closed)
+            << "connection not closed";
     }
 
     // And a fresh client still gets service.
@@ -487,7 +439,7 @@ TEST(Serve, SweepStreamsEveryCellByteIdenticalToDirectExecution)
         want_key << "protocol=" << protos[k / 2] << " seed="
                  << seeds[k % 2];
         EXPECT_EQ(at(v, "cell_key").raw, want_key.str());
-        EXPECT_EQ(recordBytes(cell_lines[k]),
+        EXPECT_EQ(recordOf(cell_lines[k]),
                   canonicalJson(direct.execute(
                       workerCell(protos[k / 2], seeds[k % 2]))));
     }
@@ -557,7 +509,7 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalResponses)
                     break;
                 int cell = static_cast<int>(numberOf(at(v, "cell")));
                 records[t][static_cast<std::size_t>(cell)] =
-                    recordBytes(line);
+                    recordOf(line);
                 ++seen;
             }
             if (seen != 4)
@@ -568,7 +520,7 @@ TEST(Serve, ConcurrentClientsGetByteIdenticalResponses)
                        "\"canonical\":true}");
             if (!c.readLine(run_line))
                 return;
-            run_records[t] = recordBytes(run_line);
+            run_records[t] = recordOf(run_line);
             if (!at(c.rpc("{\"op\":\"stats\"}"), "ok").boolean)
                 return;
             passed[t] = true;
@@ -673,7 +625,7 @@ TEST(Serve, TcpListenerSpeaksTheSameProtocolByteForByte)
     ASSERT_GT(port, 0) << "TCP port never published";
 
     Client tcp;
-    ASSERT_TRUE(tcp.connectTcp(port));
+    ASSERT_TRUE(tcp.connectTo("127.0.0.1:" + std::to_string(port)));
     tcp.sendLine("{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
                  "\"protocol\":\"h5\",\"seed\":3,\"canonical\":true}");
     std::string line;
@@ -682,7 +634,7 @@ TEST(Serve, TcpListenerSpeaksTheSameProtocolByteForByte)
     ASSERT_TRUE(at(v, "ok").boolean) << line;
 
     Runner direct(/*fail_fast=*/false);
-    EXPECT_EQ(recordBytes(line),
+    EXPECT_EQ(recordOf(line),
               canonicalJson(direct.execute(workerCell("h5", 3))));
 
     // Both listeners front the same server: the Unix side sees the
@@ -852,7 +804,7 @@ TEST(Serve, ChunkedSweepResumesAcrossConnectionsByteIdentical)
     const char *protos[2] = {"h2", "h5"};
     for (int k = 0; k < 6; ++k) {
         ASSERT_FALSE(cell_lines[k].empty()) << "cell " << k;
-        EXPECT_EQ(recordBytes(cell_lines[k]),
+        EXPECT_EQ(recordOf(cell_lines[k]),
                   canonicalJson(direct.execute(workerCell(
                       protos[k / 3],
                       static_cast<std::uint64_t>(k % 3 + 1)))))
@@ -941,7 +893,8 @@ TEST(Serve, IdleTimeoutClosesQuietClientsButNeverWaitingOnes)
     wire::JsonValue idle = parseJson(line);
     EXPECT_FALSE(at(idle, "ok").boolean);
     EXPECT_EQ(at(idle, "error_kind").raw, "idle_timeout");
-    EXPECT_FALSE(busy.readLine(line)) << "connection not closed";
+    EXPECT_EQ(busy.read(line), wire::ReadStatus::Closed)
+        << "connection not closed";
 
     Client fresh;
     ASSERT_TRUE(fresh.connectTo(server.cfg.socketPath));
@@ -1129,8 +1082,7 @@ TEST(Serve, UnixConnectHonorsTheDeadlineAgainstAFullBacklog)
     for (int i = 0; i < 16; ++i) {
         int f = ::socket(AF_UNIX, SOCK_STREAM, 0);
         ASSERT_GE(f, 0);
-        int fl = ::fcntl(f, F_GETFL, 0);
-        ::fcntl(f, F_SETFL, fl | O_NONBLOCK);
+        wire::setNonBlocking(f);
         ::connect(f, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr));
         fillers.push_back(f);
@@ -1154,4 +1106,223 @@ TEST(Serve, UnixConnectHonorsTheDeadlineAgainstAFullBacklog)
         ::close(f);
     ::close(lfd);
     ::unlink(path.c_str());
+}
+
+namespace
+{
+
+/** A connected socket pair, closed on scope exit. */
+struct SocketPair
+{
+    int fd[2] = {-1, -1};
+
+    SocketPair()
+    {
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fd), 0);
+    }
+    ~SocketPair()
+    {
+        for (int f : fd)
+            if (f >= 0)
+                ::close(f);
+    }
+};
+
+} // anonymous namespace
+
+TEST(LineIo, QuietTimerIsHeldOffByThePredicateAndRestartedByBytes)
+{
+    SocketPair sp;
+    wire::LineReader in;
+    std::string line;
+
+    // Without a predicate, silence ends the read Quiet.
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(in.read(sp.fd[0], line, 64, 100), wire::ReadStatus::Quiet);
+    EXPECT_GE(wire::msSince(t0), 100);
+
+    // While the predicate says bytes are owed, the timer is held off:
+    // the read cannot end Quiet before the predicate turns false.
+    t0 = std::chrono::steady_clock::now();
+    const auto owed_until = t0 + std::chrono::milliseconds(400);
+    EXPECT_EQ(in.read(sp.fd[0], line, 64, 100,
+                      [&] {
+                          return std::chrono::steady_clock::now() <
+                                 owed_until;
+                      }),
+              wire::ReadStatus::Quiet);
+    EXPECT_GE(wire::msSince(t0), 400);
+
+    // The timer counts from the last received byte, not from the
+    // start of the read: two gaps shorter than the bound add up to
+    // more than it, and the line still arrives.
+    t0 = std::chrono::steady_clock::now();
+    std::thread writer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+        ASSERT_EQ(::send(sp.fd[1], "ab", 2, MSG_NOSIGNAL), 2);
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+        ASSERT_EQ(::send(sp.fd[1], "c\n", 2, MSG_NOSIGNAL), 2);
+    });
+    EXPECT_EQ(in.read(sp.fd[0], line, 64, 1000), wire::ReadStatus::Line);
+    EXPECT_GE(wire::msSince(t0), 1000);
+    EXPECT_EQ(line, "abc");
+    writer.join();
+}
+
+TEST(LineIo, ReaderSplitsPipelinedLinesCapsLengthAndReportsClose)
+{
+    SocketPair sp;
+    wire::LineReader in;
+    std::string line;
+    const std::string bytes = "0123456789\nab\n";
+    ASSERT_EQ(::send(sp.fd[1], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    // A line exactly at the cap is a line, and the one pipelined
+    // behind it is kept for the next read.
+    EXPECT_EQ(in.read(sp.fd[0], line, 10, 1000), wire::ReadStatus::Line);
+    EXPECT_EQ(line, "0123456789");
+    EXPECT_EQ(in.read(sp.fd[0], line, 10, 1000), wire::ReadStatus::Line);
+    EXPECT_EQ(line, "ab");
+
+    // One byte past the cap is Overflow, with or without its newline.
+    ASSERT_EQ(::send(sp.fd[1], "0123456789A\n", 12, MSG_NOSIGNAL), 12);
+    EXPECT_EQ(in.read(sp.fd[0], line, 10, 1000),
+              wire::ReadStatus::Overflow);
+    wire::LineReader fresh;
+    ASSERT_EQ(::send(sp.fd[1], "0123456789A", 11, MSG_NOSIGNAL), 11);
+    EXPECT_EQ(fresh.read(sp.fd[0], line, 10, 1000),
+              wire::ReadStatus::Overflow);
+
+    // A hang-up is Closed, not Quiet and not a line.
+    SocketPair gone;
+    ::close(gone.fd[1]);
+    gone.fd[1] = -1;
+    EXPECT_EQ(in.read(gone.fd[0], line, 10, 1000),
+              wire::ReadStatus::Closed);
+}
+
+TEST(LineIo, SendLineGivesUpOnANeverReadingPeerAfterItsStallBound)
+{
+    SocketPair sp;
+    int small = 4096;
+    ::setsockopt(sp.fd[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+    const std::string big(8u << 20, 'x');
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(wire::sendLine(sp.fd[0], big, 200));
+    const int took = wire::msSince(t0);
+    EXPECT_GE(took, 200);
+    EXPECT_LT(took, 10'000);
+
+    // A peer that is gone fails the send at once.
+    SocketPair gone;
+    ::close(gone.fd[1]);
+    gone.fd[1] = -1;
+    EXPECT_FALSE(wire::sendLine(gone.fd[0], "{}", 0));
+}
+
+TEST(ServeClient, AnEndlessResponseLineIsAnOverflowAndIsNotRetried)
+{
+    // A listener that answers any connection with bytes and no
+    // newline, past the client's cap.
+    const std::string path = scratchDir("overflow") + "/sock";
+    std::string err;
+    const int lfd = wire::openStream(
+        path, /*unix_path=*/true, /*passive=*/true,
+        [](int s, const sockaddr *sa, socklen_t len) {
+            return std::string(::bind(s, sa, len) == 0 &&
+                                       ::listen(s, 4) == 0
+                                   ? ""
+                                   : std::strerror(errno));
+        },
+        err);
+    ASSERT_GE(lfd, 0) << err;
+    std::thread streamer([lfd] {
+        const int c = ::accept(lfd, nullptr, nullptr);
+        if (c < 0)
+            return;
+        const std::string chunk(1u << 20, 'x');
+        std::size_t sent = 0;
+        while (sent <= client::maxResponseLine + chunk.size()) {
+            const ssize_t n =
+                ::send(c, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+            if (n <= 0)
+                break;   // the client hung up at its cap
+            sent += static_cast<std::size_t>(n);
+        }
+        ::close(c);
+    });
+
+    client::ClientConfig ccfg;
+    ccfg.address = path;
+    ccfg.maxAttempts = 3;
+    ccfg.backoffBaseMs = 1;
+    client::ServeClient cli(ccfg);
+    const client::Response r = cli.rpcRetry("{\"op\":\"stats\"}");
+    streamer.join();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorKind, "overflow") << r.error;
+    EXPECT_FALSE(cli.connected());
+
+    // No second connection is waiting: overflow is not retried.
+    wire::setNonBlocking(lfd);
+    EXPECT_LT(::accept(lfd, nullptr, nullptr), 0);
+    ::close(lfd);
+    ::unlink(path.c_str());
+}
+
+TEST(ServeClient, SweepCountsEveryReconnectFromAnOpenConnection)
+{
+    setQuiet(true);
+    TestServer server("reconnects");
+    client::ClientConfig ccfg;
+    ccfg.address = server.cfg.socketPath;
+    ccfg.chunk = 1;
+    ccfg.maxAttempts = 10;
+    ccfg.backoffBaseMs = 1;
+    ccfg.backoffMaxMs = 2;
+    ccfg.chaosKillPerMille = 1000;   // kill after every cell
+    client::ServeClient cli(ccfg);
+    ASSERT_TRUE(cli.connect());
+
+    // Six cells, each on its own connection: the sweep began on an
+    // open one, so every one after it is a reconnect.
+    client::SweepResult res = cli.runSweep(
+        "{\"op\":\"sweep\",\"app\":\"worker\",\"nodes\":4,"
+        "\"canonical\":true,\"grid\":{\"protocol\":[\"h2\",\"h5\"],"
+        "\"seed\":[1,2,3]}}");
+    ASSERT_TRUE(res.ok) << res.errorKind << ": " << res.error;
+    EXPECT_EQ(res.cells, 6u);
+    EXPECT_EQ(res.reconnects, 5u);
+
+    server.stop();
+}
+
+TEST(ServeClient, RpcRetryReconnectsAfterAnIdleCloseOverTcp)
+{
+    setQuiet(true);
+    TestServer server("idleretry", 1, 0, 0, [](serve::ServeConfig &c) {
+        c.tcpHostPort = "127.0.0.1:0";
+        c.idleTimeoutMs = 100;
+    });
+    int port = 0;
+    for (int i = 0; i < 500 && port == 0; ++i) {
+        port = server.tcpPort.load();
+        if (port == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_GT(port, 0) << "TCP port never published";
+
+    client::ClientConfig ccfg;
+    ccfg.address = "127.0.0.1:" + std::to_string(port);
+    ccfg.backoffBaseMs = 1;
+    client::ServeClient cli(ccfg);
+    ASSERT_TRUE(cli.connect());
+    // The server idle-closes the quiet connection. Over TCP the next
+    // send still succeeds, and the answer waiting for it is the
+    // server's idle_timeout line: the retry loop must reconnect.
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    const client::Response r = cli.rpcRetry("{\"op\":\"stats\"}");
+    EXPECT_TRUE(r.ok) << r.errorKind << ": " << r.error;
+
+    server.stop();
 }

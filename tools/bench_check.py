@@ -5,7 +5,9 @@ Default mode runs micro_substrates with a tiny measurement budget,
 pointing SWEX_BENCH_JSON at a scratch file, then validates the emitted
 swex-bench-v1 trajectory: it must parse, carry the expected schema
 tag, provide the required entries, and every metric must be a finite
-number.
+number. It then checks the merge: a run into a reformatted trajectory
+keeps its entries, and a run into one that does not parse leaves it
+byte-identical.
 
 With --cli the positional binary is swex_cli; the script runs a tiny
 experiment with --json and validates the emitted swex-run-v1 document
@@ -118,7 +120,7 @@ def check_finite_numbers(path, obj):
         sys.exit(f"FAIL: {path} is not finite: {obj!r}")
 
 
-def run_bench(binary, json_path):
+def run_bench(binary, json_path, extra=()):
     """Run the bench binary; old google-benchmark releases only accept
     a bare double for --benchmark_min_time, newer ones want a suffixed
     form, so try the suffixed spelling first and fall back."""
@@ -126,7 +128,7 @@ def run_bench(binary, json_path):
     for min_time in ("0.05x", "0.05"):
         try:
             proc = subprocess.run(
-                [binary, f"--benchmark_min_time={min_time}"],
+                [binary, f"--benchmark_min_time={min_time}", *extra],
                 env=env,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
@@ -167,6 +169,43 @@ def check_bench_json(json_path):
                 metrics.get("ns_per_op", 0) <= 0:
             sys.exit(f"FAIL: {name}: ns_per_op not positive")
     return len(entries)
+
+
+def check_merge_keeps_entries(binary, tmp):
+    """Merging into an existing trajectory must never lose an entry.
+    A valid file in another layout (here: indented, one key per line)
+    keeps every entry, [seed-*] baselines included; a file that does
+    not parse (here: one entry torn across two lines) is left byte for
+    byte as it was, rather than rewritten without what could not be
+    read."""
+    only = ["--benchmark_filter=BM_CacheFillAccess"]
+    kept = "BM_Kept [seed-0000000]"
+    path = os.path.join(tmp, "reformatted.json")
+    with open(path, "w") as f:
+        json.dump({"schema": "swex-bench-v1",
+                   "entries": [{"name": kept,
+                                "metrics": {"ns_per_op": 12.5}}]},
+                  f, indent=2)
+    run_bench(binary, path, only)
+    names = [e["name"] for e in load_doc(path, "swex-bench-v1")["entries"]]
+    if kept not in names or "BM_CacheFillAccess" not in names:
+        sys.exit(f"FAIL: merging into a reformatted file gave {names}")
+
+    mangled = ('{"schema":"swex-bench-v1","entries":[\n'
+               ' {"name":"' + kept + '","metrics":{"ns_per_op":12.5}},\n'
+               ' {"name":"BM_Torn [seed-0000000]",\n'
+               '  "metrics":{"ns_per_op":9.5}\n'
+               ']}\n')
+    path = os.path.join(tmp, "mangled.json")
+    with open(path, "w") as f:
+        f.write(mangled)
+    run_bench(binary, path, only)
+    with open(path) as f:
+        if f.read() != mangled:
+            sys.exit("FAIL: a run rewrote a trajectory file it could "
+                     "not parse")
+    print("OK: merges keep every entry; an unparseable file is left "
+          "untouched")
 
 
 def check_run_json(json_path, expect_records):
@@ -736,6 +775,7 @@ def main():
             run_bench(args.binary, json_path)
             n = check_bench_json(json_path)
             print(f"OK: {n} entries validated")
+            check_merge_keeps_entries(args.binary, tmp)
 
 
 if __name__ == "__main__":

@@ -12,19 +12,21 @@
 # microbenchmarks, auditor attached), the content-addressed result
 # cache leg (stress_cache: cold store then warm re-sweep against one
 # scratch cache, so concurrent entry stores and the lock-free counters
-# race under TSan), and the --jobs + replay + snoop + cache
-# determinism gate (sweep_determinism); SWEX_DET_SEEDS keeps the
-# gates' seed counts small enough for sanitized binaries. The tier-1
-# pass also carries test_serve, which runs a real multi-client server
-# in-process — per-connection reader threads feeding the shared run
-# pool, server-side sweeps, chunked resume, overload shedding, idle
-# timeouts, and SIGTERM drain — so the serve path's
+# race under TSan), and the determinism legs (determinism_*: the
+# 200-seed WORKER grid at --jobs 1, --jobs 4, replayed and through a
+# cold then warm cache, the 200-seed snooping grid at --jobs 1 and
+# --jobs 4, and stress_serve --direct), each pinned to its grid's one
+# digest, so the sanitized binaries must reproduce the same digests.
+# The tier-1 pass also carries test_serve, which runs a real
+# multi-client server in-process — per-connection reader threads
+# feeding the shared run pool, server-side sweeps, chunked resume,
+# overload shedding, idle timeouts, and SIGTERM drain — and the serve
+# wire's transport on socket pairs, so the serve path's
 # connection-lifetime discipline is TSan-checked on every matrix run.
 # The stress label adds stress_serve, the socket-level chaos harness
 # (torn writes, garbage, resets, stalled peers, kill-and-reconnect
 # resumable sweeps over Unix and TCP); SWEX_SERVE_CONNS scales its
-# connection count down the same way SWEX_DET_SEEDS scales the
-# digest gates.
+# connection count down for the sanitized binaries.
 # Usage:
 #
 #   tools/ci_sanitize.sh [builddir-prefix]
@@ -49,7 +51,7 @@ for san in address undefined thread; do
     echo "== ${san}: running tier-1 tests"
     ctest --test-dir "${build_dir}" --output-on-failure
     echo "== ${san}: running the audited protocol stress sweep"
-    SWEX_DET_SEEDS=50 SWEX_SERVE_CONNS=48 \
+    SWEX_SERVE_CONNS=48 \
         ctest --test-dir "${build_dir}" --output-on-failure -L stress
 done
 echo "== sanitizer matrix passed"

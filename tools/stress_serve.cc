@@ -19,8 +19,9 @@
  * sweeps converge to canonical record bytes identical to a direct
  * (in-process, no server) run of the same grid, and the final clean
  * sweep digest matches the direct digest printed by --direct. The
- * digest line ("grid digest <hex> (...)") is what
- * tools/sweep_determinism.sh leg 6 compares across modes.
+ * digest line ("grid digest <hex> (...)") is pinned by two ctests:
+ * `stress_serve` for the served grid and `determinism_serve_direct`
+ * for --direct, so both modes must print the same digest.
  *
  * Usage: stress_serve [--conns N] [--jobs N] [--seed N] [--direct]
  *   --direct computes the grid digest without any server (the
@@ -30,8 +31,6 @@
  *   connection per behavior, or the harness exits 2.
  */
 
-#include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -54,6 +53,7 @@
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "exp/client.hh"
+#include "exp/line_io.hh"
 #include "exp/runner.hh"
 #include "exp/serve.hh"
 #include "exp/wire_json.hh"
@@ -199,40 +199,6 @@ rawSend(int fd, const std::string &bytes)
     return true;
 }
 
-/** Deadline-bounded line read — the no-hangs gate for the raw
- *  clients. @return false on deadline or close. */
-bool
-rawReadLine(int fd, std::string &buf, std::string &line,
-            int deadline_ms)
-{
-    auto start = std::chrono::steady_clock::now();
-    for (;;) {
-        std::size_t nl = buf.find('\n');
-        if (nl != std::string::npos) {
-            line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            return true;
-        }
-        int waited = static_cast<int>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        if (waited >= deadline_ms)
-            return false;
-        pollfd p{fd, POLLIN, 0};
-        int pr = ::poll(&p, 1, std::min(100, deadline_ms - waited));
-        if (pr <= 0)
-            continue;
-        char tmp[4096];
-        ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);
-        if (n > 0)
-            buf.append(tmp, static_cast<std::size_t>(n));
-        else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
-                            errno != EINTR))
-            return false;
-    }
-}
-
 /** Whole-line JSON parse — the no-torn-responses gate. */
 bool
 parseWhole(const std::string &line, wire::JsonValue &doc)
@@ -242,6 +208,9 @@ parseWhole(const std::string &line, wire::JsonValue &doc)
            doc.kind == wire::JsonValue::Kind::Object;
 }
 
+/** Every read in the harness gives up after this long with no byte
+ *  received — the no-hangs gate: a wedged server fails the run
+ *  instead of hanging it. */
 constexpr int rawDeadlineMs = 30'000;
 
 // ---------------------------------------------------------------
@@ -273,15 +242,11 @@ doCleanRun(const std::string &addr, std::size_t cell,
                   r.error);
         return;
     }
-    const std::string key = "\"record\":";
-    std::size_t at = r.line.find(key);
-    if (at == std::string::npos || r.line.back() != '}') {
+    std::string rec;
+    if (!client::recordBytes(r.line, rec)) {
         fails.add("clean run: malformed response");
         return;
     }
-    std::string rec = r.line.substr(at + key.size(),
-                                    r.line.size() - 1 -
-                                        (at + key.size()));
     if (rec != expected[cell])
         fails.add("clean run: record bytes differ from direct run");
 }
@@ -307,9 +272,11 @@ doTornWrite(const std::string &path, std::size_t cell,
     bool sent = rawSend(fd, req.substr(0, half));
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     sent = sent && rawSend(fd, req.substr(half));
-    std::string buf, line;
+    wire::LineReader in;
+    std::string line;
     wire::JsonValue doc;
-    if (!sent || !rawReadLine(fd, buf, line, rawDeadlineMs)) {
+    if (!sent || in.read(fd, line, client::maxResponseLine,
+                         rawDeadlineMs) != wire::ReadStatus::Line) {
         fails.add("torn write: no response");
     } else if (!parseWhole(line, doc)) {
         fails.add("torn write: torn response: " + line.substr(0, 80));
@@ -350,9 +317,11 @@ doGarbageThenValid(const std::string &path, Failures &fails)
         return;
     }
     rawSend(fd, "this is not json\n");
-    std::string buf, line;
+    wire::LineReader in;
+    std::string line;
     wire::JsonValue doc;
-    if (!rawReadLine(fd, buf, line, rawDeadlineMs) ||
+    if (in.read(fd, line, client::maxResponseLine, rawDeadlineMs) !=
+            wire::ReadStatus::Line ||
         !parseWhole(line, doc)) {
         fails.add("garbage: no structured error response");
         ::close(fd);
@@ -371,7 +340,8 @@ doGarbageThenValid(const std::string &path, Failures &fails)
     // exactly what the protocol prescribes.
     for (int attempt = 0; attempt < 20; ++attempt) {
         if (!rawSend(fd, os.str()) ||
-            !rawReadLine(fd, buf, line, rawDeadlineMs) ||
+            in.read(fd, line, client::maxResponseLine, rawDeadlineMs) !=
+                wire::ReadStatus::Line ||
             !parseWhole(line, doc)) {
             fails.add("garbage: valid request after garbage failed: " +
                       line.substr(0, 120));
@@ -407,10 +377,12 @@ doResetMidSweep(const std::string &path, Failures &fails)
         return;
     }
     rawSend(fd, gridSweepRequest() + "\n");
-    std::string buf, line;
+    wire::LineReader in;
+    std::string line;
     wire::JsonValue doc;
     for (int i = 0; i < 2; ++i) {
-        if (!rawReadLine(fd, buf, line, rawDeadlineMs)) {
+        if (in.read(fd, line, client::maxResponseLine, rawDeadlineMs) !=
+            wire::ReadStatus::Line) {
             fails.add("reset mid-sweep: no cell before reset");
             break;
         }
@@ -465,10 +437,12 @@ doBusyProbe(const std::string &path, std::uint64_t max_queue,
     for (std::size_t s = 0; s < cells; ++s)
         os << (s ? "," : "") << s + 1;
     os << "]},\"chunk\":" << cells << "}\n";
-    std::string buf, line;
+    wire::LineReader in;
+    std::string line;
     wire::JsonValue doc;
     if (!rawSend(fd, os.str()) ||
-        !rawReadLine(fd, buf, line, rawDeadlineMs) ||
+        in.read(fd, line, client::maxResponseLine, rawDeadlineMs) !=
+            wire::ReadStatus::Line ||
         !parseWhole(line, doc)) {
         fails.add("busy probe: no response");
         ::close(fd);

@@ -177,13 +177,11 @@ void
 listEverything()
 {
     std::printf("applications:\n");
-    std::printf("  %-10s %-9s %-16s %s\n", "name", "portable",
-                "machine models", "summary");
+    std::printf("  %-10s %-9s %s\n", "name", "portable", "summary");
     for (const std::string &name : AppRegistry::instance().names()) {
         const auto &e = AppRegistry::instance().entry(name);
-        std::printf("  %-10s %-9s %-16s %s\n", name.c_str(),
-                    e.tracePortable ? "yes" : "no",
-                    e.machineModels.c_str(), e.summary.c_str());
+        std::printf("  %-10s %-9s %s\n", name.c_str(),
+                    e.tracePortable ? "yes" : "no", e.summary.c_str());
     }
     std::printf("\ndirectory protocols (--protocol):\n");
     for (const auto &pt : protocolSpectrum())
