@@ -133,8 +133,19 @@ Mp3dApp::setup(Machine &m)
 Task<void>
 Mp3dApp::thread(Mem &m, int tid)
 {
+    return kernel(m, tid, m.machine().numNodes(), true);
+}
+
+Task<void>
+Mp3dApp::sequential(Mem &m)
+{
+    return kernel(m, 0, 1, false);
+}
+
+Task<void>
+Mp3dApp::kernel(Mem &m, int tid, int nthreads, bool sync)
+{
     TreeBarrier bar = barProto;
-    int nthreads = m.machine().numNodes();
     int per = (cfg.particles + nthreads - 1) / nthreads;
     int lo = tid * per;
     int hi = std::min(lo + per, cfg.particles);
@@ -149,7 +160,8 @@ Mp3dApp::thread(Mem &m, int tid)
         // Zero this thread's slice of the current-count buffer.
         for (int c = clo; c < chi; ++c)
             co_await m.write(cur.at(static_cast<std::size_t>(c)), 0);
-        co_await bar.wait(m);
+        if (sync)
+            co_await bar.wait(m);
 
         for (int i = lo; i < hi; ++i) {
             auto base = static_cast<std::size_t>(i) * 6;
@@ -175,41 +187,8 @@ Mp3dApp::thread(Mem &m, int tid)
             co_await m.fetchAdd(
                 cur.at(static_cast<std::size_t>(cellOf(p))), 1);
         }
-        co_await bar.wait(m);
-    }
-}
-
-Task<void>
-Mp3dApp::sequential(Mem &m)
-{
-    for (int step = 0; step < cfg.steps; ++step) {
-        const SharedArray &prev = (step % 2 == 0) ? cellsA : cellsB;
-        const SharedArray &cur = (step % 2 == 0) ? cellsB : cellsA;
-        for (int c = 0; c < numCells; ++c)
-            co_await m.write(cur.at(static_cast<std::size_t>(c)), 0);
-
-        for (int i = 0; i < cfg.particles; ++i) {
-            auto base = static_cast<std::size_t>(i) * 6;
-            P p;
-            p.x = co_await m.read(particles.at(base + 0));
-            p.y = co_await m.read(particles.at(base + 1));
-            p.z = co_await m.read(particles.at(base + 2));
-            p.vx = co_await m.read(particles.at(base + 3));
-            p.vy = co_await m.read(particles.at(base + 4));
-            p.vz = co_await m.read(particles.at(base + 5));
-            auto occ = static_cast<std::uint32_t>(co_await m.read(
-                prev.at(static_cast<std::size_t>(cellOf(p)))));
-            co_await m.work(cfg.moveWork);
-            moveParticle(p, occ, i & 1);
-            co_await m.write(particles.at(base + 0), p.x);
-            co_await m.write(particles.at(base + 1), p.y);
-            co_await m.write(particles.at(base + 2), p.z);
-            co_await m.write(particles.at(base + 3), p.vx);
-            co_await m.write(particles.at(base + 4), p.vy);
-            co_await m.write(particles.at(base + 5), p.vz);
-            co_await m.fetchAdd(
-                cur.at(static_cast<std::size_t>(cellOf(p))), 1);
-        }
+        if (sync)
+            co_await bar.wait(m);
     }
 }
 

@@ -43,8 +43,6 @@ class Mp3dApp : public App
     Task<void> sequential(Mem &m) override;
     bool verify(Machine &m) override;
 
-    std::uint64_t expectedChecksum() const { return _checksum; }
-
   private:
     // Fixed-point: 44.20 in a 64-bit word, coordinates wrap in
     // [0, cells* << fp) per axis.
@@ -62,6 +60,13 @@ class Mp3dApp : public App
     /** Move one particle in place (shared by host and kernel). */
     void moveParticle(P &p, std::uint32_t prev_cell_count,
                       int step_parity) const;
+
+    /**
+     * The step loop over thread @p tid's slice of @p nthreads: the
+     * parallel thread (synchronized by two barriers per step) and,
+     * as thread 0 of 1 without barriers, the sequential reference.
+     */
+    Task<void> kernel(Mem &m, int tid, int nthreads, bool sync);
 
     Mp3dConfig cfg;
     int numCells = 0;

@@ -46,7 +46,6 @@ class TspApp : public App
     /** Host-side ground truth (available after construction). */
     int optimalCost() const { return _optimal; }
     std::uint64_t expectedExpansions() const { return _expected; }
-    std::uint64_t observedExpansions() const { return expansions; }
 
     /** Expansions remaining after the pre-split frontier. */
     std::uint64_t

@@ -61,18 +61,13 @@ WaterApp::computeGroundTruth()
     for (int step = 0; step < cfg.steps; ++step) {
         std::vector<std::array<std::int64_t, 3>> force(
             static_cast<std::size_t>(n), {0, 0, 0});
-        for (int i = 0; i < n; ++i)
-            for (int j = 0; j < n; ++j)
+        for (std::size_t i = 0; i < ms.size(); ++i) {
+            auto &f = force[i];
+            for (std::size_t j = 0; j < ms.size(); ++j)
                 if (j != i)
-                    forceOn(ms[static_cast<std::size_t>(i)].x,
-                            ms[static_cast<std::size_t>(i)].y,
-                            ms[static_cast<std::size_t>(i)].z,
-                            ms[static_cast<std::size_t>(j)].x,
-                            ms[static_cast<std::size_t>(j)].y,
-                            ms[static_cast<std::size_t>(j)].z,
-                            force[static_cast<std::size_t>(i)][0],
-                            force[static_cast<std::size_t>(i)][1],
-                            force[static_cast<std::size_t>(i)][2]);
+                    forceOn(ms[i].x, ms[i].y, ms[i].z, ms[j].x, ms[j].y,
+                            ms[j].z, f[0], f[1], f[2]);
+        }
         for (int i = 0; i < n; ++i) {
             auto &mol = ms[static_cast<std::size_t>(i)];
             mol.vx += force[static_cast<std::size_t>(i)][0];
@@ -120,9 +115,20 @@ WaterApp::setup(Machine &m)
 Task<void>
 WaterApp::thread(Mem &m, int tid)
 {
+    return kernel(m, tid, m.machine().numNodes(), true);
+}
+
+Task<void>
+WaterApp::sequential(Mem &m)
+{
+    return kernel(m, 0, 1, false);
+}
+
+Task<void>
+WaterApp::kernel(Mem &m, int tid, int nthreads, bool sync)
+{
     TreeBarrier bar = barProto;
     int n = cfg.molecules;
-    int nthreads = m.machine().numNodes();
     int per = (n + nthreads - 1) / nthreads;
     int lo = tid * per;
     int hi = std::min(lo + per, n);
@@ -155,7 +161,8 @@ WaterApp::thread(Mem &m, int tid)
                 forceOn(xi, yi, zi, xj, yj, zj, f[0], f[1], f[2]);
             }
         }
-        co_await bar.wait(m);
+        if (sync)
+            co_await bar.wait(m);
 
         // Integration phase: update owned molecules.
         for (int i = lo; i < hi; ++i) {
@@ -186,68 +193,8 @@ WaterApp::thread(Mem &m, int tid)
             co_await m.write(mols.at(base + 5),
                              static_cast<Word>(vz));
         }
-        co_await bar.wait(m);
-    }
-}
-
-Task<void>
-WaterApp::sequential(Mem &m)
-{
-    int n = cfg.molecules;
-    for (int step = 0; step < cfg.steps; ++step) {
-        std::vector<std::array<std::int64_t, 3>> force(
-            static_cast<std::size_t>(n), {0, 0, 0});
-        for (int i = 0; i < n; ++i) {
-            auto base = static_cast<std::size_t>(i) * 6;
-            auto xi = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 0)));
-            auto yi = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 1)));
-            auto zi = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 2)));
-            for (int j = 0; j < n; ++j) {
-                if (j == i)
-                    continue;
-                auto jb = static_cast<std::size_t>(j) * 6;
-                auto xj = static_cast<std::int64_t>(
-                    co_await m.read(mols.at(jb + 0)));
-                auto yj = static_cast<std::int64_t>(
-                    co_await m.read(mols.at(jb + 1)));
-                auto zj = static_cast<std::int64_t>(
-                    co_await m.read(mols.at(jb + 2)));
-                co_await m.work(cfg.pairWork);
-                auto &f = force[static_cast<std::size_t>(i)];
-                forceOn(xi, yi, zi, xj, yj, zj, f[0], f[1], f[2]);
-            }
-        }
-        for (int i = 0; i < n; ++i) {
-            auto base = static_cast<std::size_t>(i) * 6;
-            const auto &f = force[static_cast<std::size_t>(i)];
-            auto vx = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 3))) + f[0];
-            auto vy = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 4))) + f[1];
-            auto vz = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 5))) + f[2];
-            auto x = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 0))) + vx;
-            auto y = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 1))) + vy;
-            auto z = static_cast<std::int64_t>(
-                co_await m.read(mols.at(base + 2))) + vz;
-            co_await m.write(mols.at(base + 0),
-                             static_cast<Word>(x));
-            co_await m.write(mols.at(base + 1),
-                             static_cast<Word>(y));
-            co_await m.write(mols.at(base + 2),
-                             static_cast<Word>(z));
-            co_await m.write(mols.at(base + 3),
-                             static_cast<Word>(vx));
-            co_await m.write(mols.at(base + 4),
-                             static_cast<Word>(vy));
-            co_await m.write(mols.at(base + 5),
-                             static_cast<Word>(vz));
-        }
+        if (sync)
+            co_await bar.wait(m);
     }
 }
 

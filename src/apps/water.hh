@@ -53,6 +53,13 @@ class WaterApp : public App
 
     void computeGroundTruth();
 
+    /**
+     * The step loop over thread @p tid's slice of @p nthreads: the
+     * parallel thread (synchronized by two barriers per step) and,
+     * as thread 0 of 1 without barriers, the sequential reference.
+     */
+    Task<void> kernel(Mem &m, int tid, int nthreads, bool sync);
+
     WaterConfig cfg;
     std::uint64_t _checksum = 0;
 

@@ -40,13 +40,6 @@ CoherenceAuditor::setHomeOf(std::function<NodeId(Addr)> fn)
 }
 
 void
-CoherenceAuditor::clearViolations()
-{
-    _violations.clear();
-    _violationCount = 0;
-}
-
-void
 CoherenceAuditor::report(NodeId home, Addr block, std::string what)
 {
     if (_mode == Mode::Panic) {

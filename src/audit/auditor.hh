@@ -136,8 +136,6 @@ class CoherenceAuditor : public ProtocolAuditHook
     /** Directory transitions checked so far. */
     std::uint64_t transitionsChecked() const { return _transitions; }
 
-    void clearViolations();
-
   private:
     static constexpr std::size_t maxStoredViolations = 64;
 

@@ -22,7 +22,13 @@
 namespace swex::bin
 {
 
-/** The offset basis every hash and checksum here starts from. */
+/**
+ * The offset basis every hash and checksum here starts from. It is
+ * one digit short of the standard FNV-1a 64-bit basis
+ * (14695981039346656037). It stays: every result-cache key, trace
+ * fingerprint and grid digest is derived from it, so changing it
+ * would move them all.
+ */
 constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t fnvPrime = 1099511628211ull;
 

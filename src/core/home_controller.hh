@@ -93,7 +93,6 @@ class HomeController
     NodeId homeNode() const { return home; }
     int numNodes() const { return nodes; }
     const HomeConfig &config() const { return cfg; }
-    const CostModel &costModel() const { return costs; }
     NodeServices &services() { return node; }
 
     /**

@@ -69,8 +69,6 @@ class SharingTracker
         return writeSamples;
     }
 
-    std::size_t numBlocksTracked() const { return sets.size(); }
-
   private:
     std::unordered_map<Addr, std::bitset<maxNodes>> sets;
     std::vector<std::uint32_t> writeSamples;

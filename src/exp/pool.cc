@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdlib>
 #include <numeric>
-
-#include "base/logging.hh"
 
 namespace swex
 {
@@ -136,30 +132,6 @@ parallelFor(std::size_t n, unsigned jobs,
         });
     }
     pool.wait();
-}
-
-unsigned
-defaultJobs()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const char *env = std::getenv("SWEX_JOBS");
-    if (env == nullptr || *env == '\0')
-        return hw;
-    // Whole-string parse, same contract as the registry's getCount:
-    // "4x" must not silently run as 4, and a malformed value must say
-    // what it fell back to, not vanish into a default.
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || v < 1 ||
-        v > 1'000'000) {
-        warn("ignoring malformed $SWEX_JOBS='%s' (want a positive "
-             "integer); using hardware concurrency (%u)", env, hw);
-        return hw;
-    }
-    return static_cast<unsigned>(v);
 }
 
 } // namespace swex

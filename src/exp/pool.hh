@@ -89,12 +89,6 @@ void parallelFor(std::size_t n, unsigned jobs,
                  const std::vector<double> &costs,
                  const std::function<void(std::size_t)> &fn);
 
-/**
- * The sweep tier's default parallelism: $SWEX_JOBS if set to a
- * positive integer, else the hardware concurrency, else 1.
- */
-unsigned defaultJobs();
-
 } // namespace swex
 
 #endif // SWEX_EXP_POOL_HH

@@ -139,7 +139,6 @@ class Runner
      * off, cold, or warm.
      */
     void attachCache(cache::ResultCache *cache) { _cache = cache; }
-    cache::ResultCache *attachedCache() const { return _cache; }
 
     RunLog &log() { return _log; }
     const RunLog &log() const { return _log; }

@@ -28,17 +28,21 @@ namespace swex
  *                  .protocol = ProtocolConfig::hw(5),
  *                  .nodes = 64,
  *                  .victimEntries = 6};
+ *
+ * Every field has a default member initializer (`{}` where the type's
+ * default is wanted), so such a table may omit any field without a
+ * -Wmissing-field-initializers warning.
  */
 struct ExperimentSpec
 {
     /** Record identifier, e.g. "fig2/worker16/H5". */
-    std::string id;
+    std::string id{};
 
     /** Registry name of the application ("worker", "tsp", ...). */
     std::string app = "worker";
 
     /** App-specific parameters, parsed by the registry factory. */
-    AppParams params;
+    AppParams params{};
 
     ProtocolConfig protocol = ProtocolConfig::hw(5);
     int nodes = 16;
@@ -106,7 +110,7 @@ struct ExperimentSpec
     ExecutionMode execMode = ExecutionMode::Direct;
 
     /** Trace cache directory; "" falls back to $SWEX_TRACE_CACHE. */
-    std::string traceDir;
+    std::string traceDir{};
 
     /** The machine configuration this spec describes. */
     MachineConfig

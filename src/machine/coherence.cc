@@ -3,7 +3,9 @@
 #include "base/logging.hh"
 #include "machine/directory_backend.hh"
 #include "machine/machine.hh"
+#include "machine/node.hh"
 #include "machine/snoop.hh"
+#include "net/message.hh"
 
 namespace swex
 {
@@ -56,6 +58,149 @@ parseBusArbitration(const std::string &s, BusArbitration &out)
     if (s == "fifo") { out = BusArbitration::Fifo; return true; }
     if (s == "rr") { out = BusArbitration::RoundRobin; return true; }
     return false;
+}
+
+NodeCoherence::NodeCoherence(Node &node, const CacheCtrlConfig &config)
+    : statsGroup(&node.statsGroup, "cachectrl"),
+      loads(&statsGroup, "loads", "load operations"),
+      stores(&statsGroup, "stores", "store operations"),
+      atomics(&statsGroup, "atomics", "atomic operations"),
+      missLatency(nullptr, "missLatency",
+                  "miss issue-to-complete latency in cycles"),
+      _node(node), cfg(config),
+      _cache(config.cacheBytes, config.victimEntries, &statsGroup)
+{
+}
+
+void
+NodeCoherence::issue(MemOpType type, Addr addr, Word operand)
+{
+    SWEX_ASSERT(!mshr.valid, "second outstanding memory op");
+    Addr baddr = blockAlign(addr);
+    bool victim_hit = false;
+    CacheLine *line = _cache.access(baddr, victim_hit);
+    if (victim_hit)
+        ++_cache.victimHits;
+    Cycles lat = cfg.hitLatency +
+                 (victim_hit ? cfg.victimSwapLatency : 0);
+
+    if (type == MemOpType::Load) {
+        ++loads;
+        if (line && line->state != LineState::Instr) {
+            ++_cache.dataHits;
+            complete(line->data.read(addr), lat);
+            return;
+        }
+    } else {
+        if (type == MemOpType::Store)
+            ++stores;
+        else
+            ++atomics;
+        if (line && (line->state == LineState::Modified ||
+                     line->state == LineState::Exclusive)) {
+            // E admits a silent upgrade: the copy is known sole. (The
+            // directory fills only Shared or Modified.)
+            ++_cache.dataHits;
+            line->state = LineState::Modified;
+            complete(applyOp(*line, type, addr, operand), lat);
+            return;
+        }
+    }
+
+    // Miss (or upgrade): the model serves it.
+    ++_cache.dataMisses;
+    mshr.valid = true;
+    mshr.type = type;
+    mshr.addr = addr;
+    mshr.operand = operand;
+    mshr.issued = _node.eventq().curTick();
+    startMiss();
+}
+
+Cycles
+NodeCoherence::instrTouch(Addr block_addr)
+{
+    bool victim_hit = false;
+    CacheLine *line = _cache.access(block_addr, victim_hit);
+    if (line) {
+        if (line->state == LineState::Instr) {
+            ++_cache.instrHits;
+            if (victim_hit) {
+                ++_cache.victimHits;
+                return cfg.victimSwapLatency;
+            }
+            return 0;
+        }
+        // A data line at this address would be a program bug (apps
+        // never place data in the instruction region).
+        panic("instruction fetch hit a data line");
+    }
+    ++_cache.instrMisses;
+    fill(block_addr, LineState::Instr, DataBlock{});
+    return cfg.instrMissLatency;
+}
+
+Word
+NodeCoherence::applyOp(CacheLine &line, MemOpType type, Addr addr,
+                       Word operand)
+{
+    Word old = line.data.read(addr);
+    switch (type) {
+      case MemOpType::Store:
+        line.data.write(addr, operand);
+        return 0;
+      case MemOpType::FetchAdd:
+        line.data.write(addr, old + operand);
+        return old;
+      case MemOpType::Swap:
+        line.data.write(addr, operand);
+        return old;
+      default:
+        panic("applyOp on a load");
+    }
+}
+
+void
+NodeCoherence::finishMiss(Word value, Cycles delay)
+{
+    missLatency.sample(static_cast<double>(
+        _node.eventq().curTick() - mshr.issued));
+    mshr.valid = false;
+    complete(value, delay);
+}
+
+void
+NodeCoherence::complete(Word value, Cycles delay)
+{
+    resumeValue = value;
+    if (_node.proc.replayBatchWindow(delay)) {
+        // Replay fast path: no pending event precedes the completion
+        // tick, so run the completion there directly -- same handler,
+        // same tick, same state, minus the queue round-trip.
+        resume();
+        return;
+    }
+    _node.eventq().scheduleIn(completeEvent, delay);
+}
+
+void
+NodeCoherence::resume()
+{
+    _node.proc.completeMemOp(resumeValue);
+}
+
+void
+NodeCoherence::dispatchRx(const Message &msg)
+{
+    panic("machine model without a network received %s",
+          msg.describe().c_str());
+}
+
+bool
+NodeCoherence::interceptSend(const Message &msg, Cycles)
+{
+    panic("machine model without a network sent %s",
+          msg.describe().c_str());
 }
 
 std::unique_ptr<CoherenceBackend>

@@ -1,16 +1,20 @@
 /**
  * @file
- * The coherence-backend seam: the Machine owns one CoherenceBackend
- * (the machine model — directory/software-extended or snooping bus),
- * and every Node owns one NodeCoherence built by that backend. The
- * processor, the Machine's debug/verification surface, and the Runner
- * talk to these interfaces only; everything protocol-specific lives
- * behind them.
+ * The coherence-backend seam and the one processor-side cache
+ * controller. The Machine owns one CoherenceBackend (the machine
+ * model: home directories over the point-to-point mesh, or a
+ * split-transaction snooping bus), and every Node owns one
+ * NodeCoherence built by that backend.
  *
- * The directory backend wraps the historical CacheController +
- * HomeController pair over the point-to-point mesh, bit-identically.
- * The snooping backend replaces the fabric with a split-transaction
- * shared bus carrying the MESI/MOESI/MESIF/Dragon family.
+ * NodeCoherence is the processor side of a node's cache, written once
+ * for both models: the hit path, instruction fetch, op application,
+ * fill-with-writeback, completion scheduling, and the local
+ * invalidate/downgrade the home side uses. A model supplies only how
+ * a miss starts and how a dirty eviction is written back. The
+ * directory model (directory_backend.hh) sends a request message to
+ * the block's home and a Writeback message, and adds the node's home
+ * directory; the snooping model (snoop.hh) queues a bus transaction,
+ * and writes memory under a queued writeback transaction.
  */
 
 #ifndef SWEX_MACHINE_COHERENCE_HH
@@ -19,10 +23,12 @@
 #include <memory>
 #include <string>
 
+#include "base/stats.hh"
 #include "base/types.hh"
 #include "core/node_services.hh"
 #include "machine/processor.hh"
 #include "mem/cache.hh"
+#include "sim/event.hh"
 
 namespace swex
 {
@@ -31,8 +37,8 @@ class CoherenceAuditor;
 class HomeController;
 class Machine;
 struct MachineConfig;
+struct Message;
 class Node;
-struct AuditNodeView;
 
 /** Which machine model carries coherence. */
 enum class MachineModel : std::uint8_t
@@ -81,52 +87,80 @@ struct SnoopBusConfig
     BusArbitration arbitration = BusArbitration::Fifo;
 };
 
+/** Cache-side timing knobs. */
+struct CacheCtrlConfig
+{
+    unsigned cacheBytes = 64 * 1024;
+    unsigned victimEntries = 0;      ///< 0 disables the victim cache
+    Cycles hitLatency = 1;
+    Cycles victimSwapLatency = 2;    ///< extra cycles on a victim hit
+    Cycles fillLatency = 2;          ///< grant arrival to resume
+    Cycles missIssueLatency = 2;     ///< detect miss + compose request
+    Cycles instrMissLatency = 10;    ///< ifetch fill from local memory
+    Cycles retryBase = 8;            ///< busy-retry backoff base
+    Cycles retryCap = 2048;
+};
+
 /**
- * Per-node coherence engine. Owns the node's cache; services the
- * processor's memory operations; answers whatever the machine model
- * routes at the node (network messages for the directory, nothing for
- * the bus — snooping peers are reached through the bus itself).
+ * A node's processor-side cache controller. Owns the node's cache,
+ * the single-entry MSHR, and the completion event; services the
+ * processor's memory operations and instruction fetches. A machine
+ * model derives from it and supplies startMiss() and writeback().
  */
 class NodeCoherence
 {
   public:
+    NodeCoherence(Node &node, const CacheCtrlConfig &cfg);
     virtual ~NodeCoherence() = default;
+
+    NodeCoherence(const NodeCoherence &) = delete;
+    NodeCoherence &operator=(const NodeCoherence &) = delete;
 
     // ---- processor side ---------------------------------------------
     /** Issue one processor memory operation (one outstanding). */
-    virtual void issue(MemOpType type, Addr addr, Word operand) = 0;
+    void issue(MemOpType type, Addr addr, Word operand);
 
     /** Charge one instruction-block fetch; returns stall cycles. */
-    virtual Cycles instrTouch(Addr block_addr) = 0;
-
-    /** Run a queued software-extension trap (directory model only). */
-    virtual Cycles runTrap(const TrapItem &item) = 0;
+    Cycles instrTouch(Addr block_addr);
 
     // ---- node services ----------------------------------------------
-    virtual RemovalResult invalidateLocal(Addr block_addr) = 0;
-    virtual RemovalResult downgradeLocal(Addr block_addr) = 0;
+    /** Remove the local copy (the home side's local flush). */
+    RemovalResult
+    invalidateLocal(Addr block_addr)
+    {
+        return _cache.remove(block_addr);
+    }
 
-    /** Route an arriving network message (directory model only). */
-    virtual void dispatchRx(const Message &msg) = 0;
+    /** Downgrade the local copy (the home side's local FetchS). */
+    RemovalResult
+    downgradeLocal(Addr block_addr)
+    {
+        return _cache.downgrade(block_addr);
+    }
 
     /**
-     * Give the backend first claim on an outgoing message (the
-     * directory applies local grants synchronously); return true when
-     * the message was fully handled.
+     * Route an arriving network message. The default panics: a model
+     * without a network (the bus) reaches its peers through the bus.
      */
-    virtual bool interceptSend(const Message &msg, Cycles delay) = 0;
+    virtual void dispatchRx(const Message &msg);
+
+    /**
+     * Give the model first claim on an outgoing message (the directory
+     * applies local grants synchronously); return true when the
+     * message was fully handled. The default panics, as above.
+     */
+    virtual bool interceptSend(const Message &msg, Cycles delay);
 
     // ---- inspection ---------------------------------------------------
     /** The node's cache (debug reads, image hashing, layout). */
-    virtual Cache &cache() = 0;
+    Cache &cache() { return _cache; }
+    const Cache &cache() const { return _cache; }
 
-    const Cache &
-    cache() const
-    {
-        return const_cast<NodeCoherence *>(this)->cache();
-    }
-
-    /** Directory home controller, or null on non-directory models. */
+    /**
+     * The node's home directory, or null on models without one.
+     * Traps, audit hooks, audit views and directory invariants reach
+     * the home through it.
+     */
     virtual HomeController *home() { return nullptr; }
 
     const HomeController *
@@ -135,14 +169,74 @@ class NodeCoherence
         return const_cast<NodeCoherence *>(this)->home();
     }
 
-    /** Hook the auditor into this node's transition stream. */
-    virtual void setAuditHook(CoherenceAuditor *a) = 0;
+    /** A miss is outstanding (quiescence checks). */
+    bool missOutstanding() const { return mshr.valid; }
 
-    /** The auditor's read-only view of this node. */
-    virtual AuditNodeView auditView(NodeId id) const = 0;
+    stats::Group statsGroup;
+    stats::Scalar loads;
+    stats::Scalar stores;
+    stats::Scalar atomics;
+    /**
+     * Issue-to-complete latency of misses, in cycles. Each model's
+     * constructor registers it after the model's own counters, so the
+     * "cachectrl" group reads loads, stores, atomics, the model's
+     * counters, then missLatency.
+     */
+    stats::Distribution missLatency;
 
-    /** Per-node structural invariants (panics on violation). */
-    virtual void checkInvariants() const {}
+  protected:
+    /** The single outstanding miss. */
+    struct Mshr
+    {
+        bool valid = false;
+        MemOpType type = MemOpType::Load;
+        Addr addr = 0;        ///< full word address
+        Word operand = 0;
+        Tick issued = 0;
+    };
+
+    /** Start serving the miss just placed in the MSHR. */
+    virtual void startMiss() = 0;
+
+    /** Write back @p ev, a dirty line the cache displaced. */
+    virtual void writeback(const Eviction &ev) = 0;
+
+    /** Install a block, writing back a dirty line it displaces. */
+    void
+    fill(Addr block_addr, LineState state, const DataBlock &data)
+    {
+        Eviction ev = _cache.fill(block_addr, state, data);
+        if (ev.valid && ev.dirty)
+            writeback(ev);
+    }
+
+    /**
+     * Perform a store or atomic on @p line and return the op's result
+     * (0 for a store, the old word for an atomic). Takes the op
+     * explicitly so the hit path works without an MSHR.
+     */
+    static Word applyOp(CacheLine &line, MemOpType type, Addr addr,
+                        Word operand);
+
+    /** Sample the MSHR's miss latency, free it, and resume the
+     *  processor with @p value after @p delay. */
+    void finishMiss(Word value, Cycles delay);
+
+    Node &_node;
+    const CacheCtrlConfig cfg;
+    Mshr mshr;
+
+  private:
+    /** Resume the processor with @p value after @p delay. */
+    void complete(Word value, Cycles delay);
+    void resume();
+
+    Cache _cache;
+    /** The completing op's result. The MSHR admits one operation at a
+     *  time, so one completion event suffices. */
+    Word resumeValue = 0;
+    MemberEvent<&NodeCoherence::resume> completeEvent{
+        *this, EventPrio::Processor};
 };
 
 /**
@@ -154,8 +248,6 @@ class CoherenceBackend
 {
   public:
     virtual ~CoherenceBackend() = default;
-
-    virtual MachineModel model() const = 0;
 
     /** A human-readable protocol label for run records. */
     virtual std::string protocolName() const = 0;

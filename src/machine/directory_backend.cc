@@ -1,6 +1,7 @@
 #include "machine/directory_backend.hh"
 
-#include "audit/auditor.hh"
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "machine/machine.hh"
 #include "machine/node.hh"
@@ -28,13 +29,147 @@ homeConfig(const MachineConfig &mc)
 
 DirectoryNodeCoherence::DirectoryNodeCoherence(Node &node,
                                                const MachineConfig &mc)
-    : cacheCtrl(node, mc.cacheCtrl, &node.statsGroup,
-                mc.seed * 1000003 +
-                static_cast<std::uint64_t>(node.id())),
+    : NodeCoherence(node, mc.cacheCtrl),
+      remoteReqs(&statsGroup, "remoteReqs",
+                 "protocol requests issued to home nodes"),
+      busyRetries(&statsGroup, "busyRetries",
+                  "requests retried after a busy reply"),
+      invsReceived(&statsGroup, "invsReceived",
+                   "invalidations received"),
+      fetchesReceived(&statsGroup, "fetchesReceived",
+                      "FetchS/FetchI requests received"),
       homeCtrl(node.id(), mc.numNodes, homeConfig(mc), node,
                &node.statsGroup),
-      _node(node)
+      rng(mc.seed * 1000003 + static_cast<std::uint64_t>(node.id()))
 {
+    statsGroup.addStat(&missLatency);
+}
+
+void
+DirectoryNodeCoherence::startMiss()
+{
+    retries = 0;
+    readInvalidated = false;
+    sendRequest();
+}
+
+void
+DirectoryNodeCoherence::sendRequest()
+{
+    ++remoteReqs;
+    Message req;
+    req.type = mshr.type == MemOpType::Load ? MsgType::ReadReq
+                                            : MsgType::WriteReq;
+    req.src = _node.id();
+    req.dst = _node.machine().homeOf(mshr.addr);
+    req.addr = blockAlign(mshr.addr);
+    _node.sendMsg(req, cfg.missIssueLatency);
+}
+
+void
+DirectoryNodeCoherence::writeback(const Eviction &ev)
+{
+    Message wb;
+    wb.type = MsgType::Writeback;
+    wb.src = _node.id();
+    wb.dst = _node.machine().homeOf(ev.blockAddr);
+    wb.addr = ev.blockAddr;
+    wb.data = ev.data;
+    wb.hasData = true;
+    _node.sendMsg(wb, 0);
+}
+
+void
+DirectoryNodeCoherence::handleMessage(const Message &msg,
+                                      Cycles resume_extra)
+{
+    Addr baddr = blockAlign(msg.addr);
+    switch (msg.type) {
+      case MsgType::ReadData: {
+        SWEX_ASSERT(mshr.valid && blockAlign(mshr.addr) == baddr &&
+                    mshr.type == MemOpType::Load,
+                    "unexpected ReadData");
+        // An invalidated transaction still satisfies this one load
+        // (our read was serialized before the conflicting write) but
+        // must not install the line.
+        if (!readInvalidated)
+            fill(baddr, LineState::Shared, msg.data);
+        finishMiss(msg.data.read(mshr.addr),
+                   cfg.fillLatency + resume_extra);
+        return;
+      }
+
+      case MsgType::WriteData: {
+        SWEX_ASSERT(mshr.valid && blockAlign(mshr.addr) == baddr &&
+                    mshr.type != MemOpType::Load,
+                    "unexpected WriteData");
+        fill(baddr, LineState::Modified, msg.data);
+        Word value = applyOp(*cache().probeMain(baddr), mshr.type,
+                             mshr.addr, mshr.operand);
+        finishMiss(value, cfg.fillLatency + resume_extra);
+        return;
+      }
+
+      case MsgType::Busy: {
+        SWEX_ASSERT(mshr.valid && blockAlign(mshr.addr) == baddr,
+                    "busy reply with no transaction");
+        ++busyRetries;
+        ++retries;
+        Cycles backoff = std::min<Cycles>(
+            cfg.retryBase << std::min(retries, 8u), cfg.retryCap);
+        backoff += rng.below(8);
+        _node.eventq().scheduleIn(retryEvent, backoff);
+        return;
+      }
+
+      case MsgType::Inv: {
+        ++invsReceived;
+        if (mshr.valid && blockAlign(mshr.addr) == baddr &&
+            mshr.type == MemOpType::Load) {
+            // Window of vulnerability: poison the in-flight read so
+            // the arriving data is consumed but not cached.
+            readInvalidated = true;
+        }
+        RemovalResult r = invalidateLocal(baddr);
+        SWEX_ASSERT(!r.wasDirty,
+                    "invalidation hit a dirty line at %#llx",
+                    static_cast<unsigned long long>(baddr));
+        Message ack;
+        ack.type = MsgType::InvAck;
+        ack.src = _node.id();
+        ack.dst = msg.src;
+        ack.addr = baddr;
+        _node.sendMsg(ack, cfg.hitLatency);
+        return;
+      }
+
+      case MsgType::FetchS:
+      case MsgType::FetchI: {
+        ++fetchesReceived;
+        const bool exclusive = msg.type == MsgType::FetchI;
+        RemovalResult r = exclusive ? invalidateLocal(baddr)
+                                    : downgradeLocal(baddr);
+        Message rep;
+        rep.type = MsgType::FetchReply;
+        rep.src = _node.id();
+        rep.dst = msg.src;
+        rep.addr = baddr;
+        rep.isWrite = exclusive;
+        rep.seq = msg.seq;
+        if (r.wasPresent && r.wasDirty) {
+            rep.hasData = true;
+            rep.data = r.data;
+        }
+        // A clean (or absent) copy means this fetch is stale -- the
+        // block was already written back or the transaction was
+        // superseded; NACK and let the home's seq check sort it out.
+        _node.sendMsg(rep, cfg.hitLatency);
+        return;
+      }
+
+      default:
+        panic("cache controller received %s", msg.describe().c_str());
+    }
 }
 
 void
@@ -54,7 +189,7 @@ DirectoryNodeCoherence::dispatchRx(const Message &msg)
       case MsgType::Inv:
       case MsgType::FetchS:
       case MsgType::FetchI:
-        cacheCtrl.handleMessage(msg);
+        handleMessage(msg);
         break;
       default:
         panic("unroutable message %s", msg.describe().c_str());
@@ -74,7 +209,7 @@ DirectoryNodeCoherence::interceptSend(const Message &msg, Cycles delay)
     // handler latency is still charged, on the processor's resume.
     if (msg.dst == _node.id() && (msg.type == MsgType::ReadData ||
                                   msg.type == MsgType::WriteData)) {
-        cacheCtrl.handleMessage(msg, delay + mc.net.loopback);
+        handleMessage(msg, delay + mc.net.loopback);
         return true;
     }
 
@@ -90,18 +225,6 @@ DirectoryNodeCoherence::interceptSend(const Message &msg, Cycles delay)
     return false;
 }
 
-void
-DirectoryNodeCoherence::setAuditHook(CoherenceAuditor *a)
-{
-    homeCtrl.setAuditHook(a);
-}
-
-AuditNodeView
-DirectoryNodeCoherence::auditView(NodeId id) const
-{
-    return {id, &homeCtrl, &cacheCtrl.cache};
-}
-
 std::string
 DirectoryBackend::protocolName() const
 {
@@ -113,7 +236,7 @@ DirectoryBackend::makeNode(Node &node)
 {
     auto nc = std::make_unique<DirectoryNodeCoherence>(node, _m.config());
     if (_m.config().trackSharing)
-        nc->homeCtrl.setTracker(&_m.tracker);
+        nc->home()->setTracker(&_m.tracker);
     return nc;
 }
 

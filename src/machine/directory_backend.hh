@@ -1,16 +1,17 @@
 /**
  * @file
- * The directory machine model behind the CoherenceBackend seam: the
- * historical CacheController (transaction side) + HomeController
- * (directory side) pair over the point-to-point mesh, extracted from
- * Node without changing a single simulated cycle.
+ * The directory machine model behind the CoherenceBackend seam: each
+ * node's shared processor-side cache controller serves its misses
+ * with request messages to the block's home, retries on busy replies,
+ * and answers home-initiated invalidations and fetches; the node's
+ * HomeController is the directory side, over the point-to-point mesh.
  */
 
 #ifndef SWEX_MACHINE_DIRECTORY_BACKEND_HH
 #define SWEX_MACHINE_DIRECTORY_BACKEND_HH
 
+#include "base/rng.hh"
 #include "core/home_controller.hh"
-#include "machine/cache_controller.hh"
 #include "machine/coherence.hh"
 
 namespace swex
@@ -22,56 +23,49 @@ class DirectoryNodeCoherence final : public NodeCoherence
   public:
     DirectoryNodeCoherence(Node &node, const MachineConfig &mc);
 
-    // ---- NodeCoherence ----------------------------------------------
-    void
-    issue(MemOpType type, Addr addr, Word operand) override
-    {
-        cacheCtrl.issue(type, addr, operand);
-    }
-
-    Cycles
-    instrTouch(Addr block_addr) override
-    {
-        return cacheCtrl.instrTouch(block_addr);
-    }
-
-    Cycles
-    runTrap(const TrapItem &item) override
-    {
-        return homeCtrl.runTrap(item);
-    }
-
-    RemovalResult
-    invalidateLocal(Addr block_addr) override
-    {
-        return cacheCtrl.invalidateLocal(block_addr);
-    }
-
-    RemovalResult
-    downgradeLocal(Addr block_addr) override
-    {
-        return cacheCtrl.downgradeLocal(block_addr);
-    }
-
     void dispatchRx(const Message &msg) override;
     bool interceptSend(const Message &msg, Cycles delay) override;
-
-    Cache &cache() override { return cacheCtrl.cache; }
     HomeController *home() override { return &homeCtrl; }
 
-    void setAuditHook(CoherenceAuditor *a) override;
-    AuditNodeView auditView(NodeId id) const override;
-
-    void checkInvariants() const override { homeCtrl.checkInvariants(); }
-
-    // Public members: the directory stack is the repository's main
-    // subject, and tests/benches inspect both halves directly (via
-    // Node::cacheCtrl()/home()).
-    CacheController cacheCtrl;
-    HomeController homeCtrl;
+    stats::Scalar remoteReqs;        ///< requests sent to a home node
+    stats::Scalar busyRetries;
+    stats::Scalar invsReceived;
+    stats::Scalar fetchesReceived;
 
   private:
-    Node &_node;
+    /** The miss becomes a request to the home after missIssueLatency. */
+    void startMiss() override;
+    /** A dirty eviction becomes a Writeback message to the home. */
+    void writeback(const Eviction &ev) override;
+
+    /**
+     * Network messages addressed to this node's cache side.
+     * @param resume_extra additional cycles before the processor
+     *        resumes (used for local grants applied synchronously at
+     *        directory-transition time, where the DRAM/loopback
+     *        latency is charged on the resume instead)
+     */
+    void handleMessage(const Message &msg, Cycles resume_extra = 0);
+
+    /** Send (or, after a busy reply, resend) the MSHR's request. */
+    void sendRequest();
+
+    HomeController homeCtrl;
+    Rng rng;
+    unsigned retries = 0;   ///< busy replies to the current miss
+
+    /**
+     * An invalidation for this block arrived while the read was in
+     * flight (the "window of vulnerability" of Kubiatowicz et al.):
+     * the home serialized our read before the conflicting write, so
+     * the arriving data may legitimately satisfy this one access, but
+     * must not be cached.
+     */
+    bool readInvalidated = false;
+
+    /** Busy-backoff retransmission of the MSHR's request. */
+    MemberEvent<&DirectoryNodeCoherence::sendRequest> retryEvent{
+        *this, EventPrio::Processor};
 };
 
 /** The directory machine model. */
@@ -80,7 +74,6 @@ class DirectoryBackend final : public CoherenceBackend
   public:
     explicit DirectoryBackend(Machine &m) : _m(m) {}
 
-    MachineModel model() const override { return MachineModel::Directory; }
     std::string protocolName() const override;
     std::unique_ptr<NodeCoherence> makeNode(Node &node) override;
     std::uint64_t trafficMessages() const override;

@@ -8,6 +8,7 @@
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "core/home_controller.hh"
 #include "machine/mem_api.hh"
 #include "trace/recorder.hh"
 
@@ -185,14 +186,16 @@ void
 Machine::attachAuditor(CoherenceAuditor *a)
 {
     _auditor = a;
-    for (auto &node : nodes)
-        node->coh->setAuditHook(a);
+    for (auto &node : nodes) {
+        if (HomeController *h = node->coh->home())
+            h->setAuditHook(a);
+    }
     backend->attachAuditor(a);
     if (!a)
         return;
     a->setHomeOf([this](Addr addr) { return homeOf(addr); });
     for (auto &node : nodes)
-        a->addNode(node->coh->auditView(node->id()));
+        a->addNode({node->id(), node->coh->home(), &node->cache()});
 }
 
 std::uint64_t
@@ -334,8 +337,10 @@ Machine::checkCoherence() const
 void
 Machine::checkInvariants() const
 {
-    for (const auto &node : nodes)
-        node->coh->checkInvariants();
+    for (const auto &node : nodes) {
+        if (const HomeController *h = node->coh->home())
+            h->checkInvariants();
+    }
     checkCoherence();
 }
 

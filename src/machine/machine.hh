@@ -18,7 +18,6 @@
 #include "core/cost_model.hh"
 #include "core/protocol.hh"
 #include "core/sharing_tracker.hh"
-#include "machine/cache_controller.hh"
 #include "machine/coherence.hh"
 #include "machine/node.hh"
 #include "net/network.hh"
@@ -97,14 +96,6 @@ struct MachineConfig
      * so sweep drivers can record the failure and keep going.
      */
     Tick deadline = 0;
-
-    /** Convenience: victim-cache toggle (entries in cacheCtrl). */
-    MachineConfig &
-    withVictimCache(unsigned entries = 6)
-    {
-        cacheCtrl.victimEntries = entries;
-        return *this;
-    }
 };
 
 class Machine

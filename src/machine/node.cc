@@ -1,7 +1,7 @@
 #include "machine/node.hh"
 
 #include "base/logging.hh"
-#include "machine/directory_backend.hh"
+#include "core/home_controller.hh"
 #include "machine/machine.hh"
 
 namespace swex
@@ -36,26 +36,12 @@ Node::Node(Machine &machine, NodeId id)
     coh = machine.backend->makeNode(*this);
 }
 
-CacheController &
-Node::cacheCtrl()
-{
-    auto *d = dynamic_cast<DirectoryNodeCoherence *>(coh.get());
-    SWEX_ASSERT(d, "cacheCtrl() on a non-directory machine model");
-    return d->cacheCtrl;
-}
-
-const CacheController &
-Node::cacheCtrl() const
-{
-    return const_cast<Node *>(this)->cacheCtrl();
-}
-
 HomeController &
 Node::home()
 {
-    auto *d = dynamic_cast<DirectoryNodeCoherence *>(coh.get());
-    SWEX_ASSERT(d, "home() on a non-directory machine model");
-    return d->homeCtrl;
+    HomeController *h = coh->home();
+    SWEX_ASSERT(h, "home() on a non-directory machine model");
+    return *h;
 }
 
 const HomeController &

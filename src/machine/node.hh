@@ -2,10 +2,9 @@
  * @file
  * One node: processor, 4 MB of globally shared memory, and a
  * NodeCoherence engine built by the machine's CoherenceBackend (the
- * directory model's cache controller + home directory pair, or the
- * snooping model's bus-attached cache controller). The node routes
- * arriving network messages to the engine and models receive-side
- * occupancy.
+ * shared processor-side cache controller, plus the home directory on
+ * the directory model). The node routes arriving network messages to
+ * the engine and models receive-side occupancy.
  */
 
 #ifndef SWEX_MACHINE_NODE_HH
@@ -22,7 +21,6 @@
 namespace swex
 {
 
-class CacheController;
 class HomeController;
 class Machine;
 
@@ -52,12 +50,7 @@ class Node : public MsgReceiver, public NodeServices
     Cache &cache() { return coh->cache(); }
     const Cache &cache() const { return coh->cache(); }
 
-    /**
-     * Directory-model accessors (assert the machine model). Tests and
-     * benches reach into the directory stack through these.
-     */
-    CacheController &cacheCtrl();
-    const CacheController &cacheCtrl() const;
+    /** The node's home directory (asserts the directory model). */
     HomeController &home();
     const HomeController &home() const;
 

@@ -1,6 +1,7 @@
 #include "machine/processor.hh"
 
 #include "base/logging.hh"
+#include "core/home_controller.hh"
 #include "machine/machine.hh"
 #include "machine/node.hh"
 
@@ -306,7 +307,7 @@ Processor::startNextHandler()
     ++trapsRun;
     ++handlersSinceUser;
 
-    Cycles c = _node.coh->runTrap(item);
+    Cycles c = _node.home().runTrap(item);
     handlerCycles += static_cast<double>(c);
     _node.eventq().scheduleIn(handlerDoneEvent, c);
 }

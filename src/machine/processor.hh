@@ -93,14 +93,6 @@ class Processor
      */
     void runReplay(ReplaySource *src);
 
-    bool
-    threadDone() const
-    {
-        if (replaySrc)
-            return finished;
-        return !mainTask.valid() || finished;
-    }
-
     /**
      * Set the instruction footprint (cache blocks) fetched during
      * subsequent work() segments. Apps change this per program phase.

@@ -16,183 +16,26 @@ namespace swex
 
 SnoopNodeCoherence::SnoopNodeCoherence(Node &node, SnoopBackend &backend,
                                        const MachineConfig &mc)
-    : statsGroup(&node.statsGroup, "cachectrl"),
-      loads(&statsGroup, "loads", "load operations"),
-      stores(&statsGroup, "stores", "store operations"),
-      atomics(&statsGroup, "atomics", "atomic operations"),
+    : NodeCoherence(node, mc.cacheCtrl),
       busRequests(&statsGroup, "busRequests",
                   "demand bus transactions issued"),
-      missLatency(&statsGroup, "missLatency",
-                  "miss issue-to-complete latency in cycles"),
-      _node(node), _backend(backend), cfg(mc.cacheCtrl),
-      _cache(mc.cacheCtrl.cacheBytes, mc.cacheCtrl.victimEntries,
-             &statsGroup)
+      _backend(backend)
 {
-}
-
-NodeId
-SnoopNodeCoherence::nodeId() const
-{
-    return _node.id();
-}
-
-AuditNodeView
-SnoopNodeCoherence::auditView(NodeId id) const
-{
-    return {id, nullptr, &_cache};
-}
-
-Cycles
-SnoopNodeCoherence::runTrap(const TrapItem &)
-{
-    panic("snooping model has no software-extension traps");
+    statsGroup.addStat(&missLatency);
 }
 
 void
-SnoopNodeCoherence::dispatchRx(const Message &msg)
+SnoopNodeCoherence::startMiss()
 {
-    panic("snooping model received a network message: %s",
-          msg.describe().c_str());
-}
-
-bool
-SnoopNodeCoherence::interceptSend(const Message &msg, Cycles)
-{
-    panic("snooping model sent a network message: %s",
-          msg.describe().c_str());
-}
-
-RemovalResult
-SnoopNodeCoherence::invalidateLocal(Addr block_addr)
-{
-    return _cache.remove(block_addr);
-}
-
-RemovalResult
-SnoopNodeCoherence::downgradeLocal(Addr block_addr)
-{
-    return _cache.downgrade(block_addr);
-}
-
-void
-SnoopNodeCoherence::CompleteEvent::process()
-{
-    ctrl._node.proc.completeMemOp(value);
-}
-
-void
-SnoopNodeCoherence::complete(Word value, Cycles delay)
-{
-    completeEvent.value = value;
-    if (_node.proc.replayBatchWindow(delay)) {
-        completeEvent.process();
-        return;
-    }
-    _node.eventq().scheduleIn(completeEvent, delay);
-}
-
-void
-SnoopNodeCoherence::fillLine(Addr block_addr, LineState state,
-                             const DataBlock &data)
-{
-    Eviction ev = _cache.fill(block_addr, state, data);
-    if (ev.valid && ev.dirty) {
-        // Memory is written immediately (no data rides the queued
-        // transaction); the writeback occupies the bus later.
-        _backend.memWrite(ev.blockAddr, ev.data);
-        _backend.requestWriteback(_node.id(), ev.blockAddr);
-    }
-}
-
-Cycles
-SnoopNodeCoherence::instrTouch(Addr block_addr)
-{
-    bool victim_hit = false;
-    CacheLine *line = _cache.access(block_addr, victim_hit);
-    if (line) {
-        if (line->state == LineState::Instr) {
-            ++_cache.instrHits;
-            if (victim_hit) {
-                ++_cache.victimHits;
-                return cfg.victimSwapLatency;
-            }
-            return 0;
-        }
-        panic("instruction fetch hit a data line");
-    }
-    ++_cache.instrMisses;
-    fillLine(block_addr, LineState::Instr, DataBlock{});
-    return cfg.instrMissLatency;
-}
-
-void
-SnoopNodeCoherence::issue(MemOpType type, Addr addr, Word operand)
-{
-    SWEX_ASSERT(!mshr.valid, "second outstanding memory op");
-    Addr baddr = blockAlign(addr);
-    bool victim_hit = false;
-    CacheLine *line = _cache.access(baddr, victim_hit);
-    if (victim_hit)
-        ++_cache.victimHits;
-    Cycles lat = cfg.hitLatency +
-                 (victim_hit ? cfg.victimSwapLatency : 0);
-
-    switch (type) {
-      case MemOpType::Load:
-        ++loads;
-        if (line && line->state != LineState::Instr) {
-            ++_cache.dataHits;
-            complete(line->data.read(addr), lat);
-            return;
-        }
-        break;
-
-      case MemOpType::Store:
-      case MemOpType::FetchAdd:
-      case MemOpType::Swap:
-        if (type == MemOpType::Store)
-            ++stores;
-        else
-            ++atomics;
-        if (line && (line->state == LineState::Modified ||
-                     line->state == LineState::Exclusive)) {
-            // E admits a silent upgrade: the copy is known sole.
-            ++_cache.dataHits;
-            line->state = LineState::Modified;
-            complete(applyOp(line, type, addr, operand), lat);
-            return;
-        }
-        break;
-    }
-
-    ++_cache.dataMisses;
-    mshr.valid = true;
-    mshr.type = type;
-    mshr.addr = addr;
-    mshr.operand = operand;
-    mshr.issued = _node.eventq().curTick();
     ++busRequests;
-    _backend.requestBus(_node.id(), baddr);
+    _backend.requestBus(_node.id(), blockAlign(mshr.addr));
 }
 
-Word
-SnoopNodeCoherence::applyOp(CacheLine *line, MemOpType type,
-                            Addr addr, Word operand)
+void
+SnoopNodeCoherence::writeback(const Eviction &ev)
 {
-    Word old = line->data.read(addr);
-    switch (type) {
-      case MemOpType::Store:
-        line->data.write(addr, operand);
-        return 0;
-      case MemOpType::FetchAdd:
-        line->data.write(addr, old + operand);
-        return old;
-      case MemOpType::Swap:
-        line->data.write(addr, operand);
-        return old;
-      default:
-        panic("applyOp on a load");
-    }
+    _backend.memWrite(ev.blockAddr, ev.data);
+    _backend.requestWriteback(_node.id(), ev.blockAddr);
 }
 
 Cycles
@@ -228,7 +71,7 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
     };
     std::vector<PeerHit> peers;
     b.forEachPeer(_node.id(), [&](SnoopNodeCoherence &p) {
-        CacheLine *pl = p._cache.findLine(baddr);
+        CacheLine *pl = p.cache().findLine(baddr);
         if (pl && pl->state != LineState::Instr)
             peers.push_back({&p, pl});
     });
@@ -242,7 +85,7 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
         }
     }
 
-    CacheLine *own = _cache.findLine(baddr);
+    CacheLine *own = cache().findLine(baddr);
     bool hasData = false, hasUpd = false, cacheSupply = false;
     Word value = 0;
 
@@ -306,8 +149,8 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
             !any ? LineState::Exclusive
                  : (proto == SnoopProtocol::Mesif ? LineState::Forward
                                                   : LineState::Shared);
-        fillLine(baddr, mine, data);
-        value = _cache.probeMain(baddr)->data.read(addr);
+        fill(baddr, mine, data);
+        value = cache().probeMain(baddr)->data.read(addr);
     } else if (dragonUpd) {
         if (own) {
             // BusUpd: broadcast the word; the writer becomes (or
@@ -320,7 +163,7 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
                     ph.l->state = LineState::Shared;
                 ++b.wordUpdates;
             }
-            value = applyOp(own, mshr.type, addr, mshr.operand);
+            value = applyOp(*own, mshr.type, addr, mshr.operand);
             own->state = any ? LineState::Owned : LineState::Modified;
         } else {
             // Write miss: fetch the block and broadcast the word in
@@ -345,8 +188,8 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
                 hasUpd = true;
             }
             data.write(addr, mshr.operand);
-            fillLine(baddr, any ? LineState::Owned : LineState::Modified,
-                     data);
+            fill(baddr, any ? LineState::Owned : LineState::Modified,
+                 data);
             value = 0;
         }
     } else {
@@ -356,10 +199,10 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
         if (own) {
             ++b.upgrades;
             for (auto &ph : peers) {
-                ph.c->_cache.remove(baddr);
+                ph.c->invalidateLocal(baddr);
                 ++b.invalidations;
             }
-            value = applyOp(own, mshr.type, addr, mshr.operand);
+            value = applyOp(*own, mshr.type, addr, mshr.operand);
             own->state = LineState::Modified;
         } else {
             ++b.readExcl;
@@ -374,11 +217,11 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
                 data = b.memRead(baddr);
             }
             for (auto &ph : peers) {
-                ph.c->_cache.remove(baddr);
+                ph.c->invalidateLocal(baddr);
                 ++b.invalidations;
             }
-            fillLine(baddr, LineState::Modified, data);
-            value = applyOp(_cache.probeMain(baddr), mshr.type,
+            fill(baddr, LineState::Modified, data);
+            value = applyOp(*cache().probeMain(baddr), mshr.type,
                             addr, mshr.operand);
         }
     }
@@ -388,15 +231,11 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
     else if (hasData)
         ++b.memSupplies;
 
-    missLatency.sample(static_cast<double>(
-        _node.eventq().curTick() - mshr.issued));
-    mshr.valid = false;
-
     Cycles occupancy = bc.addrCycles + (hasData ? bc.dataCycles : 0) +
                        (hasUpd ? bc.updCycles : 0);
     Cycles supplier =
         hasData ? (cacheSupply ? bc.c2cLatency : b.memLatency()) : 0;
-    complete(value, occupancy + supplier + cfg.fillLatency);
+    finishMiss(value, occupancy + supplier + cfg.fillLatency);
     return occupancy;
 }
 
@@ -592,9 +431,9 @@ SnoopBackend::auditQuiescent(CoherenceAuditor *a)
                   strfmt("%s transaction still queued at quiescence",
                          t.writeback ? "writeback" : "demand"));
     }
-    for (const SnoopNodeCoherence *c : _ctrls) {
-        if (c && c->hasOutstanding()) {
-            violation(c->nodeId(), 0,
+    for (std::size_t i = 0; i < _ctrls.size(); ++i) {
+        if (_ctrls[i] && _ctrls[i]->missOutstanding()) {
+            violation(static_cast<NodeId>(i), 0,
                       "MSHR still valid at quiescence");
         }
     }

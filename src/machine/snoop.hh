@@ -26,9 +26,7 @@
 #include <vector>
 
 #include "base/stats.hh"
-#include "machine/cache_controller.hh"
 #include "machine/coherence.hh"
-#include "mem/cache.hh"
 #include "sim/event.hh"
 
 namespace swex
@@ -46,24 +44,13 @@ struct BusTxn
     std::uint64_t seq = 0;   ///< arrival order (FIFO discipline)
 };
 
-/** One node's snooping cache controller. */
+/** One node's snooping cache controller: the shared processor side,
+ *  whose misses become queued bus transactions. */
 class SnoopNodeCoherence final : public NodeCoherence
 {
   public:
     SnoopNodeCoherence(Node &node, SnoopBackend &backend,
                        const MachineConfig &mc);
-
-    // ---- NodeCoherence ----------------------------------------------
-    void issue(MemOpType type, Addr addr, Word operand) override;
-    Cycles instrTouch(Addr block_addr) override;
-    Cycles runTrap(const TrapItem &item) override;
-    RemovalResult invalidateLocal(Addr block_addr) override;
-    RemovalResult downgradeLocal(Addr block_addr) override;
-    void dispatchRx(const Message &msg) override;
-    bool interceptSend(const Message &msg, Cycles delay) override;
-    Cache &cache() override { return _cache; }
-    void setAuditHook(CoherenceAuditor *) override {}
-    AuditNodeView auditView(NodeId id) const override;
 
     /**
      * Service this node's transaction at its bus serialization point:
@@ -73,54 +60,16 @@ class SnoopNodeCoherence final : public NodeCoherence
      */
     Cycles serviceAtBus(const BusTxn &t);
 
-    bool hasOutstanding() const { return mshr.valid; }
-    NodeId nodeId() const;
-
-    stats::Group statsGroup;
-    stats::Scalar loads;
-    stats::Scalar stores;
-    stats::Scalar atomics;
     stats::Scalar busRequests;       ///< demand transactions issued
-    stats::Distribution missLatency; ///< issue-to-complete, in cycles
 
   private:
-    struct Mshr
-    {
-        bool valid = false;
-        MemOpType type = MemOpType::Load;
-        Addr addr = 0;        ///< full word address
-        Word operand = 0;
-        Tick issued = 0;
-    };
+    /** The miss becomes a queued demand transaction. */
+    void startMiss() override;
+    /** Memory is written now (no data rides the queued transaction);
+     *  a writeback transaction occupies the bus later. */
+    void writeback(const Eviction &ev) override;
 
-    void complete(Word value, Cycles delay);
-    void fillLine(Addr block_addr, LineState state,
-                  const DataBlock &data);
-    /** Perform a store/atomic on @p line and return the op's result
-     *  (the old word for atomics). Takes the op explicitly so the
-     *  cache-hit fast path works without an MSHR allocation. */
-    Word applyOp(CacheLine *line, MemOpType type, Addr addr,
-                 Word operand);
-
-    struct CompleteEvent final : Event
-    {
-        explicit CompleteEvent(SnoopNodeCoherence &c)
-            : Event(EventPrio::Processor), ctrl(c)
-        {
-        }
-
-        void process() override;
-
-        SnoopNodeCoherence &ctrl;
-        Word value = 0;
-    };
-
-    Node &_node;
     SnoopBackend &_backend;
-    CacheCtrlConfig cfg;
-    Cache _cache;
-    Mshr mshr;
-    CompleteEvent completeEvent{*this};
 };
 
 /** The split-transaction shared-bus machine model. */
@@ -130,7 +79,6 @@ class SnoopBackend final : public CoherenceBackend
     SnoopBackend(Machine &m);
 
     // ---- CoherenceBackend -------------------------------------------
-    MachineModel model() const override { return MachineModel::Snoop; }
     std::string protocolName() const override;
     std::unique_ptr<NodeCoherence> makeNode(Node &node) override;
     void attachAuditor(CoherenceAuditor *a) override;
@@ -150,9 +98,9 @@ class SnoopBackend final : public CoherenceBackend
     void
     forEachPeer(NodeId self, Fn &&fn)
     {
-        for (SnoopNodeCoherence *c : _ctrls) {
-            if (c && c->nodeId() != self)
-                fn(*c);
+        for (std::size_t i = 0; i < _ctrls.size(); ++i) {
+            if (_ctrls[i] && static_cast<NodeId>(i) != self)
+                fn(*_ctrls[i]);
         }
     }
 
@@ -160,10 +108,8 @@ class SnoopBackend final : public CoherenceBackend
     const DataBlock &memRead(Addr block_addr) const;
     void memWrite(Addr block_addr, const DataBlock &data);
 
-    bool busIdle() const { return _queue.empty() && !_inService; }
     std::string pendingSummary() const;
 
-    Machine &machine() { return _m; }
     SnoopProtocol protocol() const { return _proto; }
     const SnoopBusConfig &busConfig() const { return _bus; }
     Cycles memLatency() const;

@@ -49,8 +49,6 @@ class MemoryModule
         store[blockAlign(addr)].write(addr, value);
     }
 
-    std::size_t numBlocksTouched() const { return store.size(); }
-
     /** Visit every touched block (unordered; callers wanting a
      *  canonical order must sort the addresses themselves). */
     template <typename Fn>

@@ -40,14 +40,6 @@ enum class MsgType : std::uint8_t
 /** Printable name for a message type. */
 const char *msgTypeName(MsgType t);
 
-/** True for types that carry a data block payload. */
-constexpr bool
-msgCarriesData(MsgType t)
-{
-    return t == MsgType::ReadData || t == MsgType::WriteData ||
-           t == MsgType::Writeback;
-}
-
 /** One protocol message. */
 struct Message
 {

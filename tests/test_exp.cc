@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "base/binary_io.hh"
 #include "base/logging.hh"
 #include "core/spectrum.hh"
 #include "exp/pool.hh"
@@ -164,6 +165,48 @@ TEST(Runner, SequentialReferenceAndSpeedupFields)
     EXPECT_TRUE(seq.verified);
     EXPECT_EQ(seq.nodes, 1);
     EXPECT_GT(seq.simCycles, 0u);
+}
+
+/**
+ * The six Figure 4 speedup denominators, built as fig4_speedups
+ * builds them (64-node spec, victim 6, SMGRID fine=65) and pinned:
+ * a drift in any of them would move a whole row of speedups.
+ */
+TEST(Runner, Figure4SequentialReferencesArePinned)
+{
+    setQuiet(true);
+    struct Reference
+    {
+        const char *label;
+        const char *app;
+        AppParams params;
+        Tick cycles;
+    };
+    const Reference refs[] = {
+        {"TSP", "tsp", {}, 9704597},
+        {"AQ", "aq", {}, 18148080},
+        {"SMGRID", "smgrid", {{"fine", "65"}}, 9626108},
+        {"EVOLVE", "evolve", {}, 4722109},
+        {"MP3D", "mp3d", {}, 1728980},
+        {"WATER", "water", {}, 24225468},
+    };
+    std::vector<ExperimentSpec> specs;
+    for (const Reference &r : refs) {
+        specs.push_back(ExperimentSpec{
+            .id = std::string("fig4/") + r.label,
+            .app = r.app,
+            .params = r.params,
+            .nodes = 64,
+            .victimEntries = 6,
+            .sequential = true});
+    }
+    Runner runner;
+    std::vector<RunRecord *> recs = runner.runAll(specs, 2);
+    ASSERT_EQ(recs.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_TRUE(recs[i]->verified) << refs[i].label;
+        EXPECT_EQ(recs[i]->simCycles, refs[i].cycles) << refs[i].label;
+    }
 }
 
 TEST(RunRecord, SerializesAsValidSwexRunV1)
@@ -322,15 +365,12 @@ TEST(RunnerParallel, LogMergesInSpecOrder)
 namespace
 {
 
+/** FNV-1a from the standard 64-bit offset basis (not bin::fnvOffset). */
 std::uint64_t
 fnv1a(const std::string &bytes)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return bin::fnv1a(14695981039346656037ull, bytes.data(),
+                      bytes.size());
 }
 
 /** Every directory protocol under audit, jitter and faults; every

@@ -2,13 +2,15 @@
  * @file
  * End-to-end integration tests of the complete machine: simple
  * programs running over the full protocol/network/cache stack, the
- * WORKER benchmark under every protocol, and system-wide coherence
+ * processor-side cache controller on both machine models, the WORKER
+ * benchmark under every protocol, and system-wide coherence
  * invariants at quiescence.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apps/worker.hh"
@@ -206,6 +208,109 @@ TEST(MachineBasics, EvictionWritebackPreservesData)
 }
 
 // ------------------------------------------------------------------
+// The processor-side cache controller both machine models share
+// ------------------------------------------------------------------
+
+namespace
+{
+
+struct FrontEndCase
+{
+    const char *label;
+    MachineModel model;
+    SnoopProtocol snoop;   ///< MachineModel::Snoop only
+};
+
+const FrontEndCase frontEndCases[] = {
+    {"DirectoryH5", MachineModel::Directory, SnoopProtocol::Mesi},
+    {"Mesi", MachineModel::Snoop, SnoopProtocol::Mesi},
+    {"Moesi", MachineModel::Snoop, SnoopProtocol::Moesi},
+    {"Mesif", MachineModel::Snoop, SnoopProtocol::Mesif},
+    {"Dragon", MachineModel::Snoop, SnoopProtocol::Dragon},
+};
+
+class SharedFrontEnd : public ::testing::TestWithParam<FrontEndCase>
+{};
+
+double
+scalarStat(const stats::Group &g, const std::string &path)
+{
+    const auto *s = dynamic_cast<const stats::Scalar *>(g.find(path));
+    EXPECT_NE(s, nullptr) << path;
+    return s ? s->value() : -1.0;
+}
+
+} // anonymous namespace
+
+/**
+ * One thread's load, store, fetch-add, swap and load of a block homed
+ * at the other node, then a compute segment whose one instruction
+ * block maps to the data block's cache set. The hit path, the op
+ * application, the miss fills and the instruction fill's dirty
+ * eviction are the same code on both models; only how a miss is
+ * served differs (a Shared fill then an upgrade miss on the directory,
+ * one Exclusive fill and a silent E->M upgrade on the bus).
+ */
+TEST_P(SharedFrontEnd, OpsHitsMissesAndDirtyInstructionEviction)
+{
+    const FrontEndCase &fc = GetParam();
+    MachineConfig mc;
+    mc.numNodes = 2;
+    mc.machineModel = fc.model;
+    mc.protocol = ProtocolConfig::hw(5);
+    mc.snoopProtocol = fc.snoop;
+    mc.bus.arbitration = BusArbitration::Fifo;
+    mc.cacheCtrl.victimEntries = 0;
+    Machine m(mc);
+    const Addr a = m.allocOn(1, blockBytes, blockBytes);
+    const Addr code = m.instrBase(0) +
+                      static_cast<Addr>(m.cacheIndexOf(a)) * blockBytes;
+    ASSERT_EQ(m.cacheIndexOf(code), m.cacheIndexOf(a));
+
+    std::vector<Word> got;
+    m.run([&](Mem &mem, int) -> Task<void> {
+        got.push_back(co_await mem.read(a));
+        co_await mem.write(a, 5);
+        got.push_back(co_await mem.fetchAdd(a, 3));
+        got.push_back(co_await mem.swap(a, 9));
+        got.push_back(co_await mem.read(a));
+        mem.setFootprint({code});
+        co_await mem.work(10);
+    }, 1);
+    EXPECT_EQ(got, (std::vector<Word>{0, 5, 8, 9}));
+
+    const stats::Group &g = m.nodes[0]->statsGroup;
+    EXPECT_EQ(scalarStat(g, "cachectrl.loads"), 2.0);
+    EXPECT_EQ(scalarStat(g, "cachectrl.stores"), 1.0);
+    EXPECT_EQ(scalarStat(g, "cachectrl.atomics"), 2.0);
+    EXPECT_EQ(scalarStat(g, "cachectrl.cache.instrMisses"), 1.0);
+    EXPECT_EQ(scalarStat(g, "cachectrl.cache.dirtyEvictions"), 1.0);
+    if (fc.model == MachineModel::Directory) {
+        // The load fills Shared, so the store is an upgrade miss.
+        EXPECT_EQ(scalarStat(g, "cachectrl.cache.dataHits"), 3.0);
+        EXPECT_EQ(scalarStat(g, "cachectrl.cache.dataMisses"), 2.0);
+    } else {
+        // The sole reader holds the line Exclusive and writes it
+        // without a bus transaction.
+        EXPECT_EQ(scalarStat(g, "cachectrl.cache.dataHits"), 4.0);
+        EXPECT_EQ(scalarStat(g, "cachectrl.cache.dataMisses"), 1.0);
+        EXPECT_EQ(scalarStat(m.root, "bus.reads"), 1.0);
+        EXPECT_EQ(scalarStat(m.root, "bus.readExcl"), 0.0);
+        EXPECT_EQ(scalarStat(m.root, "bus.upgrades"), 0.0);
+        EXPECT_EQ(scalarStat(m.root, "bus.writebacks"), 1.0);
+    }
+    // The evicted dirty line reached home memory.
+    EXPECT_EQ(m.nodes[1]->mem.readWord(a), 9u);
+    m.checkInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModels, SharedFrontEnd, ::testing::ValuesIn(frontEndCases),
+    [](const ::testing::TestParamInfo<FrontEndCase> &param_info) {
+        return std::string(param_info.param.label);
+    });
+
+// ------------------------------------------------------------------
 // WORKER across the protocol spectrum
 // ------------------------------------------------------------------
 
@@ -233,8 +338,8 @@ TEST_P(WorkerAllProtocols, RunsCorrectlyOn16Nodes)
 INSTANTIATE_TEST_SUITE_P(
     Spectrum, WorkerAllProtocols,
     ::testing::ValuesIn(protocolSpectrum()),
-    [](const ::testing::TestParamInfo<SpectrumPoint> &info) {
-        std::string n = info.param.label;
+    [](const ::testing::TestParamInfo<SpectrumPoint> &param_info) {
+        std::string n = param_info.param.label;
         for (auto &c : n)
             if (c == '-')
                 c = '_';

@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/binary_io.hh"
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -122,23 +123,15 @@ directRecord(const Runner &runner, std::size_t cell)
     return os.str();
 }
 
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &bytes)
-{
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
+/** FNV-1a over the records, each followed by a newline, from the
+ *  standard 64-bit offset basis (not bin::fnvOffset). */
 std::uint64_t
 digestRecords(const std::vector<std::string> &records)
 {
     std::uint64_t h = 14695981039346656037ull;
     for (const std::string &r : records) {
-        h = fnv1a(h, r);
-        h = fnv1a(h, "\n");
+        h = bin::fnv1a(h, r.data(), r.size());
+        h = bin::fnv1a(h, "\n", 1);
     }
     return h;
 }
