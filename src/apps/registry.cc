@@ -164,7 +164,6 @@ AppRegistry::instance()
 const AppRegistry::Entry *
 AppRegistry::find(const std::string &name) const
 {
-    // Caller holds _mutex.
     for (const Entry &e : _entries)
         if (e.name == name)
             return &e;
@@ -174,7 +173,6 @@ AppRegistry::find(const std::string &name) const
 void
 AppRegistry::add(Entry entry)
 {
-    std::lock_guard<std::mutex> hold(_mutex);
     SWEX_ASSERT(find(entry.name) == nullptr,
                 "app '%s' already registered", entry.name.c_str());
     _entries.push_back(std::move(entry));
@@ -183,23 +181,17 @@ AppRegistry::add(Entry entry)
 bool
 AppRegistry::contains(const std::string &name) const
 {
-    std::lock_guard<std::mutex> hold(_mutex);
     return find(name) != nullptr;
 }
 
 const AppRegistry::Entry &
 AppRegistry::entry(const std::string &name) const
 {
+    if (const Entry *e = find(name))
+        return *e;
     std::string all;
-    {
-        std::lock_guard<std::mutex> hold(_mutex);
-        // The reference stays valid after unlock: entries are never
-        // removed and the deque never relocates them.
-        if (const Entry *e = find(name))
-            return *e;
-        for (const Entry &e : _entries)
-            all += (all.empty() ? "" : ", ") + e.name;
-    }
+    for (const Entry &e : _entries)
+        all += (all.empty() ? "" : ", ") + e.name;
     fatal("unknown app '%s' (registered: %s)", name.c_str(),
           all.c_str());
 }
@@ -207,7 +199,6 @@ AppRegistry::entry(const std::string &name) const
 std::vector<std::string>
 AppRegistry::names() const
 {
-    std::lock_guard<std::mutex> hold(_mutex);
     std::vector<std::string> out;
     for (const Entry &e : _entries)
         out.push_back(e.name);
@@ -218,11 +209,7 @@ std::string
 AppRegistry::check(const std::string &name, const AppParams &params,
                    int nodes) const
 {
-    const Entry *e = nullptr;
-    {
-        std::lock_guard<std::mutex> hold(_mutex);
-        e = find(name);
-    }
+    const Entry *e = find(name);
     if (e == nullptr)
         return "unknown app '" + name + "'";
     ParamReader r(params, name);

@@ -10,11 +10,9 @@
 #ifndef SWEX_APPS_REGISTRY_HH
 #define SWEX_APPS_REGISTRY_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,12 +76,10 @@ class ParamReader
 
 /**
  * The process-wide application factory. Safe for concurrent use:
- * first use constructs the built-in table exactly once (C++ magic
- * static), registration and lookup synchronize on an internal lock,
- * and entries live in a deque so references returned by entry()
- * survive later registrations. Factories themselves are pure
- * (they only read their arguments), so make() can be called from
- * any number of sweep worker threads.
+ * first use builds the table of built-in apps exactly once (C++ magic
+ * static) and nothing changes it afterwards, so lookups take no lock.
+ * Factories themselves are pure (they only read their arguments), so
+ * make() can be called from any number of sweep worker threads.
  */
 class AppRegistry
 {
@@ -134,9 +130,6 @@ class AppRegistry
     /** The singleton, with the built-in apps already registered. */
     static AppRegistry &instance();
 
-    /** Register an additional application (name must be unique). */
-    void add(Entry entry);
-
     bool contains(const std::string &name) const;
     const Entry &entry(const std::string &name) const;
 
@@ -162,11 +155,12 @@ class AppRegistry
   private:
     AppRegistry();
 
+    /** Register a built-in application (name must be unique). */
+    void add(Entry entry);
+
     const Entry *find(const std::string &name) const;
 
-    /** Deque: entry() hands out references that must survive add(). */
-    std::deque<Entry> _entries;
-    mutable std::mutex _mutex;
+    std::vector<Entry> _entries;
 };
 
 } // namespace swex

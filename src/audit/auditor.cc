@@ -28,12 +28,6 @@ CoherenceAuditor::addNode(const AuditNodeView &view)
 }
 
 void
-CoherenceAuditor::setModelStallSummary(std::function<std::string()> fn)
-{
-    _modelStallSummary = std::move(fn);
-}
-
-void
 CoherenceAuditor::setHomeOf(std::function<NodeId(Addr)> fn)
 {
     _homeOf = std::move(fn);
@@ -253,83 +247,134 @@ CoherenceAuditor::modelViolation(NodeId node, Addr block,
     report(node, block, what);
 }
 
+NodeId
+CoherenceAuditor::homeOf(Addr block) const
+{
+    return _homeOf ? _homeOf(block) : invalidNode;
+}
+
 void
 CoherenceAuditor::onBusTransaction(Addr block)
 {
     ++_transitions;
-    checkSnoopBlock(block);
+    _copies.clear();
+    for (const AuditNodeView &nv : _nodes) {
+        const CacheLine *line = nv.cache ? nv.cache->peek(block) : nullptr;
+        if (line && line->state != LineState::Instr)
+            _copies.push_back({block, nv.id, line});
+    }
+    if (!_copies.empty())
+        checkCopies(homeOf(block), _copies);
 }
 
 void
-CoherenceAuditor::checkSnoopBlock(Addr block)
+CoherenceAuditor::checkCopies(NodeId home, std::span<const Copy> copies)
 {
-    const NodeId h = _homeOf ? _homeOf(block) : invalidNode;
+    const Addr block = copies.front().block;
+    const CacheLine &first = *copies.front().line;
+    const Copy *dirty = nullptr, *sole = nullptr, *forward = nullptr;
 
-    NodeId dirtyAt = invalidNode, soleAt = invalidNode,
-           forwardAt = invalidNode;
-    const CacheLine *first = nullptr;
-    NodeId firstAt = invalidNode;
-    int copies = 0;
-
-    for (const AuditNodeView &nv : _nodes) {
-        if (!nv.cache)
-            continue;
-        const CacheLine *line = nv.cache->peek(block);
-        if (!line || line->state == LineState::Instr)
-            continue;
-        ++copies;
-
-        if (line->dirty()) {
-            if (dirtyAt != invalidNode) {
-                report(h, block,
+    for (const Copy &c : copies) {
+        const LineState s = c.line->state;
+        if (c.line->dirty()) {
+            if (dirty) {
+                report(home, block,
                        strfmt("two dirty copies: nodes %d (%s) and %d "
                               "(%s)",
-                              static_cast<int>(dirtyAt), "dirty",
-                              static_cast<int>(nv.id),
-                              lineStateName(line->state)));
+                              static_cast<int>(dirty->node),
+                              lineStateName(dirty->line->state),
+                              static_cast<int>(c.node),
+                              lineStateName(s)));
             }
-            dirtyAt = nv.id;
+            dirty = &c;
         }
-        if (line->state == LineState::Modified ||
-            line->state == LineState::Exclusive) {
-            soleAt = nv.id;
-        }
-        if (line->state == LineState::Forward) {
-            if (forwardAt != invalidNode) {
-                report(h, block,
+        if (s == LineState::Modified || s == LineState::Exclusive)
+            sole = &c;
+        if (s == LineState::Forward) {
+            if (forward) {
+                report(home, block,
                        strfmt("two Forward copies: nodes %d and %d",
-                              static_cast<int>(forwardAt),
-                              static_cast<int>(nv.id)));
+                              static_cast<int>(forward->node),
+                              static_cast<int>(c.node)));
             }
-            forwardAt = nv.id;
+            forward = &c;
         }
 
         // Every valid copy of a block must hold identical data: the
         // update protocol broadcasts words, the invalidate protocols
         // kill stale copies, and either way divergence is corruption.
-        if (!first) {
-            first = line;
-            firstAt = nv.id;
-        } else {
-            for (unsigned i = 0; i < wordsPerBlock; ++i) {
-                Addr wa = block + i * sizeof(Word);
-                if (first->data.read(wa) != line->data.read(wa)) {
-                    report(h, block,
-                           strfmt("copies diverge: nodes %d and %d "
-                                  "disagree on word %u",
-                                  static_cast<int>(firstAt),
-                                  static_cast<int>(nv.id), i));
-                    break;
-                }
+        for (unsigned w = 0; w < wordsPerBlock; ++w) {
+            if (c.line->data.words[w] != first.data.words[w]) {
+                report(home, block,
+                       strfmt("copies diverge: nodes %d and %d "
+                              "disagree on word %u",
+                              static_cast<int>(copies.front().node),
+                              static_cast<int>(c.node), w));
+                break;
             }
         }
     }
 
-    if (soleAt != invalidNode && copies > 1) {
-        report(h, block,
+    if (sole && copies.size() > 1) {
+        report(home, block,
                strfmt("node %d holds the block in an exclusive state "
-                      "but %d copies exist",
-                      static_cast<int>(soleAt), copies));
+                      "but %zu copies exist",
+                      static_cast<int>(sole->node), copies.size()));
+    }
+}
+
+void
+CoherenceAuditor::checkCoverage(const HomeController &hc,
+                                std::span<const Copy> copies)
+{
+    const NodeId h = hc.homeNode();
+    const Addr block = copies.front().block;
+    const ProtocolConfig &p = hc.config().protocol;
+    const DirEntry *e = hc.dir.lookup(block);
+
+    for (const Copy &c : copies) {
+        // H0's uniprocessor mode: until a remote node touches the
+        // block, the home's own accesses bypass the directory state
+        // machine entirely.
+        const bool h0_local_mode = p.hwPointers == 0 && c.node == h &&
+                                   !(e && e->remoteTouched);
+
+        if (c.line->state == LineState::Modified) {
+            if (!h0_local_mode &&
+                !(e && e->state == DirState::Exclusive &&
+                  e->ptrs[0] == c.node)) {
+                report(h, block,
+                       strfmt("node %d holds the block Modified but the "
+                              "directory does not record it as the "
+                              "exclusive owner",
+                              static_cast<int>(c.node)));
+            }
+            continue;
+        }
+
+        // Shared copy: the directory must cover the reader through
+        // one of its sharer mechanisms. (Clean evictions are silent,
+        // so the directory may be a superset of the caches; it must
+        // never be a subset.)
+        if (h0_local_mode)
+            continue;
+        bool covered = false;
+        if (e && e->state == DirState::Shared) {
+            covered = e->fullMap.test(static_cast<std::size_t>(c.node)) ||
+                      e->hasPtr(c.node) || (e->localBit && c.node == h) ||
+                      e->broadcastBit;
+            if (!covered) {
+                const ExtEntry *xe = hc.ext.lookup(block);
+                covered = xe && xe->hasSharer(c.node);
+            }
+        }
+        if (!covered) {
+            report(h, block,
+                   strfmt("node %d holds a readable copy the directory "
+                          "does not cover (state %s)",
+                          static_cast<int>(c.node),
+                          e ? dirStateName(e->state) : "absent"));
+        }
     }
 }
 
@@ -342,72 +387,12 @@ CoherenceAuditor::deliveryViolation(NodeId src, NodeId dst,
                   static_cast<int>(dst), what.c_str()));
 }
 
-std::string
-CoherenceAuditor::stallSummary() const
-{
-    constexpr std::size_t maxLines = 16;
-    std::string out;
-    if (_modelStallSummary)
-        out += _modelStallSummary();
-    std::size_t lines = 0, suppressed = 0;
-    for (const AuditNodeView &nv : _nodes) {
-        if (!nv.home)
-            continue;
-        nv.home->dir.forEach([&](Addr a, const DirEntry &e) {
-            if (e.state == DirState::Uncached ||
-                e.state == DirState::Shared ||
-                e.state == DirState::Exclusive) {
-                return;
-            }
-            if (lines >= maxLines) {
-                ++suppressed;
-                return;
-            }
-            ++lines;
-            out += strfmt("home %d block %#llx stuck in %s "
-                          "(pending node %d, %u acks outstanding%s)\n",
-                          static_cast<int>(nv.id),
-                          static_cast<unsigned long long>(a),
-                          dirStateName(e.state),
-                          static_cast<int>(e.pendingNode), e.ackCount,
-                          e.trapPending() ? ", trap queued" : "");
-        });
-        if (nv.home->deferredCount() != 0) {
-            out += strfmt("home %d holds %zu deferred requests\n",
-                          static_cast<int>(nv.id),
-                          nv.home->deferredCount());
-        }
-    }
-    if (suppressed > 0)
-        out += strfmt("(%zu more stalled transactions)\n", suppressed);
-    return out;
-}
-
 void
 CoherenceAuditor::checkQuiescent()
 {
-    // Snooping machine model: no directories to walk; sweep every
-    // block any cache holds through the cross-cache invariant check.
-    const bool anyHome = std::any_of(
-        _nodes.begin(), _nodes.end(),
-        [](const AuditNodeView &nv) { return nv.home != nullptr; });
-    if (!anyHome) {
-        std::unordered_map<Addr, bool> blocks;
-        for (const AuditNodeView &nv : _nodes) {
-            if (!nv.cache)
-                continue;
-            nv.cache->forEachLine([&](const CacheLine &line) {
-                if (line.state != LineState::Instr)
-                    blocks.emplace(line.blockAddr, true);
-            });
-        }
-        for (const auto &[a, unused] : blocks)
-            checkSnoopBlock(a);
-        return;
-    }
-
     // Per-entry checks with the quiescent-only extensions, plus
     // drained CMMU input queues.
+    std::vector<const HomeController *> homes;   // indexed by node id
     for (const AuditNodeView &nv : _nodes) {
         if (!nv.home)
             continue;
@@ -419,87 +404,41 @@ CoherenceAuditor::checkQuiescent()
                    strfmt("%zu deferred requests never replayed",
                           nv.home->deferredCount()));
         }
+        const auto id = static_cast<std::size_t>(nv.id);
+        homes.resize(std::max(homes.size(), id + 1), nullptr);
+        homes[id] = nv.home;
     }
 
-    // Cross-node checks need the address-to-home map and caches.
-    if (!_homeOf)
-        return;
-
-    std::unordered_map<NodeId, const AuditNodeView *> byId;
-    for (const AuditNodeView &nv : _nodes)
-        byId[nv.id] = &nv;
-
-    std::unordered_map<Addr, NodeId> dirtyOwner;
-
+    // Every node's data copies in one pass, sorted by block so each
+    // block's copies are adjacent, and in node order within a block.
+    _copies.clear();
     for (const AuditNodeView &nv : _nodes) {
         if (!nv.cache)
             continue;
         nv.cache->forEachLine([&](const CacheLine &line) {
-            if (line.state == LineState::Instr)
-                return;
-            const Addr a = line.blockAddr;
-            const NodeId h = _homeOf(a);
-            auto it = byId.find(h);
-            if (it == byId.end() || !it->second->home)
-                return;   // home outside the audited set
-            const HomeController &hc = *it->second->home;
-            const ProtocolConfig &p = hc.config().protocol;
-            const DirEntry *e = hc.dir.lookup(a);
-
-            // H0's uniprocessor mode: until a remote node touches the
-            // block, the home's own accesses bypass the directory
-            // state machine entirely.
-            const bool h0_local_mode =
-                p.hwPointers == 0 && nv.id == h &&
-                !(e && e->remoteTouched);
-
-            if (line.state == LineState::Modified) {
-                auto [pos, fresh] = dirtyOwner.emplace(a, nv.id);
-                if (!fresh) {
-                    report(h, a,
-                           strfmt("two dirty copies: nodes %d and %d "
-                                  "both hold the block Modified",
-                                  static_cast<int>(pos->second),
-                                  static_cast<int>(nv.id)));
-                }
-                if (!h0_local_mode &&
-                    !(e && e->state == DirState::Exclusive &&
-                      e->ptrs[0] == nv.id)) {
-                    report(h, a,
-                           strfmt("node %d holds the block Modified "
-                                  "but the directory does not record "
-                                  "it as the exclusive owner",
-                                  static_cast<int>(nv.id)));
-                }
-                return;
-            }
-
-            // Shared copy: the directory must cover the reader
-            // through one of its sharer mechanisms. (Clean evictions
-            // are silent, so the directory may be a superset of the
-            // caches; it must never be a subset.)
-            if (h0_local_mode)
-                return;
-            bool covered = false;
-            if (e && e->state == DirState::Shared) {
-                covered = e->fullMap.test(
-                              static_cast<std::size_t>(nv.id)) ||
-                          e->hasPtr(nv.id) ||
-                          (e->localBit && nv.id == h) ||
-                          e->broadcastBit;
-                if (!covered) {
-                    const ExtEntry *xe = hc.ext.lookup(a);
-                    covered = xe && xe->hasSharer(nv.id);
-                }
-            }
-            if (!covered) {
-                report(h, a,
-                       strfmt("node %d holds a readable copy the "
-                              "directory does not cover (state %s)",
-                              static_cast<int>(nv.id),
-                              e ? dirStateName(e->state) : "absent"));
-            }
+            if (line.state != LineState::Instr)
+                _copies.push_back({line.blockAddr, nv.id, &line});
         });
+    }
+    std::stable_sort(_copies.begin(), _copies.end(),
+                     [](const Copy &x, const Copy &y) {
+                         return x.block < y.block;
+                     });
+
+    for (auto first = _copies.begin(); first != _copies.end();) {
+        const Addr block = first->block;
+        const auto last =
+            std::find_if(first, _copies.end(), [block](const Copy &c) {
+                return c.block != block;
+            });
+        const std::span<const Copy> copies(first, last);
+        const NodeId h = homeOf(block);
+        checkCopies(h, copies);
+        // (An unknown home, invalidNode, casts past the end.)
+        const auto hi = static_cast<std::size_t>(h);
+        if (hi < homes.size() && homes[hi])
+            checkCoverage(*homes[hi], copies);
+        first = last;
     }
 }
 

@@ -1,15 +1,17 @@
 /**
  * @file
- * The CoherenceAuditor: an observation-only cross-checker of global
- * protocol invariants, attached to every home controller through the
- * ProtocolAuditHook interface. At every directory transition it
- * validates the per-entry bookkeeping the state machine relies on
+ * The CoherenceAuditor: the one place a coherence invariant is
+ * stated. Attached to every home controller through the
+ * ProtocolAuditHook interface, it validates at every directory
+ * transition the per-entry bookkeeping the state machine relies on
  * (single pending writer, ack counter equal to the invalidations
  * actually outstanding, overflow/broadcast/local annotations legal for
- * the protocol); at quiescence it additionally proves the cross-node
- * properties that are only meaningful with no messages in flight
- * (every transaction drained, at most one dirty copy, every cached
- * reader covered by the directory pointers or the software extension).
+ * the protocol). Every completed run ends with its quiescent sweep,
+ * audited or not, which proves the cross-node properties that are
+ * only meaningful with no messages in flight: every transaction
+ * drained, one writer per block, every copy holding the same data,
+ * and every cached reader covered by the directory pointers or the
+ * software extension.
  *
  * The auditor never charges simulated cycles and never mutates
  * protocol state, so an attached auditor cannot change results or
@@ -22,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +36,7 @@ namespace swex
 {
 
 class Cache;
+struct CacheLine;
 struct DirEntry;
 
 /** One detected invariant violation. */
@@ -65,11 +69,11 @@ class CoherenceAuditor : public ProtocolAuditHook
 
     explicit CoherenceAuditor(Mode mode = Mode::Panic) : _mode(mode) {}
 
-    /** Register a node to audit (call once per node, before the run). */
+    /** Register a node to audit (once per node). */
     void addNode(const AuditNodeView &view);
 
     /** Map a block address to its home node (needed for cache checks;
-     *  Machine::attachAuditor supplies it). */
+     *  the Machine supplies it). */
     void setHomeOf(std::function<NodeId(Addr)> fn);
 
     // ---- ProtocolAuditHook -----------------------------------------
@@ -80,11 +84,9 @@ class CoherenceAuditor : public ProtocolAuditHook
     // ---- snooping machine model ------------------------------------
 
     /**
-     * One bus transaction for @p block completed its snoop phase.
-     * Cross-checks the block's copies across every registered cache:
-     * at most one dirty (Modified/Owned) copy, Modified/Exclusive are
-     * sole copies, at most one Forward copy, and all valid copies
-     * hold identical data.
+     * One bus transaction for @p block completed its snoop phase:
+     * the block's copies across every registered cache must obey the
+     * per-block rules checkQuiescent() applies to every block.
      */
     void onBusTransaction(Addr block);
 
@@ -92,37 +94,32 @@ class CoherenceAuditor : public ProtocolAuditHook
     void modelViolation(NodeId node, Addr block,
                         const std::string &what);
 
-    /** Extra stallSummary() lines from the machine model (the bus's
-     *  pending-transaction queue); set by SnoopBackend. */
-    void setModelStallSummary(std::function<std::string()> fn);
-
     /**
-     * Full cross-node audit: terminal directory states only, no traps
-     * queued, no deferred requests, no outstanding invalidations, at
-     * most one dirty copy per block, and every cached copy covered by
-     * what the directory (hardware pointers, local bit, full map,
-     * broadcast bit, or software extension) knows. Only valid when no
-     * protocol messages are in flight; Machine::run() calls it after
-     * draining the event queue.
+     * The quiescent sweep every completed run ends with
+     * (Machine::checkInvariants). Per directory entry: a terminal
+     * state, no traps queued, no fetch or invalidation outstanding,
+     * and no deferred requests at the home. Per block, over every
+     * registered cache's data copies on either machine model: at most
+     * one dirty copy, a Modified or Exclusive copy stands alone, at
+     * most one Forward copy, and every copy holds the same data.
+     * Where the block's home has a directory, its one Modified copy
+     * is the recorded exclusive owner and every other copy is covered
+     * by what the directory knows (hardware pointers, local bit, full
+     * map, broadcast bit, or software extension). Only valid when no
+     * protocol messages are in flight. A clean sweep reports nothing
+     * and counts no transitions.
      */
     void checkQuiescent();
 
     /**
      * A delivery-layer invariant failed at quiescence (sequence gap,
      * unacknowledged messages, retransmit bound exceeded). Reported
-     * by Machine::run() via MeshNetwork::checkDeliveryQuiescent; the
-     * channel's source node stands in as the "home" of the violation.
+     * by Machine::checkInvariants() via
+     * MeshNetwork::checkDeliveryQuiescent; the channel's source node
+     * stands in as the "home" of the violation.
      */
     void deliveryViolation(NodeId src, NodeId dst,
                            const std::string &what);
-
-    /**
-     * Human-readable summary of every directory transaction stuck in
-     * a transient state, for diagnosing a run that hit its deadline:
-     * home, block, state, acks outstanding, pending requester; capped
-     * at a few lines per home. Empty when nothing is stalled.
-     */
-    std::string stallSummary() const;
 
     /** Violations recorded so far (Collect mode; capped storage). */
     const std::vector<AuditViolation> &violations() const
@@ -139,16 +136,29 @@ class CoherenceAuditor : public ProtocolAuditHook
   private:
     static constexpr std::size_t maxStoredViolations = 64;
 
+    /** One node's copy of a block's data (instruction lines excluded). */
+    struct Copy
+    {
+        Addr block;
+        NodeId node;
+        const CacheLine *line;
+    };
+
     void report(NodeId home, Addr block, std::string what);
+    NodeId homeOf(Addr block) const;
     void checkEntry(const HomeController &hc, Addr block,
                     const DirEntry &e, bool quiescent);
-    void checkSnoopBlock(Addr block);
+    /** The per-block rules over one block's copies, in node order. */
+    void checkCopies(NodeId home, std::span<const Copy> copies);
+    /** The owner and coverage rules of @p hc's directory. */
+    void checkCoverage(const HomeController &hc,
+                       std::span<const Copy> copies);
     std::int64_t outstandingInvs(Addr block) const;
 
     Mode _mode;
     std::vector<AuditNodeView> _nodes;
     std::function<NodeId(Addr)> _homeOf;
-    std::function<std::string()> _modelStallSummary;
+    std::vector<Copy> _copies;   ///< scratch, reused by every check
 
     /** Invalidations sent minus acknowledgments counted, per block.
      *  (A block has exactly one home, so the block address keys it.) */

@@ -77,12 +77,6 @@ class CoherenceInterface
     /** Compose and send one invalidation. */
     void sendInv(NodeId dst);
 
-    /** Compose and send a control message (FetchS/FetchI). */
-    void sendCtl(NodeId dst, MsgType type, std::uint8_t seq = 0);
-
-    /** Number of invalidations sent so far by this handler. */
-    unsigned invsSent() const { return _invsSent; }
-
     /**
      * Flush the home node's own cached copy (dirty data is written
      * back to home memory). Local, so no acknowledgment is needed.
@@ -101,9 +95,6 @@ class CoherenceInterface
 
     /** Release the block's extended entry back to the free list. */
     void extRelease();
-
-    /** Free the sharer chunks of an entry but keep the entry. */
-    void extClearSharers(ExtEntry &entry);
 
     /** Record one sharer in the extension (charges per pointer). */
     void recordSharer(ExtEntry &entry, NodeId n);

@@ -1,31 +1,7 @@
 #include "core/cost_model.hh"
 
-#include "base/logging.hh"
-
 namespace swex
 {
-
-const char *
-activityName(Activity a)
-{
-    switch (a) {
-      case Activity::TrapDispatch: return "trap dispatch";
-      case Activity::MsgDispatch: return "system message dispatch";
-      case Activity::ProtoDispatch: return "protocol-specific dispatch";
-      case Activity::DecodeDir: return "decode and modify hw directory";
-      case Activity::SaveState: return "save state for function calls";
-      case Activity::MemMgmt: return "memory management";
-      case Activity::HashAdmin: return "hash table administration";
-      case Activity::StorePointer: return "store pointer (per pointer)";
-      case Activity::FreePointer: return "free pointer (per pointer)";
-      case Activity::InvXmit: return "invalidation lookup and transmit";
-      case Activity::DataSend: return "compose and send data reply";
-      case Activity::BusySend: return "compose and send busy reply";
-      case Activity::NonAlewife: return "support for non-Alewife protocols";
-      case Activity::TrapReturn: return "trap return";
-      default: return "?";
-    }
-}
 
 namespace
 {

@@ -58,8 +58,6 @@ enum class Activity : std::uint8_t
     NumActivities
 };
 
-const char *activityName(Activity a);
-
 /** Cycle costs per (profile, activity, read-vs-write handler). */
 class CostModel
 {

@@ -121,12 +121,6 @@ CoherenceInterface::sendInv(NodeId dst)
 }
 
 void
-CoherenceInterface::sendCtl(NodeId dst, MsgType type, std::uint8_t seq)
-{
-    hc.send(this, type, blockAlign(_item.msg.addr), dst, seq);
-}
-
-void
 CoherenceInterface::flushLocalCache()
 {
     hc.flushLocal(this, blockAlign(_item.msg.addr));
@@ -154,13 +148,6 @@ CoherenceInterface::extRelease()
 {
     charge(Activity::MemMgmt);
     hc.ext.release(blockAlign(_item.msg.addr));
-}
-
-void
-CoherenceInterface::extClearSharers(ExtEntry &entry)
-{
-    charge(Activity::MemMgmt);
-    hc.ext.release(entry.blockAddr);
 }
 
 void
@@ -1024,39 +1011,6 @@ HomeController::handleSwRequest(CoherenceInterface &ci)
       default:
         panic("SwRequest in bad state %s", dirStateName(e.state));
     }
-}
-
-// ==================================================================
-// Invariants
-// ==================================================================
-
-void
-HomeController::checkInvariants() const
-{
-    const ProtocolConfig &p = cfg.protocol;
-    dir.forEach([&](Addr a, const DirEntry &e) {
-        if (!p.isFullMap() && p.hwPointers > 0) {
-            SWEX_ASSERT(e.ptrCount <= p.hwPointers ||
-                        e.state == DirState::Exclusive ||
-                        e.state == DirState::PendRead,
-                        "entry %#llx: too many pointers",
-                        static_cast<unsigned long long>(a));
-        }
-        if (e.state == DirState::Exclusive) {
-            SWEX_ASSERT(e.ptrCount == 1 && e.ackCount == 0,
-                        "bad Exclusive entry");
-        }
-        if (e.state == DirState::PendWrite) {
-            SWEX_ASSERT(e.ackCount > 0 || e.pendingSwSend ||
-                        e.trapPending(), "PendWrite with no acks due");
-            SWEX_ASSERT(e.pendingNode != invalidNode,
-                        "PendWrite with no requester");
-        }
-        if (e.overflowed) {
-            SWEX_ASSERT(e.state == DirState::Shared,
-                        "overflowed entry not Shared");
-        }
-    });
 }
 
 } // namespace swex

@@ -95,12 +95,6 @@ class HomeController
     const HomeConfig &config() const { return cfg; }
     NodeServices &services() { return node; }
 
-    /**
-     * Debug invariant check: every entry's bookkeeping is internally
-     * consistent (panics otherwise). Used by tests.
-     */
-    void checkInvariants() const;
-
     // --------------------------------------------------------------
     // Statistics (declared first: members below register into them)
     // --------------------------------------------------------------

@@ -12,8 +12,11 @@
  * version constant anywhere.
  *
  * Components:
- *  - core: the simulation substrate every run shares (event kernel,
- *    machine/node/processor timing, caches, network, delivery).
+ *  - core: what every run shares: the event kernel, machine, node
+ *    and processor timing, caches, network and delivery, the runtime;
+ *    base (stats rendering, JSON number encoding, mix64); the auditor
+ *    (transition counts, and the quiescent sweep every run ends
+ *    with); and exp/runner.cc, which assembles the record.
  *  - apps: the workload kernels and the registry defaults.
  *  - directory: the software-extended directory stack (home
  *    controller, ext directory, handler cost model).
@@ -62,7 +65,7 @@ const GeneratedFingerprints &generatedFingerprints();
  *  to exercise component-scoped invalidation. */
 struct CodeVersions
 {
-    std::uint64_t core = 1;        ///< sim kernel, machine, mem, net
+    std::uint64_t core = 1;        ///< shared substrate (see above)
     std::uint64_t apps = 1;        ///< workload kernels + registry
     std::uint64_t directory = 1;   ///< directory protocol stack
     std::uint64_t snoop = 1;       ///< snooping bus backend

@@ -125,16 +125,15 @@ class ResultCache
     };
     Counters counters() const;
 
+  private:
     /**
      * Evict LRU-by-mtime entries until the directory fits the budget
-     * (no-op when unbounded). store() calls this automatically;
-     * exposed so a server can re-enforce after external deletions.
+     * (no-op when unbounded); construction and store() call it.
      * Serialized on an internal mutex; concurrent lookups of a file
      * being evicted read a plain miss and recompute.
      */
     void enforceBudget() const;
 
-  private:
     std::string _dir;
     CodeVersions _versions;
     Budget _budget;

@@ -263,20 +263,10 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
     }
 
     if (record.failed()) {
-        // The run was abandoned mid-transaction: verification and the
-        // invariant checks (which panic on transient directory state)
-        // are meaningless. Record what stalled instead.
+        // The run was abandoned mid-transaction, so it was not swept
+        // and cannot be verified. Record what stalled instead.
         record.lastProgress = m.lastProgressTick();
-        if (spec.audit && !spec.sequential) {
-            record.stallSummary = auditor.stallSummary();
-        } else {
-            // Attach a post-mortem auditor just for its directory
-            // views; the run is over, so this observes, never alters.
-            CoherenceAuditor post(CoherenceAuditor::Mode::Collect);
-            m.attachAuditor(&post);
-            record.stallSummary = post.stallSummary();
-            m.attachAuditor(nullptr);
-        }
+        record.stallSummary = m.backend->stallSummary();
     } else if (prog) {
         // Replay cannot run the app's own verify(): host-side
         // expectation counters (e.g. TSP's expansion count) only
@@ -290,10 +280,8 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
             record.simCycles != meta.recordedCycles) {
             record.verified = false;
         }
-        m.checkInvariants();
     } else {
         record.verified = app->verify(m);
-        m.checkInvariants();
     }
     record.imageHash = m.imageHash();
     if (spec.audit && !spec.sequential) {

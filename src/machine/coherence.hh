@@ -260,10 +260,16 @@ class CoherenceBackend
 
     /**
      * Model-level quiescence checks after a run drains (the bus must
-     * be idle, no MSHR outstanding). Violations are reported through
-     * @p a when non-null, else panic.
+     * be idle, no MSHR outstanding), reported to @p a.
      */
-    virtual void auditQuiescent(CoherenceAuditor *) {}
+    virtual void auditQuiescent(CoherenceAuditor &) const {}
+
+    /**
+     * What a run abandoned at its deadline left stuck, one line per
+     * item and capped (a directory's transactions in transient
+     * states, the bus's queued transactions); empty when nothing is.
+     */
+    virtual std::string stallSummary() const = 0;
 
     /** Total protocol transactions carried (RunRecord "messages"). */
     virtual std::uint64_t trafficMessages() const = 0;

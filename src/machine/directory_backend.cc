@@ -240,6 +240,44 @@ DirectoryBackend::makeNode(Node &node)
     return nc;
 }
 
+std::string
+DirectoryBackend::stallSummary() const
+{
+    constexpr std::size_t maxLines = 16;
+    std::string out;
+    std::size_t lines = 0, suppressed = 0;
+    for (const auto &node : _m.nodes) {
+        const HomeController &home = *node->coh->home();
+        home.dir.forEach([&](Addr a, const DirEntry &e) {
+            if (e.state == DirState::Uncached ||
+                e.state == DirState::Shared ||
+                e.state == DirState::Exclusive) {
+                return;
+            }
+            if (lines >= maxLines) {
+                ++suppressed;
+                return;
+            }
+            ++lines;
+            out += strfmt("home %d block %#llx stuck in %s "
+                          "(pending node %d, %u acks outstanding%s)\n",
+                          static_cast<int>(node->id()),
+                          static_cast<unsigned long long>(a),
+                          dirStateName(e.state),
+                          static_cast<int>(e.pendingNode), e.ackCount,
+                          e.trapPending() ? ", trap queued" : "");
+        });
+        if (home.deferredCount() != 0) {
+            out += strfmt("home %d holds %zu deferred requests\n",
+                          static_cast<int>(node->id()),
+                          home.deferredCount());
+        }
+    }
+    if (suppressed > 0)
+        out += strfmt("(%zu more stalled transactions)\n", suppressed);
+    return out;
+}
+
 std::uint64_t
 DirectoryBackend::trafficMessages() const
 {

@@ -76,6 +76,7 @@ class DirectoryBackend final : public CoherenceBackend
 
     std::string protocolName() const override;
     std::unique_ptr<NodeCoherence> makeNode(Node &node) override;
+    std::string stallSummary() const override;
     std::uint64_t trafficMessages() const override;
 
   private:

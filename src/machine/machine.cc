@@ -136,12 +136,11 @@ Machine::runMainLoop(Tick start)
 
     while (running > 0) {
         if (!eventq.runOne()) {
-            if (deadlineTick) {
-                _runStatus = RunStatus::Deadlocked;
-                return eventq.curTick() - start;
-            }
-            panic("deadlock: %d threads blocked with no events",
-                  running);
+            SWEX_ASSERT(deadlineTick,
+                        "deadlock: %d threads blocked with no events",
+                        running);
+            _runStatus = RunStatus::Deadlocked;
+            return eventq.curTick() - start;
         }
         if (deadlineTick) {
             if (eventq.curTick() > deadlineTick) {
@@ -166,19 +165,8 @@ Machine::runMainLoop(Tick start)
     } else {
         eventq.run();
     }
-    if (_auditor)
-        _auditor->checkQuiescent();
-    backend->auditQuiescent(_auditor);
-    network.checkDeliveryQuiescent(
-        [this](NodeId src, NodeId dst, const std::string &what) {
-            if (_auditor) {
-                _auditor->deliveryViolation(src, dst, what);
-            } else {
-                panic("delivery violation %d->%d: %s",
-                      static_cast<int>(src), static_cast<int>(dst),
-                      what.c_str());
-            }
-        });
+    // Every completed run ends with the quiescent sweep.
+    checkInvariants();
     return eventq.curTick() - start;
 }
 
@@ -191,11 +179,16 @@ Machine::attachAuditor(CoherenceAuditor *a)
             h->setAuditHook(a);
     }
     backend->attachAuditor(a);
-    if (!a)
-        return;
-    a->setHomeOf([this](Addr addr) { return homeOf(addr); });
-    for (auto &node : nodes)
-        a->addNode({node->id(), node->coh->home(), &node->cache()});
+    if (a)
+        registerNodes(*a);
+}
+
+void
+Machine::registerNodes(CoherenceAuditor &a) const
+{
+    a.setHomeOf([this](Addr addr) { return homeOf(addr); });
+    for (const auto &node : nodes)
+        a.addNode({node->id(), node->coh->home(), &node->cache()});
 }
 
 std::uint64_t
@@ -292,68 +285,26 @@ Machine::debugWrite(Addr a, Word v)
 }
 
 void
-Machine::checkCoherence() const
-{
-    // At most one cache may hold data newer than memory
-    // (Modified/Owned), and a Modified or Exclusive line must be the
-    // sole copy. Owned lines (snooping MOESI/Dragon) legitimately
-    // coexist with Shared peers. Every data copy goes into one
-    // vector, sorted so each block's copies are adjacent.
-    struct Copy
-    {
-        Addr block;
-        bool dirty;
-        bool sole;   ///< Modified or Exclusive: claims the only copy
-    };
-    std::vector<Copy> copies;
-    for (const auto &node : nodes) {
-        node->cache().forEachLine([&](const CacheLine &line) {
-            if (line.state == LineState::Instr)
-                return;
-            copies.push_back({line.blockAddr, line.dirty(),
-                              line.state == LineState::Modified ||
-                                  line.state == LineState::Exclusive});
-        });
-    }
-    std::sort(copies.begin(), copies.end(),
-              [](const Copy &x, const Copy &y) {
-                  return x.block < y.block;
-              });
-    for (std::size_t i = 0; i < copies.size();) {
-        const Addr addr = copies[i].block;
-        int n = 0, dirty = 0, sole = 0;
-        for (; i < copies.size() && copies[i].block == addr; ++i, ++n) {
-            dirty += copies[i].dirty;
-            sole += copies[i].sole;
-        }
-        SWEX_ASSERT(dirty <= 1, "%d dirty copies of block %#llx", dirty,
-                    static_cast<unsigned long long>(addr));
-        SWEX_ASSERT(sole == 0 || n == 1,
-                    "exclusive block %#llx also cached elsewhere (%d)",
-                    static_cast<unsigned long long>(addr), n);
-    }
-}
-
-void
 Machine::checkInvariants() const
 {
-    for (const auto &node : nodes) {
-        if (const HomeController *h = node->coh->home())
-            h->checkInvariants();
-    }
-    checkCoherence();
+    // Without an attached auditor, a fresh Panic-mode one that sees
+    // every node but hooks nothing aborts on the first violation.
+    CoherenceAuditor local(CoherenceAuditor::Mode::Panic);
+    if (!_auditor)
+        registerNodes(local);
+    CoherenceAuditor &a = _auditor ? *_auditor : local;
+    a.checkQuiescent();
+    backend->auditQuiescent(a);
+    network.checkDeliveryQuiescent(
+        [&a](NodeId src, NodeId dst, const std::string &what) {
+            a.deliveryViolation(src, dst, what);
+        });
 }
 
 void
 Machine::dumpStats(std::ostream &os) const
 {
     root.dump(os);
-}
-
-void
-Machine::resetStats()
-{
-    root.reset();
 }
 
 double

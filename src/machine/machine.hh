@@ -239,21 +239,22 @@ class Machine
     void debugWrite(Addr a, Word v);
 
     /**
-     * Check system-wide coherence invariants: at most one dirty copy
-     * per block, and a dirty copy excludes all other copies. Panics
-     * on violation. Call at quiescence.
+     * The quiescent sweep (CoherenceAuditor::checkQuiescent) plus the
+     * machine model's and the delivery layer's quiescence checks, all
+     * reported to the attached auditor, or, when none is attached, to
+     * a fresh Panic-mode auditor that sees every node but hooks
+     * nothing. Every completed run() ends with it; call it only at
+     * quiescence.
      */
-    void checkCoherence() const;
-
-    /** Per-node directory invariants. */
     void checkInvariants() const;
 
     /**
-     * Attach a CoherenceAuditor: registers every node with it, hooks
-     * it into every home controller, and arranges for a full
-     * quiescent audit after each run() drains. The auditor is
-     * observation-only (no simulated cycles); it must outlive the
-     * machine or be detached with attachAuditor(nullptr).
+     * Attach a CoherenceAuditor: registers every node with it and
+     * hooks it into every home controller and the bus, so it checks
+     * each transition and collects what each run's quiescent sweep
+     * finds. The auditor is observation-only (no simulated cycles);
+     * it must outlive the machine or be detached with
+     * attachAuditor(nullptr).
      */
     void attachAuditor(CoherenceAuditor *a);
 
@@ -270,7 +271,6 @@ class Machine
     // ---- statistics ----------------------------------------------------
 
     void dumpStats(std::ostream &os) const;
-    void resetStats();
 
     /** Aggregate a named per-node scalar stat over all nodes. */
     double sumStat(const std::string &path) const;
@@ -309,6 +309,9 @@ class Machine
   private:
     /** The shared event loop + drain behind run() and runReplay(). */
     Tick runMainLoop(Tick start);
+
+    /** Register every node and the address map with @p a. */
+    void registerNodes(CoherenceAuditor &a) const;
 
     MachineConfig cfg;
     std::unique_ptr<TraceRecorder> _recorder;

@@ -387,13 +387,10 @@ void
 SnoopBackend::attachAuditor(CoherenceAuditor *a)
 {
     _auditor = a;
-    if (a) {
-        a->setModelStallSummary([this] { return pendingSummary(); });
-    }
 }
 
 std::string
-SnoopBackend::pendingSummary() const
+SnoopBackend::stallSummary() const
 {
     if (_queue.empty())
         return {};
@@ -413,28 +410,18 @@ SnoopBackend::pendingSummary() const
 }
 
 void
-SnoopBackend::auditQuiescent(CoherenceAuditor *a)
+SnoopBackend::auditQuiescent(CoherenceAuditor &a) const
 {
-    auto violation = [&](NodeId node, Addr block,
-                         const std::string &what) {
-        if (a) {
-            a->modelViolation(node, block, what);
-        } else {
-            panic("snoop quiescence: node %d block %#llx: %s",
-                  static_cast<int>(node),
-                  static_cast<unsigned long long>(block), what.c_str());
-        }
-    };
-
     for (const BusTxn &t : _queue) {
-        violation(t.node, t.blockAddr,
-                  strfmt("%s transaction still queued at quiescence",
-                         t.writeback ? "writeback" : "demand"));
+        a.modelViolation(t.node, t.blockAddr,
+                         strfmt("%s transaction still queued at "
+                                "quiescence",
+                                t.writeback ? "writeback" : "demand"));
     }
     for (std::size_t i = 0; i < _ctrls.size(); ++i) {
         if (_ctrls[i] && _ctrls[i]->missOutstanding()) {
-            violation(static_cast<NodeId>(i), 0,
-                      "MSHR still valid at quiescence");
+            a.modelViolation(static_cast<NodeId>(i), 0,
+                             "MSHR still valid at quiescence");
         }
     }
 }

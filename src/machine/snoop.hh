@@ -82,7 +82,8 @@ class SnoopBackend final : public CoherenceBackend
     std::string protocolName() const override;
     std::unique_ptr<NodeCoherence> makeNode(Node &node) override;
     void attachAuditor(CoherenceAuditor *a) override;
-    void auditQuiescent(CoherenceAuditor *a) override;
+    void auditQuiescent(CoherenceAuditor &a) const override;
+    std::string stallSummary() const override;
     std::uint64_t trafficMessages() const override;
 
     // ---- bus --------------------------------------------------------
@@ -107,8 +108,6 @@ class SnoopBackend final : public CoherenceBackend
     /** Memory access by global address (the segment's backing DRAM). */
     const DataBlock &memRead(Addr block_addr) const;
     void memWrite(Addr block_addr, const DataBlock &data);
-
-    std::string pendingSummary() const;
 
     SnoopProtocol protocol() const { return _proto; }
     const SnoopBusConfig &busConfig() const { return _bus; }

@@ -369,13 +369,6 @@ class WorkQueue
         co_return take;
     }
 
-    /** Mark one popped item's processing complete. */
-    Task<void>
-    finishItem(Mem &m)
-    {
-        co_await m.fetchAdd(_pending, static_cast<Word>(-1));
-    }
-
     /** Mark @p n popped items complete in one operation. */
     Task<void>
     finishItems(Mem &m, std::size_t n)

@@ -293,6 +293,201 @@ TEST(AuditClean, EveryProtocolPassesUnderContention)
 }
 
 // ------------------------------------------------------------------
+// Every quiescent rule, pinned: a finished run's machine is corrupted
+// by hand (a cache fill or a directory-entry edit) and the sweep must
+// name the rule the corruption breaks.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** One hand-made corruption of a quiescent 4-node machine. */
+struct Corruption
+{
+    const char *what;
+    MachineConfig mc;
+    /** Node 0 writes 5 into the block; else nodes 0..readers-1 read it. */
+    bool write;
+    int readers;
+    void (*corrupt)(Machine &m, Addr block);
+    const char *rule;   ///< fragment of the violation the sweep reports
+};
+
+MachineConfig
+dirConfig(ProtocolConfig p)
+{
+    MachineConfig mc;
+    mc.numNodes = 4;
+    mc.protocol = p;
+    return mc;
+}
+
+MachineConfig
+busConfig(SnoopProtocol p)
+{
+    MachineConfig mc;
+    mc.numNodes = 4;
+    mc.machineModel = MachineModel::Snoop;
+    mc.snoopProtocol = p;
+    return mc;
+}
+
+DataBlock
+blockOf(Word w0)
+{
+    DataBlock d;
+    d.words[0] = w0;
+    return d;
+}
+
+DirEntry &
+entryOf(Machine &m, Addr block)
+{
+    return m.nodes[static_cast<std::size_t>(m.homeOf(block))]
+        ->coh->home()->dir.entry(block);
+}
+
+const Corruption kCorruptions[] = {
+    {"directory: second Modified copy",
+     dirConfig(ProtocolConfig::hw(5)), true, 0,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Modified, blockOf(6));
+     },
+     "two dirty copies"},
+    {"bus: second Modified copy", busConfig(SnoopProtocol::Mesi), true,
+     0,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Modified, blockOf(6));
+     },
+     "two dirty copies"},
+    {"directory: Modified copy beside a Shared one",
+     dirConfig(ProtocolConfig::hw(5)), true, 0,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Shared, blockOf(5));
+     },
+     "in an exclusive state"},
+    {"bus: Modified copy beside a Shared one",
+     busConfig(SnoopProtocol::Mesi), true, 0,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Shared, blockOf(5));
+     },
+     "in an exclusive state"},
+    {"bus: Exclusive copy beside a Shared one",
+     busConfig(SnoopProtocol::Mesi), false, 1,
+     [](Machine &m, Addr b) {
+         ASSERT_EQ(m.nodes[0]->cache().peek(b)->state,
+                   LineState::Exclusive);
+         m.nodes[3]->cache().fill(b, LineState::Shared, blockOf(0));
+     },
+     "in an exclusive state"},
+    {"bus: two Forward copies", busConfig(SnoopProtocol::Mesif), false,
+     2,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Forward, blockOf(0));
+     },
+     "two Forward copies"},
+    {"directory: Shared copies disagree",
+     dirConfig(ProtocolConfig::hw(5)), false, 4,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Shared, blockOf(6));
+     },
+     "copies diverge"},
+    {"bus: Shared copies disagree", busConfig(SnoopProtocol::Mesi),
+     false, 4,
+     [](Machine &m, Addr b) {
+         m.nodes[3]->cache().fill(b, LineState::Shared, blockOf(6));
+     },
+     "copies diverge"},
+    {"directory: too many pointers", dirConfig(ProtocolConfig::hw(2)),
+     false, 1,
+     [](Machine &m, Addr b) {
+         DirEntry &e = entryOf(m, b);
+         e.ptrs = {0, 1, 3};
+         e.ptrCount = 3;
+     },
+     "3 hardware pointers recorded; at most 2 legal"},
+    {"directory: Exclusive entry without its owner pointer",
+     dirConfig(ProtocolConfig::hw(5)), true, 0,
+     [](Machine &m, Addr b) { entryOf(m, b).ptrCount = 0; },
+     "Exclusive without exactly one owner pointer"},
+    {"directory: overflowed entry that is not Shared",
+     dirConfig(ProtocolConfig::hw(5)), true, 0,
+     [](Machine &m, Addr b) { entryOf(m, b).overflowed = true; },
+     "overflowed bit set in state Exclusive"},
+};
+
+/** Run @p c's program to quiescence; returns its block (homed at
+ *  node 2, so every node but the home is a remote holder). */
+Addr
+runToQuiescence(Machine &m, const Corruption &c)
+{
+    Addr block = m.allocOn(2, blockBytes, blockBytes);
+    m.run([&](Mem &mem, int) -> Task<void> {
+        if (c.write)
+            co_await mem.write(block, 5);
+        else
+            co_await mem.read(block);
+    }, c.write ? 1 : c.readers);
+    return block;
+}
+
+} // anonymous namespace
+
+TEST(AuditQuiescent, EveryRuleIsNamedOnACorruptedMachine)
+{
+    for (const Corruption &c : kCorruptions) {
+        SCOPED_TRACE(c.what);
+        Machine m(c.mc);
+        Addr block = runToQuiescence(m, c);
+        CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
+        m.attachAuditor(&auditor);
+        auditor.checkQuiescent();
+        EXPECT_EQ(auditor.violationCount(), 0u);
+
+        c.corrupt(m, block);
+        auditor.checkQuiescent();
+        EXPECT_TRUE(anyViolationContains(auditor, c.rule));
+        m.attachAuditor(nullptr);
+    }
+}
+
+TEST(AuditQuiescentDeath, UnauditedCheckPanicsWithTheSameRule)
+{
+    // With no auditor attached, Machine::checkInvariants sweeps
+    // through a Panic-mode auditor: the first violation it meets is
+    // the corruption's rule.
+    for (const Corruption &c : kCorruptions) {
+        SCOPED_TRACE(c.what);
+        Machine m(c.mc);
+        Addr block = runToQuiescence(m, c);
+        m.checkInvariants();
+        c.corrupt(m, block);
+        EXPECT_DEATH(m.checkInvariants(), c.rule);
+    }
+}
+
+TEST(AuditMutationDeath, DropPointerPanicsAtTheEndOfAnUnauditedRun)
+{
+    if (!mutationsCompiled)
+        GTEST_SKIP() << "built without SWEX_MUTATIONS";
+
+    // DropPointerCaughtAtQuiescence's run without an auditor: every
+    // completed run ends with the quiescent sweep, so the uncovered
+    // readers abort the run itself.
+    MachineConfig mc;
+    mc.numNodes = 4;
+    mc.protocol = ProtocolConfig::hw(5);
+    mc.mutation = ProtocolMutation::DropPointer;
+    Machine m(mc);
+    Addr block = m.allocOn(0, blockBytes, blockBytes);
+    m.debugWrite(block, 42);
+    EXPECT_DEATH(m.run([&](Mem &mem, int) -> Task<void> {
+        co_await mem.read(block);
+    }),
+                 "does not cover");
+}
+
+// ------------------------------------------------------------------
 // Seeded network jitter: a determinism stressor, not a chaos monkey.
 // ------------------------------------------------------------------
 

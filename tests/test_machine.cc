@@ -529,9 +529,11 @@ TEST(MachineCoherenceDeath, SecondDirtyCopyPanics)
     m.run([&](Mem &mem, int) -> Task<void> {
         co_await mem.write(a, 5);
     }, 1);
-    m.checkCoherence();
+    m.checkInvariants();
     DataBlock stale;
     stale.words = {6, 0};
     m.nodes[3]->cache().fill(a, LineState::Modified, stale);
-    EXPECT_DEATH(m.checkCoherence(), "2 dirty copies of block");
+    EXPECT_DEATH(m.checkInvariants(),
+                 "two dirty copies: nodes 0 \\(Modified\\) and 3 "
+                 "\\(Modified\\)");
 }

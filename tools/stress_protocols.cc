@@ -282,7 +282,7 @@ failureReport(const ExperimentSpec &spec, const std::string &label,
     for (const AuditViolation &v : auditor.violations())
         os << "  audit: " << v.describe() << "\n";
     if (m.runStatus() != Machine::RunStatus::Completed) {
-        std::string stalls = auditor.stallSummary();
+        std::string stalls = m.backend->stallSummary();
         if (!stalls.empty())
             os << "stalled transactions:\n" << stalls;
     }

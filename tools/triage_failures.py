@@ -14,8 +14,9 @@ Usage:
   tools/triage_failures.py run1.json [run2.json ...]
   tools/triage_failures.py --self-test
 
-Stall summaries come from the auditor's stallSummary (directory
-machines) and SnoopBus::stallSummary (bus machines):
+Stall summaries come from the machine model's stallSummary
+(DirectoryBackend on directory machines, SnoopBackend on bus
+machines):
 
   home 3 block 0x1a40 stuck in PendWrite (pending node 2, 5 acks
   outstanding)
