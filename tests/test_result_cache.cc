@@ -317,6 +317,55 @@ TEST(ResultCache, MissThenStoreThenByteIdenticalHit)
     EXPECT_FALSE(rcache.contains(other));
 }
 
+TEST(ResultCache, ExperimentKeysArePinned)
+{
+    // Every result-cache key, entry file name and exact-config trace
+    // name derives from these two hashes; a refactor of the machine
+    // configuration must leave them unchanged.
+    auto spec = [](const std::string &id) {
+        return ExperimentSpec{.id = id,
+                              .app = "worker",
+                              .params = {{"wss", "8"}},
+                              .nodes = 16,
+                              .victimEntries = 6};
+    };
+    ExperimentSpec dir = spec("fp/dir");
+    ExperimentSpec snoop = spec("fp/snoop");
+    snoop.machineModel = MachineModel::Snoop;
+    snoop.snoopProtocol = SnoopProtocol::Mesif;
+    snoop.busArbitration = BusArbitration::RoundRobin;
+    ExperimentSpec faults = spec("fp/faults");
+    faults.protocol = ProtocolConfig::hw(1);
+    faults.jitterMax = 37;
+    faults.jitterSeed = 3;
+    faults.faultDropPerMille = 20;
+    faults.faultDupPerMille = 10;
+    faults.faultBlackoutPerMille = 5;
+    faults.faultSeed = 3;
+    faults.deadline = 20'000'000;
+    ExperimentSpec seq = spec("fp/seq");
+    seq.sequential = true;
+
+    struct Pin
+    {
+        const ExperimentSpec &spec;
+        std::uint64_t fingerprint;
+        std::uint64_t key;
+    };
+    const Pin pins[] = {
+        {dir, 0x82fb698cf3e0023aull, 0x537300ea35f90865ull},
+        {snoop, 0x8ac5dce0f2b2d63dull, 0xe5d237438d6f64c0ull},
+        {faults, 0x90c31744cd1540a9ull, 0x83eb0154efde0c90ull},
+        {seq, 0x4cde9e0379de8ba6ull, 0x44c9f142a202e752ull},
+    };
+    for (const Pin &p : pins) {
+        SCOPED_TRACE(p.spec.id);
+        EXPECT_EQ(trace::configFingerprint(Runner::machineFor(p.spec)),
+                  p.fingerprint);
+        EXPECT_EQ(cache::ResultCache::specKey(p.spec), p.key);
+    }
+}
+
 TEST(ResultCache, InvalidationIsComponentScoped)
 {
     setQuiet(true);
