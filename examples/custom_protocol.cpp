@@ -61,7 +61,7 @@ main()
         MachineConfig cfg;
         cfg.numNodes = 32;
         cfg.protocol = ProtocolConfig::hw(5);
-        cfg.cacheCtrl.victimEntries = 6;
+        cfg.victimEntries = 6;
         Machine m(cfg);
 
         Addr flag = m.allocOn(0, blockBytes, blockBytes);

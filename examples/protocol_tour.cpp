@@ -52,7 +52,7 @@ main()
     MachineConfig seq_cfg;
     seq_cfg.numNodes = 1;
     seq_cfg.protocol = ProtocolConfig::fullMap();
-    seq_cfg.cacheCtrl.victimEntries = 6;
+    seq_cfg.victimEntries = 6;
     Machine seq_m(seq_cfg);
     Tick t_seq = seq_app.runSequential(seq_m);
 
@@ -69,7 +69,7 @@ main()
         MachineConfig cfg;
         cfg.numNodes = nodes;
         cfg.protocol = pt.protocol;
-        cfg.cacheCtrl.victimEntries = 6;
+        cfg.victimEntries = 6;
         Machine m(cfg);
         Tick t = app.runParallel(m);
         if (!app.verify(m)) {

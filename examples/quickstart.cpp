@@ -23,7 +23,7 @@ main()
     MachineConfig cfg;
     cfg.numNodes = 16;
     cfg.protocol = ProtocolConfig::hw(5);   // Dir_n H_5 S_NB
-    cfg.cacheCtrl.victimEntries = 6;
+    cfg.victimEntries = 6;
     Machine m(cfg);
 
     // 2. Lay out shared data: a histogram all nodes update, guarded

@@ -254,7 +254,7 @@ HomeController::send(CoherenceInterface *ci, MsgType type, Addr a,
     }
     // A handler's message leaves at the cycle the handler issues it;
     // the hardware's after its DRAM access or control synthesis.
-    Cycles fixed = m.hasData ? cfg.memLatency : cfg.hwCtrlLatency;
+    Cycles fixed = m.hasData ? memLatency : hwCtrlLatency;
     node.sendMsg(m, ci ? ci->elapsed() : fixed);
     if (type == MsgType::Inv && audit)
         audit->onInvSent(home, a);

@@ -35,13 +35,13 @@
 namespace swex
 {
 
-/** Timing and behavior knobs for the home-side controller. */
+constexpr Cycles hwCtrlLatency = 2;    ///< hw-synthesized control replies
+
+/** Behavior knobs for the home-side controller. */
 struct HomeConfig
 {
     ProtocolConfig protocol;
     HandlerProfile profile = HandlerProfile::FlexibleC;
-    Cycles memLatency = 10;      ///< DRAM access for data replies
-    Cycles hwCtrlLatency = 2;    ///< hw-synthesized control replies
     bool parallelInv = false;    ///< Section 7: pipelined sw invals
 
     /** Auditor-validation bug injection (see ProtocolMutation); only

@@ -121,7 +121,7 @@ Runner::machineFor(const ExperimentSpec &spec)
         // extension never invoked), victim caching on.
         mc.numNodes = 1;
         mc.protocol = ProtocolConfig::fullMap();
-        mc.cacheCtrl.victimEntries = 6;
+        mc.victimEntries = 6;
     } else {
         mc = spec.machine();
     }

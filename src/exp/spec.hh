@@ -92,7 +92,6 @@ struct ExperimentSpec
     unsigned faultDropPerMille = 0;
     unsigned faultDupPerMille = 0;
     unsigned faultBlackoutPerMille = 0;
-    Cycles faultBlackoutMax = 512;
 
     /** Seed for the fault stream; 0 reuses the run seed. */
     std::uint64_t faultSeed = 0;
@@ -120,13 +119,13 @@ struct ExperimentSpec
         mc.numNodes = nodes;
         mc.machineModel = machineModel;
         mc.snoopProtocol = snoopProtocol;
-        mc.bus.arbitration = busArbitration;
+        mc.busArbitration = busArbitration;
         mc.protocol = protocol;
         mc.profile = profile;
         mc.parallelInv = parallelInv;
         mc.perfectIfetch = perfectIfetch;
         mc.trackSharing = trackSharing;
-        mc.cacheCtrl.victimEntries = victimEntries;
+        mc.victimEntries = victimEntries;
         mc.seed = seed;
         mc.mutation = mutation;
         mc.net.jitterMax = jitterMax;
@@ -134,7 +133,6 @@ struct ExperimentSpec
         mc.net.faults.dropPerMille = faultDropPerMille;
         mc.net.faults.dupPerMille = faultDupPerMille;
         mc.net.faults.blackoutPerMille = faultBlackoutPerMille;
-        mc.net.faults.blackoutMax = faultBlackoutMax;
         mc.net.faults.seed = faultSeed != 0 ? faultSeed : seed;
         mc.deadline = deadline;
         return mc;

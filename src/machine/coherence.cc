@@ -60,15 +60,14 @@ parseBusArbitration(const std::string &s, BusArbitration &out)
     return false;
 }
 
-NodeCoherence::NodeCoherence(Node &node, const CacheCtrlConfig &config)
+NodeCoherence::NodeCoherence(Node &node, unsigned victim_entries)
     : statsGroup(&node.statsGroup, "cachectrl"),
       loads(&statsGroup, "loads", "load operations"),
       stores(&statsGroup, "stores", "store operations"),
       atomics(&statsGroup, "atomics", "atomic operations"),
       missLatency(nullptr, "missLatency",
                   "miss issue-to-complete latency in cycles"),
-      _node(node), cfg(config),
-      _cache(config.cacheBytes, config.victimEntries, &statsGroup)
+      _node(node), _cache(cacheBytes, victim_entries, &statsGroup)
 {
 }
 
@@ -81,8 +80,7 @@ NodeCoherence::issue(MemOpType type, Addr addr, Word operand)
     CacheLine *line = _cache.access(baddr, victim_hit);
     if (victim_hit)
         ++_cache.victimHits;
-    Cycles lat = cfg.hitLatency +
-                 (victim_hit ? cfg.victimSwapLatency : 0);
+    Cycles lat = hitLatency + (victim_hit ? victimSwapLatency : 0);
 
     if (type == MemOpType::Load) {
         ++loads;
@@ -127,7 +125,7 @@ NodeCoherence::instrTouch(Addr block_addr)
             ++_cache.instrHits;
             if (victim_hit) {
                 ++_cache.victimHits;
-                return cfg.victimSwapLatency;
+                return victimSwapLatency;
             }
             return 0;
         }
@@ -137,7 +135,7 @@ NodeCoherence::instrTouch(Addr block_addr)
     }
     ++_cache.instrMisses;
     fill(block_addr, LineState::Instr, DataBlock{});
-    return cfg.instrMissLatency;
+    return instrMissLatency;
 }
 
 Word

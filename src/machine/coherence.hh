@@ -77,29 +77,12 @@ const char *busArbitrationName(BusArbitration a);
  *  names none. */
 bool parseBusArbitration(const std::string &s, BusArbitration &out);
 
-/** Shared-bus timing knobs (MachineModel::Snoop only). */
-struct SnoopBusConfig
-{
-    Cycles addrCycles = 2;   ///< address/snoop phase occupancy
-    Cycles dataCycles = 4;   ///< one block transfer on the data bus
-    Cycles updCycles = 1;    ///< one word broadcast (Dragon BusUpd)
-    Cycles c2cLatency = 2;   ///< owner-cache turnaround before supply
-    BusArbitration arbitration = BusArbitration::Fifo;
-};
-
-/** Cache-side timing knobs. */
-struct CacheCtrlConfig
-{
-    unsigned cacheBytes = 64 * 1024;
-    unsigned victimEntries = 0;      ///< 0 disables the victim cache
-    Cycles hitLatency = 1;
-    Cycles victimSwapLatency = 2;    ///< extra cycles on a victim hit
-    Cycles fillLatency = 2;          ///< grant arrival to resume
-    Cycles missIssueLatency = 2;     ///< detect miss + compose request
-    Cycles instrMissLatency = 10;    ///< ifetch fill from local memory
-    Cycles retryBase = 8;            ///< busy-retry backoff base
-    Cycles retryCap = 2048;
-};
+// Cache-side timing, shared by both machine models.
+constexpr unsigned cacheBytes = 64 * 1024;
+constexpr Cycles hitLatency = 1;
+constexpr Cycles victimSwapLatency = 2;    ///< extra cycles on a victim hit
+constexpr Cycles fillLatency = 2;          ///< grant arrival to resume
+constexpr Cycles instrMissLatency = 10;    ///< ifetch fill from local memory
 
 /**
  * A node's processor-side cache controller. Owns the node's cache,
@@ -110,7 +93,8 @@ struct CacheCtrlConfig
 class NodeCoherence
 {
   public:
-    NodeCoherence(Node &node, const CacheCtrlConfig &cfg);
+    /** @param victim_entries victim-cache size (0 disables it) */
+    NodeCoherence(Node &node, unsigned victim_entries);
     virtual ~NodeCoherence() = default;
 
     NodeCoherence(const NodeCoherence &) = delete;
@@ -223,7 +207,6 @@ class NodeCoherence
     void finishMiss(Word value, Cycles delay);
 
     Node &_node;
-    const CacheCtrlConfig cfg;
     Mshr mshr;
 
   private:

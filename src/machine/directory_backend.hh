@@ -17,6 +17,10 @@
 namespace swex
 {
 
+constexpr Cycles missIssueLatency = 2;     ///< detect miss + compose request
+constexpr Cycles retryBase = 8;            ///< busy-retry backoff base
+constexpr Cycles retryCap = 2048;
+
 /** One node's directory-model engine: cache side + home side. */
 class DirectoryNodeCoherence final : public NodeCoherence
 {

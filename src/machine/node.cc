@@ -15,14 +15,10 @@ procConfig(const MachineConfig &mc)
 {
     ProcessorConfig pc;
     pc.perfectIfetch = mc.perfectIfetch;
-    if (mc.machineModel == MachineModel::Snoop) {
-        // No software-extension traps on the bus path, hence nothing
-        // for the watchdog to flush.
-        pc.watchdog = false;
-    } else {
-        pc.watchdog = mc.watchdog < 0 ? mc.protocol.needsWatchdog()
-                                      : mc.watchdog != 0;
-    }
+    // No software-extension traps on the bus path, hence nothing for
+    // the watchdog to flush.
+    pc.watchdog = mc.machineModel == MachineModel::Directory &&
+                  mc.protocol.needsWatchdog();
     return pc;
 }
 
@@ -88,7 +84,7 @@ Node::receiveMessage(const Message &msg)
     // message at a time.
     Tick now = eventq().curTick();
     Tick start = std::max(now, rxFreeAt);
-    rxFreeAt = start + _machine.config().rxOccupancy;
+    rxFreeAt = start + rxOccupancy;
     PooledMsgEvent &ev = _machine.network.msgPool().acquire(
         this, &Node::rxDispatchHandler, EventPrio::Controller);
     ev.msg = msg;

@@ -24,6 +24,8 @@ namespace swex
 class HomeController;
 class Machine;
 
+constexpr Cycles rxOccupancy = 2;         ///< CMMU receive-side serialization
+
 class Node : public MsgReceiver, public NodeServices
 {
   public:

@@ -101,8 +101,7 @@ Processor::replayBatchWindow(Cycles delay)
         return false;
     EventQueue &q = _node.eventq();
     Tick done = q.curTick() + delay;
-    if (done >= q.nextPendingTick() ||
-        done > _node.machine().config().maxTicks)
+    if (done >= q.nextPendingTick() || done > maxTicks)
         return false;
     q.advanceTo(done);
     return true;
@@ -289,14 +288,14 @@ Processor::startNextHandler()
 
     bool user_pending = memResumeReady || workCont != nullptr;
     if (cfg.watchdog && user_pending &&
-        handlersSinceUser >= cfg.watchdogThreshold) {
+        handlersSinceUser >= watchdogThreshold) {
         // Livelock watchdog (Section 4.1): shut off asynchronous
         // handler processing and let user code run unmolested.
         ++watchdogFirings;
         watchdogActive = true;
         handlerActive = false;
         handlersSinceUser = 0;
-        _node.eventq().scheduleIn(watchdogEvent, cfg.watchdogWindow);
+        _node.eventq().scheduleIn(watchdogEvent, watchdogWindow);
         tryRunUser();
         return;
     }

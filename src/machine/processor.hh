@@ -44,13 +44,15 @@ enum class MemOpType : std::uint8_t
     Swap,       ///< atomic swap, returns old value
 };
 
-/** Processor timing/behavior knobs. */
+// Livelock watchdog (Section 4.1).
+constexpr Cycles watchdogWindow = 1000;   ///< user-only window when starved
+constexpr unsigned watchdogThreshold = 8; ///< handlers in a row to trigger
+
+/** Processor behavior knobs. */
 struct ProcessorConfig
 {
     bool perfectIfetch = false;    ///< one-cycle ifetch, no cache use
     bool watchdog = false;         ///< livelock watchdog enabled
-    Cycles watchdogWindow = 1000;  ///< user-only window when starved
-    unsigned watchdogThreshold = 8;///< handlers in a row to trigger
 };
 
 class Processor;

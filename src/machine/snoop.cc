@@ -16,7 +16,7 @@ namespace swex
 
 SnoopNodeCoherence::SnoopNodeCoherence(Node &node, SnoopBackend &backend,
                                        const MachineConfig &mc)
-    : NodeCoherence(node, mc.cacheCtrl),
+    : NodeCoherence(node, mc.victimEntries),
       busRequests(&statsGroup, "busRequests",
                   "demand bus transactions issued"),
       _backend(backend)
@@ -42,11 +42,10 @@ Cycles
 SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
 {
     SnoopBackend &b = _backend;
-    const SnoopBusConfig &bc = b.busConfig();
 
     if (t.writeback) {
         ++b.writebacks;
-        return bc.addrCycles + bc.dataCycles;
+        return busAddrCycles + busDataCycles;
     }
 
     SWEX_ASSERT(mshr.valid && blockAlign(mshr.addr) == t.blockAddr,
@@ -231,11 +230,10 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
     else if (hasData)
         ++b.memSupplies;
 
-    Cycles occupancy = bc.addrCycles + (hasData ? bc.dataCycles : 0) +
-                       (hasUpd ? bc.updCycles : 0);
-    Cycles supplier =
-        hasData ? (cacheSupply ? bc.c2cLatency : b.memLatency()) : 0;
-    finishMiss(value, occupancy + supplier + cfg.fillLatency);
+    Cycles occupancy = busAddrCycles + (hasData ? busDataCycles : 0) +
+                       (hasUpd ? busUpdCycles : 0);
+    Cycles supplier = hasData ? (cacheSupply ? c2cLatency : memLatency) : 0;
+    finishMiss(value, occupancy + supplier + fillLatency);
     return occupancy;
 }
 
@@ -261,7 +259,8 @@ SnoopBackend::SnoopBackend(Machine &m)
                     "blocks supplied cache-to-cache"),
       memSupplies(&statsGroup, "memSupplies",
                   "blocks supplied by memory"),
-      _m(m), _proto(m.config().snoopProtocol), _bus(m.config().bus)
+      _m(m), _proto(m.config().snoopProtocol),
+      _arbitration(m.config().busArbitration)
 {
     _ctrls.resize(static_cast<std::size_t>(m.config().numNodes),
                   nullptr);
@@ -286,12 +285,6 @@ std::uint64_t
 SnoopBackend::trafficMessages() const
 {
     return static_cast<std::uint64_t>(transactions.value());
-}
-
-Cycles
-SnoopBackend::memLatency() const
-{
-    return _m.config().memLatency;
 }
 
 const DataBlock &
@@ -334,7 +327,7 @@ SnoopBackend::scheduleArb()
 std::size_t
 SnoopBackend::pickNext() const
 {
-    if (_bus.arbitration == BusArbitration::Fifo || _queue.size() == 1)
+    if (_arbitration == BusArbitration::Fifo || _queue.size() == 1)
         return 0;
     // Round-robin over requesting nodes: grant the queued transaction
     // whose node id has the smallest cyclic distance past the last

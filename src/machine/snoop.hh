@@ -32,6 +32,12 @@
 namespace swex
 {
 
+// Shared-bus timing.
+constexpr Cycles busAddrCycles = 2;   ///< address/snoop phase occupancy
+constexpr Cycles busDataCycles = 4;   ///< one block transfer on the data bus
+constexpr Cycles busUpdCycles = 1;    ///< one word broadcast (Dragon BusUpd)
+constexpr Cycles c2cLatency = 2;      ///< owner-cache turnaround before supply
+
 class SnoopBackend;
 
 /** One queued bus request. Demand requests carry their context in the
@@ -110,8 +116,6 @@ class SnoopBackend final : public CoherenceBackend
     void memWrite(Addr block_addr, const DataBlock &data);
 
     SnoopProtocol protocol() const { return _proto; }
-    const SnoopBusConfig &busConfig() const { return _bus; }
-    Cycles memLatency() const;
 
     // Bus statistics: the protocol-differentiation surface (MESI's
     // readExcl/upgrades/invalidations vs Dragon's updates/wordUpdates).
@@ -134,7 +138,7 @@ class SnoopBackend final : public CoherenceBackend
 
     Machine &_m;
     SnoopProtocol _proto;
-    SnoopBusConfig _bus;
+    BusArbitration _arbitration;
     std::vector<SnoopNodeCoherence *> _ctrls;   ///< indexed by node id
     CoherenceAuditor *_auditor = nullptr;
 

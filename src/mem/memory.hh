@@ -16,7 +16,10 @@
 namespace swex
 {
 
-/** The DRAM of one node. Timing is charged by the home controller. */
+constexpr Cycles memLatency = 10;         ///< DRAM access at the home
+
+/** The DRAM of one node. Timing is charged by the home controller
+ *  (the bus, on the snooping model). */
 class MemoryModule
 {
   public:

@@ -71,8 +71,7 @@ DeliveryLayer::send(Message msg)
     transmitCopy(msg, /*charge_flits=*/false);
 
     if (!ch.retransmitEvent.scheduled()) {
-        net.eventq.scheduleIn(ch.retransmitEvent,
-                              net.config.faults.retransmitTimeout);
+        net.eventq.scheduleIn(ch.retransmitEvent, retransmitTimeout);
     }
 }
 
@@ -85,12 +84,7 @@ DeliveryLayer::transmitCopy(const Message &msg, bool charge_flits)
     // The transmit serializer is charged whether or not the copy
     // survives: the flits left the port either way.
     Tick now = net.eventq.curTick();
-    MeshNetwork::TxPort &port =
-        net.txPorts[static_cast<std::size_t>(msg.src)];
-    Tick start = std::max(now, port.freeAt);
-    net.txQueueWait.sample(static_cast<double>(start - now));
-    Tick tx_done = start + msg.flits();
-    port.freeAt = tx_done;
+    Tick tx_done = net.serialize(msg);
 
     FaultRoll fault = injector.roll();
     if (fault.drop) {
@@ -103,10 +97,7 @@ DeliveryLayer::transmitCopy(const Message &msg, bool charge_flits)
     if (fault.extraDelay > 0)
         ++blackouts;
 
-    Cycles base = net.config.routerEntry +
-                  net.config.hopLatency *
-                      net.hopCount(msg.src, msg.dst) +
-                  fault.extraDelay;
+    Cycles base = net.wireLatency(msg.src, msg.dst) + fault.extraDelay;
     int copies = fault.duplicate ? 2 : 1;
     if (fault.duplicate)
         ++dupsInjected;
@@ -179,10 +170,8 @@ DeliveryLayer::sendAck(Channel &ch)
         return;
     }
     std::uint32_t up_to = ch.expected;
-    Cycles latency = net.config.routerEntry +
-                     net.config.hopLatency *
-                         net.hopCount(ch.dst, ch.src) +
-                     fault.extraDelay + net.jitterFor();
+    Cycles latency = net.wireLatency(ch.dst, ch.src) + fault.extraDelay +
+                     net.jitterFor();
     Channel *raw = &ch;
     net.eventq.scheduleIn(latency,
                           [this, raw, up_to] { onAck(*raw, up_to); },
@@ -212,15 +201,13 @@ DeliveryLayer::onRetransmitTimer(Channel &ch)
         transmitCopy(msg, /*charge_flits=*/true);
     }
     if (!ch.unacked.empty()) {
-        net.eventq.scheduleIn(ch.retransmitEvent,
-                              net.config.faults.retransmitTimeout);
+        net.eventq.scheduleIn(ch.retransmitEvent, retransmitTimeout);
     }
 }
 
 void
 DeliveryLayer::checkQuiescent(const DeliveryViolationFn &fn) const
 {
-    const unsigned bound = net.config.faults.retransmitBound;
     for (const auto &chp : _channels) {
         if (!chp)
             continue;
@@ -243,11 +230,11 @@ DeliveryLayer::checkQuiescent(const DeliveryViolationFn &fn) const
                       "%u, receiver delivered %u",
                       ch.nextSend, ch.expected));
         }
-        if (ch.maxAttempts > bound) {
+        if (ch.maxAttempts > retransmitBound) {
             fn(ch.src, ch.dst,
                strfmt("a message needed %u transmissions; the "
                       "retransmit bound is %u",
-                      ch.maxAttempts, bound));
+                      ch.maxAttempts, retransmitBound));
         }
     }
 }

@@ -42,6 +42,14 @@ namespace swex
 
 class MeshNetwork;
 
+/** Sender-side retransmission timer (cycles without a cumulative
+ *  acknowledgment before every unacked message is resent). */
+constexpr Cycles retransmitTimeout = 256;
+
+/** Transmissions per message the delivery layer considers sane;
+ *  exceeding it is reported as a delivery invariant violation. */
+constexpr unsigned retransmitBound = 64;
+
 /** Callback reporting one delivery invariant violation at quiescence. */
 using DeliveryViolationFn =
     std::function<void(NodeId src, NodeId dst, const std::string &what)>;

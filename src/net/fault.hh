@@ -24,12 +24,12 @@ namespace swex
 {
 
 /**
- * Fault rates and delivery-layer knobs. Rates are per-mille
- * probabilities applied independently to every wire transmission
- * (including retransmissions, so a retransmitted message can be lost
- * again). All-zero rates disable the fault layer entirely: the
- * delivery machinery is never constructed and the clean path costs
- * zero cycles.
+ * Fault rates, the blackout bound and the fault seed. Rates are
+ * per-mille probabilities applied independently to every wire
+ * transmission (including retransmissions, so a retransmitted message
+ * can be lost again). All-zero rates disable the fault layer
+ * entirely: the delivery machinery is never constructed and the clean
+ * path costs zero cycles.
  */
 struct FaultConfig
 {
@@ -37,14 +37,6 @@ struct FaultConfig
     unsigned dupPerMille = 0;       ///< P(second copy injected) * 1000
     unsigned blackoutPerMille = 0;  ///< P(held for a blackout) * 1000
     Cycles blackoutMax = 512;       ///< bound on the blackout delay
-
-    /** Sender-side retransmission timer (cycles without a cumulative
-     *  acknowledgment before every unacked message is resent). */
-    Cycles retransmitTimeout = 256;
-
-    /** Transmissions per message the delivery layer considers sane;
-     *  exceeding it is reported as a delivery invariant violation. */
-    unsigned retransmitBound = 64;
 
     /** Seed for the fault stream (schedules replay exactly by seed). */
     std::uint64_t seed = 0;

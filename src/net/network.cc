@@ -115,8 +115,6 @@ MeshNetwork::send(Message msg)
     ++msgCount;
     flitCount += msg.flits();
 
-    Tick now = eventq.curTick();
-
     if (msg.src == msg.dst) {
         // CMMU loopback path: no mesh traversal, no serialization,
         // and no faults (the message never touches the wire).
@@ -124,9 +122,8 @@ MeshNetwork::send(Message msg)
         PooledMsgEvent &ev = _msgPool.acquire(
             this, &MeshNetwork::deliverHandler, EventPrio::Network);
         ev.msg = msg;
-        eventq.scheduleIn(ev, config.loopback + jitter);
-        transitLatency.sample(
-            static_cast<double>(config.loopback + jitter));
+        eventq.scheduleIn(ev, loopback + jitter);
+        transitLatency.sample(static_cast<double>(loopback + jitter));
         return;
     }
 
@@ -138,25 +135,27 @@ MeshNetwork::send(Message msg)
     }
 
     Cycles jitter = jitterFor();
-    TxPort &port = txPorts[static_cast<size_t>(msg.src)];
-    Tick start = std::max(now, port.freeAt);
-    txQueueWait.sample(static_cast<double>(start - now));
-
-    Tick tx_done = start + msg.flits();   // 1 flit/cycle serialization
-    port.freeAt = tx_done;
-
     // Jitter perturbs only the wire, never the serializer: the port
-    // frees at tx_done regardless, so the stressor reorders messages
-    // without changing injection bandwidth.
-    Tick arrive = tx_done + config.routerEntry +
-                  config.hopLatency * hopCount(msg.src, msg.dst) +
-                  jitter;
-    transitLatency.sample(static_cast<double>(arrive - now));
+    // frees when the flits leave regardless, so the stressor reorders
+    // messages without changing injection bandwidth.
+    Tick arrive = serialize(msg) + wireLatency(msg.src, msg.dst) + jitter;
+    transitLatency.sample(static_cast<double>(arrive - eventq.curTick()));
 
     PooledMsgEvent &ev = _msgPool.acquire(
         this, &MeshNetwork::deliverHandler, EventPrio::Network);
     ev.msg = msg;
     eventq.schedule(ev, arrive);
+}
+
+Tick
+MeshNetwork::serialize(const Message &msg)
+{
+    Tick now = eventq.curTick();
+    TxPort &port = txPorts[static_cast<size_t>(msg.src)];
+    Tick start = std::max(now, port.freeAt);
+    txQueueWait.sample(static_cast<double>(start - now));
+    port.freeAt = start + msg.flits();
+    return port.freeAt;
 }
 
 void

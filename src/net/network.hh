@@ -39,13 +39,13 @@ class MsgReceiver
     virtual void receiveMessage(const Message &msg) = 0;
 };
 
+constexpr Cycles hopLatency = 1;      ///< wire/switch latency per hop
+constexpr Cycles routerEntry = 2;     ///< fixed cost to enter/exit the mesh
+constexpr Cycles loopback = 2;        ///< latency for src == dst messages
+
 /** Configuration knobs for the mesh. */
 struct NetworkConfig
 {
-    Cycles hopLatency = 1;      ///< wire/switch latency per hop
-    Cycles routerEntry = 2;     ///< fixed cost to enter/exit the mesh
-    Cycles loopback = 2;        ///< latency for src == dst messages
-
     /**
      * Interleaving stressor: add a deterministic pseudo-random extra
      * delay in [0, jitterMax] to every message's delivery time (the
@@ -100,6 +100,13 @@ class MeshNetwork
     /** Manhattan distance between two nodes. */
     unsigned hopCount(NodeId a, NodeId b) const;
 
+    /** Wire time from @p a to @p b: mesh entry plus every hop. */
+    Cycles
+    wireLatency(NodeId a, NodeId b) const
+    {
+        return routerEntry + hopLatency * hopCount(a, b);
+    }
+
     /**
      * Shared pool of message-carrying events; the nodes draw from it
      * too, so one free list serves all in-flight messages.
@@ -152,6 +159,13 @@ class MeshNetwork
     void deliver(const Message &msg);
     static void deliverHandler(void *ctx, Message &msg);
     Cycles jitterFor();
+
+    /**
+     * Charge @p msg's flits to its source's transmit serializer (one
+     * flit per cycle, behind any flits already queued there).
+     * @return the tick its last flit leaves the port
+     */
+    Tick serialize(const Message &msg);
 
     EventQueue &eventq;
     NetworkConfig config;

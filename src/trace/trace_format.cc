@@ -7,7 +7,9 @@
 #include "base/atomic_file.hh"
 #include "base/binary_io.hh"
 #include "core/directory.hh"
+#include "machine/directory_backend.hh"
 #include "machine/machine.hh"
+#include "machine/snoop.hh"
 
 namespace swex
 {
@@ -231,6 +233,10 @@ canonicalAppParams(const std::map<std::string, std::string> &params)
 std::uint64_t
 configFingerprint(const MachineConfig &mc)
 {
+    // The fixed machine parameters were once config fields. Each is
+    // still mixed at its old position as a 64-bit word (the watchdog's
+    // "iff the protocol needs it" as -1), so every result-cache key,
+    // entry file name and exact-config trace name stays valid.
     std::uint64_t h = bin::fnvOffset;
     auto mix = [&h](std::uint64_t v) {
         h = bin::fnv1a(h, &v, sizeof(v));
@@ -243,33 +249,33 @@ configFingerprint(const MachineConfig &mc)
     mix(static_cast<std::uint64_t>(mc.profile));
     mix(mc.parallelInv);
     mix(static_cast<std::uint64_t>(mc.mutation));
-    mix(mc.memLatency);
-    mix(mc.hwCtrlLatency);
-    mix(mc.rxOccupancy);
-    mix(mc.net.hopLatency);
-    mix(mc.net.routerEntry);
-    mix(mc.net.loopback);
+    mix(memLatency);
+    mix(hwCtrlLatency);
+    mix(rxOccupancy);
+    mix(hopLatency);
+    mix(routerEntry);
+    mix(loopback);
     mix(mc.net.jitterMax);
     mix(mc.net.jitterSeed);
     mix(mc.net.faults.dropPerMille);
     mix(mc.net.faults.dupPerMille);
     mix(mc.net.faults.blackoutPerMille);
     mix(mc.net.faults.blackoutMax);
-    mix(mc.net.faults.retransmitTimeout);
-    mix(mc.net.faults.retransmitBound);
+    mix(retransmitTimeout);
+    mix(retransmitBound);
     mix(mc.net.faults.seed);
-    mix(mc.cacheCtrl.cacheBytes);
-    mix(mc.cacheCtrl.victimEntries);
-    mix(mc.cacheCtrl.hitLatency);
-    mix(mc.cacheCtrl.victimSwapLatency);
-    mix(mc.cacheCtrl.fillLatency);
-    mix(mc.cacheCtrl.missIssueLatency);
-    mix(mc.cacheCtrl.instrMissLatency);
-    mix(mc.cacheCtrl.retryBase);
-    mix(mc.cacheCtrl.retryCap);
+    mix(cacheBytes);
+    mix(mc.victimEntries);
+    mix(hitLatency);
+    mix(victimSwapLatency);
+    mix(fillLatency);
+    mix(missIssueLatency);
+    mix(instrMissLatency);
+    mix(retryBase);
+    mix(retryCap);
     mix(mc.perfectIfetch);
-    mix(static_cast<std::uint64_t>(mc.watchdog));
-    mix(mc.segBytes);
+    mix(static_cast<std::uint64_t>(-1));
+    mix(segBytes);
     mix(mc.seed);
     mix(mc.deadline);
     // Snooping machine model: mixed only when selected, so every
@@ -277,11 +283,11 @@ configFingerprint(const MachineConfig &mc)
     if (mc.machineModel != MachineModel::Directory) {
         mix(static_cast<std::uint64_t>(mc.machineModel));
         mix(static_cast<std::uint64_t>(mc.snoopProtocol));
-        mix(static_cast<std::uint64_t>(mc.bus.arbitration));
-        mix(mc.bus.addrCycles);
-        mix(mc.bus.dataCycles);
-        mix(mc.bus.updCycles);
-        mix(mc.bus.c2cLatency);
+        mix(static_cast<std::uint64_t>(mc.busArbitration));
+        mix(busAddrCycles);
+        mix(busDataCycles);
+        mix(busUpdCycles);
+        mix(c2cLatency);
     }
     return h;
 }

@@ -63,7 +63,7 @@ struct Harness
     explicit Harness(ProtocolConfig p,
                      ProtocolMutation m = ProtocolMutation::None,
                      int nodes = 8)
-        : home_cfg{p, HandlerProfile::FlexibleC, 10, 2, false, m},
+        : home_cfg{p, HandlerProfile::FlexibleC, false, m},
           hc(0, nodes, home_cfg, node, nullptr),
           auditor(CoherenceAuditor::Mode::Collect)
     {

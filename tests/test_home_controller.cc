@@ -96,7 +96,7 @@ struct Harness
 {
     explicit Harness(ProtocolConfig p, int nodes = 8,
                      NodeId home_id = 0)
-        : home_cfg{p, HandlerProfile::FlexibleC, 10, 2, false},
+        : home_cfg{p, HandlerProfile::FlexibleC, false},
           hc(home_id, nodes, home_cfg, node, nullptr)
     {
     }

@@ -259,8 +259,8 @@ TEST_P(SharedFrontEnd, OpsHitsMissesAndDirtyInstructionEviction)
     mc.machineModel = fc.model;
     mc.protocol = ProtocolConfig::hw(5);
     mc.snoopProtocol = fc.snoop;
-    mc.bus.arbitration = BusArbitration::Fifo;
-    mc.cacheCtrl.victimEntries = 0;
+    mc.busArbitration = BusArbitration::Fifo;
+    mc.victimEntries = 0;
     Machine m(mc);
     const Addr a = m.allocOn(1, blockBytes, blockBytes);
     const Addr code = m.instrBase(0) +
@@ -468,7 +468,7 @@ TEST(MachineImage, HashMatchesPerWordDebugReadReference)
     for (const auto &[label, proto] : protocolSpectrum()) {
         SCOPED_TRACE(label);
         MachineConfig mc = smallConfig(proto);
-        mc.cacheCtrl.victimEntries = 6;
+        mc.victimEntries = 6;
         Machine m(mc);
         // Each thread writes four blocks that share one cache set,
         // so its first three dirty lines are pushed into the victim

@@ -99,7 +99,7 @@ TEST_F(NetFixture, DeliveryLatencyComposition)
     net->send(msg(0, 1));
     eq.run();
     ASSERT_EQ(sinks[1]->got.size(), 1u);
-    Tick expect = 3 + cfg.routerEntry + cfg.hopLatency * 1;
+    Tick expect = 3 + routerEntry + hopLatency * 1;
     EXPECT_EQ(sinks[1]->got[0].first, expect);
 }
 
@@ -109,7 +109,7 @@ TEST_F(NetFixture, DataMessagesSerializeLonger)
     net->send(msg(0, 1, true));   // 3 + 8 flits
     eq.run();
     ASSERT_EQ(sinks[1]->got.size(), 1u);
-    Tick expect = 11 + cfg.routerEntry + cfg.hopLatency * 1;
+    Tick expect = 11 + routerEntry + hopLatency * 1;
     EXPECT_EQ(sinks[1]->got[0].first, expect);
 }
 
@@ -145,7 +145,7 @@ TEST_F(NetFixture, LoopbackBypassesMesh)
     net->send(msg(2, 2));
     eq.run();
     ASSERT_EQ(sinks[2]->got.size(), 1u);
-    EXPECT_EQ(sinks[2]->got[0].first, cfg.loopback);
+    EXPECT_EQ(sinks[2]->got[0].first, loopback);
 }
 
 TEST_F(NetFixture, JitterDelaysDeliveryWithinBound)
@@ -153,7 +153,7 @@ TEST_F(NetFixture, JitterDelaysDeliveryWithinBound)
     cfg.jitterMax = 20;
     cfg.jitterSeed = 99;
     build(16);
-    const Tick quiet = 3 + cfg.routerEntry + cfg.hopLatency * 1;
+    const Tick quiet = 3 + routerEntry + hopLatency * 1;
     bool any_delayed = false;
     Tick start = eq.curTick();
     for (int i = 0; i < 32; ++i) {
@@ -398,7 +398,7 @@ TEST_F(NetFixture, BlackoutExactlySpanningRetransmitTimeoutIsSafe)
     // must hold on both outcomes of that race — the loser is
     // suppressed as a duplicate, never delivered twice.
     cfg.faults.blackoutPerMille = 1000;
-    cfg.faults.blackoutMax = cfg.faults.retransmitTimeout;
+    cfg.faults.blackoutMax = retransmitTimeout;
     cfg.faults.seed = 5;
     build(16);
     ASSERT_NE(net->delivery(), nullptr);
@@ -435,7 +435,7 @@ TEST_F(NetFixture, BlackoutJustExceedingRetransmitTimeoutIsSafe)
     // the duplicate. The channel must absorb a retransmit storm
     // without double delivery or reordering.
     cfg.faults.blackoutPerMille = 1000;
-    cfg.faults.blackoutMax = cfg.faults.retransmitTimeout + 64;
+    cfg.faults.blackoutMax = retransmitTimeout + 64;
     cfg.faults.seed = 6;
     build(16);
 
@@ -500,8 +500,7 @@ TEST_F(NetFixture, TotalLossReportsDeliveryViolations)
     build(16);
 
     net->send(msg(0, 1));
-    eq.run(cfg.faults.retransmitTimeout *
-           (cfg.faults.retransmitBound + 8));
+    eq.run(retransmitTimeout * (retransmitBound + 8));
 
     ASSERT_EQ(sinks[1]->got.size(), 0u);
     std::vector<std::string> what;
@@ -524,6 +523,5 @@ TEST_F(NetFixture, TotalLossReportsDeliveryViolations)
     }
     EXPECT_TRUE(unacked);
     EXPECT_TRUE(bound);
-    EXPECT_GT(net->delivery()->maxAttempts(),
-              cfg.faults.retransmitBound);
+    EXPECT_GT(net->delivery()->maxAttempts(), retransmitBound);
 }

@@ -83,7 +83,7 @@ TEST(Ifetch, VictimCacheTurnsThrashIntoSwaps)
 {
     auto run = [](unsigned victim_entries) {
         MachineConfig mc = cfg(1);
-        mc.cacheCtrl.victimEntries = victim_entries;
+        mc.victimEntries = victim_entries;
         Machine m(mc);
         std::vector<Addr> fp = {m.instrBase(0)};
         Addr colliding = m.allocAtIndex(0, blockBytes, 0);

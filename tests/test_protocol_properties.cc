@@ -63,7 +63,7 @@ configFor(const ProtocolCase &pc)
     MachineConfig mc;
     mc.numNodes = pc.nodes;
     mc.protocol = pc.point.protocol;
-    mc.cacheCtrl.victimEntries = pc.victim;
+    mc.victimEntries = pc.victim;
     return mc;
 }
 

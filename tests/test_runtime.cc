@@ -338,6 +338,6 @@ TEST(HwBarrier, AllThreadsLeaveTogether)
     Tick last = *std::max_element(exit_ticks.begin(),
                                   exit_ticks.end());
     // All released within the barrier latency window.
-    EXPECT_LE(last - first, m.barrierLatency + 8);
+    EXPECT_LE(last - first, barrierLatency + 8);
     EXPECT_GE(first, 800u);   // nobody leaves before the slowest
 }

@@ -34,7 +34,7 @@ snoopConfig(SnoopProtocol p, int nodes,
     mc.numNodes = nodes;
     mc.machineModel = MachineModel::Snoop;
     mc.snoopProtocol = p;
-    mc.bus.arbitration = arb;
+    mc.busArbitration = arb;
     return mc;
 }
 
