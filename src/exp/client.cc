@@ -316,11 +316,11 @@ ServeClient::runSweep(const std::string &base_request)
         return res;
     }
     const std::string prefix = base_request.substr(0, close);
-    // Clamp to the server's per-request maximum (serve.cc's
-    // maxSweepChunk) rather than letting an over-large config draw a
-    // terminal bad_request.
-    const std::size_t chunk = cfg.chunk == 0 ? 4096
-                              : std::min<std::size_t>(cfg.chunk, 4096);
+    // Clamp to the server's per-request maximum rather than letting an
+    // over-large config draw a terminal bad_request.
+    const std::size_t chunk =
+        cfg.chunk == 0 ? serve::maxSweepChunk
+                       : std::min(cfg.chunk, serve::maxSweepChunk);
 
     // Cells in hand by absolute index; empty until the first cell
     // line's "of" gives the grid size (every chunk has a cell before
@@ -360,9 +360,17 @@ ServeClient::runSweep(const std::string &base_request)
                 std::uint64_t idx = 0, of = 0;
                 if (cellv == nullptr || !numberAsU64(*cellv, idx))
                     continue;   // unrelated ok line (e.g. a stats echo)
-                if (const JsonValue *ofv = doc.find("of"))
-                    numberAsU64(*ofv, of);
-                if (got.empty() && of > 0) {
+                // "of" sizes the per-cell bookkeeping below, so a size
+                // no server sends must not reach an allocation.
+                const JsonValue *ofv = doc.find("of");
+                if (ofv == nullptr || !numberAsU64(*ofv, of) || of == 0 ||
+                    of > serve::maxSweepCellsTotal) {
+                    r.ok = false;
+                    r.error = "cell line's \"of\" is not a grid size";
+                    r.errorKind = "parse";
+                    return r;
+                }
+                if (got.empty()) {
                     got.assign(of, 0);
                     res.records.assign(of, "");
                     res.cellKeys.assign(of, "");

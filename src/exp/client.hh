@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "exp/line_io.hh"
+#include "exp/serve.hh"
 #include "exp/wire_json.hh"
 
 namespace swex
@@ -72,10 +73,10 @@ struct ClientConfig
     std::uint64_t backoffSeed = 0;
 
     /** Cells per sweep chunk request. runSweep clamps values above
-     *  the server's 4096-per-request maximum (0 also means 4096), so
-     *  an over-large setting degrades to full-size chunks instead of
-     *  a bad_request rejection. */
-    std::size_t chunk = 4096;
+     *  the server's per-request maximum, serve::maxSweepChunk (0 also
+     *  means that maximum), so an over-large setting degrades to
+     *  full-size chunks instead of a bad_request rejection. */
+    std::size_t chunk = serve::maxSweepChunk;
 
     /** Chaos instrumentation: per-mille chance, rolled after every
      *  received sweep line, that the client kills its connection

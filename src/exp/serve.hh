@@ -96,6 +96,7 @@
 #define SWEX_EXP_SERVE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -103,6 +104,17 @@ namespace swex
 {
 namespace serve
 {
+
+/** One request's chunk stops here: a client that wants more issues
+ *  the next cursor — bounded responses per request line, resumable
+ *  after any disconnect. */
+constexpr std::size_t maxSweepChunk = 4096;
+
+/** Total grid-size bound. The server validates the grid shape per
+ *  request and expands cells per chunk, so there it protects the cell
+ *  arithmetic; a client sizes its per-cell bookkeeping from a cell
+ *  line's "of" and refuses one outside 1..maxSweepCellsTotal. */
+constexpr std::size_t maxSweepCellsTotal = std::size_t{1} << 20;
 
 struct ServeConfig
 {
