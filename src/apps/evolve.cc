@@ -78,6 +78,20 @@ EvolveApp::computeGroundTruth(int nthreads)
     }
 }
 
+std::uint64_t
+EvolveApp::setupBlocks(const EvolveConfig &c, int nthreads,
+                       int machine_nodes)
+{
+    // As setup() allocates: the fitness table, the best slots, and
+    // the best and steps words.
+    return SharedArray::nodeBlocks(std::uint64_t{1} << c.dimensions,
+                                   Layout::Interleaved, machine_nodes) +
+           SharedArray::nodeBlocks(
+               static_cast<std::uint64_t>(nthreads) * wordsPerBlock,
+               Layout::Blocked, machine_nodes) +
+           2;
+}
+
 void
 EvolveApp::setup(Machine &m)
 {

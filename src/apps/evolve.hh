@@ -49,6 +49,11 @@ class EvolveApp : public App
     /** Host-side expectations (per thread count). */
     void computeGroundTruth(int nthreads);
 
+    /** Blocks setup() takes on node 0, its busiest node, for
+     *  @p nthreads threads on a @p machine_nodes-node machine. */
+    static std::uint64_t setupBlocks(const EvolveConfig &c, int nthreads,
+                                     int machine_nodes);
+
   private:
     Word fitnessOf(unsigned vertex) const;
     unsigned startVertex(int tid, int walk) const;

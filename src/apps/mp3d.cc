@@ -100,6 +100,21 @@ Mp3dApp::computeGroundTruth()
         _checksum += p.x * 3 + p.y * 5 + p.z * 7;
 }
 
+std::uint64_t
+Mp3dApp::setupBlocks(const Mp3dConfig &c, int machine_nodes)
+{
+    // As setup() allocates: the particles, both cell buffers, and the
+    // tree barrier.
+    const std::uint64_t cells = static_cast<std::uint64_t>(c.cellsX) *
+                                c.cellsY * c.cellsZ;
+    return SharedArray::nodeBlocks(
+               static_cast<std::uint64_t>(c.particles) * 6,
+               Layout::Blocked, machine_nodes) +
+           2 * SharedArray::nodeBlocks(cells, Layout::Interleaved,
+                                       machine_nodes) +
+           TreeBarrier::nodeBlocks(machine_nodes, machine_nodes);
+}
+
 void
 Mp3dApp::setup(Machine &m)
 {

@@ -43,6 +43,11 @@ class Mp3dApp : public App
     Task<void> sequential(Mem &m) override;
     bool verify(Machine &m) override;
 
+    /** Blocks setup() takes on node 0, its busiest node, on a
+     *  @p machine_nodes-node machine. */
+    static std::uint64_t setupBlocks(const Mp3dConfig &c,
+                                     int machine_nodes);
+
   private:
     // Fixed-point: 44.20 in a 64-bit word, coordinates wrap in
     // [0, cells* << fp) per axis.

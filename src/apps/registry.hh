@@ -94,12 +94,17 @@ class AppRegistry
         /** A tiny configuration every smoke test can afford to run. */
         AppParams smokeParams;
         /**
-         * Read and range-check the app's parameters for a machine of
-         * `nodes` nodes, and return the builder of the configured
-         * app. Parsing builds nothing (EVOLVE computes its ground
-         * truth in the builder), so checking a request stays cheap.
+         * Read and range-check the app's parameters for `nodes`
+         * threads on a machine of `machine_nodes` nodes (1 for a
+         * sequential reference), and return the builder of the
+         * configured app. A parameter that sizes a shared allocation
+         * must fit that machine's per-node segments. Parsing builds
+         * nothing (EVOLVE computes its ground truth in the builder),
+         * so checking a request stays cheap.
          */
-        std::function<Builder(ParamReader &, int nodes)> parse;
+        std::function<Builder(ParamReader &, int nodes,
+                              int machine_nodes)>
+            parse;
 
         /**
          * Rough host cost of one run relative to WORKER (= 1.0), for
@@ -136,17 +141,19 @@ class AppRegistry
     /** Registered names, in registration order. */
     std::vector<std::string> names() const;
 
-    /** "" if @p params configure app @p name on @p nodes nodes, else
-     *  why not (unknown app, unknown parameter, malformed or
-     *  out-of-range value). Builds no app. */
+    /** "" if @p params configure app @p name for @p nodes threads on
+     *  a machine of @p machine_nodes nodes, else why not (unknown
+     *  app, unknown parameter, malformed or out-of-range value, or a
+     *  shared allocation the machine cannot hold). Builds no app. */
     std::string check(const std::string &name, const AppParams &params,
-                      int nodes) const;
+                      int nodes, int machine_nodes) const;
 
     /**
-     * Construct a configured app. @p nodes is the machine size the
-     * app will run on (some apps precompute per-thread-count ground
-     * truth). Fatal on unknown names or parameters: front ends check()
-     * first.
+     * Construct a configured app. @p nodes is the thread count of the
+     * parallel kernel (some apps precompute per-thread-count ground
+     * truth); the parameters are checked against a machine of that
+     * many nodes. Fatal on unknown names or parameters: front ends
+     * check() first, with the machine the cell runs on.
      */
     std::unique_ptr<App> make(const std::string &name,
                               const AppParams &params,

@@ -6,18 +6,44 @@
 namespace swex
 {
 
-SmgridApp::SmgridApp(const SmgridConfig &config) : cfg(config)
+SmgridApp::SmgridApp(const SmgridConfig &config)
+    : cfg(config), sizes(levelSizes(config))
 {
     SWEX_ASSERT(cfg.fineSize >= 5 && (cfg.fineSize - 1) % 2 == 0,
                 "fineSize must be 2^k + 1");
-    sizes.clear();
-    int s = cfg.fineSize;
-    for (int l = 0; l < cfg.levels; ++l) {
-        sizes.push_back(s);
+}
+
+std::vector<int>
+SmgridApp::levelSizes(const SmgridConfig &c)
+{
+    std::vector<int> out;
+    int s = c.fineSize;
+    for (int l = 0; l < c.levels; ++l) {
+        out.push_back(s);
         if ((s - 1) % 2 != 0 || s < 5)
             break;
         s = (s - 1) / 2 + 1;
     }
+    return out;
+}
+
+std::uint64_t
+SmgridApp::setupBlocks(const SmgridConfig &c, int machine_nodes)
+{
+    // As setup() allocates: three grids per level, the residual
+    // slots, and the residual word.
+    std::uint64_t blocks =
+        SharedArray::nodeBlocks(
+            static_cast<std::uint64_t>(machine_nodes) * wordsPerBlock,
+            Layout::Blocked, machine_nodes) +
+        1;
+    for (int n : levelSizes(c)) {
+        const auto side = static_cast<std::uint64_t>(n);
+        blocks += 3 * SharedArray::nodeBlocks(side * side,
+                                              Layout::Blocked,
+                                              machine_nodes);
+    }
+    return blocks;
 }
 
 Addr

@@ -49,7 +49,15 @@ class SmgridApp : public App
     /** Sum-of-squares residual on the fine grid after the run. */
     double finalResidual(Machine &m) const;
 
+    /** Blocks setup() takes on node 0, its busiest node, on a
+     *  @p machine_nodes-node machine. */
+    static std::uint64_t setupBlocks(const SmgridConfig &c,
+                                     int machine_nodes);
+
   private:
+    /** Grid size of each level, finest first. */
+    static std::vector<int> levelSizes(const SmgridConfig &c);
+
     Addr uAt(int level, int i, int j) const;
     Addr fAt(int level, int i, int j) const;
     Addr tAt(int level, int i, int j) const;

@@ -87,6 +87,16 @@ WaterApp::computeGroundTruth()
                      static_cast<std::uint64_t>(mol.vx) * 11;
 }
 
+std::uint64_t
+WaterApp::setupBlocks(const WaterConfig &c, int machine_nodes)
+{
+    // As setup() allocates: the molecules and the tree barrier.
+    return SharedArray::nodeBlocks(
+               static_cast<std::uint64_t>(c.molecules) * 6,
+               Layout::Blocked, machine_nodes) +
+           TreeBarrier::nodeBlocks(machine_nodes, machine_nodes);
+}
+
 void
 WaterApp::setup(Machine &m)
 {

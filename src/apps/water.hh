@@ -39,6 +39,11 @@ class WaterApp : public App
     Task<void> sequential(Mem &m) override;
     bool verify(Machine &m) override;
 
+    /** Blocks setup() takes on node 0, its busiest node, on a
+     *  @p machine_nodes-node machine. */
+    static std::uint64_t setupBlocks(const WaterConfig &c,
+                                     int machine_nodes);
+
   private:
     struct M { std::int64_t x, y, z, vx, vy, vz; };
 

@@ -206,9 +206,11 @@ build(Draft &d, ExperimentSpec &spec)
     d.profile = d.profileKey == "asm" ? HandlerProfile::TunedAsm
                                       : HandlerProfile::FlexibleC;
     // The app's own parameters too: a request naming an unknown or
-    // malformed one is a decode error, never a failed run.
-    std::string err =
-        AppRegistry::instance().check(d.app, d.params, d.nodes);
+    // malformed one, or one the cell's machine (a single node for the
+    // sequential reference) cannot hold, is a decode error, never a
+    // failed run.
+    std::string err = AppRegistry::instance().check(
+        d.app, d.params, d.nodes, d.sequential ? 1 : d.nodes);
     if (!err.empty())
         return err;
 

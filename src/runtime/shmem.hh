@@ -42,29 +42,29 @@ class SharedArray
         : _words(num_words), _layout(layout),
           _numNodes(m.numNodes())
     {
-        std::size_t blocks = divCeil(num_words, wordsPerBlock);
-        switch (layout) {
-          case Layout::OnNode:
-            _bases.push_back(m.allocOn(home, blocks * blockBytes,
-                                       blockBytes));
-            break;
-          case Layout::Interleaved: {
-            std::size_t per_node =
-                divCeil(blocks, static_cast<std::size_t>(_numNodes));
-            for (int n = 0; n < _numNodes; ++n)
-                _bases.push_back(
-                    m.allocOn(n, per_node * blockBytes, blockBytes));
-            break;
-          }
-          case Layout::Blocked: {
-            _chunkBlocks =
-                divCeil(blocks, static_cast<std::size_t>(_numNodes));
-            for (int n = 0; n < _numNodes; ++n)
-                _bases.push_back(m.allocOn(
-                    n, _chunkBlocks * blockBytes, blockBytes));
-            break;
-          }
+        const std::size_t per_node =
+            nodeBlocks(num_words, layout, _numNodes);
+        if (layout == Layout::OnNode) {
+            _bases.push_back(
+                m.allocOn(home, per_node * blockBytes, blockBytes));
+            return;
         }
+        if (layout == Layout::Blocked)
+            _chunkBlocks = per_node;
+        for (int n = 0; n < _numNodes; ++n)
+            _bases.push_back(
+                m.allocOn(n, per_node * blockBytes, blockBytes));
+    }
+
+    /** Blocks an array of @p num_words words takes on each node that
+     *  holds part of it, on a machine of @p num_nodes nodes. */
+    static std::uint64_t
+    nodeBlocks(std::uint64_t num_words, Layout layout, int num_nodes)
+    {
+        const std::uint64_t blocks = divCeil(num_words, wordsPerBlock);
+        return layout == Layout::OnNode
+                   ? blocks
+                   : divCeil(blocks, static_cast<std::uint64_t>(num_nodes));
     }
 
     std::size_t size() const { return _words; }

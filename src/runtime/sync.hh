@@ -196,6 +196,17 @@ class TreeBarrier
         return b;
     }
 
+    /** Blocks create() takes on each node of a @p num_nodes-node
+     *  machine. */
+    static std::uint64_t
+    nodeBlocks(int participants, int num_nodes)
+    {
+        return 2 * SharedArray::nodeBlocks(
+                       static_cast<std::uint64_t>(participants) *
+                           wordsPerBlock,
+                       Layout::Blocked, num_nodes);
+    }
+
     Task<void>
     wait(Mem &m)
     {
