@@ -162,13 +162,19 @@ RunLog::writeFile(const std::string &path, bool canonical) const
 }
 
 bool
+RunLog::canonicalRequested()
+{
+    const char *canon = std::getenv(canonicalEnvVar);
+    return canon != nullptr && *canon != '\0';
+}
+
+bool
 RunLog::writeEnv() const
 {
     const char *path = std::getenv(envVar);
     if (path == nullptr || *path == '\0')
         return true;
-    const char *canon = std::getenv(canonicalEnvVar);
-    return writeFile(path, canon != nullptr && *canon != '\0');
+    return writeFile(path, canonicalRequested());
 }
 
 } // namespace swex

@@ -134,8 +134,14 @@ class RunLog
     static constexpr const char *envVar = "SWEX_RUN_JSON";
 
     /** Set to make every serialization canonical (see
-     *  RunRecord::writeJson); also enabled by $SWEX_RUN_CANONICAL. */
+     *  RunRecord::writeJson): swex_cli's --json and $SWEX_RUN_JSON
+     *  documents and the server's records. */
     static constexpr const char *canonicalEnvVar = "SWEX_RUN_CANONICAL";
+
+    /** Whether $SWEX_RUN_CANONICAL asks for canonical documents: it
+     *  is set to a non-empty value (an empty value counts as unset,
+     *  as for $SWEX_RUN_JSON). */
+    static bool canonicalRequested();
 
     RunRecord &add(RunRecord record);
 
@@ -149,7 +155,7 @@ class RunLog
 
     /**
      * Write to the path named by $SWEX_RUN_JSON, if set (canonical
-     * when $SWEX_RUN_CANONICAL is also set). Returns false only on
+     * when canonicalRequested()). Returns false only on
      * an actual write failure (unset env is success: the caller
      * asked for records only when the environment does).
      */

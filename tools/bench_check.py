@@ -14,8 +14,10 @@ experiment with --json and validates the emitted swex-run-v1 document
 (schema tag, per-record required fields, finite metrics), checks
 that $SWEX_RUN_JSON produces the same document shape, runs one
 snooping-bus experiment to validate the optional machine_model field
-(directory records omit it; bus records must carry "snoop"), and
-requires every malformed invocation in CLI_USAGE_ERRORS to exit 2.
+(directory records omit it; bus records must carry "snoop"), requires
+every malformed invocation in CLI_USAGE_ERRORS and every oversized app
+parameter in CLI_OUT_OF_MEMORY to exit 2, and requires two --json
+documents of one spec under $SWEX_RUN_CANONICAL to be byte-identical.
 
 With --replay-equiv the positional binary is swex_cli; the script
 records a run into a scratch trace directory, validates every emitted
@@ -90,6 +92,20 @@ CLI_USAGE_ERRORS = [
     ["--connect", "/nonexistent.sock", "--sweep", "--seeds", "2",
      "--faults", "1"],
     ["--nodes"],
+]
+
+# App parameters inside each app's own range whose shared allocations
+# overrun the per-node segments of the machine the cell runs on (one
+# node for --seq's sequential reference): each must be refused as a
+# usage error (exit 2), not abort the process. They run without the
+# base --wss/--iters flags, which EVOLVE would refuse for another
+# reason.
+CLI_OUT_OF_MEMORY = [
+    ["--app", "evolve", "--nodes", "2", "--param", "dims=20"],
+    ["--app", "evolve", "--nodes", "8", "--param", "dims=19",
+     "--param", "walks=1", "--seq"],
+    ["--app", "mp3d", "--nodes", "4", "--param", "particles=10000000"],
+    ["--app", "smgrid", "--nodes", "4", "--param", "fine=1001"],
 ]
 
 
@@ -739,6 +755,38 @@ def run_cli(binary, tmp):
                      f"{proc.returncode}, expected usage error 2:\n"
                      f"{proc.stdout}")
     print(f"OK: {len(CLI_USAGE_ERRORS)} malformed invocations exit 2")
+
+    for args in CLI_OUT_OF_MEMORY:
+        proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 2:
+            sys.exit(f"FAIL: swex_cli {' '.join(args)} exited with "
+                     f"{proc.returncode}, expected usage error 2:\n"
+                     f"{proc.stdout}")
+    print(f"OK: {len(CLI_OUT_OF_MEMORY)} oversized app parameters "
+          f"exit 2")
+
+    # $SWEX_RUN_CANONICAL makes --json canonical too: two documents of
+    # one spec are byte-identical, with the host wall time zeroed.
+    docs = []
+    for i in range(2):
+        path = os.path.join(tmp, f"canonical{i}.json")
+        proc = subprocess.run(
+            [binary, "--app", "worker", "--nodes", "4", "--wss", "2",
+             "--iters", "2", "--json", path],
+            env=dict(os.environ, SWEX_RUN_CANONICAL="1"),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"FAIL: canonical --json run exited with "
+                     f"{proc.returncode}:\n{proc.stdout}")
+        with open(path, "rb") as f:
+            docs.append(f.read())
+    if docs[0] != docs[1]:
+        sys.exit("FAIL: two canonical --json documents of one spec "
+                 "differ")
+    if b'"wall_s":0,' not in docs[0]:
+        sys.exit('FAIL: canonical --json document lacks "wall_s":0')
+    print("OK: canonical --json documents are byte-identical")
     return n + 1
 
 
