@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <iterator>
 #include <ostream>
 
 #include "base/json.hh"
@@ -14,16 +13,6 @@ namespace swex::stats
 namespace
 {
 
-/** Text numbers: what a default std::ostream prints ("%g"). */
-void
-textNumber(std::string &out, double v)
-{
-    char buf[32];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v,
-                             std::chars_format::general, 6);
-    out.append(buf, res.ptr);
-}
-
 void
 appendCount(std::string &out, std::uint64_t v)
 {
@@ -34,23 +23,11 @@ appendCount(std::string &out, std::uint64_t v)
 
 } // anonymous namespace
 
-Stat::Stat(Group *parent, std::string name, std::string desc)
-    : _name(std::move(name)), _desc(std::move(desc))
+Stat::Stat(Group *parent, std::string name)
+    : _name(std::move(name))
 {
     if (parent)
         parent->addStat(this);
-}
-
-void
-Scalar::renderText(std::string &out, const std::string &prefix) const
-{
-    out += prefix;
-    out += name();
-    out += ' ';
-    textNumber(out, _value);
-    out += " # ";
-    out += desc();
-    out += '\n';
 }
 
 void
@@ -87,27 +64,6 @@ Distribution::stddev() const
 }
 
 void
-Distribution::renderText(std::string &out, const std::string &prefix) const
-{
-    const char *fields[] = {"::mean ", "::min ", "::max ", "::stddev "};
-    const double values[] = {mean(), minValue(), maxValue(), stddev()};
-    out += prefix;
-    out += name();
-    out += "::count ";
-    appendCount(out, _count);
-    out += " # ";
-    out += desc();
-    out += '\n';
-    for (std::size_t i = 0; i < std::size(fields); ++i) {
-        out += prefix;
-        out += name();
-        out += fields[i];
-        textNumber(out, values[i]);
-        out += '\n';
-    }
-}
-
-void
 Distribution::renderJson(std::string &out) const
 {
     out += "{\"count\":";
@@ -121,16 +77,6 @@ Distribution::renderJson(std::string &out) const
     out += ",\"stddev\":";
     json::appendNumber(out, stddev());
     out += '}';
-}
-
-void
-Distribution::reset()
-{
-    _count = 0;
-    _sum = 0;
-    _sumSq = 0;
-    _min = 0;
-    _max = 0;
 }
 
 void
@@ -156,29 +102,6 @@ Histogram::sample(double v, std::uint64_t count)
 }
 
 void
-Histogram::renderText(std::string &out, const std::string &prefix) const
-{
-    out += prefix;
-    out += name();
-    out += "::total ";
-    appendCount(out, _total);
-    out += " # ";
-    out += desc();
-    out += '\n';
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        out += prefix;
-        out += name();
-        out += "::bucket";
-        appendCount(out, i);
-        out += ' ';
-        appendCount(out, _buckets[i]);
-        out += '\n';
-    }
-}
-
-void
 Histogram::renderJson(std::string &out) const
 {
     out += "{\"total\":";
@@ -194,29 +117,11 @@ Histogram::renderJson(std::string &out) const
     out += "]}";
 }
 
-void
-Histogram::reset()
-{
-    for (auto &b : _buckets)
-        b = 0;
-    _total = 0;
-}
-
 Group::Group(Group *parent, std::string name)
     : _name(std::move(name))
 {
     if (parent)
         parent->addChild(this);
-}
-
-void
-Group::renderText(std::string &out, const std::string &prefix) const
-{
-    std::string here = _name.empty() ? prefix : prefix + _name + ".";
-    for (const auto *s : _stats)
-        s->renderText(out, here);
-    for (const auto *c : _children)
-        c->renderText(out, here);
 }
 
 void
@@ -244,28 +149,11 @@ Group::renderJson(std::string &out) const
 }
 
 void
-Group::dump(std::ostream &os, const std::string &prefix) const
-{
-    std::string out;
-    renderText(out, prefix);
-    os << out;
-}
-
-void
 Group::dumpJson(std::ostream &os) const
 {
     std::string out;
     renderJson(out);
     os << out;
-}
-
-void
-Group::reset()
-{
-    for (auto *s : _stats)
-        s->reset();
-    for (auto *c : _children)
-        c->reset();
 }
 
 const Stat *

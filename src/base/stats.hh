@@ -2,13 +2,12 @@
  * @file
  * A small statistics package in the spirit of gem5's: named scalar
  * counters, sampled distributions, and histograms, organized into
- * hierarchical groups that can be rendered as text or JSON, or
- * queried by tests and benchmark harnesses.
+ * hierarchical groups that render as one JSON tree or are queried by
+ * tests and benchmark harnesses.
  *
- * Both renderers append to a std::string. Their bytes are part of
- * every canonical run record and result-cache entry, so numbers print
- * exactly as printf does: "%.17g" in JSON (round-trips every double)
- * and "%g" (a default std::ostream's precision 6) in text.
+ * The renderer appends to a std::string. Its bytes are part of every
+ * canonical run record and result-cache entry, so numbers print
+ * exactly as printf's "%.17g" does (round-trips every double).
  */
 
 #ifndef SWEX_BASE_STATS_HH
@@ -24,32 +23,24 @@ namespace swex::stats
 
 class Group;
 
-/** Abstract named statistic registered with a Group. */
+/** Abstract named statistic registered with a Group. Each stat's
+ *  meaning is documented once, on its member declaration. */
 class Stat
 {
   public:
-    Stat(Group *parent, std::string name, std::string desc);
+    Stat(Group *parent, std::string name);
     virtual ~Stat() = default;
 
     Stat(const Stat &) = delete;
     Stat &operator=(const Stat &) = delete;
 
     const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
-
-    /** Append "fullName value # desc" style lines to @p out. */
-    virtual void renderText(std::string &out,
-                            const std::string &prefix) const = 0;
 
     /** Append this statistic's value as a JSON value (no key). */
     virtual void renderJson(std::string &out) const = 0;
 
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     std::string _name;
-    std::string _desc;
 };
 
 /** A single accumulating scalar value. */
@@ -64,10 +55,7 @@ class Scalar : public Stat
 
     double value() const { return _value; }
 
-    void renderText(std::string &out,
-                    const std::string &prefix) const override;
     void renderJson(std::string &out) const override;
-    void reset() override { _value = 0; }
 
   private:
     double _value = 0;
@@ -88,10 +76,7 @@ class Distribution : public Stat
     double maxValue() const { return _count ? _max : 0.0; }
     double stddev() const;
 
-    void renderText(std::string &out,
-                    const std::string &prefix) const override;
     void renderJson(std::string &out) const override;
-    void reset() override;
 
   private:
     std::uint64_t _count = 0;
@@ -121,10 +106,7 @@ class Histogram : public Stat
     double bucketWidth() const { return _width; }
     std::uint64_t totalCount() const { return _total; }
 
-    void renderText(std::string &out,
-                    const std::string &prefix) const override;
     void renderJson(std::string &out) const override;
-    void reset() override;
 
   private:
     std::vector<std::uint64_t> _buckets;
@@ -151,10 +133,6 @@ class Group
 
     const std::string &name() const { return _name; }
 
-    /** Append the whole subtree as text, with dotted-path prefixes. */
-    void renderText(std::string &out,
-                    const std::string &prefix = "") const;
-
     /**
      * Append the whole subtree as one JSON object. Keys appear in
      * registration order (deterministic for a given machine
@@ -163,14 +141,8 @@ class Group
      */
     void renderJson(std::string &out) const;
 
-    /** Write renderText() to @p os. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
     /** Write renderJson() to @p os. */
     void dumpJson(std::ostream &os) const;
-
-    /** Reset every statistic in the subtree. */
-    void reset();
 
     /** Find a statistic by dotted path relative to this group. */
     const Stat *find(const std::string &path) const;

@@ -10,14 +10,10 @@ constexpr std::size_t slabSize = 64;
 
 ExtDirectory::ExtDirectory(stats::Group *stats_parent)
     : statsGroup(stats_parent, "extdir"),
-      entriesAllocated(&statsGroup, "entriesAllocated",
-                       "extended directory entries allocated"),
-      entriesReleased(&statsGroup, "entriesReleased",
-                      "extended directory entries released"),
-      chunksAllocated(&statsGroup, "chunksAllocated",
-                      "pointer chunks taken from the free list"),
-      sharersRecorded(&statsGroup, "sharersRecorded",
-                      "sharers recorded in software")
+      entriesAllocated(&statsGroup, "entriesAllocated"),
+      entriesReleased(&statsGroup, "entriesReleased"),
+      chunksAllocated(&statsGroup, "chunksAllocated"),
+      sharersRecorded(&statsGroup, "sharersRecorded")
 {
 }
 

@@ -100,10 +100,10 @@ class ExtDirectory
     std::size_t numEntries() const { return _numEntries; }
 
     stats::Group statsGroup;
-    stats::Scalar entriesAllocated;
-    stats::Scalar entriesReleased;
-    stats::Scalar chunksAllocated;
-    stats::Scalar sharersRecorded;
+    stats::Scalar entriesAllocated;  ///< extended entries allocated
+    stats::Scalar entriesReleased;   ///< extended entries released
+    stats::Scalar chunksAllocated;   ///< pointer chunks allocated
+    stats::Scalar sharersRecorded;   ///< sharers recorded in software
 
   private:
     static constexpr std::size_t numBuckets = 1021;   // prime

@@ -107,8 +107,9 @@ class HomeController
     stats::Scalar handlerCycles;    ///< total cycles spent in handlers
     stats::Distribution readHandlerCycles;   ///< Table 1 measurement
     stats::Distribution writeHandlerCycles;  ///< Table 1 measurement
-    stats::Distribution ackHandlerCycles;
-    stats::Scalar trapsByKind[static_cast<unsigned>(TrapKind::NumKinds)];
+    stats::Distribution ackHandlerCycles;    ///< ack handler latency
+    stats::Scalar trapsByKind[static_cast<unsigned>(
+        TrapKind::NumKinds)];               ///< traps, per TrapKind
 
     /** Hardware directory (public: tests and the interface use it). */
     Directory dir;

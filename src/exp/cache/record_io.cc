@@ -64,7 +64,6 @@ encodeRecord(const RunRecord &r, std::uint64_t spec_key,
     for (std::uint64_t v : r.workerSets)
         w.u64(v);
     w.str(r.statsJson);
-    w.str(r.statsText);
 
     w.u64(bin::checksum(w.out.data(), w.out.size()));
     return std::move(w.out);
@@ -193,8 +192,7 @@ decodeRecord(std::span<const std::uint8_t> raw, const std::string &path,
         for (std::uint32_t i = 0; ok && i < nsets; ++i)
             ok = r.u64(rec.workerSets[i]);
     }
-    ok = ok && r.str(rec.statsJson) && r.str(rec.statsText) &&
-         r.cur == r.end;
+    ok = ok && r.str(rec.statsJson) && r.cur == r.end;
     if (!ok) {
         err = path + ": malformed cache entry body";
         return LoadStatus::Corrupt;

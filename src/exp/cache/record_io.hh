@@ -1,6 +1,6 @@
 /**
  * @file
- * The swex-rec container (version 2): one finished RunRecord,
+ * The swex-rec container (version 3): one finished RunRecord,
  * serialized field for field into a checksummed binary file under the
  * result cache.
  * Loading rehydrates a RunRecord whose every member equals the stored
@@ -14,8 +14,9 @@
  * bin::checksum covers every preceding byte; any mismatch, truncation,
  * or unknown version is a structured error, which the cache treats as
  * a miss (recompute and overwrite), never a crash. An entry an older
- * version wrote (version 1 was sealed with byte-wise FNV-1a) reads as
- * Stale, so its cell is recomputed and the entry replaced in place.
+ * version wrote (version 1 was sealed with byte-wise FNV-1a; version
+ * 2 also stored a text rendering of the stats tree) reads as Stale,
+ * so its cell is recomputed and the entry replaced in place.
  */
 
 #ifndef SWEX_EXP_CACHE_RECORD_IO_HH
@@ -33,7 +34,7 @@ namespace swex
 namespace cache
 {
 
-constexpr std::uint32_t recordVersion = 2;
+constexpr std::uint32_t recordVersion = 3;
 constexpr char recordMagic[8] = {'S', 'W', 'E', 'X', 'R', 'E', 'C',
                                  '1'};
 

@@ -91,8 +91,6 @@ struct RunRecord
 
     /** Full statistics tree, as Group::renderJson emits it. */
     std::string statsJson;
-    /** Full statistics tree, text form (for --stats style output). */
-    std::string statsText;
 
     double
     eventsPerSec() const

@@ -62,11 +62,10 @@ parseBusArbitration(const std::string &s, BusArbitration &out)
 
 NodeCoherence::NodeCoherence(Node &node, unsigned victim_entries)
     : statsGroup(&node.statsGroup, "cachectrl"),
-      loads(&statsGroup, "loads", "load operations"),
-      stores(&statsGroup, "stores", "store operations"),
-      atomics(&statsGroup, "atomics", "atomic operations"),
-      missLatency(nullptr, "missLatency",
-                  "miss issue-to-complete latency in cycles"),
+      loads(&statsGroup, "loads"),
+      stores(&statsGroup, "stores"),
+      atomics(&statsGroup, "atomics"),
+      missLatency(nullptr, "missLatency"),
       _node(node), _cache(cacheBytes, victim_entries, &statsGroup)
 {
 }

@@ -157,16 +157,13 @@ class NodeCoherence
     bool missOutstanding() const { return mshr.valid; }
 
     stats::Group statsGroup;
-    stats::Scalar loads;
-    stats::Scalar stores;
-    stats::Scalar atomics;
-    /**
-     * Issue-to-complete latency of misses, in cycles. Each model's
-     * constructor registers it after the model's own counters, so the
-     * "cachectrl" group reads loads, stores, atomics, the model's
-     * counters, then missLatency.
-     */
-    stats::Distribution missLatency;
+    stats::Scalar loads;    ///< load operations
+    stats::Scalar stores;   ///< store operations
+    stats::Scalar atomics;  ///< atomic operations
+    // Each model's constructor registers missLatency after the
+    // model's own counters, so the "cachectrl" group reads loads,
+    // stores, atomics, the model's counters, then missLatency.
+    stats::Distribution missLatency;  ///< miss issue-to-complete cycles
 
   protected:
     /** The single outstanding miss. */

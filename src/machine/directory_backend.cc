@@ -12,14 +12,10 @@ namespace swex
 DirectoryNodeCoherence::DirectoryNodeCoherence(Node &node,
                                                const MachineConfig &mc)
     : NodeCoherence(node, mc.victimEntries),
-      remoteReqs(&statsGroup, "remoteReqs",
-                 "protocol requests issued to home nodes"),
-      busyRetries(&statsGroup, "busyRetries",
-                  "requests retried after a busy reply"),
-      invsReceived(&statsGroup, "invsReceived",
-                   "invalidations received"),
-      fetchesReceived(&statsGroup, "fetchesReceived",
-                      "FetchS/FetchI requests received"),
+      remoteReqs(&statsGroup, "remoteReqs"),
+      busyRetries(&statsGroup, "busyRetries"),
+      invsReceived(&statsGroup, "invsReceived"),
+      fetchesReceived(&statsGroup, "fetchesReceived"),
       homeCtrl(node.id(), mc.numNodes,
                HomeConfig{mc.protocol, mc.profile, mc.parallelInv,
                           mc.mutation},

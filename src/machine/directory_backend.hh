@@ -32,9 +32,9 @@ class DirectoryNodeCoherence final : public NodeCoherence
     HomeController *home() override { return &homeCtrl; }
 
     stats::Scalar remoteReqs;        ///< requests sent to a home node
-    stats::Scalar busyRetries;
-    stats::Scalar invsReceived;
-    stats::Scalar fetchesReceived;
+    stats::Scalar busyRetries;       ///< requests retried after busy
+    stats::Scalar invsReceived;      ///< invalidations received
+    stats::Scalar fetchesReceived;   ///< FetchS/FetchI received
 
   private:
     /** The miss becomes a request to the home after missIssueLatency. */

@@ -11,18 +11,13 @@ namespace swex
 Processor::Processor(Node &node, const ProcessorConfig &config,
                      stats::Group *stats_parent)
     : statsGroup(stats_parent, "proc"),
-      userCycles(&statsGroup, "userCycles",
-                 "cycles spent executing user compute"),
-      handlerCycles(&statsGroup, "handlerCycles",
-                    "cycles stolen by protocol software handlers"),
-      trapsRun(&statsGroup, "trapsRun", "software traps executed"),
-      memOps(&statsGroup, "memOps", "memory operations issued"),
-      ifetchPenalty(&statsGroup, "ifetchPenalty",
-                    "stall cycles due to instruction fetch misses"),
-      watchdogFirings(&statsGroup, "watchdogFirings",
-                      "livelock watchdog activations"),
-      memStallCycles(&statsGroup, "memStallCycles",
-                     "cycles blocked on memory operations"),
+      userCycles(&statsGroup, "userCycles"),
+      handlerCycles(&statsGroup, "handlerCycles"),
+      trapsRun(&statsGroup, "trapsRun"),
+      memOps(&statsGroup, "memOps"),
+      ifetchPenalty(&statsGroup, "ifetchPenalty"),
+      watchdogFirings(&statsGroup, "watchdogFirings"),
+      memStallCycles(&statsGroup, "memStallCycles"),
       _node(node), cfg(config)
 {
 }

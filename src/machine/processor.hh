@@ -205,10 +205,10 @@ class Processor
     stats::Group statsGroup;
     stats::Scalar userCycles;       ///< cycles executing user compute
     stats::Scalar handlerCycles;    ///< cycles stolen by handlers
-    stats::Scalar trapsRun;
-    stats::Scalar memOps;
+    stats::Scalar trapsRun;         ///< software traps executed
+    stats::Scalar memOps;           ///< memory operations issued
     stats::Scalar ifetchPenalty;    ///< cycles lost to ifetch misses
-    stats::Scalar watchdogFirings;
+    stats::Scalar watchdogFirings;  ///< livelock watchdog activations
     stats::Scalar memStallCycles;   ///< cycles blocked on memory ops
 
   private:

@@ -17,8 +17,7 @@ namespace swex
 SnoopNodeCoherence::SnoopNodeCoherence(Node &node, SnoopBackend &backend,
                                        const MachineConfig &mc)
     : NodeCoherence(node, mc.victimEntries),
-      busRequests(&statsGroup, "busRequests",
-                  "demand bus transactions issued"),
+      busRequests(&statsGroup, "busRequests"),
       _backend(backend)
 {
     statsGroup.addStat(&missLatency);
@@ -243,22 +242,16 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
 
 SnoopBackend::SnoopBackend(Machine &m)
     : statsGroup(&m.root, "bus"),
-      transactions(&statsGroup, "transactions",
-                   "bus transactions serviced"),
-      reads(&statsGroup, "reads", "BusRd transactions"),
-      readExcl(&statsGroup, "readExcl", "BusRdX transactions"),
-      upgrades(&statsGroup, "upgrades", "BusUpgr transactions"),
-      updates(&statsGroup, "updates", "BusUpd word broadcasts"),
-      writebacks(&statsGroup, "writebacks",
-                 "dirty-eviction transactions"),
-      invalidations(&statsGroup, "invalidations",
-                    "peer copies invalidated"),
-      wordUpdates(&statsGroup, "wordUpdates",
-                  "peer copies updated in place"),
-      cacheSupplies(&statsGroup, "cacheSupplies",
-                    "blocks supplied cache-to-cache"),
-      memSupplies(&statsGroup, "memSupplies",
-                  "blocks supplied by memory"),
+      transactions(&statsGroup, "transactions"),
+      reads(&statsGroup, "reads"),
+      readExcl(&statsGroup, "readExcl"),
+      upgrades(&statsGroup, "upgrades"),
+      updates(&statsGroup, "updates"),
+      writebacks(&statsGroup, "writebacks"),
+      invalidations(&statsGroup, "invalidations"),
+      wordUpdates(&statsGroup, "wordUpdates"),
+      cacheSupplies(&statsGroup, "cacheSupplies"),
+      memSupplies(&statsGroup, "memSupplies"),
       _m(m), _proto(m.config().snoopProtocol),
       _arbitration(m.config().busArbitration)
 {

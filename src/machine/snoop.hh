@@ -120,7 +120,7 @@ class SnoopBackend final : public CoherenceBackend
     // Bus statistics: the protocol-differentiation surface (MESI's
     // readExcl/upgrades/invalidations vs Dragon's updates/wordUpdates).
     stats::Group statsGroup;
-    stats::Scalar transactions;
+    stats::Scalar transactions;     ///< bus transactions serviced
     stats::Scalar reads;            ///< BusRd (demand read misses)
     stats::Scalar readExcl;         ///< BusRdX (write/atomic misses)
     stats::Scalar upgrades;         ///< BusUpgr (write hit on shared)

@@ -26,16 +26,13 @@ lineStateName(LineState s)
 Cache::Cache(unsigned cache_bytes, unsigned victim_entries,
              stats::Group *stats_parent)
     : statsGroup(stats_parent, "cache"),
-      dataHits(&statsGroup, "dataHits", "data accesses that hit"),
-      dataMisses(&statsGroup, "dataMisses", "data accesses that missed"),
-      instrHits(&statsGroup, "instrHits", "instruction fetches that hit"),
-      instrMisses(&statsGroup, "instrMisses",
-                  "instruction fetches that missed"),
-      victimHits(&statsGroup, "victimHits",
-                 "accesses satisfied by the victim buffer"),
-      evictions(&statsGroup, "evictions", "lines pushed out of the node"),
-      dirtyEvictions(&statsGroup, "dirtyEvictions",
-                     "evictions requiring a writeback"),
+      dataHits(&statsGroup, "dataHits"),
+      dataMisses(&statsGroup, "dataMisses"),
+      instrHits(&statsGroup, "instrHits"),
+      instrMisses(&statsGroup, "instrMisses"),
+      victimHits(&statsGroup, "victimHits"),
+      evictions(&statsGroup, "evictions"),
+      dirtyEvictions(&statsGroup, "dirtyEvictions"),
       _victimEntries(victim_entries)
 {
     SWEX_ASSERT(isPowerOf2(cache_bytes) && cache_bytes >= blockBytes,

@@ -179,13 +179,13 @@ class Cache
     void flushAll();
 
     stats::Group statsGroup;
-    stats::Scalar dataHits;
-    stats::Scalar dataMisses;
-    stats::Scalar instrHits;
-    stats::Scalar instrMisses;
-    stats::Scalar victimHits;
-    stats::Scalar evictions;
-    stats::Scalar dirtyEvictions;
+    stats::Scalar dataHits;        ///< data accesses that hit
+    stats::Scalar dataMisses;      ///< data accesses that missed
+    stats::Scalar instrHits;       ///< instruction fetches that hit
+    stats::Scalar instrMisses;     ///< instruction fetches that missed
+    stats::Scalar victimHits;      ///< accesses served by the victim buffer
+    stats::Scalar evictions;       ///< lines pushed out of the node
+    stats::Scalar dirtyEvictions;  ///< evictions that needed a writeback
 
   private:
     Eviction pushToVictim(const CacheLine &line);

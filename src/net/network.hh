@@ -136,10 +136,10 @@ class MeshNetwork
 
     /** Statistics. */
     stats::Group statsGroup;
-    stats::Scalar msgCount;
-    stats::Scalar flitCount;
-    stats::Distribution txQueueWait;
-    stats::Distribution transitLatency;
+    stats::Scalar msgCount;              ///< messages injected
+    stats::Scalar flitCount;             ///< flits injected
+    stats::Distribution txQueueWait;     ///< cycles queued for the serializer
+    stats::Distribution transitLatency;  ///< inject-to-deliver cycles
 
   private:
     friend class DeliveryLayer;   ///< drives the wire primitives

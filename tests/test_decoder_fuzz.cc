@@ -92,7 +92,7 @@ recordLayout(const Bytes &b)
     // writes it: s = u32 length + bytes, w = u32 count + that many
     // u64s, digits = fixed widths.
     static const char body[] =
-        "sssss4181s8s444" "888888888888" "1" "8888" "w" "ss";
+        "sssss4181s8s444" "888888888888" "1" "8888" "w" "s";
     Layout l;
     std::size_t at = 8 + 4 + 8 + 8;
     for (const char *f = body; *f && b.size() >= at + 4; ++f) {
@@ -184,7 +184,6 @@ recordFormat()
     r.stallSummary = "home 3: stuck in READ_TRANS";
     r.workerSets = {3, 1, 4, 1, 5};
     r.statsJson = "{\"home\":{\"traps\":2}}";
-    r.statsText = "home.traps 2\n";
     return {cache::encodeRecord(r, specKey, codeFp), recordLayout,
             resealRecord, [](const Bytes &b, std::string &err) {
                 RunRecord out;
@@ -301,7 +300,7 @@ TEST(DecoderFuzz, CraftedWorkerSetCountIsAnError)
     const Format f = recordFormat();
     Bytes b = f.base;
     const Layout l = recordLayout(b);
-    ASSERT_EQ(l.lengths.size(), 10u);   // 7 strings, the sets, 2 stats
+    ASSERT_EQ(l.lengths.size(), 9u);   // 7 strings, the sets, the stats
     putLe(b, l.lengths[7].at, 4, 0xFFFFFFF0u);   // the worker-set count
     resealRecord(b);
     std::string err;
