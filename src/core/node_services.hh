@@ -33,8 +33,6 @@ enum class TrapKind : std::uint8_t
     NumKinds
 };
 
-const char *trapKindName(TrapKind k);
-
 /** One queued software-extension request. */
 struct TrapItem
 {
