@@ -141,7 +141,7 @@ TspApp::setup(Machine &m)
 
     // Distributed work-stealing scheduler (Mul-T's lazy futures
     // resolve locally; idle processors steal).
-    sched = StealScheduler::create(m, 2048);
+    sched = StealScheduler::create(m, queueEntries);
     sched.debugSeed(m, frontier);
 }
 

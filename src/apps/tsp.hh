@@ -34,6 +34,22 @@ struct TspConfig
 class TspApp : public App
 {
   public:
+    /** Entries in each node's work-stealing queue. */
+    static constexpr std::size_t queueEntries = 2048;
+
+    /**
+     * The largest `frontier` whose pre-split fits the work queues of
+     * a @p machine_nodes-node machine: the pre-split holds at most
+     * frontier + cities - 3 entries, dealt round-robin over one queue
+     * per node.
+     */
+    static std::uint64_t
+    maxFrontier(int cities, int machine_nodes)
+    {
+        return queueEntries * static_cast<std::uint64_t>(machine_nodes) -
+               static_cast<std::uint64_t>(cities - 3);
+    }
+
     explicit TspApp(const TspConfig &cfg);
 
     const char *name() const override { return "TSP"; }

@@ -114,7 +114,12 @@ class StealScheduler
         }
     }
 
-    /** Add one child work item (local; surplus parked for thieves). */
+    /**
+     * Add one child work item (local; surplus parked for thieves). A
+     * donation the worker's queue has no room for stays at the
+     * bottom of the stack: with few thieves the queue only drains
+     * when the stack runs dry.
+     */
     Task<void>
     add(Mem &m, Worker &w, Word item)
     {
@@ -125,8 +130,10 @@ class StealScheduler
                 w.batch.push_back(w.local.front());
                 w.local.pop_front();
             }
-            co_await _queues[static_cast<std::size_t>(w.id)].pushMany(
-                m, w.batch);
+            if (!co_await _queues[static_cast<std::size_t>(w.id)]
+                     .pushMany(m, w.batch))
+                w.local.insert(w.local.begin(), w.batch.begin(),
+                               w.batch.end());
         }
     }
 

@@ -337,24 +337,30 @@ class WorkQueue
 
     /**
      * Add a batch of items under a single lock acquisition (work
-     * donation amortizes queue contention this way).
+     * donation amortizes queue contention this way). Returns false,
+     * queueing nothing, when the batch does not fit: the caller
+     * keeps the items.
      */
-    Task<void>
+    Task<bool>
     pushMany(Mem &m, const std::vector<Word> &items)
     {
         if (items.empty())
-            co_return;
-        co_await m.fetchAdd(_pending,
-                            static_cast<Word>(items.size()));
+            co_return true;
+        const Word n = static_cast<Word>(items.size());
+        co_await m.fetchAdd(_pending, n);
         co_await _lock.acquire(m);
         Word tail = co_await m.read(_tail);
         Word head = co_await m.read(_head);
-        SWEX_ASSERT(tail - head + items.size() <= _cap,
-                    "work queue overflow");
+        if (tail - head + n > _cap) {
+            co_await _lock.release(m);
+            co_await m.fetchAdd(_pending, static_cast<Word>(0) - n);
+            co_return false;
+        }
         for (std::size_t i = 0; i < items.size(); ++i)
             co_await m.write(_slots.at((tail + i) % _cap), items[i]);
-        co_await m.write(_tail, tail + items.size());
+        co_await m.write(_tail, tail + n);
         co_await _lock.release(m);
+        co_return true;
     }
 
     /**

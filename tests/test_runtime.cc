@@ -260,6 +260,30 @@ TEST(StealScheduler, DynamicChildrenAllProcessed)
     EXPECT_EQ(processed, 31);
 }
 
+TEST(StealScheduler, ADonationThatDoesNotFitStaysWithTheDonor)
+{
+    // One worker and no thief: its queue drains only when its stack
+    // runs dry, so the second donation finds the 8-entry queue full.
+    Machine m(cfg(1));
+    StealScheduler sched = StealScheduler::create(m, 8);
+    sched.debugSeed(m, {0});
+    std::vector<int> seen(41, 0);
+    m.run([&](Mem &mem, int tid) -> Task<void> {
+        StealScheduler::Worker w(tid);
+        Word item = 0;
+        while (co_await sched.next(mem, w, item)) {
+            ++seen[static_cast<std::size_t>(item)];
+            if (item == 0) {   // the root spawns 40 leaves
+                for (Word leaf = 1; leaf <= 40; ++leaf)
+                    co_await sched.add(mem, w, leaf);
+            }
+        }
+    });
+    EXPECT_EQ(m.runStatus(), Machine::RunStatus::Completed);
+    for (int i = 0; i <= 40; ++i)
+        EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "item " << i;
+}
+
 // ------------------------------------------------------------------
 // SpinLock under adversarial protocols
 // ------------------------------------------------------------------
