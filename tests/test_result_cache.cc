@@ -240,9 +240,11 @@ TEST(RecordIo, EveryByteFlipAndEveryTruncationFailsToLoad)
     }
 }
 
-// An entry an older build wrote (version 1, sealed with byte-wise
-// FNV-1a) is a stale miss, and the recompute's store replaces it at
-// the same path.
+// Entries older builds wrote are stale misses, and the recompute's
+// store replaces them at the same path: version 1 (sealed with
+// byte-wise FNV-1a) and version 2 (sealed with bin::checksum, with a
+// text rendering of the stats tree after the JSON one), which is what
+// caches filled before version 3 hold.
 TEST(ResultCache, VersionOneEntryIsStaleAndReplacedInPlace)
 {
     setQuiet(true);
@@ -256,32 +258,93 @@ TEST(ResultCache, VersionOneEntryIsStaleAndReplacedInPlace)
     ASSERT_TRUE(direct.verified);
 
     const std::string path = rcache.entryPath(spec);
-    auto raw = slurp(path);
-    ASSERT_GT(raw.size(), 36u);
-    ASSERT_EQ(raw[8], cache::recordVersion);
-    raw[8] = 1;
-    const std::uint64_t fnv =
-        bin::fnv1a(bin::fnvOffset, raw.data(), raw.size() - 8);
-    for (int i = 0; i < 8; ++i)
-        raw[raw.size() - 8 + i] = static_cast<std::uint8_t>(fnv >> (8 * i));
-    spit(path, raw);
+    for (const std::uint8_t version : {1, 2}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        const auto before = rcache.counters();
+        auto raw = slurp(path);
+        ASSERT_GT(raw.size(), 36u);
+        ASSERT_EQ(raw[8], cache::recordVersion);
+        raw[8] = version;
+        raw.resize(raw.size() - 8);
+        if (version == 2) {
+            const std::string text = "node0.home.trapsRaised 0\n";
+            bin::Writer w;
+            w.str(text);
+            raw.insert(raw.end(), w.out.begin(), w.out.end());
+        }
+        const std::uint64_t seal =
+            version == 1
+                ? bin::fnv1a(bin::fnvOffset, raw.data(), raw.size())
+                : bin::checksum(raw.data(), raw.size());
+        for (int i = 0; i < 8; ++i)
+            raw.push_back(static_cast<std::uint8_t>(seal >> (8 * i)));
+        spit(path, raw);
 
-    RunRecord out;
-    EXPECT_FALSE(rcache.lookup(spec, out));
-    auto c = rcache.counters();
-    EXPECT_EQ(c.stale, 1u);
-    EXPECT_EQ(c.corrupt, 0u);
-    EXPECT_EQ(c.misses, 2u);   // the cold run's, and this one
+        RunRecord out;
+        EXPECT_FALSE(rcache.lookup(spec, out));
+        auto c = rcache.counters();
+        EXPECT_EQ(c.stale, before.stale + 1);
+        EXPECT_EQ(c.corrupt, 0u);
+        EXPECT_EQ(c.misses, before.misses + 1);
 
-    const RunRecord recomputed = runner.execute(spec);
-    EXPECT_EQ(canonicalJson(recomputed), canonicalJson(direct));
-    EXPECT_EQ(rcache.counters().stores, 2u);
-    EXPECT_EQ(slurp(path)[8], cache::recordVersion);
-    EXPECT_EQ(entryFiles(dir).size(), 1u);
+        const RunRecord recomputed = runner.execute(spec);
+        EXPECT_EQ(canonicalJson(recomputed), canonicalJson(direct));
+        EXPECT_EQ(rcache.counters().stores, before.stores + 1);
+        EXPECT_EQ(slurp(path)[8], cache::recordVersion);
+        EXPECT_EQ(entryFiles(dir).size(), 1u);
+    }
 
     const RunRecord served = runner.execute(spec);
     EXPECT_EQ(canonicalJson(served), canonicalJson(direct));
     EXPECT_EQ(rcache.counters().hits, 1u);
+}
+
+// The swex-rec layout, pinned: a digest of the bytes encodeRecord
+// writes for a fixed record, key and fingerprint. A change to the
+// layout moves it, and must come with a new recordVersion so entries
+// older builds wrote read as stale.
+TEST(RecordIo, EncodingIsPinned)
+{
+    RunRecord r;
+    r.id = "pin/worker/H5";
+    r.app = "worker";
+    r.protocol = "DirnH5SNB";
+    r.machineModel = "directory";
+    r.nodes = 16;
+    r.simCycles = 20929;
+    r.verified = true;
+    r.status = "deadline";
+    r.lastProgress = 17;
+    r.stallSummary = "home 3: stuck";
+    r.faultDrop = 1;
+    r.faultDup = 2;
+    r.faultBlackout = 3;
+    r.faultSeed = 4;
+    r.deadline = 5;
+    r.imageHash = 0xfeedfacecafebeefull;
+    r.trapsRaised = 6;
+    r.handlerCycles = 7.5;
+    r.messages = 8;
+    r.readHandlerMean = 0.1;
+    r.readHandlerCount = 9;
+    r.writeHandlerMean = 1.0 / 3.0;
+    r.writeHandlerCount = 10;
+    r.hostWallSeconds = 0.25;
+    r.hostEvents = 11;
+    r.audited = true;
+    r.auditTransitions = 12;
+    r.auditViolations = 13;
+    r.seqCycles = 14;
+    r.speedup = 1.5;
+    r.workerSets = {3, 1, 4};
+    r.statsJson = "{\"home\":{\"traps\":2}}";
+    const std::vector<std::uint8_t> raw =
+        cache::encodeRecord(r, 0x0123456789abcdefull,
+                            0xfedcba9876543210ull);
+    ASSERT_EQ(raw[8], cache::recordVersion);
+    EXPECT_EQ(raw.size(), 343u);
+    EXPECT_EQ(bin::fnv1a(bin::fnvOffset, raw.data(), raw.size()),
+              0x16c32bf2be28dfa0ull);
 }
 
 TEST(ResultCache, MissThenStoreThenByteIdenticalHit)
