@@ -7,10 +7,6 @@
 namespace swex
 {
 
-AqApp::AqApp(const AqConfig &config) : cfg(config)
-{
-    computeGroundTruth();
-}
 
 double
 AqApp::f(double x, double y)
@@ -21,8 +17,8 @@ AqApp::f(double x, double y)
 }
 
 bool
-AqApp::evalRect(int depth, unsigned ix, unsigned iy,
-                double &contribution) const
+AqApp::evalRect(const AqConfig &config, int depth, unsigned ix,
+                unsigned iy, double &contribution)
 {
     // Rectangle (ix, iy) at this depth covers a (2/2^d) x (2/2^d)
     // square. Compare a one-point estimate with a four-point one; if
@@ -39,38 +35,46 @@ AqApp::evalRect(int depth, unsigned ix, unsigned iy,
                    f(x0 + 3 * q, y0 + 3 * q)) *
                   (area / 4);
 
-    bool refine = std::fabs(fine - coarse) > cfg.tolerance &&
-                  depth < cfg.maxDepth;
+    bool refine = std::fabs(fine - coarse) > config.tolerance &&
+                  depth < config.maxDepth;
     contribution = fine;
     return refine;
 }
 
-void
-AqApp::computeGroundTruth()
+AqTree
+AqApp::walkTree(const AqConfig &config)
 {
-    _expectedTasks = 0;
-    _expectedSum = 0;
+    AqTree tree;
     struct R { int d; unsigned ix, iy; };
     std::vector<R> stack{{0, 0, 0}};
-    while (!stack.empty()) {
+    while (!stack.empty() && tree.rects <= maxRects) {
         R r = stack.back();
         stack.pop_back();
-        ++_expectedTasks;
+        ++tree.rects;
         double c = 0;
-        if (evalRect(r.d, r.ix, r.iy, c)) {
+        if (evalRect(config, r.d, r.ix, r.iy, c)) {
             for (unsigned dy = 0; dy < 2; ++dy)
                 for (unsigned dx = 0; dx < 2; ++dx)
                     stack.push_back({r.d + 1, r.ix * 2 + dx,
                                      r.iy * 2 + dy});
         } else {
-            _expectedSum += c;
+            tree.sum += c;
         }
     }
+    return tree;
+}
+
+AqApp::AqApp(const AqConfig &config, const AqTree &tree)
+    : cfg(config), _expectedTasks(tree.rects), _expectedSum(tree.sum)
+{
+    SWEX_ASSERT(tree.rects <= maxRects,
+                "AQ refinement tree past %llu rectangles",
+                static_cast<unsigned long long>(maxRects));
 
     // Pre-split the top of the tree into an initial frontier. Leaf
     // rectangles are kept (not expanded) so every contribution is
     // still evaluated by some worker.
-    frontier.clear();
+    struct R { int d; unsigned ix, iy; };
     std::vector<R> bfs{{0, 0, 0}};
     std::vector<R> leaves;
     std::size_t cursor = 0;
@@ -78,7 +82,7 @@ AqApp::computeGroundTruth()
            bfs.size() - cursor + leaves.size() < 256) {
         R r = bfs[cursor++];
         double c = 0;
-        if (evalRect(r.d, r.ix, r.iy, c)) {
+        if (evalRect(cfg, r.d, r.ix, r.iy, c)) {
             for (unsigned dy = 0; dy < 2; ++dy)
                 for (unsigned dx = 0; dx < 2; ++dx)
                     bfs.push_back({r.d + 1, r.ix * 2 + dx,
@@ -117,7 +121,7 @@ AqApp::thread(Mem &m, int tid)
 
         co_await m.work(cfg.evalWork);
         double c = 0;
-        if (evalRect(depth, ix, iy, c)) {
+        if (evalRect(cfg, depth, ix, iy, c)) {
             for (unsigned dy = 0; dy < 2; ++dy)
                 for (unsigned dx = 0; dx < 2; ++dx)
                     co_await sched.add(m, w,
@@ -146,7 +150,7 @@ AqApp::sequential(Mem &m)
         stack.pop_back();
         co_await m.work(cfg.evalWork);
         double c = 0;
-        if (evalRect(r.d, r.ix, r.iy, c)) {
+        if (evalRect(cfg, r.d, r.ix, r.iy, c)) {
             for (unsigned dy = 0; dy < 2; ++dy)
                 for (unsigned dx = 0; dx < 2; ++dx)
                     stack.push_back({r.d + 1, r.ix * 2 + dx,

@@ -25,10 +25,34 @@ struct AqConfig
     Cycles evalWork = 4000;  ///< compute per rectangle evaluation
 };
 
+/** A configuration's refinement tree as the host walks it: what a
+ *  correct run evaluates and sums. */
+struct AqTree
+{
+    std::uint64_t rects = 0;   ///< rectangles evaluated
+    double sum = 0;            ///< the leaves' contributions
+};
+
 class AqApp : public App
 {
   public:
-    explicit AqApp(const AqConfig &cfg);
+    /** The most rectangles a refinement tree may hold: the host walks
+     *  all of them before the run, so the parse refuses more. Full
+     *  refinement to depth 9 walks 349,525; to depth 10, 1,398,101. */
+    static constexpr std::uint64_t maxRects = std::uint64_t{1} << 20;
+
+    /** The deepest rectangle a task word holds (24-bit ix and iy). */
+    static constexpr int maxDepthBound = 24;
+
+    /** Walk @p config's refinement tree, stopping once it passes
+     *  maxRects (then rects == maxRects + 1). */
+    static AqTree walkTree(const AqConfig &config);
+
+    /** @p tree is walkTree(@p config), walked within maxRects. */
+    AqApp(const AqConfig &config, const AqTree &tree);
+    explicit AqApp(const AqConfig &config)
+        : AqApp(config, walkTree(config))
+    {}
 
     const char *name() const override { return "AQ"; }
     void setup(Machine &m) override;
@@ -52,10 +76,8 @@ class AqApp : public App
     static double f(double x, double y);
 
     /** Evaluate one rectangle; true if it must be subdivided. */
-    bool evalRect(int depth, unsigned ix, unsigned iy,
-                  double &contribution) const;
-
-    void computeGroundTruth();
+    static bool evalRect(const AqConfig &config, int depth, unsigned ix,
+                         unsigned iy, double &contribution);
 
     AqConfig cfg;
     std::uint64_t _expectedTasks = 0;

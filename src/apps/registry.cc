@@ -304,13 +304,29 @@ AppRegistry::AppRegistry()
              c.maxDepth = r.getCount("max_depth", c.maxDepth);
              c.evalWork = static_cast<Cycles>(
                  r.getU64("eval_work", c.evalWork));
-             r.require("tolerance",
-                       c.tolerance > 0 && std::isfinite(c.tolerance),
+             const bool tolerance_ok =
+                 c.tolerance > 0 && std::isfinite(c.tolerance);
+             r.require("tolerance", tolerance_ok,
                        "must be a positive finite number");
-             // A rectangle's side is 2 / (1u << depth).
-             r.require("max_depth", c.maxDepth <= 31,
-                       "must be at most 31");
-             return [c] { return std::make_unique<AqApp>(c); };
+             const bool depth_ok = c.maxDepth <= AqApp::maxDepthBound;
+             r.require("max_depth", depth_ok,
+                       "must be at most " +
+                           std::to_string(AqApp::maxDepthBound));
+             // The host walks the whole refinement tree before the
+             // run; the walk here is the one the app is built from.
+             AqTree tree;
+             if (tolerance_ok && depth_ok) {
+                 tree = AqApp::walkTree(c);
+                 r.require("tolerance", tree.rects <= AqApp::maxRects,
+                           "refines past " +
+                               std::to_string(AqApp::maxRects) +
+                               " rectangles by max_depth=" +
+                               std::to_string(c.maxDepth) +
+                               ": raise tolerance or lower max_depth");
+             }
+             return [c, tree] {
+                 return std::make_unique<AqApp>(c, tree);
+             };
          },
          2.0});
 
@@ -328,6 +344,8 @@ AppRegistry::AppRegistry()
              r.require("fine", c.fineSize >= 5 && c.fineSize % 2 == 1,
                        "must be odd and at least 5");
              r.require("levels", c.levels >= 1, "must be at least 1");
+             r.require("sweeps", c.sweeps >= 1, "must be at least 1");
+             r.require("vcycles", c.vcycles >= 1, "must be at least 1");
              requireHeap(r, "fine",
                          SmgridApp::setupBlocks(c, machine_nodes),
                          machine_nodes);

@@ -384,6 +384,33 @@ TEST(AppParams, TspFrontierBoundHoldsAtItsEdge)
     EXPECT_TRUE(app->verify(m));
 }
 
+TEST(AppParams, AqRefinementTreeBoundHoldsAtItsEdge)
+{
+    // Full refinement to depth D walks (4^(D+1) - 1) / 3 rectangles:
+    // 349,525 at depth 9 fits the host walk's 2^20 bound, 1,398,101 at
+    // depth 10 does not.
+    const AppRegistry &reg = AppRegistry::instance();
+    auto params = [](int depth) {
+        return AppParams{{"tolerance", "1e-300"},
+                         {"max_depth", std::to_string(depth)}};
+    };
+    EXPECT_EQ(reg.check("aq", params(9), 4, 4), "");
+    EXPECT_EQ(reg.check("aq", params(10), 4, 4),
+              "aq: parameter tolerance=1e-300 refines past 1048576 "
+              "rectangles by max_depth=10: raise tolerance or lower "
+              "max_depth");
+    EXPECT_NE(reg.check("aq", params(20), 4, 4), "");
+
+    // The app is built from the parse's walk of the whole tree.
+    auto app = reg.make("aq", params(9), 4);
+    EXPECT_EQ(dynamic_cast<AqApp &>(*app).expectedTasks(), 349'525u);
+
+    // A task word holds 24-bit rectangle coordinates.
+    EXPECT_EQ(reg.check("aq", {{"max_depth", "24"}}, 4, 4), "");
+    EXPECT_EQ(reg.check("aq", {{"max_depth", "25"}}, 4, 4),
+              "aq: parameter max_depth=25 must be at most 24");
+}
+
 TEST(ParamReader, IntegersAreDecimalDigitsOnly)
 {
     // "010" is ten, not octal eight.

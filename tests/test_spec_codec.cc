@@ -318,6 +318,14 @@ TEST(SpecCodec, ErrorTableKeepsEveryFieldsText)
          "tsp: parameter cities=2 must be in [3, 16]"},
         {"{\"app\":\"smgrid\",\"params\":{\"fine\":\"8\"}}",
          "smgrid: parameter fine=8 must be odd and at least 5"},
+        {"{\"app\":\"smgrid\",\"params\":{\"sweeps\":\"0\"}}",
+         "smgrid: parameter sweeps=0 must be at least 1"},
+        {"{\"app\":\"smgrid\",\"params\":{\"vcycles\":\"0\"}}",
+         "smgrid: parameter vcycles=0 must be at least 1"},
+        {"{\"app\":\"aq\",\"params\":{\"tolerance\":\"1e-300\","
+         "\"max_depth\":\"20\"}}",
+         "aq: parameter tolerance=1e-300 refines past 1048576 rectangles "
+         "by max_depth=20: raise tolerance or lower max_depth"},
         {"{\"app\":\"evolve\",\"params\":{\"dims\":\"21\"}}",
          "evolve: parameter dims=21 must be in [4, 20]"},
     };
