@@ -1,15 +1,10 @@
 #include "exp/cache/result_cache.hh"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <vector>
 
 #include "base/binary_io.hh"
 #include "exp/cache/record_io.hh"
@@ -73,32 +68,12 @@ fileSafe(const std::string &s)
     return out.empty() ? std::string("app") : out;
 }
 
-/** Has the ".swexrec" cache-entry suffix? */
-bool
-isEntryName(const char *name)
-{
-    const std::size_t n = std::strlen(name);
-    static const char suffix[] = ".swexrec";
-    const std::size_t sn = sizeof(suffix) - 1;
-    return n > sn && std::strcmp(name + n - sn, suffix) == 0;
-}
-
 } // anonymous namespace
 
 ResultCache::ResultCache(std::string dir, CodeVersions versions)
-    : ResultCache(std::move(dir), versions, Budget{})
-{
-}
-
-ResultCache::ResultCache(std::string dir, CodeVersions versions,
-                         Budget budget)
-    : _dir(std::move(dir)), _versions(versions), _budget(budget)
+    : _dir(std::move(dir)), _versions(versions)
 {
     makeDirs(_dir);
-    // A restarted bounded server inherits whatever the directory
-    // holds; trim it to budget up front instead of waiting for the
-    // first store.
-    enforceBudget();
 }
 
 std::uint64_t
@@ -156,11 +131,6 @@ ResultCache::lookup(const ExperimentSpec &spec, RunRecord &out) const
     switch (loadRecord(path, out, specKey(spec),
                        codeFingerprint(spec, _versions), err)) {
       case LoadStatus::Ok:
-        // Touch the entry so "oldest mtime" means least recently
-        // *used*: a hot cell survives LRU eviction however long ago
-        // it was stored. Failure (e.g. a concurrent eviction won the
-        // race) is harmless — the bytes are already in @p out.
-        ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
         _hits.fetch_add(1, std::memory_order_relaxed);
         return true;
       case LoadStatus::Missing:
@@ -192,73 +162,7 @@ ResultCache::store(const ExperimentSpec &spec, const RunRecord &record,
         return false;
     }
     _stores.fetch_add(1, std::memory_order_relaxed);
-    enforceBudget();
     return true;
-}
-
-void
-ResultCache::enforceBudget() const
-{
-    if (!_budget.bounded())
-        return;
-
-    // One evictor at a time; concurrent store()s queue here briefly.
-    // Lookups are not blocked — losing a file mid-lookup reads as a
-    // plain miss and the cell recomputes.
-    std::lock_guard<std::mutex> lock(_evictMutex);
-
-    struct Entry
-    {
-        std::string path;
-        std::uint64_t mtimeNs;
-        std::uint64_t bytes;
-    };
-    std::vector<Entry> entries;
-    std::uint64_t totalBytes = 0;
-
-    DIR *d = ::opendir(_dir.c_str());
-    if (d == nullptr)
-        return;
-    while (struct dirent *de = ::readdir(d)) {
-        if (!isEntryName(de->d_name))
-            continue;
-        std::string path = _dir + "/" + de->d_name;
-        struct stat st;
-        if (::stat(path.c_str(), &st) != 0)
-            continue;
-        std::uint64_t ns =
-            static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
-            static_cast<std::uint64_t>(st.st_mtim.tv_nsec);
-        std::uint64_t bytes = static_cast<std::uint64_t>(st.st_size);
-        entries.push_back({std::move(path), ns, bytes});
-        totalBytes += bytes;
-    }
-    ::closedir(d);
-
-    // Oldest mtime first; path breaks ties so eviction order is
-    // deterministic within one timestamp granule.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.mtimeNs != b.mtimeNs)
-                      return a.mtimeNs < b.mtimeNs;
-                  return a.path < b.path;
-              });
-
-    std::size_t i = 0;
-    auto over = [&]() {
-        std::uint64_t count = entries.size() - i;
-        return (_budget.maxBytes != 0 && totalBytes > _budget.maxBytes) ||
-               (_budget.maxEntries != 0 && count > _budget.maxEntries);
-    };
-    // Never evict the newest entry: a budget smaller than one record
-    // must still serve the cell just stored.
-    while (i + 1 < entries.size() && over()) {
-        const Entry &victim = entries[i];
-        if (std::remove(victim.path.c_str()) == 0)
-            _evictions.fetch_add(1, std::memory_order_relaxed);
-        totalBytes -= victim.bytes;
-        ++i;
-    }
 }
 
 ResultCache::Counters
@@ -270,7 +174,6 @@ ResultCache::counters() const
     c.stores = _stores.load(std::memory_order_relaxed);
     c.corrupt = _corrupt.load(std::memory_order_relaxed);
     c.stale = _stale.load(std::memory_order_relaxed);
-    c.evictions = _evictions.load(std::memory_order_relaxed);
     c.storeFailures = _storeFailures.load(std::memory_order_relaxed);
     return c;
 }

@@ -25,13 +25,12 @@
  *
  * Only direct-mode, completed, verified, violation-free records are
  * stored, so a hit always serves bytes a direct run produced.
- * Lookups are thread-safe and O(one file); corrupt or stale entries
- * count as misses (and are deleted so the recompute's store replaces
- * them). The directory can be bounded (Budget): stores then evict
- * least-recently-used entries by mtime — hits touch their entry —
- * until the byte/entry budget holds. Hit/miss/store/invalidation/
- * eviction accounting is atomic, for the serving front end's stats
- * endpoint and the bench legs.
+ * Lookups are thread-safe, O(one file) and read only; corrupt or
+ * stale entries count as misses (and are deleted so the recompute's
+ * store replaces them). The directory holds one entry per cell ever
+ * stored and is not bounded: delete it, or entries in it, at will.
+ * Hit/miss/store/invalidation accounting is atomic, for the serving
+ * front end's stats endpoint and the bench legs.
  */
 
 #ifndef SWEX_EXP_CACHE_RESULT_CACHE_HH
@@ -39,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "exp/cache/code_version.hh"
@@ -54,35 +52,14 @@ namespace cache
 class ResultCache
 {
   public:
-    /**
-     * Size budget for the cache directory; the default (all zero) is
-     * unbounded. When either bound is set, every store() is followed
-     * by an LRU sweep: entries are evicted oldest-mtime-first until
-     * the directory fits the budget again. Hits touch their entry's
-     * mtime, so "oldest mtime" is "least recently used", not "least
-     * recently stored". The newest entry is never evicted — a budget
-     * smaller than one record still serves the cell just stored.
-     */
-    struct Budget
-    {
-        std::uint64_t maxBytes = 0;     ///< 0 = unbounded
-        std::uint64_t maxEntries = 0;   ///< 0 = unbounded
-
-        bool bounded() const { return maxBytes != 0 || maxEntries != 0; }
-    };
-
     /** @p dir is created (mkdir -p) if missing. @p versions defaults
      *  to the build-derived component fingerprints + the env epoch;
-     *  tests pass perturbed versions to exercise invalidation. The
-     *  two-argument form is unbounded; pass a Budget to cap the
-     *  directory. */
+     *  tests pass perturbed versions to exercise invalidation. */
     explicit ResultCache(std::string dir,
                          CodeVersions versions = CodeVersions::current());
-    ResultCache(std::string dir, CodeVersions versions, Budget budget);
 
     const std::string &dir() const { return _dir; }
     const CodeVersions &versions() const { return _versions; }
-    const Budget &budget() const { return _budget; }
 
     /** Canonical hash of every result-affecting field of @p spec. */
     static std::uint64_t specKey(const ExperimentSpec &spec);
@@ -120,31 +97,19 @@ class ResultCache
         std::uint64_t stores = 0;
         std::uint64_t corrupt = 0;    ///< checksum/format failures
         std::uint64_t stale = 0;      ///< code-fingerprint mismatches
-        std::uint64_t evictions = 0;  ///< LRU budget enforcement
         std::uint64_t storeFailures = 0;
     };
     Counters counters() const;
 
   private:
-    /**
-     * Evict LRU-by-mtime entries until the directory fits the budget
-     * (no-op when unbounded); construction and store() call it.
-     * Serialized on an internal mutex; concurrent lookups of a file
-     * being evicted read a plain miss and recompute.
-     */
-    void enforceBudget() const;
-
     std::string _dir;
     CodeVersions _versions;
-    Budget _budget;
 
-    mutable std::mutex _evictMutex;
     mutable std::atomic<std::uint64_t> _hits{0};
     mutable std::atomic<std::uint64_t> _misses{0};
     mutable std::atomic<std::uint64_t> _stores{0};
     mutable std::atomic<std::uint64_t> _corrupt{0};
     mutable std::atomic<std::uint64_t> _stale{0};
-    mutable std::atomic<std::uint64_t> _evictions{0};
     mutable std::atomic<std::uint64_t> _storeFailures{0};
 };
 

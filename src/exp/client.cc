@@ -1,8 +1,5 @@
 #include "exp/client.hh"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -35,12 +32,11 @@ sleepMs(std::uint64_t ms)
 
 /**
  * connect() on an already non-blocking @p fd, bounded by
- * @p timeout_ms. TCP reports EINPROGRESS and completes via poll();
- * AF_UNIX reports EAGAIN when the listener's backlog is full — poll()
- * cannot observe backlog space there, so that case retries on a short
- * cadence until the deadline. Either way the caller gets 0, or -1
- * with errno describing the failure (ETIMEDOUT once the deadline
- * passes), never an unbounded block.
+ * @p timeout_ms. AF_UNIX reports EAGAIN when the listener's backlog
+ * is full, and poll() cannot observe backlog space, so that case
+ * retries on a short cadence until the deadline. The caller gets 0,
+ * or -1 with errno describing the failure (ETIMEDOUT once the
+ * deadline passes), never an unbounded block.
  */
 int
 connectBounded(int fd, const sockaddr *sa, socklen_t len,
@@ -48,29 +44,11 @@ connectBounded(int fd, const sockaddr *sa, socklen_t len,
 {
     const auto start = std::chrono::steady_clock::now();
     for (;;) {
-        int rc = ::connect(fd, sa, len);
-        if (rc == 0 || errno == EISCONN)
+        if (::connect(fd, sa, len) == 0)
             return 0;
-        int left = timeout_ms - wire::msSince(start);
-        if (errno == EINPROGRESS || errno == EALREADY ||
-            errno == EINTR) {
-            pollfd p{fd, POLLOUT, 0};
-            int pr = ::poll(&p, 1, left < 0 ? 0 : left);
-            if (pr > 0) {
-                int soerr = 0;
-                socklen_t slen = sizeof(soerr);
-                ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &soerr,
-                             &slen);
-                if (soerr == 0)
-                    return 0;
-                errno = soerr;
-                return -1;
-            }
-            errno = ETIMEDOUT;
+        if (errno != EAGAIN && errno != EINTR)
             return -1;
-        }
-        if (errno != EAGAIN)
-            return -1;
+        const int left = timeout_ms - wire::msSince(start);
         if (left <= 0) {
             errno = ETIMEDOUT;
             return -1;
@@ -189,24 +167,17 @@ bool
 ServeClient::connect(std::string *err)
 {
     disconnect();
-    const bool unix_path = cfg.address.find('/') != std::string::npos;
     auto connectTo = [&](int s, const sockaddr *sa,
                          socklen_t len) -> std::string {
         // Non-blocking from the start: connectTimeoutMs then bounds a
-        // blackholed TCP address and a live Unix server whose backlog
-        // is full alike.
+        // live server whose backlog is full.
         wire::setNonBlocking(s);
         if (connectBounded(s, sa, len, cfg.connectTimeoutMs) != 0)
             return "connect " + cfg.address + ": " + std::strerror(errno);
-        if (!unix_path) {
-            int one = 1;
-            ::setsockopt(s, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        }
         return "";
     };
     std::string why;
-    fd = wire::openStream(cfg.address, unix_path, /*passive=*/false,
-                          connectTo, why);
+    fd = wire::openStream(cfg.address, connectTo, why);
     if (fd < 0 && err != nullptr)
         *err = why;
     return fd >= 0;

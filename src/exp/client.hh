@@ -52,10 +52,10 @@ namespace client
 
 struct ClientConfig
 {
-    /** Server address: a string containing '/' is a Unix-domain
-     *  socket path; anything else is a TCP "host:port". */
+    /** Path of the server's Unix-domain socket. */
     std::string address;
 
+    /** Bound on a connect() that finds the server's backlog full. */
     int connectTimeoutMs = 2000;
 
     /** Bound on a read with no byte received ("deadline") and on a

@@ -2,18 +2,17 @@
  * @file
  * The serve wire's one transport, shared by the server's connections
  * (exp/serve.cc), the client library (exp/client.cc) and the raw
- * clients of the chaos harness and the tests: Unix-path and
- * "host:port" resolution, a bounded line reader, and a line sender
- * that gives up on a stalled peer. Reads and sends pass MSG_DONTWAIT
- * and wait in poll(), so the descriptor's mode does not matter, and
- * both timers measure elapsed time since the last byte moved.
+ * clients of the chaos harness and the tests: Unix-socket addressing,
+ * a bounded line reader, and a line sender that gives up on a stalled
+ * peer. Reads and sends pass MSG_DONTWAIT and wait in poll(), so the
+ * descriptor's mode does not matter, and both timers measure elapsed
+ * time since the last byte moved.
  */
 
 #ifndef SWEX_EXP_LINE_IO_HH
 #define SWEX_EXP_LINE_IO_HH
 
 #include <fcntl.h>
-#include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -172,69 +171,34 @@ class LineReader
 };
 
 /**
- * A stream socket for @p address: a Unix-domain socket path when
- * @p unix_path, else a "host:port" with a numeric port (@p passive
- * for a listener). Each resolved address in turn gets a fresh socket,
- * handed to @p ready(fd, sockaddr, length), which binds or connects
- * it and returns "" once it is usable. @return that socket, or -1
- * with @p err saying why not.
+ * A stream socket for the Unix-domain socket at @p path, handed with
+ * its address to @p ready(fd, sockaddr, length), which binds or
+ * connects it and returns "" once it is usable. @return that socket,
+ * or -1 with @p err saying why not.
  */
 template <class Ready>
 int
-openStream(const std::string &address, bool unix_path, bool passive,
-           Ready &&ready, std::string &err)
+openStream(const std::string &path, Ready &&ready, std::string &err)
 {
-    auto open = [&](int family, int protocol, const sockaddr *sa,
-                    socklen_t len) {
-        const int fd = ::socket(family, SOCK_STREAM, protocol);
-        if (fd < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            return -1;
-        }
-        err = ready(fd, sa, len);
-        if (err.empty())
-            return fd;
-        ::close(fd);
-        return -1;
-    };
-    if (unix_path) {
-        sockaddr_un un{};
-        un.sun_family = AF_UNIX;
-        if (address.size() >= sizeof(un.sun_path)) {
-            err = "socket path too long (" +
-                  std::to_string(address.size()) + " >= " +
-                  std::to_string(sizeof(un.sun_path)) + ")";
-            return -1;
-        }
-        std::memcpy(un.sun_path, address.c_str(), address.size() + 1);
-        return open(AF_UNIX, 0, reinterpret_cast<const sockaddr *>(&un),
-                    sizeof(un));
-    }
-    const std::size_t colon = address.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= address.size()) {
-        err = "bad address '" + address + "' (want host:port)";
+    sockaddr_un un{};
+    un.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(un.sun_path)) {
+        err = "socket path too long (" + std::to_string(path.size()) +
+              " >= " + std::to_string(sizeof(un.sun_path)) + ")";
         return -1;
     }
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_NUMERICSERV | (passive ? AI_PASSIVE : 0);
-    addrinfo *res = nullptr;
-    const int gai = ::getaddrinfo(address.substr(0, colon).c_str(),
-                                  address.substr(colon + 1).c_str(),
-                                  &hints, &res);
-    if (gai != 0) {
-        err = "resolve " + address + ": " + ::gai_strerror(gai);
+    std::memcpy(un.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+        err = std::string("socket: ") + std::strerror(errno);
         return -1;
     }
-    err = "no usable address for " + address;
-    int fd = -1;
-    for (addrinfo *ai = res; ai != nullptr && fd < 0; ai = ai->ai_next)
-        fd = open(ai->ai_family, ai->ai_protocol, ai->ai_addr,
-                  ai->ai_addrlen);
-    ::freeaddrinfo(res);
-    return fd;
+    err = ready(fd, reinterpret_cast<const sockaddr *>(&un),
+                socklen_t{sizeof(un)});
+    if (err.empty())
+        return fd;
+    ::close(fd);
+    return -1;
 }
 
 } // namespace wire

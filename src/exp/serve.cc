@@ -1,8 +1,6 @@
 #include "exp/serve.hh"
 
 #include <algorithm>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -51,6 +49,10 @@ using wire::renderJson;
  *  client must not grow the server's buffer without bound. Generous:
  *  a maximal run request is a few hundred bytes. */
 constexpr std::size_t maxRequestLine = 1u << 20;
+
+/** listen(2) backlog: connections the kernel queues for accept().
+ *  A client that finds it full retries until its connect timeout. */
+constexpr int listenBacklog = 64;
 
 /**
  * One connected client: line reader + locked line writer over the
@@ -598,7 +600,7 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
             const std::pair<const char *, std::uint64_t> counters[] = {
                 {"hits", c.hits}, {"misses", c.misses},
                 {"stores", c.stores}, {"corrupt", c.corrupt},
-                {"stale", c.stale}, {"evictions", c.evictions},
+                {"stale", c.stale},
                 {"accepted", now(srv.accepted)}, {"shed", now(srv.shed)},
                 {"fd_exhausted", now(srv.fdExhausted)},
                 {"idle_closed", now(srv.idleClosed)},
@@ -647,29 +649,23 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
     }
 }
 
-/** One bound listening socket. */
+/** The bound listening socket. The destructor is the one
+ *  close-and-unlink path, so every exit from serveLoop (a bind or
+ *  pipe error, or the end of a drain) releases the socket the same
+ *  way. */
 struct Listener
 {
-    int fd;
-    std::string unixPath;   ///< socket file to unlink; "" for TCP
-};
+    int fd = -1;
+    std::string path;
 
-/** Every bound listener. The destructor is the one close-and-unlink
- *  path, so every exit from serveLoop (a bind or pipe error, or the
- *  end of a drain) releases the sockets the same way. */
-struct Listeners
-{
-    std::vector<Listener> all;
-
-    Listeners() = default;
-    Listeners(const Listeners &) = delete;
-    Listeners &operator=(const Listeners &) = delete;
-    ~Listeners()
+    Listener() = default;
+    Listener(const Listener &) = delete;
+    Listener &operator=(const Listener &) = delete;
+    ~Listener()
     {
-        for (const Listener &l : all) {
-            ::close(l.fd);
-            if (!l.unixPath.empty())
-                ::unlink(l.unixPath.c_str());
+        if (fd >= 0) {
+            ::close(fd);
+            ::unlink(path.c_str());
         }
     }
 };
@@ -682,9 +678,8 @@ struct Listeners
  * socket out from under it. @return "" on success.
  */
 std::string
-bindUnixListener(const ServeConfig &cfg, Listeners &out)
+bindListener(const std::string &path, Listener &out)
 {
-    const std::string &path = cfg.socketPath;
     auto bindAndListen = [&](int fd, const sockaddr *sa,
                              socklen_t len) -> std::string {
         struct stat st;
@@ -709,7 +704,7 @@ bindUnixListener(const ServeConfig &cfg, Listeners &out)
         }
         if (::bind(fd, sa, len) != 0)
             return "bind " + path + ": " + std::strerror(errno);
-        if (::listen(fd, cfg.backlog) != 0) {
+        if (::listen(fd, listenBacklog) != 0) {
             std::string e = std::string("listen: ") + std::strerror(errno);
             ::unlink(path.c_str());
             return e;
@@ -717,51 +712,11 @@ bindUnixListener(const ServeConfig &cfg, Listeners &out)
         return "";
     };
     std::string err;
-    const int fd = wire::openStream(path, /*unix_path=*/true,
-                                    /*passive=*/true, bindAndListen, err);
+    const int fd = wire::openStream(path, bindAndListen, err);
     if (fd < 0)
         return err;
-    out.all.push_back({fd, path});
-    return "";
-}
-
-/** Bind + listen on "host:port" (numeric port; port 0 = ephemeral,
- *  published through cfg.tcpPortOut). @return "" on success. */
-std::string
-bindTcpListener(const ServeConfig &cfg, Listeners &out)
-{
-    const std::string &hp = cfg.tcpHostPort;
-    auto bindAndListen = [&](int fd, const sockaddr *sa,
-                             socklen_t len) -> std::string {
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (::bind(fd, sa, len) != 0 ||
-            ::listen(fd, cfg.backlog) != 0)
-            return "bind/listen " + hp + ": " + std::strerror(errno);
-        return "";
-    };
-    std::string err;
-    const int fd = wire::openStream(hp, /*unix_path=*/false,
-                                    /*passive=*/true, bindAndListen, err);
-    if (fd < 0)
-        return err;
-
-    if (cfg.tcpPortOut != nullptr) {
-        sockaddr_storage ss{};
-        socklen_t slen = sizeof(ss);
-        int bound = 0;
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&ss),
-                          &slen) == 0) {
-            if (ss.ss_family == AF_INET)
-                bound = ntohs(reinterpret_cast<sockaddr_in *>(&ss)
-                                  ->sin_port);
-            else if (ss.ss_family == AF_INET6)
-                bound = ntohs(reinterpret_cast<sockaddr_in6 *>(&ss)
-                                  ->sin6_port);
-        }
-        cfg.tcpPortOut->store(bound, std::memory_order_release);
-    }
-    out.all.push_back({fd, ""});
+    out.fd = fd;
+    out.path = path;
     return "";
 }
 
@@ -821,23 +776,13 @@ serveTermHandler(int)
 int
 serveLoop(const ServeConfig &cfg)
 {
-    if (cfg.socketPath.empty() && cfg.tcpHostPort.empty()) {
-        std::fprintf(stderr,
-                     "serve: no listener (need a socket path and/or "
-                     "a TCP host:port)\n");
+    if (cfg.socketPath.empty()) {
+        std::fprintf(stderr, "serve: no socket path\n");
         return 1;
     }
-
-    // TCP first: once the Unix socket accepts, every listener is up
-    // and cfg.tcpPortOut is published, so a caller may probe the Unix
-    // path alone before reading the port.
-    Listeners listeners;
-    std::string err;
-    if (!cfg.tcpHostPort.empty())
-        err = bindTcpListener(cfg, listeners);
-    if (err.empty() && !cfg.socketPath.empty())
-        err = bindUnixListener(cfg, listeners);
-    if (!err.empty()) {
+    Listener listener;
+    if (std::string err = bindListener(cfg.socketPath, listener);
+        !err.empty()) {
         std::fprintf(stderr, "serve: %s\n", err.c_str());
         return 1;
     }
@@ -854,13 +799,8 @@ serveLoop(const ServeConfig &cfg)
 
     ServerState srv(cfg);
     srv.wakeWrite = wake[1];
-    if (!cfg.cacheDir.empty()) {
-        cache::ResultCache::Budget budget;
-        budget.maxBytes = cfg.cacheMaxBytes;
-        budget.maxEntries = cfg.cacheMaxEntries;
-        srv.cache = std::make_unique<cache::ResultCache>(
-            cfg.cacheDir, cache::CodeVersions::current(), budget);
-    }
+    if (!cfg.cacheDir.empty())
+        srv.cache = std::make_unique<cache::ResultCache>(cfg.cacheDir);
     srv.runner.attachCache(srv.cache.get());
     // Responses carry canonical record JSON when the environment asks
     // for canonical documents, or per request via "canonical":true.
@@ -910,19 +850,12 @@ serveLoop(const ServeConfig &cfg)
         }
     };
     while (!srv.stopping.load(std::memory_order_acquire)) {
-        pollfd fds[4];
-        int nfds = 0;
-        for (const Listener &l : listeners.all)
-            fds[nfds++] = {l.fd, POLLIN, 0};
-        int wake_slot = nfds;
-        fds[nfds++] = {wake[0], POLLIN, 0};
-        int sig_slot = -1;
-        if (sig_fd >= 0) {
-            sig_slot = nfds;
-            fds[nfds++] = {sig_fd, POLLIN, 0};
-        }
-
-        int pr = ::poll(fds, static_cast<nfds_t>(nfds), -1);
+        // The listener, the wake pipe, and the signal pipe (-1 when
+        // signals are not handled, which poll() skips).
+        pollfd fds[3] = {{listener.fd, POLLIN, 0},
+                         {wake[0], POLLIN, 0},
+                         {sig_fd, POLLIN, 0}};
+        int pr = ::poll(fds, 3, -1);
         if (pr < 0) {
             if (errno == EINTR)
                 continue;
@@ -933,13 +866,13 @@ serveLoop(const ServeConfig &cfg)
             srv.beginShutdown();
             break;
         }
-        if ((fds[wake_slot].revents & POLLIN) != 0) {
+        if ((fds[1].revents & POLLIN) != 0) {
             char buf[64];
             while (::read(wake[0], buf, sizeof buf) > 0) {
             }
         }
         reap();
-        if (sig_slot >= 0 && (fds[sig_slot].revents & POLLIN) != 0) {
+        if ((fds[2].revents & POLLIN) != 0) {
             char buf[64];
             while (::read(sig_fd, buf, sizeof buf) > 0) {
             }
@@ -955,13 +888,9 @@ serveLoop(const ServeConfig &cfg)
         if (srv.stopping.load(std::memory_order_acquire))
             break;
 
-        const Listener *ready = nullptr;
-        for (std::size_t i = 0; i < listeners.all.size(); ++i)
-            if (ready == nullptr && (fds[i].revents & POLLIN) != 0)
-                ready = &listeners.all[i];
-        if (ready == nullptr)
+        if ((fds[0].revents & POLLIN) == 0)
             continue;
-        int cfd = ::accept(ready->fd, nullptr, nullptr);
+        int cfd = ::accept(listener.fd, nullptr, nullptr);
         if (cfd < 0) {
             if (errno == EINTR || errno == ECONNABORTED ||
                 errno == EAGAIN || errno == EWOULDBLOCK)
@@ -983,11 +912,6 @@ serveLoop(const ServeConfig &cfg)
             std::perror("serve: accept");
             srv.beginShutdown();
             break;
-        }
-        if (ready->unixPath.empty()) {
-            int one = 1;
-            ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof(one));
         }
         srv.accepted.fetch_add(1, std::memory_order_relaxed);
         auto conn = std::make_shared<Connection>(

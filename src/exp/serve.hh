@@ -1,18 +1,18 @@
 /**
  * @file
- * The experiment-serving front end behind `swex_cli --serve` /
- * `--serve-tcp`: a Unix-domain stream socket and/or a TCP listener
- * speaking line-delimited JSON. Each request line is one op; each
- * response is one line. Hot cells are served straight from the result
- * cache (exp/cache/); cold cells are scheduled on the experiment
- * thread pool and their responses stream back as the simulations
- * land — a client that submits a sweep's worth of "run" lines (or one
- * "sweep" line) gets cache hits immediately and misses in completion
- * order, tagged so it can reassemble the grid.
+ * The experiment-serving front end behind `swex_cli --serve`: a
+ * Unix-domain stream socket speaking line-delimited JSON (a remote
+ * user forwards it, e.g. `ssh -L <local.sock>:<remote.sock>`). Each
+ * request line is one op; each response is one line. Hot cells are
+ * served straight from the result cache (exp/cache/); cold cells are
+ * scheduled on the experiment thread pool and their responses stream
+ * back as the simulations land — a client that submits a sweep's
+ * worth of "run" lines (or one "sweep" line) gets cache hits
+ * immediately and misses in completion order, tagged so it can
+ * reassemble the grid.
  *
- * Concurrency model: connections are accepted concurrently (from
- * either listener, through the same accept/reader/pool machinery),
- * each with its own reader thread, all feeding the one experiment
+ * Concurrency model: connections are accepted concurrently, each
+ * with its own reader thread, all feeding the one experiment
  * pool — jobs bounds simultaneous simulations globally, not per
  * client. Work is admitted through a bounded queue and scheduled
  * fairly per client (round-robin across connections with pending
@@ -67,9 +67,9 @@
  *        {"ok":true,"tag":"fig4","sweep_done":true,"cells":N}
  *   {"op":"stats"}
  *     -> {"ok":true,"stats":{"requests":N,"hits":...,"misses":...,
- *         "stores":...,"corrupt":...,"stale":...,"evictions":...,
+ *         "stores":...,"corrupt":...,"stale":...,"accepted":...,
  *         "shed":...,"fd_exhausted":...,"idle_closed":...,
- *         "readers_reaped":...,"queued":...,"accepted":...}}
+ *         "readers_reaped":...,"queued":...}}
  *   {"op":"shutdown"}
  *     -> {"ok":true,"shutdown":true}   (server exits afterwards)
  *
@@ -95,7 +95,6 @@
 #ifndef SWEX_EXP_SERVE_HH
 #define SWEX_EXP_SERVE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -118,19 +117,12 @@ constexpr std::size_t maxSweepCellsTotal = std::size_t{1} << 20;
 
 struct ServeConfig
 {
-    /** Path of the Unix-domain socket to listen on ("" = no Unix
-     *  listener). A stale socket file at the path is replaced, but a
-     *  path another live server is accepting on is refused with a
-     *  structured error (probed with a connect(), so starting two
-     *  servers on one path can no longer silently unlink the first
-     *  one's socket). */
+    /** Path of the Unix-domain socket to listen on (required). A
+     *  stale socket file at the path is replaced, but a path another
+     *  live server is accepting on is refused with a structured error
+     *  (probed with a connect(), so starting two servers on one path
+     *  can no longer silently unlink the first one's socket). */
     std::string socketPath;
-
-    /** TCP listen address as "host:port" ("" = no TCP listener).
-     *  Port 0 binds an ephemeral port, published through
-     *  @ref tcpPortOut. At least one of socketPath / tcpHostPort is
-     *  required. */
-    std::string tcpHostPort;
 
     /** Result-cache directory; "" serves without a cache (every run
      *  simulates). */
@@ -140,15 +132,6 @@ struct ServeConfig
      *  (cache hits never queue behind a cold simulation for long —
      *  they are microsecond tasks on the same pool). */
     unsigned jobs = 1;
-
-    /** Result-cache budget (0 = unbounded): when set, stores evict
-     *  least-recently-used entries by mtime until the directory fits
-     *  (see cache/result_cache.hh). */
-    std::uint64_t cacheMaxBytes = 0;
-    std::uint64_t cacheMaxEntries = 0;
-
-    /** listen(2) backlog for both listeners (--serve-backlog). */
-    int backlog = 64;
 
     /** Admission bound: total work units (runs + sweep-chunk cells)
      *  admitted but not yet completed, across all clients. A request
@@ -172,10 +155,6 @@ struct ServeConfig
      *  Off by default so embedding a server in a test process never
      *  hijacks the host's signal disposition unasked. */
     bool handleSignals = false;
-
-    /** When non-null, receives the bound TCP port once the listener
-     *  is up (useful with port 0). */
-    std::atomic<int> *tcpPortOut = nullptr;
 };
 
 /**

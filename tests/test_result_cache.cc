@@ -6,8 +6,8 @@
  * the byte-identical canonical document a direct run emits,
  * invalidation is component-scoped (a directory bump leaves snoop
  * cells warm), corrupt entries fall back to recompute-and-replace, an
- * older version's entry is a stale miss replaced in place, and the
- * warm path is --jobs invariant.
+ * older version's entry is a stale miss replaced in place, the warm
+ * path is --jobs invariant, and a hit writes nothing.
  */
 
 #include <gtest/gtest.h>
@@ -133,9 +133,8 @@ entryFiles(const std::string &dir)
     return names;
 }
 
-/** Pin @p path's mtime to an explicit timestamp, so LRU ordering in
- *  the eviction tests never depends on filesystem timestamp
- *  granularity or test scheduling. */
+/** Pin @p path's mtime to @p sec, so a test can tell whether
+ *  anything wrote the entry since. */
 void
 setMtime(const std::string &path, std::uint64_t sec)
 {
@@ -549,131 +548,21 @@ TEST(ResultCache, WarmSweepIsJobsInvariant)
     EXPECT_EQ(c.hits, specs.size());
 }
 
-TEST(ResultCache, LruEntryBudgetEvictsOldestMtime)
+TEST(ResultCache, AHitIsAPureRead)
 {
     setQuiet(true);
-    const std::string dir = scratchDir("lru");
-    cache::ResultCache rcache(dir, cache::CodeVersions::current(),
-                              {/*maxBytes=*/0, /*maxEntries=*/2});
-
-    ExperimentSpec a = workerSpec("cache/lru/a");
-    ExperimentSpec b = workerSpec("cache/lru/b");
-    ExperimentSpec c = workerSpec("cache/lru/c");
-    a.seed = 11;
-    b.seed = 22;
-    c.seed = 33;
-
+    cache::ResultCache rcache(scratchDir("pureread"));
+    ExperimentSpec a = workerSpec("cache/pureread/a");
     Runner runner;
     runner.attachCache(&rcache);
     ASSERT_TRUE(runner.execute(a).verified);
-    setMtime(rcache.entryPath(a), 1000);   // least recently used
-    ASSERT_TRUE(runner.execute(b).verified);
-    setMtime(rcache.entryPath(b), 2000);
 
-    // The third store breaks the 2-entry budget: the oldest-mtime
-    // entry (a) goes, the just-stored entry and the fresher survivor
-    // stay, and the eviction is accounted.
-    ASSERT_TRUE(runner.execute(c).verified);
-    EXPECT_FALSE(rcache.contains(a));
-    EXPECT_TRUE(rcache.contains(b));
-    EXPECT_TRUE(rcache.contains(c));
-    EXPECT_EQ(rcache.counters().evictions, 1u);
-}
-
-TEST(ResultCache, LruHitTouchesTheEntry)
-{
-    setQuiet(true);
-    const std::string dir = scratchDir("touch");
-    cache::ResultCache rcache(dir, cache::CodeVersions::current(),
-                              {/*maxBytes=*/0, /*maxEntries=*/2});
-
-    ExperimentSpec a = workerSpec("cache/touch/a");
-    ExperimentSpec b = workerSpec("cache/touch/b");
-    ExperimentSpec c = workerSpec("cache/touch/c");
-    a.seed = 11;
-    b.seed = 22;
-    c.seed = 33;
-
-    Runner runner;
-    runner.attachCache(&rcache);
-    ASSERT_TRUE(runner.execute(a).verified);
-    ASSERT_TRUE(runner.execute(b).verified);
-    // Backdate both, a older than b — then hit a. The hit must
-    // refresh a's mtime, flipping the LRU order so the next eviction
-    // takes b, not a.
+    // A hit loads the entry and writes nothing, its mtime included.
     setMtime(rcache.entryPath(a), 1000);
-    setMtime(rcache.entryPath(b), 2000);
     RunRecord out;
     ASSERT_TRUE(rcache.lookup(a, out));
-
-    ASSERT_TRUE(runner.execute(c).verified);
-    EXPECT_TRUE(rcache.contains(a)) << "hit did not refresh LRU order";
-    EXPECT_FALSE(rcache.contains(b));
-    EXPECT_TRUE(rcache.contains(c));
-    EXPECT_EQ(rcache.counters().evictions, 1u);
-}
-
-TEST(ResultCache, ByteBudgetNeverEvictsTheNewestEntry)
-{
-    setQuiet(true);
-    const std::string dir = scratchDir("bytes");
-    // A 1-byte budget is smaller than any record: every store must
-    // still keep the entry it just wrote (a cache that evicts its own
-    // store can never serve anything) and evict everything older.
-    cache::ResultCache rcache(dir, cache::CodeVersions::current(),
-                              {/*maxBytes=*/1, /*maxEntries=*/0});
-
-    ExperimentSpec a = workerSpec("cache/bytes/a");
-    ExperimentSpec b = workerSpec("cache/bytes/b");
-    a.seed = 11;
-    b.seed = 22;
-
-    Runner runner;
-    runner.attachCache(&rcache);
-    ASSERT_TRUE(runner.execute(a).verified);
-    EXPECT_TRUE(rcache.contains(a)) << "sole entry must survive";
-    setMtime(rcache.entryPath(a), 1000);
-
-    ASSERT_TRUE(runner.execute(b).verified);
-    EXPECT_FALSE(rcache.contains(a));
-    EXPECT_TRUE(rcache.contains(b));
-    EXPECT_EQ(rcache.counters().evictions, 1u);
-
-    // And the surviving over-budget entry still serves a hit.
-    RunRecord out;
-    EXPECT_TRUE(rcache.lookup(b, out));
-}
-
-TEST(ResultCache, ConstructorTrimsAnInheritedOversizedDirectory)
-{
-    setQuiet(true);
-    const std::string dir = scratchDir("inherit");
-
-    ExperimentSpec a = workerSpec("cache/inherit/a");
-    ExperimentSpec b = workerSpec("cache/inherit/b");
-    ExperimentSpec c = workerSpec("cache/inherit/c");
-    a.seed = 11;
-    b.seed = 22;
-    c.seed = 33;
-
-    {
-        cache::ResultCache unbounded(dir);
-        Runner runner;
-        runner.attachCache(&unbounded);
-        ASSERT_TRUE(runner.execute(a).verified);
-        ASSERT_TRUE(runner.execute(b).verified);
-        ASSERT_TRUE(runner.execute(c).verified);
-        setMtime(unbounded.entryPath(a), 1000);
-        setMtime(unbounded.entryPath(b), 2000);
-        setMtime(unbounded.entryPath(c), 3000);
-    }
-
-    // A restarted bounded server inherits three entries over a
-    // 1-entry budget: construction itself trims to the newest.
-    cache::ResultCache bounded(dir, cache::CodeVersions::current(),
-                               {/*maxBytes=*/0, /*maxEntries=*/1});
-    EXPECT_FALSE(bounded.contains(a));
-    EXPECT_FALSE(bounded.contains(b));
-    EXPECT_TRUE(bounded.contains(c));
-    EXPECT_EQ(bounded.counters().evictions, 2u);
+    struct stat st;
+    ASSERT_EQ(::stat(rcache.entryPath(a).c_str(), &st), 0);
+    EXPECT_EQ(st.st_mtim.tv_sec, 1000);
+    EXPECT_EQ(rcache.counters().hits, 1u);
 }

@@ -7,8 +7,7 @@
  * (duplicate keys, garbage, oversized lines), server-side sweeps
  * (expansion order, per-cell byte-identity with direct execution),
  * the multi-client model (concurrent clients, hang-up mid-sweep),
- * LRU eviction accounting through the stats op, and the robustness
- * surface: the TCP listener, stale-socket takeover vs live-socket
+ * and the robustness surface: stale-socket takeover vs live-socket
  * refusal, overload shedding with retry hints, cursor-chunked sweeps
  * resumed across connections (raw protocol and ServeClient under
  * chaos kills), idle timeouts, and SIGTERM drain. The raw clients
@@ -23,10 +22,8 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -63,10 +60,30 @@ scratchDir(const std::string &tag)
     return d != nullptr ? d : ".";
 }
 
-/** A raw line-oriented client on the server's Unix socket or TCP
- *  port, framing lines through the serve wire's transport. Reads and
- *  sends are bounded, so a wedged server fails a test instead of
- *  hanging it. */
+/** Readiness callback for wire::openStream: bind only, leaving a
+ *  socket file that nothing accepts on. */
+std::string
+bindOnly(int s, const sockaddr *sa, socklen_t len)
+{
+    return ::bind(s, sa, len) == 0 ? "" : std::strerror(errno);
+}
+
+/** Readiness callback for wire::openStream: a listener with
+ *  @p backlog that the test accepts on (or never does). */
+auto
+listenOn(int backlog)
+{
+    return [backlog](int s, const sockaddr *sa, socklen_t len) {
+        return std::string(::bind(s, sa, len) == 0 &&
+                                   ::listen(s, backlog) == 0
+                               ? ""
+                               : std::strerror(errno));
+    };
+}
+
+/** A raw line-oriented client on the server's Unix socket, framing
+ *  lines through the serve wire's transport. Reads and sends are
+ *  bounded, so a wedged server fails a test instead of hanging it. */
 struct Client
 {
     static constexpr int ioMs = 60'000;
@@ -76,15 +93,14 @@ struct Client
 
     ~Client() { disconnect(); }
 
-    /** Connect to @p address: a socket path, or "host:port". */
+    /** Connect to the socket at @p path. */
     bool
-    connectTo(const std::string &address)
+    connectTo(const std::string &path)
     {
         disconnect();
         std::string err;
         fd = wire::openStream(
-            address, address.find('/') != std::string::npos,
-            /*passive=*/false,
+            path,
             [](int s, const sockaddr *sa, socklen_t len) {
                 return std::string(::connect(s, sa, len) == 0
                                        ? ""
@@ -131,23 +147,18 @@ struct Client
 struct TestServer
 {
     serve::ServeConfig cfg;
-    std::atomic<int> tcpPort{0};
     std::thread thread;
     int exitCode = -1;
     bool stopped = false;
 
     explicit TestServer(
         const std::string &tag, unsigned jobs = 4,
-        std::uint64_t max_bytes = 0, std::uint64_t max_entries = 0,
         const std::function<void(serve::ServeConfig &)> &tweak = {})
     {
         const std::string dir = scratchDir(tag);
         cfg.socketPath = dir + "/sock";
         cfg.cacheDir = dir + "/cache";
         cfg.jobs = jobs;
-        cfg.cacheMaxBytes = max_bytes;
-        cfg.cacheMaxEntries = max_entries;
-        cfg.tcpPortOut = &tcpPort;
         if (tweak)
             tweak(cfg);
         thread = std::thread([this] { exitCode = serve::serveLoop(cfg); });
@@ -253,6 +264,13 @@ TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
     ASSERT_TRUE(c.readLine(warm_line));
     wire::JsonValue warm = parseJson(warm_line);
     EXPECT_EQ(at(warm, "source").raw, "cache");
+
+    // The stats op accounts both runs, and both connections: the
+    // readiness probe's and this one.
+    const wire::JsonValue stats = c.rpc("{\"op\":\"stats\"}");
+    EXPECT_EQ(numberOf(at(at(stats, "stats"), "stores")), 1);
+    EXPECT_EQ(numberOf(at(at(stats, "stats"), "hits")), 1);
+    EXPECT_EQ(numberOf(at(at(stats, "stats"), "accepted")), 2);
 
     // Hot or cold, the record bytes match a direct execution.
     Runner direct(/*fail_fast=*/false);
@@ -620,74 +638,6 @@ TEST(Serve, ClientHangUpMidSweepLeavesServerAndCacheIntact)
             << "orphaned sweep cell " << k << " missing from cache";
 }
 
-TEST(Serve, StatsSurfacesLruEvictions)
-{
-    setQuiet(true);
-    TestServer server("evict", /*jobs=*/1, /*max_bytes=*/0,
-                      /*max_entries=*/1);
-    Client c;
-    ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
-
-    EXPECT_TRUE(at(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
-                         "\"nodes\":4,\"seed\":1}"),
-                   "ok").boolean);
-    EXPECT_TRUE(at(c.rpc("{\"op\":\"run\",\"app\":\"worker\","
-                         "\"nodes\":4,\"seed\":2}"),
-                   "ok").boolean);
-
-    wire::JsonValue stats = c.rpc("{\"op\":\"stats\"}");
-    ASSERT_TRUE(at(stats, "ok").boolean);
-    EXPECT_GE(numberOf(at(at(stats, "stats"), "evictions")), 1);
-    EXPECT_EQ(numberOf(at(at(stats, "stats"), "stores")), 2);
-
-    server.stop();
-}
-
-TEST(Serve, TcpListenerSpeaksTheSameProtocolByteForByte)
-{
-    setQuiet(true);
-    TestServer server("tcp", 2, 0, 0, [](serve::ServeConfig &c) {
-        c.tcpHostPort = "127.0.0.1:0";
-    });
-
-    // The kernel-assigned port is published through tcpPortOut once
-    // the TCP listener is bound.
-    int port = 0;
-    for (int i = 0; i < 500 && port == 0; ++i) {
-        port = server.tcpPort.load();
-        if (port == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_GT(port, 0) << "TCP port never published";
-
-    Client tcp;
-    ASSERT_TRUE(tcp.connectTo("127.0.0.1:" + std::to_string(port)));
-    tcp.sendLine("{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
-                 "\"protocol\":\"h5\",\"seed\":3,\"canonical\":true}");
-    std::string line;
-    ASSERT_TRUE(tcp.readLine(line));
-    wire::JsonValue v = parseJson(line);
-    ASSERT_TRUE(at(v, "ok").boolean) << line;
-
-    Runner direct(/*fail_fast=*/false);
-    EXPECT_EQ(recordOf(line),
-              canonicalJson(direct.execute(workerCell("h5", 3))));
-
-    // Both listeners front the same server: the Unix side sees the
-    // cell the TCP side just stored, and the accept counter covers
-    // both.
-    Client un;
-    ASSERT_TRUE(un.connectTo(server.cfg.socketPath));
-    wire::JsonValue warm = un.rpc(
-        "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
-        "\"protocol\":\"h5\",\"seed\":3,\"canonical\":true}");
-    EXPECT_EQ(at(warm, "source").raw, "cache");
-    wire::JsonValue stats = un.rpc("{\"op\":\"stats\"}");
-    EXPECT_GE(numberOf(at(at(stats, "stats"), "accepted")), 2);
-
-    server.stop();
-}
-
 TEST(Serve, LiveSocketIsRefusedButStaleSocketIsTakenOver)
 {
     setQuiet(true);
@@ -696,16 +646,10 @@ TEST(Serve, LiveSocketIsRefusedButStaleSocketIsTakenOver)
     // socket file (bound once, listener long gone) at the exact path
     // the server is about to claim. Coming up at all proves the
     // connect() probe classified it as dead and unlinked it.
-    TestServer server("stale", 1, 0, 0, [](serve::ServeConfig &c) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        ASSERT_LT(c.socketPath.size(), sizeof(addr.sun_path));
-        std::memcpy(addr.sun_path, c.socketPath.c_str(),
-                    c.socketPath.size() + 1);
-        ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)), 0);
+    TestServer server("stale", 1, [](serve::ServeConfig &c) {
+        std::string err;
+        const int fd = wire::openStream(c.socketPath, bindOnly, err);
+        ASSERT_GE(fd, 0) << err;
         ::close(fd);
     });
     Client c;
@@ -727,7 +671,7 @@ TEST(Serve, LiveSocketIsRefusedButStaleSocketIsTakenOver)
 TEST(Serve, OverloadIsShedWithARetryHintNotAHang)
 {
     setQuiet(true);
-    TestServer server("shed", 1, 0, 0, [](serve::ServeConfig &c) {
+    TestServer server("shed", 1, [](serve::ServeConfig &c) {
         c.maxQueuedUnits = 4;
     });
     Client c;
@@ -895,7 +839,7 @@ TEST(Serve, ClientLibraryResumesAChaosKilledSweepByteIdentical)
 TEST(Serve, IdleTimeoutClosesQuietClientsButNeverWaitingOnes)
 {
     setQuiet(true);
-    TestServer server("idle", 1, 0, 0, [](serve::ServeConfig &c) {
+    TestServer server("idle", 1, [](serve::ServeConfig &c) {
         c.idleTimeoutMs = 200;
     });
 
@@ -943,7 +887,7 @@ TEST(Serve, IdleTimeoutClosesQuietClientsButNeverWaitingOnes)
 TEST(Serve, SigtermDrainsInFlightWorkAndExitsZero)
 {
     setQuiet(true);
-    TestServer server("sigterm", 2, 0, 0, [](serve::ServeConfig &c) {
+    TestServer server("sigterm", 2, [](serve::ServeConfig &c) {
         c.handleSignals = true;
     });
     Client c;
@@ -1104,23 +1048,21 @@ TEST(Serve, UnixConnectHonorsTheDeadlineAgainstAFullBacklog)
     // blocking AF_UNIX connect() would hang indefinitely, so the
     // client must use its bounded path and fail with a timeout.
     const std::string path = scratchDir("backlog") + "/sock";
-    int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(lfd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    ASSERT_LT(path.size(), sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)), 0);
-    ASSERT_EQ(::listen(lfd, 0), 0);
+    std::string err;
+    const int lfd = wire::openStream(path, listenOn(0), err);
+    ASSERT_GE(lfd, 0) << err;
 
     std::vector<int> fillers;
     for (int i = 0; i < 16; ++i) {
-        int f = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(f, 0);
-        wire::setNonBlocking(f);
-        ::connect(f, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr));
+        const int f = wire::openStream(
+            path,
+            [](int s, const sockaddr *sa, socklen_t len) {
+                wire::setNonBlocking(s);
+                ::connect(s, sa, len);   // queued, or refused: full
+                return std::string();
+            },
+            err);
+        ASSERT_GE(f, 0) << err;
         fillers.push_back(f);
     }
 
@@ -1129,7 +1071,6 @@ TEST(Serve, UnixConnectHonorsTheDeadlineAgainstAFullBacklog)
     ccfg.connectTimeoutMs = 200;
     client::ServeClient cli(ccfg);
     const auto start = std::chrono::steady_clock::now();
-    std::string err;
     EXPECT_FALSE(cli.connect(&err));
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -1262,15 +1203,7 @@ TEST(ServeClient, AnEndlessResponseLineIsAnOverflowAndIsNotRetried)
     // newline, past the client's cap.
     const std::string path = scratchDir("overflow") + "/sock";
     std::string err;
-    const int lfd = wire::openStream(
-        path, /*unix_path=*/true, /*passive=*/true,
-        [](int s, const sockaddr *sa, socklen_t len) {
-            return std::string(::bind(s, sa, len) == 0 &&
-                                       ::listen(s, 4) == 0
-                                   ? ""
-                                   : std::strerror(errno));
-        },
-        err);
+    const int lfd = wire::openStream(path, listenOn(4), err);
     ASSERT_GE(lfd, 0) << err;
     std::thread streamer([lfd] {
         const int c = ::accept(lfd, nullptr, nullptr);
@@ -1313,15 +1246,7 @@ TEST(ServeClient, ASweepCellClaimingAHugeGridIsAParseError)
     // size its bookkeeping from it.
     const std::string path = scratchDir("hugeof") + "/sock";
     std::string err;
-    const int lfd = wire::openStream(
-        path, /*unix_path=*/true, /*passive=*/true,
-        [](int s, const sockaddr *sa, socklen_t len) {
-            return std::string(::bind(s, sa, len) == 0 &&
-                                       ::listen(s, 4) == 0
-                                   ? ""
-                                   : std::strerror(errno));
-        },
-        err);
+    const int lfd = wire::openStream(path, listenOn(4), err);
     ASSERT_GE(lfd, 0) << err;
     std::thread peer([lfd] {
         const int c = ::accept(lfd, nullptr, nullptr);
@@ -1378,32 +1303,26 @@ TEST(ServeClient, SweepCountsEveryReconnectFromAnOpenConnection)
     server.stop();
 }
 
-TEST(ServeClient, RpcRetryReconnectsAfterAnIdleCloseOverTcp)
+TEST(ServeClient, RpcRetryReconnectsAfterAnIdleClose)
 {
     setQuiet(true);
-    TestServer server("idleretry", 1, 0, 0, [](serve::ServeConfig &c) {
-        c.tcpHostPort = "127.0.0.1:0";
+    TestServer server("idleretry", 1, [](serve::ServeConfig &c) {
         c.idleTimeoutMs = 100;
     });
-    int port = 0;
-    for (int i = 0; i < 500 && port == 0; ++i) {
-        port = server.tcpPort.load();
-        if (port == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_GT(port, 0) << "TCP port never published";
 
     client::ClientConfig ccfg;
-    ccfg.address = "127.0.0.1:" + std::to_string(port);
+    ccfg.address = server.cfg.socketPath;
     ccfg.backoffBaseMs = 1;
     client::ServeClient cli(ccfg);
     ASSERT_TRUE(cli.connect());
-    // The server idle-closes the quiet connection. Over TCP the next
-    // send still succeeds, and the answer waiting for it is the
-    // server's idle_timeout line: the retry loop must reconnect.
+    // The server idle-closes the quiet connection, so the request's
+    // send fails on the socket the server left: the retry loop must
+    // reconnect, and the answer comes over the new connection, from a
+    // server that counts the close.
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
     const client::Response r = cli.rpcRetry("{\"op\":\"stats\"}");
-    EXPECT_TRUE(r.ok) << r.errorKind << ": " << r.error;
+    ASSERT_TRUE(r.ok) << r.errorKind << ": " << r.error;
+    EXPECT_EQ(numberOf(at(at(r.doc, "stats"), "idle_closed")), 1);
 
     server.stop();
 }

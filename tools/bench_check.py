@@ -17,7 +17,7 @@ snooping-bus experiment to validate the optional machine_model field
 (directory records omit it; bus records must carry "snoop"), requires
 every malformed invocation in CLI_USAGE_ERRORS, every oversized app
 parameter in CLI_OUT_OF_MEMORY and every unrunnable one in
-CLI_REFUSED_PARAMS to exit 2, requires two --json documents of one
+CLI_REFUSED_PARAMS to exit 2 within CLI_REFUSAL_TIMEOUT_S, requires two --json documents of one
 spec under $SWEX_RUN_CANONICAL to be byte-identical and --stats to
 print that spec's record's stats member, and requires a small-machine
 TSP run that fills its work queues to pass.
@@ -36,9 +36,9 @@ the canonical swex-run-v1 documents to be byte-identical, checks that
 a $SWEX_CACHE_EPOCH bump invalidates (and transparently recomputes)
 the entry, then starts `swex_cli --serve` on a scratch Unix socket
 and requires the served record to equal the direct run's, with the
-stats op accounting the hit and surfacing the eviction counter; the
-record `swex_cli --connect` writes for the same spec must equal it
-too, and `--connect --stats` must print its stats member. The serve
+stats op accounting the hit; the record `swex_cli --connect` writes
+for the same spec must equal it too, and `--connect --stats` must
+print its stats member. The serve
 session is also exercised as a real server: a server-side sweep must
 stream every cell byte-identical to direct runs of the same cells,
 and three simultaneous client connections must each get the direct
@@ -57,6 +57,7 @@ import contextlib
 import json
 import math
 import os
+import shlex
 import socket
 import struct
 import subprocess
@@ -96,6 +97,14 @@ CLI_USAGE_ERRORS = [
     ["--connect", "/nonexistent.sock", "--sweep", "--seeds", "2",
      "--faults", "1"],
     ["--nodes"],
+    # An empty socket path must not fall through to a local run.
+    ["--serve", ""],
+    ["--connect", ""],
+    # Options that no longer exist.
+    ["--serve-tcp", "127.0.0.1:0"],
+    ["--serve-backlog", "64"],
+    ["--cache-max-bytes", "1"],
+    ["--cache-max-entries", "1"],
 ]
 
 # App parameters inside each app's own range whose shared allocations
@@ -113,18 +122,40 @@ CLI_OUT_OF_MEMORY = [
 ]
 
 # App parameters a run cannot survive: a TSP pre-split larger than the
-# work queues of the cell's machine, and an AQ tolerance no refinement
-# reaches. Each must be refused as a usage error (exit 2).
+# work queues of the cell's machine, an AQ tolerance no refinement
+# reaches, and an AQ refinement tree too large for the host to walk
+# before the run. Each must be refused as a usage error (exit 2).
 CLI_REFUSED_PARAMS = [
     ["--app", "tsp", "--nodes", "2", "--param", "cities=12",
      "--param", "frontier=100000"],
     ["--app", "aq", "--nodes", "4", "--param", "tolerance=0"],
+    ["--app", "aq", "--nodes", "4", "--param", "tolerance=1e-300",
+     "--param", "max_depth=20"],
 ]
+
+# Seconds a refused invocation may run: each is refused before any
+# simulation starts, so one still running is a refusal that is missing.
+CLI_REFUSAL_TIMEOUT_S = 60
 
 # A run whose donations fill its work queues: with one thief, a
 # 12-city TSP on 2 nodes offers more than a 2048-entry queue holds.
 CLI_TSP_SMALL_MACHINE = ["--app", "tsp", "--nodes", "2",
                          "--param", "cities=12"]
+
+
+def expect_usage_error(binary, args):
+    """swex_cli with args must exit 2 within CLI_REFUSAL_TIMEOUT_S."""
+    try:
+        proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True,
+                              timeout=CLI_REFUSAL_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"FAIL: swex_cli {shlex.join(args)} still running after "
+                 f"{CLI_REFUSAL_TIMEOUT_S} s, expected usage error 2")
+    if proc.returncode != 2:
+        sys.exit(f"FAIL: swex_cli {shlex.join(args)} exited with "
+                 f"{proc.returncode}, expected usage error 2:\n"
+                 f"{proc.stdout}")
 
 
 def load_doc(json_path, expect_schema):
@@ -640,9 +671,6 @@ def check_cache_equiv(binary, tmp):
                 stats.get("stats", {}).get("hits", 0) < 1:
             sys.exit(f"FAIL: serve stats did not account the hit: "
                      f"{stats!r}")
-        if "evictions" not in stats.get("stats", {}):
-            sys.exit(f"FAIL: serve stats missing the 'evictions' "
-                     f"counter: {stats!r}")
 
         # A server-side sweep must stream every cell byte-identical to
         # the same cell requested directly: the h5 cell is the direct
@@ -678,7 +706,7 @@ def check_cache_equiv(binary, tmp):
             sys.exit("FAIL: sweep cell 1 (h2) differs from a direct "
                      "h2 run's record")
         print("OK: server-side sweep cells byte-identical to direct "
-              "runs, evictions counter surfaced")
+              "runs")
         checks += 3
 
         # Simultaneous clients each get the direct run's bytes back —
@@ -799,23 +827,12 @@ def run_cli(binary, tmp):
         sys.exit("FAIL: snooping record not verified")
 
     for bad in CLI_USAGE_ERRORS:
-        args = ["--app", "worker", "--nodes", "4", "--wss", "2",
-                "--iters", "2", *bad]
-        proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True)
-        if proc.returncode != 2:
-            sys.exit(f"FAIL: swex_cli {' '.join(bad)} exited with "
-                     f"{proc.returncode}, expected usage error 2:\n"
-                     f"{proc.stdout}")
+        expect_usage_error(binary, ["--app", "worker", "--nodes", "4",
+                                    "--wss", "2", "--iters", "2", *bad])
     print(f"OK: {len(CLI_USAGE_ERRORS)} malformed invocations exit 2")
 
     for args in CLI_OUT_OF_MEMORY + CLI_REFUSED_PARAMS:
-        proc = subprocess.run([binary, *args], stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True)
-        if proc.returncode != 2:
-            sys.exit(f"FAIL: swex_cli {' '.join(args)} exited with "
-                     f"{proc.returncode}, expected usage error 2:\n"
-                     f"{proc.stdout}")
+        expect_usage_error(binary, args)
     print(f"OK: {len(CLI_OUT_OF_MEMORY)} oversized and "
           f"{len(CLI_REFUSED_PARAMS)} unrunnable app parameters exit 2")
 

@@ -25,8 +25,8 @@
 # connection-lifetime discipline is TSan-checked on every matrix run.
 # The stress label adds stress_serve, the socket-level chaos harness
 # (torn writes, garbage, resets, stalled peers, kill-and-reconnect
-# resumable sweeps over Unix and TCP); SWEX_SERVE_CONNS scales its
-# connection count down for the sanitized binaries.
+# resumable sweeps, all on the server's Unix socket); SWEX_SERVE_CONNS
+# scales its connection count down for the sanitized binaries.
 # Usage:
 #
 #   tools/ci_sanitize.sh [builddir-prefix]

@@ -593,13 +593,12 @@ main(int argc, char **argv)
     if (rcache) {
         cache::ResultCache::Counters c = rcache->counters();
         std::printf("cache: %llu hits, %llu misses, %llu stores "
-                    "(%llu corrupt, %llu stale, %llu evicted)\n",
+                    "(%llu corrupt, %llu stale)\n",
                     static_cast<unsigned long long>(c.hits),
                     static_cast<unsigned long long>(c.misses),
                     static_cast<unsigned long long>(c.stores),
                     static_cast<unsigned long long>(c.corrupt),
-                    static_cast<unsigned long long>(c.stale),
-                    static_cast<unsigned long long>(c.evictions));
+                    static_cast<unsigned long long>(c.stale));
     }
     if (failed > 0) {
         std::fprintf(stderr,

@@ -2,10 +2,9 @@
  * @file
  * Socket-level chaos harness for the sweep server (exp/serve.*) and
  * its client library (exp/client.*): the serving tier's analogue of
- * stress_protocols. One in-process server (Unix socket + TCP on an
- * ephemeral port, shared pool, small admission bound, short idle and
- * send timeouts) is attacked by N seeded connections cycling through
- * misbehaviors:
+ * stress_protocols. One in-process server (Unix socket, shared pool,
+ * small admission bound, short idle and send timeouts) is attacked by
+ * N seeded connections cycling through misbehaviors:
  *
  *   well-behaved RPC     torn write (half a request, pause, rest)
  *   abandoned half-line  garbage line then a valid request
@@ -32,7 +31,6 @@
  */
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -160,18 +158,15 @@ struct Failures
 int
 rawConnectUnix(const std::string &path)
 {
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
+    std::string err;
+    return wire::openStream(
+        path,
+        [](int fd, const sockaddr *sa, socklen_t len) {
+            return std::string(::connect(fd, sa, len) == 0
+                                   ? ""
+                                   : std::strerror(errno));
+        },
+        err);
 }
 
 bool
@@ -213,12 +208,12 @@ constexpr int rawDeadlineMs = 30'000;
 /** Well-behaved single run through the client library; response must
  *  be ok and carry the reference record for its cell. */
 void
-doCleanRun(const std::string &addr, std::size_t cell,
+doCleanRun(const std::string &path, std::size_t cell,
            const std::vector<std::string> &expected,
            std::uint64_t seed, Failures &fails)
 {
     client::ClientConfig cfg;
-    cfg.address = addr;
+    cfg.address = path;
     cfg.requestDeadlineMs = rawDeadlineMs;
     cfg.maxAttempts = 10;
     cfg.backoffSeed = seed;
@@ -455,12 +450,12 @@ doBusyProbe(const std::string &path, std::uint64_t max_queue,
  *  reference records, byte for byte, by resuming from the first
  *  missing cell. */
 void
-doChaosSweep(const std::string &addr, std::uint64_t seed,
+doChaosSweep(const std::string &path, std::uint64_t seed,
              const std::vector<std::string> &expected,
              Failures &fails)
 {
     client::ClientConfig cfg;
-    cfg.address = addr;
+    cfg.address = path;
     cfg.requestDeadlineMs = rawDeadlineMs;
     cfg.maxAttempts = 50;
     cfg.backoffBaseMs = 5;
@@ -565,10 +560,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // One server under attack: both listener families, a cache (the
-    // resume-idempotency mechanism), a small admission bound (so
-    // shedding is reachable), short idle/send timeouts (so the
-    // stalled/quiet behaviors resolve within the run).
+    // One server under attack: a cache (the resume-idempotency
+    // mechanism), a small admission bound (so shedding is
+    // reachable), short idle/send timeouts (so the stalled/quiet
+    // behaviors resolve within the run).
     char scratch[] = "/tmp/swex_stress_serve_XXXXXX";
     if (::mkdtemp(scratch) == nullptr) {
         std::perror("mkdtemp");
@@ -578,14 +573,11 @@ main(int argc, char **argv)
     const std::string sock = dir + "/serve.sock";
     serve::ServeConfig scfg;
     scfg.socketPath = sock;
-    scfg.tcpHostPort = "127.0.0.1:0";
     scfg.cacheDir = dir + "/cache";
     scfg.jobs = jobs;
     scfg.maxQueuedUnits = 64;
     scfg.idleTimeoutMs = 2000;
     scfg.sendTimeoutMs = 1000;
-    std::atomic<int> tcp_port{0};
-    scfg.tcpPortOut = &tcp_port;
     std::thread server([&scfg] {
         int rc = serve::serveLoop(scfg);
         if (rc != 0)
@@ -600,8 +592,6 @@ main(int argc, char **argv)
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    std::string tcp_addr =
-        "127.0.0.1:" + std::to_string(tcp_port.load());
 
     Failures fails;
     const unsigned lanes = 12;
@@ -615,14 +605,9 @@ main(int argc, char **argv)
                     return;
                 std::uint64_t s =
                     mix64((seed ^ (i * 2654435761ull)) + goldenGamma);
-                // Alternate address families so both listeners see
-                // every behavior the raw helpers support.
-                const std::string &addr =
-                    (i / 8) % 2 == 0 ? sock : tcp_addr;
                 switch (i % behaviors) {
                   case 0:
-                    doCleanRun(addr, s % gridCells, expected, s,
-                               fails);
+                    doCleanRun(sock, s % gridCells, expected, s, fails);
                     break;
                   case 1: doTornWrite(sock, s % gridCells, fails);
                     break;
@@ -633,7 +618,7 @@ main(int argc, char **argv)
                   case 6: doBusyProbe(sock, scfg.maxQueuedUnits,
                                       fails);
                     break;
-                  case 7: doChaosSweep(addr, s, expected, fails);
+                  case 7: doChaosSweep(sock, s, expected, fails);
                     break;
                 }
             }

@@ -130,34 +130,27 @@ usage()
         "                     simulated, and finished direct runs are\n"
         "                     stored back (default $SWEX_RESULT_CACHE;\n"
         "                     records are byte-identical either way)\n"
-        "  --cache-max-bytes <n>   bound the result cache (0 =\n"
-        "                     unbounded): stores evict least-recently-\n"
-        "                     used entries by mtime until it fits\n"
-        "  --cache-max-entries <n> same bound, counted in entries\n"
         "  --serve <socket>   serve experiments over a Unix socket\n"
         "                     speaking line-delimited JSON: cache hits\n"
         "                     answer immediately, misses run on --jobs\n"
         "                     workers and stream back as they land;\n"
         "                     concurrent clients share the pool\n"
-        "                     (ops: run, sweep, stats, shutdown)\n"
-        "  --serve-tcp <h:p>  also (or only) listen on TCP host:port\n"
-        "                     (port 0 = ephemeral); combinable with\n"
-        "                     --serve, same protocol on both\n"
-        "  --serve-backlog <n> listen(2) backlog (default 64)\n"
+        "                     (ops: run, sweep, stats, shutdown); to\n"
+        "                     reach it from another host, forward the\n"
+        "                     socket (ssh -L <local.sock>:<socket>)\n"
         "  --serve-max-queue <n> admission bound in work units (runs +\n"
         "                     sweep cells); excess is shed with a\n"
         "                     structured busy error and retry_after_ms\n"
         "                     hint (default 4096, 0 = unbounded)\n"
         "  --serve-idle-ms <n> close connections idle this long with\n"
         "                     no outstanding work (default 0 = never)\n"
-        "  --connect <addr>   run the same cells on a server (every spec\n"
-        "                     flag, hardware toggles too): a path is a\n"
-        "                     Unix socket, host:port is TCP. Retries\n"
-        "                     with seeded exponential backoff, honors\n"
-        "                     busy hints, and resumes interrupted\n"
-        "                     --sweep chunks from the first missing\n"
-        "                     cell; refuses --sweep with --faults and\n"
-        "                     --seeds > 1\n"
+        "  --connect <socket> run the same cells on a --serve server\n"
+        "                     (every spec flag, hardware toggles too).\n"
+        "                     Retries with seeded exponential backoff,\n"
+        "                     honors busy hints, and resumes\n"
+        "                     interrupted --sweep chunks from the\n"
+        "                     first missing cell; refuses --sweep with\n"
+        "                     --faults and --seeds > 1\n"
         "  --rpc-deadline <ms> per-response deadline for --connect\n"
         "                     (default 30000)\n"
         "  --rpc-attempts <n> retry budget for --connect (default 5;\n"
@@ -475,8 +468,6 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string json_path;
     std::string cache_dir;
-    std::uint64_t cache_max_bytes = 0;
-    std::uint64_t cache_max_entries = 0;
     serve::ServeConfig scfg;     // the --serve* knobs
     client::ClientConfig ccfg;   // the --connect knobs
     const std::uint64_t anyU64 = ~std::uint64_t{0};
@@ -491,6 +482,13 @@ main(int argc, char **argv)
         auto count = [&](std::uint64_t lo, std::uint64_t hi) {
             return parseCount(a, next(), lo, hi);
         };
+        // An empty socket path would fall through to a local run.
+        auto path = [&] {
+            std::string p = next();
+            if (p.empty())
+                usageError(a + " needs a socket path");
+            return p;
+        };
         if (int n = codec::flagValues(a); n >= 0) {
             std::string err = codec::setFlag(req, a, n > 0 ? next() : "");
             if (!err.empty())
@@ -500,19 +498,12 @@ main(int argc, char **argv)
         else if (a == "--replay") want_replay = true;
         else if (a == "--trace-dir") trace_dir = next();
         else if (a == "--cache-dir") cache_dir = next();
-        else if (a == "--cache-max-bytes")
-            cache_max_bytes = count(0, anyU64);
-        else if (a == "--cache-max-entries")
-            cache_max_entries = count(0, anyU64);
-        else if (a == "--serve") scfg.socketPath = next();
-        else if (a == "--serve-tcp") scfg.tcpHostPort = next();
-        else if (a == "--serve-backlog")
-            scfg.backlog = static_cast<int>(count(1, 65535));
+        else if (a == "--serve") scfg.socketPath = path();
         else if (a == "--serve-max-queue")
             scfg.maxQueuedUnits = count(0, anyU64);
         else if (a == "--serve-idle-ms")
             scfg.idleTimeoutMs = static_cast<int>(count(0, 86'400'000));
-        else if (a == "--connect") ccfg.address = next();
+        else if (a == "--connect") ccfg.address = path();
         else if (a == "--rpc-deadline")
             ccfg.requestDeadlineMs = static_cast<int>(count(1, 86'400'000));
         else if (a == "--rpc-attempts")
@@ -553,14 +544,12 @@ main(int argc, char **argv)
 
     // --serve is its own front end: the spec comes per request over
     // the socket, so the spec flags are checked above and otherwise
-    // ignored. Only --jobs (worker pool size), the cache knobs, and
-    // the serve robustness knobs travel with it.
-    if (!scfg.socketPath.empty() || !scfg.tcpHostPort.empty()) {
+    // ignored. Only --jobs (worker pool size), the cache directory,
+    // and the serve robustness knobs travel with it.
+    if (!scfg.socketPath.empty()) {
         setQuiet(true);
         scfg.cacheDir = cache::resolveCacheDir(cache_dir);
         scfg.jobs = jobs;
-        scfg.cacheMaxBytes = cache_max_bytes;
-        scfg.cacheMaxEntries = cache_max_entries;
         // The CLI owns the process, so SIGTERM means "drain and
         // exit 0" (embedders of serveLoop opt in explicitly).
         scfg.handleSignals = true;
@@ -633,16 +622,8 @@ main(int argc, char **argv)
     // cache on, off, cold, or warm — it only changes how fast they
     // arrive.
     std::unique_ptr<cache::ResultCache> result_cache;
-    {
-        std::string cdir = cache::resolveCacheDir(cache_dir);
-        if (!cdir.empty()) {
-            cache::ResultCache::Budget budget;
-            budget.maxBytes = cache_max_bytes;
-            budget.maxEntries = cache_max_entries;
-            result_cache = std::make_unique<cache::ResultCache>(
-                cdir, cache::CodeVersions::current(), budget);
-        }
-    }
+    if (std::string cdir = cache::resolveCacheDir(cache_dir); !cdir.empty())
+        result_cache = std::make_unique<cache::ResultCache>(cdir);
 
     Runner runner(/*fail_fast=*/false);
     runner.attachCache(result_cache.get());
