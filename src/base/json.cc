@@ -1,6 +1,8 @@
 #include "base/json.hh"
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 
 namespace swex::json
 {
@@ -13,6 +15,18 @@ appendNumber(std::string &out, double v)
         return;
     }
     char buf[32];
+    // Below 1e17 an integral value prints as its digits under
+    // "%.17g" too, and the integer conversion is much cheaper; most
+    // stats are counts. -0.0 keeps its sign on the general path.
+    if (v > -1e17 && v < 1e17) {
+        const auto whole = static_cast<std::int64_t>(v);
+        if (static_cast<double>(whole) == v &&
+            !(whole == 0 && std::signbit(v))) {
+            auto res = std::to_chars(buf, buf + sizeof(buf), whole);
+            out.append(buf, res.ptr);
+            return;
+        }
+    }
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 17);
     out.append(buf, res.ptr);

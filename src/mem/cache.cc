@@ -38,17 +38,16 @@ Cache::Cache(unsigned cache_bytes, unsigned victim_entries,
     SWEX_ASSERT(isPowerOf2(cache_bytes) && cache_bytes >= blockBytes,
                 "cache size must be a power of two");
     _numSets = cache_bytes / blockBytes;
-    _sets.resize(_numSets);
+    _sets.reset(static_cast<CacheLine *>(
+        ::operator new(sizeof(CacheLine) * _numSets)));
     _filled.resize((_numSets + 63) / 64);
 }
 
 CacheLine *
 Cache::probeMain(Addr block_addr)
 {
-    CacheLine &line = _sets[indexOf(block_addr)];
-    if (line.valid() && line.blockAddr == block_addr)
-        return &line;
-    return nullptr;
+    const unsigned index = indexOf(block_addr);
+    return setHolds(index, block_addr) ? &_sets[index] : nullptr;
 }
 
 CacheLine *
@@ -67,7 +66,7 @@ Cache::access(Addr block_addr, bool &victim_hit)
             _victim.erase(it);
             const unsigned index = indexOf(block_addr);
             CacheLine &slot = _sets[index];
-            if (slot.valid())
+            if (isFilled(index) && slot.valid())
                 _victim.push_back(slot);
             slot = incoming;
             markFilled(index);
@@ -110,7 +109,7 @@ Cache::fill(Addr block_addr, LineState state, const DataBlock &data)
     const unsigned index = indexOf(block_addr);
     CacheLine &slot = _sets[index];
     Eviction ev;
-    if (slot.valid() && slot.blockAddr != block_addr)
+    if (isFilled(index) && slot.valid() && slot.blockAddr != block_addr)
         ev = pushToVictim(slot);
 
     if (ev.valid) {
@@ -130,12 +129,11 @@ RemovalResult
 Cache::remove(Addr block_addr)
 {
     RemovalResult res;
-    CacheLine &slot = _sets[indexOf(block_addr)];
-    if (slot.valid() && slot.blockAddr == block_addr) {
+    if (CacheLine *slot = probeMain(block_addr)) {
         res.wasPresent = true;
-        res.wasDirty = slot.dirty();
-        res.data = slot.data;
-        slot.state = LineState::Invalid;
+        res.wasDirty = slot->dirty();
+        res.data = slot->data;
+        slot->state = LineState::Invalid;
         return res;
     }
     for (auto it = _victim.begin(); it != _victim.end(); ++it) {
@@ -154,11 +152,8 @@ RemovalResult
 Cache::downgrade(Addr block_addr)
 {
     RemovalResult res;
-    CacheLine &slot = _sets[indexOf(block_addr)];
-    CacheLine *line = nullptr;
-    if (slot.valid() && slot.blockAddr == block_addr) {
-        line = &slot;
-    } else {
+    CacheLine *line = probeMain(block_addr);
+    if (!line) {
         for (auto &vl : _victim)
             if (vl.valid() && vl.blockAddr == block_addr)
                 line = &vl;
@@ -176,9 +171,8 @@ Cache::downgrade(Addr block_addr)
 CacheLine *
 Cache::findLine(Addr block_addr)
 {
-    CacheLine &slot = _sets[indexOf(block_addr)];
-    if (slot.valid() && slot.blockAddr == block_addr)
-        return &slot;
+    if (CacheLine *line = probeMain(block_addr))
+        return line;
     for (auto &line : _victim)
         if (line.valid() && line.blockAddr == block_addr)
             return &line;
@@ -188,9 +182,9 @@ Cache::findLine(Addr block_addr)
 const CacheLine *
 Cache::peek(Addr block_addr) const
 {
-    const CacheLine &slot = _sets[indexOf(block_addr)];
-    if (slot.valid() && slot.blockAddr == block_addr)
-        return &slot;
+    const unsigned index = indexOf(block_addr);
+    if (setHolds(index, block_addr))
+        return &_sets[index];
     for (const auto &line : _victim)
         if (line.valid() && line.blockAddr == block_addr)
             return &line;
@@ -200,20 +194,12 @@ Cache::peek(Addr block_addr) const
 bool
 Cache::holds(Addr block_addr) const
 {
-    const CacheLine &slot = _sets[indexOf(block_addr)];
-    if (slot.valid() && slot.blockAddr == block_addr)
-        return true;
-    return std::any_of(_victim.begin(), _victim.end(),
-                       [&](const CacheLine &l) {
-                           return l.valid() && l.blockAddr == block_addr;
-                       });
+    return peek(block_addr) != nullptr;
 }
 
 void
 Cache::flushAll()
 {
-    for (auto &line : _sets)
-        line.state = LineState::Invalid;
     _victim.clear();
     std::fill(_filled.begin(), _filled.end(), 0);
 }

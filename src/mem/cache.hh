@@ -18,6 +18,9 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "base/stats.hh"
@@ -175,7 +178,11 @@ class Cache
     /** Victim buffer occupancy (for tests). */
     unsigned victimSize() const { return _victim.size(); }
 
-    /** Flush everything (used when resetting between benchmark runs). */
+    /**
+     * Flush everything (used when resetting between benchmark runs):
+     * clears the filled-set bitmap and the victim buffer, and leaves
+     * the sets' storage as it is.
+     */
     void flushAll();
 
     stats::Group statsGroup;
@@ -197,16 +204,53 @@ class Cache
         _filled[index / 64] |= std::uint64_t{1} << (index % 64);
     }
 
+    /** True if a line was written into set @p index since the last
+     *  flushAll; only then may the set's storage be read. */
+    bool
+    isFilled(unsigned index) const
+    {
+        return (_filled[index / 64] >> (index % 64)) & 1;
+    }
+
+    /** Set @p index holds a valid copy of @p block_addr. */
+    bool
+    setHolds(unsigned index, Addr block_addr) const
+    {
+        const CacheLine &line = _sets[index];
+        return isFilled(index) && line.valid() &&
+               line.blockAddr == block_addr;
+    }
+
+    /** Frees the sets' storage without running any destructor. */
+    struct FreeStorage
+    {
+        void operator()(CacheLine *p) const { ::operator delete(p); }
+    };
+
+    static_assert(std::is_aggregate_v<CacheLine> &&
+                      std::is_trivially_copyable_v<CacheLine>,
+                  "lines live in storage operator new returns");
+    static_assert(alignof(CacheLine) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "operator new must align the sets");
+
     unsigned _numSets;
     unsigned _victimEntries;
-    std::vector<CacheLine> _sets;
+
+    /**
+     * The sets, allocated and never initialised: a machine pays for
+     * the sets its run fills, and the pages of sets it never fills
+     * are never touched. Every read of a set is gated by its bit in
+     * _filled, so storage no line was written into is never read.
+     */
+    std::unique_ptr<CacheLine[], FreeStorage> _sets;
     std::deque<CacheLine> _victim;   ///< FIFO, front = oldest
 
     /**
      * One bit per set, set by every path that installs a line into
      * it (fill, victim swap-back) and cleared only by flushAll. A
-     * clear bit means the set is invalid; a set bit may still hold
-     * an invalidated line, which forEachLine skips.
+     * clear bit means the set is invalid, whatever its storage
+     * holds; a set bit may still hold an invalidated line, which
+     * every lookup and forEachLine skip.
      */
     std::vector<std::uint64_t> _filled;
 };

@@ -24,7 +24,8 @@ DeliveryLayer::DeliveryLayer(MeshNetwork &network,
       acksDropped(&statsGroup, "acksDropped"),
       net(network), injector(network.config.faults),
       _channels(static_cast<std::size_t>(network.numNodes) *
-                static_cast<std::size_t>(network.numNodes))
+                    static_cast<std::size_t>(network.numNodes),
+                nullptr)
 {
 }
 
@@ -33,17 +34,21 @@ DeliveryLayer::~DeliveryLayer() = default;
 DeliveryLayer::Channel &
 DeliveryLayer::channel(NodeId src, NodeId dst)
 {
-    std::unique_ptr<Channel> &slot =
+    Channel *&slot =
         _channels[static_cast<std::size_t>(src) *
                       static_cast<std::size_t>(net.numNodes) +
                   static_cast<std::size_t>(dst)];
-    if (!slot) {
-        slot = std::make_unique<Channel>();
-        slot->src = src;
-        slot->dst = dst;
-        Channel *raw = slot.get();
-        slot->retransmitEvent.setCallback(
-            [this, raw] { onRetransmitTimer(*raw); });
+    if (slot == nullptr) {
+        if (_chunkUsed == channelChunk) {
+            _chunks.push_back(std::make_unique<Channel[]>(channelChunk));
+            _chunkUsed = 0;
+        }
+        Channel &ch = _chunks.back()[_chunkUsed++];
+        ch.src = src;
+        ch.dst = dst;
+        ch.retransmitEvent.setCallback(
+            [this, &ch] { onRetransmitTimer(ch); });
+        slot = &ch;
     }
     return *slot;
 }
@@ -53,8 +58,7 @@ DeliveryLayer::send(Message msg)
 {
     Channel &ch = channel(msg.src, msg.dst);
     msg.dseq = ch.nextSend++;
-    ch.unacked.emplace(msg.dseq, msg);
-    ch.attempts.emplace(msg.dseq, 1u);
+    ch.unacked.push_back({msg, 1});
     ++sent;
 
     // The injected message's flits were already counted by
@@ -110,32 +114,47 @@ DeliveryLayer::wireArriveHandler(void *ctx, Message &msg)
 }
 
 void
+DeliveryLayer::ackArriveHandler(void *ctx, Message &ack)
+{
+    auto *self = static_cast<DeliveryLayer *>(ctx);
+    self->onAck(self->channel(ack.src, ack.dst), ack.dseq);
+}
+
+void
 DeliveryLayer::wireArrive(const Message &msg)
 {
     Channel &ch = channel(msg.src, msg.dst);
 
-    if (msg.dseq < ch.expected || ch.reorder.count(msg.dseq) != 0) {
+    // This arrival's slot in the receiver window (read only when it
+    // is not below the window).
+    const std::uint32_t ahead = msg.dseq - ch.expected;
+    if (msg.dseq < ch.expected ||
+        (ahead < ch.early.size() && ch.early[ahead])) {
         ++dupSuppressed;
         sendAck(ch);   // re-ack so the sender stops retransmitting
         return;
     }
 
-    if (msg.dseq == ch.expected) {
+    if (ahead == 0) {
         ++ch.expected;
         ++delivered;
         net.deliver(msg);
         // Release every consecutive arrival parked behind the gap
-        // this message just filled, in sequence order.
-        while (!ch.reorder.empty() &&
-               ch.reorder.begin()->first == ch.expected) {
-            Message next = ch.reorder.begin()->second;
-            ch.reorder.erase(ch.reorder.begin());
+        // this message just filled, in sequence order; each release
+        // slides the window by one slot.
+        if (!ch.early.empty())
+            ch.early.erase(ch.early.begin());
+        while (!ch.early.empty() && ch.early.front()) {
+            Message next = *ch.early.front();
+            ch.early.erase(ch.early.begin());
             ++ch.expected;
             ++delivered;
             net.deliver(next);
         }
     } else {
-        ch.reorder.emplace(msg.dseq, msg);
+        if (ch.early.size() <= ahead)
+            ch.early.resize(static_cast<std::size_t>(ahead) + 1);
+        ch.early[ahead] = msg;
         ++reorderHeld;
     }
     sendAck(ch);
@@ -153,22 +172,27 @@ DeliveryLayer::sendAck(Channel &ch)
         ++acksDropped;
         return;
     }
-    std::uint32_t up_to = ch.expected;
+    Message ack;
+    ack.src = ch.src;
+    ack.dst = ch.dst;
+    ack.dseq = ch.expected;
     Cycles latency = net.wireLatency(ch.dst, ch.src) + fault.extraDelay +
                      net.jitterFor();
-    Channel *raw = &ch;
-    net.eventq.scheduleIn(latency,
-                          [this, raw, up_to] { onAck(*raw, up_to); },
-                          EventPrio::Network);
+    PooledMsgEvent &ev = net._msgPool.acquire(
+        this, &DeliveryLayer::ackArriveHandler, EventPrio::Network);
+    ev.msg = ack;
+    net.eventq.scheduleIn(ev, latency);
 }
 
 void
 DeliveryLayer::onAck(Channel &ch, std::uint32_t up_to)
 {
-    while (!ch.unacked.empty() && ch.unacked.begin()->first < up_to) {
-        ch.attempts.erase(ch.unacked.begin()->first);
-        ch.unacked.erase(ch.unacked.begin());
-    }
+    ch.unacked.erase(
+        ch.unacked.begin(),
+        std::partition_point(ch.unacked.begin(), ch.unacked.end(),
+                             [up_to](const Unacked &u) {
+                                 return u.msg.dseq < up_to;
+                             }));
     if (ch.unacked.empty() && ch.retransmitEvent.scheduled())
         net.eventq.deschedule(ch.retransmitEvent);
 }
@@ -176,13 +200,12 @@ DeliveryLayer::onAck(Channel &ch, std::uint32_t up_to)
 void
 DeliveryLayer::onRetransmitTimer(Channel &ch)
 {
-    for (const auto &[seq, msg] : ch.unacked) {
-        unsigned &tries = ch.attempts[seq];
-        ++tries;
-        ch.maxAttempts = std::max(ch.maxAttempts, tries);
-        _maxAttempts = std::max(_maxAttempts, tries);
+    for (Unacked &u : ch.unacked) {
+        ++u.attempts;
+        ch.maxAttempts = std::max(ch.maxAttempts, u.attempts);
+        _maxAttempts = std::max(_maxAttempts, u.attempts);
         ++retransmits;
-        transmitCopy(msg, /*charge_flits=*/true);
+        transmitCopy(u.msg, /*charge_flits=*/true);
     }
     if (!ch.unacked.empty()) {
         net.eventq.scheduleIn(ch.retransmitEvent, retransmitTimeout);
@@ -192,21 +215,24 @@ DeliveryLayer::onRetransmitTimer(Channel &ch)
 void
 DeliveryLayer::checkQuiescent(const DeliveryViolationFn &fn) const
 {
-    for (const auto &chp : _channels) {
-        if (!chp)
+    for (const Channel *chp : _channels) {
+        if (chp == nullptr)
             continue;
         const Channel &ch = *chp;
         if (!ch.unacked.empty()) {
             fn(ch.src, ch.dst,
                strfmt("%zu messages unacknowledged at quiescence "
                       "(first dseq %u)",
-                      ch.unacked.size(), ch.unacked.begin()->first));
+                      ch.unacked.size(), ch.unacked.front().msg.dseq));
         }
-        if (!ch.reorder.empty()) {
+        const auto held = std::count_if(
+            ch.early.begin(), ch.early.end(),
+            [](const std::optional<Message> &m) { return m.has_value(); });
+        if (held != 0) {
             fn(ch.src, ch.dst,
                strfmt("%zu arrivals held behind a sequence gap at "
                       "quiescence (receiver expects dseq %u)",
-                      ch.reorder.size(), ch.expected));
+                      static_cast<std::size_t>(held), ch.expected));
         }
         if (ch.nextSend != ch.expected) {
             fn(ch.src, ch.dst,

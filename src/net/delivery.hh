@@ -18,8 +18,9 @@
  * Acknowledgments are cumulative ("everything below N arrived") and
  * are modeled as delivery-layer control events, not protocol
  * messages: they traverse the same wire latency and are subject to
- * the same drop faults, but never enter the CMMU receive queues. A
- * lost ack is recovered by the next retransmission's re-ack.
+ * the same drop faults, but never enter the CMMU receive queues. An
+ * ack rides a pooled message event as (src, dst, dseq = N). A lost
+ * ack is recovered by the next retransmission's re-ack.
  */
 
 #ifndef SWEX_NET_DELIVERY_HH
@@ -27,8 +28,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,13 @@ class DeliveryLayer
     stats::Scalar acksDropped;    ///< acks lost to the fault stream
 
   private:
+    /** A sequenced message the receiver has not acknowledged yet. */
+    struct Unacked
+    {
+        Message msg;
+        unsigned attempts = 1;   ///< transmissions so far
+    };
+
     /** One direction of one (src, dst) node pair. */
     struct Channel
     {
@@ -102,15 +110,26 @@ class DeliveryLayer
         NodeId dst = invalidNode;
         std::uint32_t nextSend = 0;  ///< sender: next seq to assign
         std::uint32_t expected = 0;  ///< receiver: next in-order seq
-        std::map<std::uint32_t, Message> unacked;   ///< awaiting ack
-        std::map<std::uint32_t, unsigned> attempts; ///< per unacked seq
-        std::map<std::uint32_t, Message> reorder;   ///< early arrivals
+        /** Sender window: the unacknowledged messages in dseq order.
+         *  Acks are cumulative, so it is always a contiguous run of
+         *  dseqs ending at nextSend - 1. */
+        std::vector<Unacked> unacked;
+        /** Receiver window: early[k] holds the arrival with dseq
+         *  expected + k, if it came. early[0] is always empty (that
+         *  arrival is released at once) and, unless the window is
+         *  empty, its last slot is filled. */
+        std::vector<std::optional<Message>> early;
         unsigned maxAttempts = 1;    ///< channel high-water
         LambdaEvent retransmitEvent{
             {}, EventPrio::Network};
     };
 
+    /** Channels are carved from chunks of this many, in first-use
+     *  order, so a run pays for the channels it uses. */
+    static constexpr unsigned channelChunk = 64;
+
     static void wireArriveHandler(void *ctx, Message &msg);
+    static void ackArriveHandler(void *ctx, Message &ack);
 
     Channel &channel(NodeId src, NodeId dst);
     void transmitCopy(const Message &msg, bool charge_flits);
@@ -122,11 +141,12 @@ class DeliveryLayer
     FaultInjector injector;
     unsigned _maxAttempts = 1;
 
-    /** Indexed by src * numNodes + dst, each created on first use:
-     *  index order is the deterministic order quiescent checks
-     *  report in; unique_ptr so channel addresses (captured by their
-     *  retransmit events) stay stable. */
-    std::vector<std::unique_ptr<Channel>> _channels;
+    /** Indexed by src * numNodes + dst, null until first use: index
+     *  order is the deterministic order quiescent checks report in.
+     *  A channel never moves (its retransmit event may be pending). */
+    std::vector<Channel *> _channels;
+    std::vector<std::unique_ptr<Channel[]>> _chunks;
+    unsigned _chunkUsed = channelChunk;   ///< taken from the last chunk
 };
 
 } // namespace swex

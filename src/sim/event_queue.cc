@@ -52,14 +52,19 @@ EventQueue::~EventQueue()
 {
     // Detach still-pending events so their destructors do not reach
     // back into a dead queue. The events themselves belong to the
-    // components that declared them.
-    for (Bucket &b : _wheel) {
-        for (unsigned p = 0; p < numEventPrios; ++p) {
-            for (Event *e = b.head[p]; e != nullptr;) {
-                Event *next = e->_next;
-                e->_queue = nullptr;
-                e->_next = nullptr;
-                e = next;
+    // components that declared them. Only occupied buckets hold any.
+    for (std::size_t w = 0; w < _occupied.size(); ++w) {
+        for (std::uint64_t bits = _occupied[w]; bits != 0;
+             bits &= bits - 1) {
+            Bucket &b = _wheel[w * 64 + static_cast<unsigned>(
+                                            std::countr_zero(bits))];
+            for (unsigned p = 0; p < numEventPrios; ++p) {
+                for (Event *e = b.head[p]; e != nullptr;) {
+                    Event *next = e->_next;
+                    e->_queue = nullptr;
+                    e->_next = nullptr;
+                    e = next;
+                }
             }
         }
     }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -16,6 +18,7 @@
 
 #include "base/binary_io.hh"
 #include "base/intmath.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
@@ -282,5 +285,87 @@ TEST(Stats, RenderedNumbersMatchPrintf)
         std::ostringstream os_json;
         root.dumpJson(os_json);
         EXPECT_EQ(os_json.str(), json.str());
+    }
+}
+
+namespace
+{
+
+/** std::to_chars' shortest-of-17-digits general form, with JSON's
+ *  clamp of NaN, the infinities and magnitudes past 1e308 to 0. */
+std::string
+toChars17(double v)
+{
+    if (!(v == v) || v > 1e308 || v < -1e308)
+        return "0";
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 17);
+    return std::string(buf, res.ptr);
+}
+
+std::string
+appended(double v)
+{
+    std::string out;
+    json::appendNumber(out, v);
+    return out;
+}
+
+} // anonymous namespace
+
+/** appendNumber against to_chars(general, 17), on the edges of its
+ *  integer path (the sign of zero, 2^53, 10^k, the largest double
+ *  below 1e17) and a seeded sweep of integral and other doubles. */
+TEST(Json, AppendNumberMatchesToCharsGeneral17)
+{
+    const double p53 = 9007199254740992.0;   // 2^53
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, p53 - 1, p53, p53 + 1, p53 + 2,
+        -(p53 - 1), -p53, -(p53 + 1), -(p53 + 2),
+        99999999999999984.0, -99999999999999984.0, 1e17, -1e17,
+        1e18, 9223372036854775808.0, 18446744073709551616.0, 1e300,
+        0.5, -0.5, 0.1, 1.0 / 3.0, 1e-7, 5e-324, 4503599627370495.5,
+        123456.789, -2.25, 1.7976931348623157e308};
+    double p10 = 1.0;
+    for (int k = 0; k <= 17; ++k, p10 *= 10) {
+        for (double v : {p10 - 1, p10, p10 + 1})
+            values.insert(values.end(), {v, -v});
+    }
+    for (double v : values) {
+        SCOPED_TRACE(toChars17(v));
+        EXPECT_EQ(appended(v), toChars17(v));
+    }
+    EXPECT_EQ(appended(-0.0), "-0");
+    EXPECT_EQ(appended(99999999999999984.0), "99999999999999984");
+    EXPECT_EQ(appended(1e17), "1e+17");
+
+    Rng rng(2024);
+    for (int i = 0; i < 200000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double v;
+        switch (i % 4) {
+          case 0:   // any bit pattern
+            v = std::bit_cast<double>(bits);
+            break;
+          case 1:   // an integer of up to 18 digits, either sign
+            v = static_cast<double>(
+                static_cast<std::int64_t>(bits % 1000000000000000000ull));
+            break;
+          case 2:   // a counter-sized integer
+            v = static_cast<double>(bits >> (bits % 64));
+            break;
+          default:  // a fraction of a counter-sized integer
+            v = static_cast<double>(bits >> (bits % 64)) /
+                static_cast<double>(1 + (bits & 0xff));
+            break;
+        }
+        if (bits & (1ull << 63))
+            v = -v;
+        if (appended(v) != toChars17(v)) {
+            ADD_FAILURE() << "bits " << bits << ": " << appended(v)
+                          << " != " << toChars17(v);
+            break;
+        }
     }
 }

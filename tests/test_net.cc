@@ -11,6 +11,8 @@
 #include <tuple>
 #include <vector>
 
+#include "base/binary_io.hh"
+#include "base/logging.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
 
@@ -524,4 +526,129 @@ TEST_F(NetFixture, TotalLossReportsDeliveryViolations)
     EXPECT_TRUE(unacked);
     EXPECT_TRUE(bound);
     EXPECT_GT(net->delivery()->maxAttempts(), retransmitBound);
+}
+
+TEST_F(NetFixture, FaultyAllToAllBurstIsPinned)
+{
+    // Every node sends to every other node in six rounds, each round
+    // injected from inside the simulation so sends, arrivals, acks
+    // and retransmissions interleave, under jitter and all three
+    // fault kinds. One digest pins every release to the receivers,
+    // as (tick, src, dst, dseq) in release order, and the delivery
+    // counters: a change to the delivery layer that moves one fault
+    // roll, jitter draw or event's tie-breaking sequence moves it.
+    cfg.jitterMax = 13;
+    cfg.jitterSeed = 21;
+    cfg.faults.dropPerMille = 150;
+    cfg.faults.dupPerMille = 100;
+    cfg.faults.blackoutPerMille = 50;
+    cfg.faults.blackoutMax = 300;
+    cfg.faults.seed = 29;
+    constexpr int nodes = 8;
+    constexpr int rounds = 6;
+    build(nodes);
+    Sink all(eq);
+    for (int i = 0; i < nodes; ++i)
+        net->setReceiver(i, &all);
+
+    for (int r = 0; r < rounds; ++r) {
+        eq.schedule(static_cast<Tick>(r) * 40, [this, r] {
+            for (int s = 0; s < nodes; ++s) {
+                for (int d = 0; d < nodes; ++d) {
+                    if (s == d)
+                        continue;
+                    Message m = msg(s, d, (r + s + d) % 2 == 0);
+                    m.addr = static_cast<Addr>(r) * blockBytes;
+                    net->send(m);
+                }
+            }
+        });
+    }
+    eq.run();
+
+    // Exactly once and in order on every channel.
+    ASSERT_EQ(all.got.size(),
+              static_cast<std::size_t>(rounds * nodes * (nodes - 1)));
+    std::vector<Addr> next(nodes * nodes, 0);
+    std::uint64_t h = bin::fnvOffset;
+    for (const auto &[when, m] : all.got) {
+        Addr &want = next[static_cast<std::size_t>(m.src * nodes + m.dst)];
+        EXPECT_EQ(m.addr, want);
+        want += blockBytes;
+        h = bin::fnv1aU64(h, when);
+        h = bin::fnv1aU64(h, static_cast<std::uint64_t>(m.src));
+        h = bin::fnv1aU64(h, static_cast<std::uint64_t>(m.dst));
+        h = bin::fnv1aU64(h, m.dseq);
+    }
+    const DeliveryLayer &dl = *net->delivery();
+    for (const stats::Scalar *s :
+         {&dl.sent, &dl.delivered, &dl.retransmits, &dl.dupSuppressed,
+          &dl.reorderHeld, &dl.acksSent, &dl.acksDropped})
+        h = bin::fnv1aU64(h, static_cast<std::uint64_t>(s->value()));
+
+    // The burst reaches every recovery path the digest is meant to
+    // cover.
+    EXPECT_GT(dl.retransmits.value(), 0.0);
+    EXPECT_GT(dl.dupSuppressed.value(), 0.0);
+    EXPECT_GT(dl.reorderHeld.value(), 0.0);
+    EXPECT_GT(dl.acksDropped.value(), 0.0);
+    int violations = 0;
+    net->checkDeliveryQuiescent(
+        [&](NodeId, NodeId, const std::string &) { ++violations; });
+    EXPECT_EQ(violations, 0);
+
+    EXPECT_EQ(strfmt("%016llx", static_cast<unsigned long long>(h)),
+              "e6465763f072e395");
+}
+
+TEST_F(NetFixture, QuiescenceViolationTextsArePinned)
+{
+    // The first fault seed whose stream drops the first transmission
+    // and passes the second: message 1 arrives behind the gap message
+    // 0 left, and the run is stopped before any retransmission.
+    cfg.faults.dropPerMille = 500;
+    for (std::uint64_t seed = 1;; ++seed) {
+        cfg.faults.seed = seed;
+        FaultInjector inj(cfg.faults);
+        if (inj.roll().drop && !inj.roll().drop)
+            break;
+    }
+    build(4);
+    net->send(msg(0, 1));
+    net->send(msg(0, 1));
+    eq.run(retransmitTimeout / 2);
+
+    std::vector<std::string> what;
+    net->checkDeliveryQuiescent(
+        [&](NodeId src, NodeId dst, const std::string &w) {
+            EXPECT_EQ(src, 0);
+            EXPECT_EQ(dst, 1);
+            what.push_back(w);
+        });
+    EXPECT_EQ(what,
+              (std::vector<std::string>{
+                  "2 messages unacknowledged at quiescence "
+                  "(first dseq 0)",
+                  "1 arrivals held behind a sequence gap at quiescence "
+                  "(receiver expects dseq 0)",
+                  "sequence gap at quiescence: sender assigned 2, "
+                  "receiver delivered 0"}));
+
+    // Total loss adds the retransmission bound's text.
+    sinks.clear();
+    cfg.faults.dropPerMille = 1000;
+    build(4);
+    net->send(msg(0, 1));
+    eq.run(eq.curTick() + retransmitTimeout * (retransmitBound + 8));
+    what.clear();
+    net->checkDeliveryQuiescent(
+        [&](NodeId, NodeId, const std::string &w) { what.push_back(w); });
+    EXPECT_EQ(what,
+              (std::vector<std::string>{
+                  "1 messages unacknowledged at quiescence "
+                  "(first dseq 0)",
+                  "sequence gap at quiescence: sender assigned 1, "
+                  "receiver delivered 0",
+                  "a message needed 73 transmissions; the retransmit "
+                  "bound is 64"}));
 }
