@@ -10,10 +10,12 @@
  *
  * The header carries the (spec key, code fingerprint) pair the entry
  * was stored under, re-validated at load time so a renamed or
- * misplaced file can never serve the wrong cell. A trailing
- * bin::checksum covers every preceding byte; any mismatch, truncation,
- * or unknown version is a structured error, which the cache treats as
- * a miss (recompute and overwrite), never a crash. An entry an older
+ * misplaced file can never serve the wrong cell, and an entry another
+ * build stored (the result cache passes buildFingerprint()) reads as
+ * Stale. A trailing bin::checksum covers every preceding byte; any
+ * mismatch, truncation, or unknown version is a structured error,
+ * which the cache treats as a miss (recompute and overwrite), never a
+ * crash. An entry an older
  * version wrote (version 1 was sealed with byte-wise FNV-1a; version
  * 2 also stored a text rendering of the stats tree) reads as Stale,
  * so its cell is recomputed and the entry replaced in place.

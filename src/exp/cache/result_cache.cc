@@ -70,8 +70,8 @@ fileSafe(const std::string &s)
 
 } // anonymous namespace
 
-ResultCache::ResultCache(std::string dir, CodeVersions versions)
-    : _dir(std::move(dir)), _versions(versions)
+ResultCache::ResultCache(std::string dir, std::uint64_t code_fp)
+    : _dir(std::move(dir)), _codeFp(code_fp)
 {
     makeDirs(_dir);
 }
@@ -108,10 +108,10 @@ std::string
 ResultCache::entryPath(const ExperimentSpec &spec) const
 {
     // Addressed by spec key alone; the code fingerprint lives in the
-    // entry header. A component bump therefore finds the old file,
-    // reads it as Stale (counted, deleted), and the recompute's store
-    // replaces it in place — one entry per cell, never an
-    // ever-growing sibling per code version.
+    // entry header. A rebuild after a source edit therefore finds the
+    // old file, reads it as Stale (counted, deleted), and the
+    // recompute's store replaces it in place — one entry per cell,
+    // never an ever-growing sibling per build.
     return _dir + "/" + fileSafe(spec.app) + "-" +
            hex16(specKey(spec)) + ".swexrec";
 }
@@ -128,8 +128,7 @@ ResultCache::lookup(const ExperimentSpec &spec, RunRecord &out) const
 {
     const std::string path = entryPath(spec);
     std::string err;
-    switch (loadRecord(path, out, specKey(spec),
-                       codeFingerprint(spec, _versions), err)) {
+    switch (loadRecord(path, out, specKey(spec), _codeFp, err)) {
       case LoadStatus::Ok:
         _hits.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -156,8 +155,8 @@ bool
 ResultCache::store(const ExperimentSpec &spec, const RunRecord &record,
                    std::string &err) const
 {
-    if (!saveRecord(entryPath(spec), record, specKey(spec),
-                    codeFingerprint(spec, _versions), err)) {
+    if (!saveRecord(entryPath(spec), record, specKey(spec), _codeFp,
+                    err)) {
         _storeFailures.fetch_add(1, std::memory_order_relaxed);
         return false;
     }

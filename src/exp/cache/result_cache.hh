@@ -1,12 +1,12 @@
 /**
  * @file
  * The content-addressed experiment cache: finished swex-run-v1
- * records, keyed on (canonical ExperimentSpec hash, code-version
+ * records, keyed on (canonical ExperimentSpec hash, build
  * fingerprint) and stored as swex-rec files (record_io.hh) under one
  * directory. A warm cell costs a file load instead of a simulation;
- * the Runner consults the cache before building a machine, so
- * re-sweeps after a code change only recompute the cells whose
- * fingerprint component was bumped (see code_version.hh).
+ * the Runner consults the cache before building a machine, so a
+ * repeated sweep on one build only computes the cells it has not
+ * stored yet.
  *
  * Key scheme:
  *  - spec key: FNV-1a over every result-affecting spec field — the
@@ -19,9 +19,12 @@
  *    is bit-identical to direct execution, so the experiment's
  *    identity does not include how its op stream was sourced. This
  *    cache, not trace replay, is what makes a repeated sweep fast.
- *  - code fingerprint: per-component code versions + $SWEX_CACHE_EPOCH
- *    (code_version.hh). Wall-clock fields are stored but never keyed:
- *    they are measurement cost, not experiment identity.
+ *  - code fingerprint: buildFingerprint(), a hash of every .cc and
+ *    .hh under src/. Any source edit moves it, so after that rebuild
+ *    the first lookup of each cell is a stale miss; there is no list
+ *    of the sources a record depends on that could miss one.
+ *    Wall-clock fields are stored but never keyed: they are
+ *    measurement cost, not experiment identity.
  *
  * Only direct-mode, completed, verified, violation-free records are
  * stored, so a hit always serves bytes a direct run produced.
@@ -40,7 +43,6 @@
 #include <cstdint>
 #include <string>
 
-#include "exp/cache/code_version.hh"
 #include "exp/run_record.hh"
 #include "exp/spec.hh"
 
@@ -49,17 +51,21 @@ namespace swex
 namespace cache
 {
 
+/** A 64-bit hash of every .cc and .hh under src/ (sorted relative
+ *  path and content hash), which gen_code_fingerprint.cmake writes
+ *  into a generated translation unit whenever a source changes. */
+std::uint64_t buildFingerprint();
+
 class ResultCache
 {
   public:
-    /** @p dir is created (mkdir -p) if missing. @p versions defaults
-     *  to the build-derived component fingerprints + the env epoch;
-     *  tests pass perturbed versions to exercise invalidation. */
+    /** @p dir is created (mkdir -p) if missing. Entries are stored
+     *  and checked under @p code_fp; tests pass another value to
+     *  exercise invalidation. */
     explicit ResultCache(std::string dir,
-                         CodeVersions versions = CodeVersions::current());
+                         std::uint64_t code_fp = buildFingerprint());
 
     const std::string &dir() const { return _dir; }
-    const CodeVersions &versions() const { return _versions; }
 
     /** Canonical hash of every result-affecting field of @p spec. */
     static std::uint64_t specKey(const ExperimentSpec &spec);
@@ -103,7 +109,7 @@ class ResultCache
 
   private:
     std::string _dir;
-    CodeVersions _versions;
+    std::uint64_t _codeFp;
 
     mutable std::atomic<std::uint64_t> _hits{0};
     mutable std::atomic<std::uint64_t> _misses{0};

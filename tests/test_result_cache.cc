@@ -3,9 +3,9 @@
  * Tests for the content-addressed result cache: the swex-rec
  * container survives concurrent same-key stores and its checksum
  * catches every single-byte change and every truncation, a hit serves
- * the byte-identical canonical document a direct run emits,
- * invalidation is component-scoped (a directory bump leaves snoop
- * cells warm), corrupt entries fall back to recompute-and-replace, an
+ * the byte-identical canonical document a direct run emits, a new
+ * build fingerprint sends every cell cold, whatever backend it runs
+ * on, corrupt entries fall back to recompute-and-replace, an
  * older version's entry is a stale miss replaced in place, the warm
  * path is --jobs invariant, and a hit writes nothing.
  */
@@ -24,7 +24,6 @@
 
 #include "base/binary_io.hh"
 #include "base/logging.hh"
-#include "exp/cache/code_version.hh"
 #include "exp/cache/record_io.hh"
 #include "exp/cache/result_cache.hh"
 #include "exp/runner.hh"
@@ -428,46 +427,55 @@ TEST(ResultCache, ExperimentKeysArePinned)
     }
 }
 
-TEST(ResultCache, InvalidationIsComponentScoped)
+// One fingerprint covers every source: a snoop cell that tracks
+// sharing runs the directory stack's SharingTracker, so no split of
+// the sources by backend is sound. Under another build's fingerprint
+// both cells read stale, both entries go, and both recomputes give
+// the bytes the first build stored.
+TEST(ResultCache, ANewBuildSendsEveryCellCold)
 {
     setQuiet(true);
     const std::string dir = scratchDir("invalidate");
 
     const ExperimentSpec dirCell = workerSpec("cache/dir");
-    const ExperimentSpec busCell = snoopSpec("cache/bus");
+    ExperimentSpec busCell = snoopSpec("cache/bus");
+    busCell.trackSharing = true;
 
+    std::string dirBytes, busBytes;
     {
         cache::ResultCache rcache(dir);
         Runner runner;
         runner.attachCache(&rcache);
-        ASSERT_TRUE(runner.execute(dirCell).verified);
-        ASSERT_TRUE(runner.execute(busCell).verified);
+        const RunRecord d = runner.execute(dirCell);
+        const RunRecord b = runner.execute(busCell);
+        ASSERT_TRUE(d.verified);
+        ASSERT_TRUE(b.verified);
+        ASSERT_FALSE(b.workerSets.empty());
         ASSERT_EQ(rcache.counters().stores, 2u);
+        dirBytes = canonicalJson(d);
+        busBytes = canonicalJson(b);
     }
 
-    // Bump the directory component relative to the build-derived
-    // fingerprints: the directory cell must go cold (stale, deleted)
-    // while the snoop cell stays warm.
-    cache::CodeVersions bumped = cache::CodeVersions::current();
-    bumped.directory += 1;
-    cache::ResultCache rcache(dir, bumped);
-
+    cache::ResultCache rcache(dir, cache::buildFingerprint() + 1);
     RunRecord out;
-    EXPECT_TRUE(rcache.lookup(busCell, out));
     EXPECT_FALSE(rcache.lookup(dirCell, out));
+    EXPECT_FALSE(rcache.lookup(busCell, out));
     auto c = rcache.counters();
-    EXPECT_EQ(c.hits, 1u);
-    EXPECT_EQ(c.stale, 1u);
-    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 0u);
+    EXPECT_EQ(c.stale, 2u);
+    EXPECT_EQ(c.corrupt, 0u);
+    EXPECT_EQ(c.misses, 2u);
     EXPECT_FALSE(fileExists(rcache.entryPath(dirCell)));
+    EXPECT_FALSE(fileExists(rcache.entryPath(busCell)));
+    EXPECT_TRUE(entryFiles(dir).empty());
 
-    // The epoch is a whole-cache master switch: under a bumped epoch
-    // even the surviving snoop entry reads stale.
-    cache::CodeVersions epoch = cache::CodeVersions::current();
-    epoch.epoch = 99;
-    cache::ResultCache swept(dir, epoch);
-    EXPECT_FALSE(swept.lookup(busCell, out));
-    EXPECT_EQ(swept.counters().stale, 1u);
+    Runner runner;
+    runner.attachCache(&rcache);
+    EXPECT_EQ(canonicalJson(runner.execute(dirCell)), dirBytes);
+    EXPECT_EQ(canonicalJson(runner.execute(busCell)), busBytes);
+    c = rcache.counters();
+    EXPECT_EQ(c.stores, 2u);
+    EXPECT_EQ(entryFiles(dir).size(), 2u);
 }
 
 TEST(ResultCache, CorruptEntryFallsBackToRecompute)

@@ -33,8 +33,8 @@ direct execution.
 With --cache-equiv the positional binary is swex_cli; the script runs
 the same experiment direct, cold-cache, and warm-cache and requires
 the canonical swex-run-v1 documents to be byte-identical, checks that
-a $SWEX_CACHE_EPOCH bump invalidates (and transparently recomputes)
-the entry, then starts `swex_cli --serve` on a scratch Unix socket
+a truncated entry is recomputed (to the identical document) and
+replaced in place, then starts `swex_cli --serve` on a scratch Unix socket
 and requires the served record to equal the direct run's, with the
 stats op accounting the hit; the record `swex_cli --connect` writes
 for the same spec must equal it too, and `--connect --stats` must
@@ -454,13 +454,11 @@ def check_replay_equiv(binary, tmp):
     return checks
 
 
-def canonical_doc(binary, args, json_path, extra_env=None):
+def canonical_doc(binary, args, json_path):
     """Run swex_cli with canonical $SWEX_RUN_JSON output and return
     the document bytes (the byte-identity currency of --cache-equiv)."""
     env = dict(os.environ, SWEX_RUN_JSON=json_path,
                SWEX_RUN_CANONICAL="1")
-    if extra_env:
-        env.update(extra_env)
     proc = subprocess.run(
         [binary, *args], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -599,6 +597,7 @@ def check_cache_equiv(binary, tmp):
                if f.endswith(".swexrec")]
     if len(entries) != 1:
         sys.exit(f"FAIL: expected 1 cache entry, found {entries}")
+    entry_path = os.path.join(cache_dir, entries[0])
     print(f"OK: direct/cold/warm canonical documents byte-identical "
           f"({len(direct)} bytes, entry {entries[0]})")
     checks += 3
@@ -757,27 +756,32 @@ def check_cache_equiv(binary, tmp):
         print("OK: serve round-trip record identical, hit accounted, "
               "clean shutdown")
         checks += 3
-    # An epoch bump must go cold (stale entry replaced) and still
-    # produce the identical document — invalidation changes cost,
-    # never results. The entry count must not grow: the run's stale
-    # entry is replaced in place (the sweep's other cell stays, stale
-    # but untouched until something re-runs it).
+    # An invalid entry must go cold and still produce the identical
+    # document: invalidation changes cost, never results. Truncate the
+    # run's entry; the rerun must read it as a miss, recompute, and
+    # replace it in place, so the entry count does not grow (the
+    # sweep's other cell stays untouched).
     n_before = len([f for f in os.listdir(cache_dir)
                     if f.endswith(".swexrec")])
-    bumped = canonical_doc(binary, spec + ["--cache-dir", cache_dir],
-                           os.path.join(tmp, "bumped.json"),
-                           extra_env={"SWEX_CACHE_EPOCH": "7"})
-    if bumped != direct:
+    entry_bytes = os.path.getsize(entry_path)
+    os.truncate(entry_path, entry_bytes // 2)
+    redone = canonical_doc(binary, spec + ["--cache-dir", cache_dir],
+                           os.path.join(tmp, "redone.json"))
+    if redone != direct:
         sys.exit("FAIL: post-invalidation document differs from "
                  "direct")
     entries = [f for f in os.listdir(cache_dir)
                if f.endswith(".swexrec")]
     if len(entries) != n_before:
-        sys.exit(f"FAIL: epoch bump left {len(entries)} entries "
-                 f"(expected {n_before}: stale entry replaced, not "
+        sys.exit(f"FAIL: the rerun left {len(entries)} entries "
+                 f"(expected {n_before}: invalid entry replaced, not "
                  f"added)")
-    print("OK: $SWEX_CACHE_EPOCH bump recomputes to the identical "
-          "document")
+    if os.path.getsize(entry_path) != entry_bytes:
+        sys.exit(f"FAIL: the truncated entry was not replaced: "
+                 f"{os.path.getsize(entry_path)} bytes, expected "
+                 f"{entry_bytes}")
+    print("OK: a truncated entry recomputes to the identical "
+          "document and is replaced in place")
     checks += 1
 
     return checks
