@@ -277,7 +277,7 @@ HomeController::recordReaderHw(DirEntry &e, NodeId reader)
     if (e.hasPtr(reader))
         return true;
     if (e.ptrCount < p.hwPointers) {
-        if (activeMutation() == ProtocolMutation::DropPointer)
+        if (cfg.mutation == ProtocolMutation::DropPointer)
             return true;   // injected bug: grant without recording
         e.addPtr(reader, p.hwPointers);
         return true;
@@ -498,7 +498,7 @@ HomeController::onWriteReq(const Message &msg)
         invalidate(nullptr, e, a, msg.src, targets,
                    e.localBit && msg.src != home, false);
         if (e.ackCount > 0 &&
-            activeMutation() == ProtocolMutation::AckOvercount)
+            cfg.mutation == ProtocolMutation::AckOvercount)
             ++e.ackCount;   // injected bug: one phantom ack expected
         return;
       }
@@ -537,7 +537,7 @@ HomeController::onInvAck(const Message &msg)
         audit->onInvAckCounted(home, a);
     if (e.ackCount == 0) {
         if (e.pendingSwSend) {
-            if (activeMutation() == ProtocolMutation::SkipLastAckTrap)
+            if (cfg.mutation == ProtocolMutation::SkipLastAckTrap)
                 return;   // injected bug: the LACK trap never fires
             raise(TrapKind::LastAck, msg);
         } else {

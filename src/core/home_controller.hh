@@ -44,9 +44,9 @@ struct HomeConfig
     HandlerProfile profile = HandlerProfile::FlexibleC;
     bool parallelInv = false;    ///< Section 7: pipelined sw invals
 
-    /** Auditor-validation bug injection (see ProtocolMutation); only
-     *  honored when the build compiles SWEX_MUTATIONS. Per-controller
-     *  state, so concurrent machines never share a mutation. */
+    /** Auditor-validation bug injection (see ProtocolMutation).
+     *  Per-controller state, so concurrent machines never share a
+     *  mutation. */
     ProtocolMutation mutation = ProtocolMutation::None;
 };
 
@@ -203,19 +203,6 @@ class HomeController
 
     void trackShared(Addr block_addr, NodeId n);
     void trackExclusive(Addr block_addr, NodeId n);
-
-    /** The bug this controller was configured to inject; folds to
-     *  None (and the injection branches to dead code) when the build
-     *  leaves SWEX_MUTATIONS off. */
-    ProtocolMutation
-    activeMutation() const
-    {
-#ifdef SWEX_MUTATIONS
-        return cfg.mutation;
-#else
-        return ProtocolMutation::None;
-#endif
-    }
 
     NodeId home;
     int nodes;

@@ -34,11 +34,10 @@ constexpr int maxHwPointers = 5;
 /**
  * Deliberate protocol-bug injection used to validate the auditor: a
  * mutation smoke test enables one bug, runs the protocol, and asserts
- * the CoherenceAuditor catches it. Compiled only when the build sets
- * SWEX_MUTATIONS (a CMake option, on by default so the smoke test is
- * part of tier-1); the injected branches are host-side only and never
- * charge simulated cycles, so with the mutation set to None every
- * simulated cycle count is identical to a build without the option.
+ * the CoherenceAuditor catches it. Every build compiles the three
+ * bugs; the injected branches are host-side only and never charge
+ * simulated cycles, so with the mutation set to None every simulated
+ * cycle count is that of the correct protocol.
  *
  * The mutation is per-machine configuration (MachineConfig::mutation,
  * threaded down to every HomeController), never process state: one
@@ -53,12 +52,6 @@ enum class ProtocolMutation : std::uint8_t
     DropPointer,     ///< a granted reader is not recorded in the dir
     SkipLastAckTrap, ///< the final ack fails to raise the LACK trap
 };
-
-#ifdef SWEX_MUTATIONS
-constexpr bool mutationsCompiled = true;
-#else
-constexpr bool mutationsCompiled = false;
-#endif
 
 /** How invalidation acknowledgments reach the directory. */
 enum class AckMode : std::uint8_t

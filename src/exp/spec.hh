@@ -76,8 +76,7 @@ struct ExperimentSpec
      */
     bool sequential = false;
 
-    /** Auditor-validation bug injection, threaded down per machine
-     *  (honored only in SWEX_MUTATIONS builds). */
+    /** Auditor-validation bug injection, threaded down per machine. */
     ProtocolMutation mutation = ProtocolMutation::None;
 
     /** Network jitter stressor: max extra delivery delay in cycles

@@ -80,7 +80,7 @@ struct MachineConfig
     bool parallelInv = false;       ///< Section 7 enhancement
 
     /** Auditor-validation bug injection, per machine (never process
-     *  state); honored only in SWEX_MUTATIONS builds. */
+     *  state). */
     ProtocolMutation mutation = ProtocolMutation::None;
 
     NetworkConfig net;

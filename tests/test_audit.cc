@@ -5,9 +5,8 @@
  * and the determinism of the seeded network jitter stressor.
  *
  * The mutation tests prove the auditor earns its keep: each deliberate
- * protocol bug (compiled in behind SWEX_MUTATIONS) is injected, the
- * protocol is driven over it, and the auditor must name a violated
- * invariant. A clean run of the same machinery must stay silent.
+ * protocol bug (compiled into every build) is injected, the protocol
+ * is driven over it, and the auditor must name a violated invariant. A clean run of the same machinery must stay silent.
  */
 
 #include <gtest/gtest.h>
@@ -119,9 +118,6 @@ anyViolationContains(const CoherenceAuditor &a, const std::string &frag)
 
 TEST(AuditMutation, AckOvercountCaught)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
-
     // Two sharers, then a write: the hardware sends two invalidations
     // but (mutated) arms the counter for three. The auditor, which
     // counted the invalidations actually leaving the home, must flag
@@ -139,9 +135,6 @@ TEST(AuditMutation, AckOvercountCaught)
 
 TEST(AuditMutation, SkipLastAckTrapCaught)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
-
     // LACK protocol write over two software-tracked sharers: when the
     // final acknowledgment arrives the mutated hardware fails to raise
     // the LastAck trap, so the directory sits in PendWrite with zero
@@ -163,9 +156,6 @@ TEST(AuditMutation, SkipLastAckTrapCaught)
 
 TEST(AuditMutation, DropPointerCaughtAtQuiescence)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
-
     // Remote readers are granted data but never recorded. Transition
     // checks cannot see the lie (the entry looks like a legal Shared
     // entry); the quiescent cross-check of every cache against the
@@ -233,9 +223,6 @@ auditedRunViolations(ProtocolMutation mutation)
 
 TEST(AuditMutation, MutationDoesNotLeakIntoLaterRuns)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
-
     // The mutated machine must misbehave...
     EXPECT_GE(auditedRunViolations(ProtocolMutation::DropPointer), 3u);
     // ...and a subsequent default-configured machine in the same
@@ -468,9 +455,6 @@ TEST(AuditQuiescentDeath, UnauditedCheckPanicsWithTheSameRule)
 
 TEST(AuditMutationDeath, DropPointerPanicsAtTheEndOfAnUnauditedRun)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
-
     // DropPointerCaughtAtQuiescence's run without an auditor: every
     // completed run ends with the quiescent sweep, so the uncovered
     // readers abort the run itself.

@@ -553,8 +553,6 @@ TEST(RunnerFailure, DeadlineYieldsStructuredRecordNotFatal)
 
 TEST(RunnerFailure, LivelockedCellIsQuarantinedAtAnyJobs)
 {
-    if (!mutationsCompiled)
-        GTEST_SKIP() << "built without SWEX_MUTATIONS";
     setQuiet(true);
 
     // One poisoned cell between two healthy siblings: the sweep must
