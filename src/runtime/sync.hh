@@ -3,7 +3,7 @@
  * Synchronization primitives implemented on the simulated shared
  * memory, so they generate the real coherence traffic the paper's
  * applications generate: test-and-test-and-set spin locks with
- * exponential backoff, sense-reversal barriers, and a lock-protected
+ * exponential backoff, combining-tree barriers, and a lock-protected
  * centralized work queue. These mirror Alewife's parallel C library
  * (Lim, ALEWIFE Memo 37).
  */
@@ -67,96 +67,6 @@ class SpinLock
 
   private:
     Addr _addr = 0;
-};
-
-/**
- * Sense-reversal barrier. The shared state (arrival count and sense
- * word, each in its own block) is created once; every thread carries
- * its own Barrier copy holding its local sense.
- */
-class Barrier
-{
-  public:
-    Barrier() = default;
-
-    static Barrier
-    create(Machine &m, int participants, NodeId home = 0)
-    {
-        Barrier b;
-        b._count = m.allocOn(home, blockBytes, blockBytes);
-        b._sense = m.allocOn(home, blockBytes, blockBytes);
-        b._n = participants;
-        m.debugWrite(b._count, 0);
-        m.debugWrite(b._sense, 0);
-        return b;
-    }
-
-    Task<void>
-    wait(Mem &m)
-    {
-        Word my_sense = _localSense ^ 1;
-        Word arrived = co_await m.fetchAdd(_count, 1);
-        if (arrived == static_cast<Word>(_n) - 1) {
-            // Last arrival: reset the count, then release everyone.
-            co_await m.write(_count, 0);
-            co_await m.write(_sense, my_sense);
-        } else {
-            while (co_await m.read(_sense) != my_sense)
-                co_await m.work(24);
-        }
-        _localSense = my_sense;
-    }
-
-  private:
-    Addr _count = 0;
-    Addr _sense = 0;
-    int _n = 0;
-    Word _localSense = 0;
-};
-
-/**
- * FIFO (ticket) lock: acquisitions are granted in arrival order, so
- * no waiter can starve. The paper lists a FIFO lock data type among
- * the enhancements implemented with the protocol extension software
- * (Section 7); here it is built from one fetch-and-add ticket word
- * and a now-serving word.
- */
-class FifoLock
-{
-  public:
-    FifoLock() = default;
-
-    static FifoLock
-    create(Machine &m, NodeId home = 0)
-    {
-        FifoLock l;
-        l._ticket = m.allocOn(home, blockBytes, blockBytes);
-        l._serving = m.allocOn(home, blockBytes, blockBytes);
-        m.debugWrite(l._ticket, 0);
-        m.debugWrite(l._serving, 0);
-        return l;
-    }
-
-    Task<void>
-    acquire(Mem &m) const
-    {
-        Word my = co_await m.fetchAdd(_ticket, 1);
-        // Spin on the cached now-serving word; each release
-        // invalidates it and wakes exactly the waiters.
-        while (co_await m.read(_serving) != my)
-            co_await m.work(40);
-    }
-
-    Task<void>
-    release(Mem &m) const
-    {
-        Word cur = co_await m.read(_serving);
-        co_await m.write(_serving, cur + 1);
-    }
-
-  private:
-    Addr _ticket = 0;
-    Addr _serving = 0;
 };
 
 /**

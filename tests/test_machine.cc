@@ -178,11 +178,12 @@ TEST(MachineBasics, ABarrierAFinishedThreadNeverReachesDeadlocks)
 TEST(MachineBasics, BarrierSynchronizesPhases)
 {
     Machine m(smallConfig(ProtocolConfig::hw(5), 4));
-    Barrier bar = Barrier::create(m, 4);
+    const TreeBarrier proto = TreeBarrier::create(m, 4);
     SharedArray phase_flags(m, 4, Layout::Interleaved);
     phase_flags.fill(m, 0);
     bool order_ok = true;
-    m.run([&, bar](Mem &mem, int tid) mutable -> Task<void> {
+    m.run([&](Mem &mem, int tid) -> Task<void> {
+        TreeBarrier bar = proto;   // each thread counts its own epochs
         for (int ph = 1; ph <= 3; ++ph) {
             co_await mem.write(
                 phase_flags.at(static_cast<size_t>(tid)),

@@ -307,42 +307,6 @@ TEST(SpinLock, ExclusionHoldsUnderDir1SW)
     m.checkInvariants();
 }
 
-TEST(FifoLock, ExclusionAndProgressUnderContention)
-{
-    Machine m(cfg(8));
-    FifoLock lock = FifoLock::create(m, 0);
-    Addr shared = m.allocOn(1, blockBytes, blockBytes);
-    m.debugWrite(shared, 0);
-    m.run([&](Mem &mem, int) -> Task<void> {
-        for (int i = 0; i < 6; ++i) {
-            co_await lock.acquire(mem);
-            Word v = co_await mem.read(shared);
-            co_await mem.work(19);
-            co_await mem.write(shared, v + 1);
-            co_await lock.release(mem);
-        }
-    });
-    EXPECT_EQ(m.debugRead(shared), 48u);
-    m.checkInvariants();
-}
-
-TEST(FifoLock, ServesWaitersInTicketOrder)
-{
-    // Threads stagger their arrival; under a FIFO lock the critical
-    // sections must execute in arrival order.
-    Machine m(cfg(4));
-    FifoLock lock = FifoLock::create(m, 0);
-    std::vector<int> order;
-    m.run([&](Mem &mem, int tid) -> Task<void> {
-        co_await mem.work(static_cast<Cycles>(500 * tid + 1));
-        co_await lock.acquire(mem);
-        order.push_back(tid);
-        co_await mem.work(2000);   // outlast later arrivals' spins
-        co_await lock.release(mem);
-    });
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 // ------------------------------------------------------------------
 // Machine fast barrier
 // ------------------------------------------------------------------
