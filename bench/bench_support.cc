@@ -171,7 +171,7 @@ JsonTrajectory::readFile(const std::string &path,
     if (schema == nullptr || schema->raw != "swex-bench-v1" ||
         entries == nullptr || entries->kind != JsonValue::Kind::Array)
         return false;
-    for (const JsonValue &e : entries->items) {
+    for (const JsonValue &e : entries->items()) {
         const JsonValue *name = e.find("name");
         const JsonValue *metrics = e.find("metrics");
         if (name == nullptr || name->kind != JsonValue::Kind::String ||
@@ -179,10 +179,10 @@ JsonTrajectory::readFile(const std::string &path,
             metrics->kind != JsonValue::Kind::Object)
             return false;
         BenchEntry entry{name->raw, {}};
-        for (const auto &[key, v] : metrics->members) {
+        for (const JsonValue &v : metrics->members()) {
             if (v.kind != JsonValue::Kind::Number)
                 return false;
-            entry.metrics.emplace_back(key,
+            entry.metrics.emplace_back(std::string(v.key()),
                                        std::strtod(v.raw.c_str(), nullptr));
         }
         out.push_back(std::move(entry));

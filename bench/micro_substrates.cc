@@ -4,8 +4,9 @@
  * queue throughput (callback shim, intrusive events, spill heap, and
  * a fig2-like delay mix), message pooling, cache lookup/fill,
  * extended-directory operations, network injection, a whole-machine
- * WORKER iteration, and the two kernels of a warm result-cache hit:
- * decoding a swex-rec entry and parsing the served response line.
+ * WORKER iteration, the two kernels of a warm result-cache hit
+ * (decoding a swex-rec entry and parsing the served response line),
+ * and the server's parse of a request line.
  * These track the host-side performance of the simulator itself.
  *
  * Besides the console table, results are merged into
@@ -334,6 +335,28 @@ BM_WireParseRecord(benchmark::State &state)
                             static_cast<std::int64_t>(line.size()));
 }
 BENCHMARK(BM_WireParseRecord)->Unit(benchmark::kMicrosecond);
+
+/** The server's side of every request: the DOM parse of a ~300-byte
+ *  `run` request line. */
+void
+BM_WireParseRequest(benchmark::State &state)
+{
+    const std::string line =
+        R"({"op":"run","tag":"bench-request","canonical":true,)"
+        R"("id":"bench/worker16","app":"worker","nodes":16,)"
+        R"("protocol":"h5","profile":"c","victim":6,"seed":12345,)"
+        R"("params":{"wss":"8","iterations":"2","think":"10"},)"
+        R"("audit":true,"jitter":37,"jitter_seed":9,"fault_drop":20,)"
+        R"("fault_seed":11,"deadline":123456789,"perfect_ifetch":true})";
+    for (auto _ : state) {
+        wire::JsonValue doc;
+        wire::JsonParser p(line);
+        benchmark::DoNotOptimize(p.parseWhole(doc));
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(line.size()));
+}
+BENCHMARK(BM_WireParseRequest)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console output as usual, plus every finished run recorded into the

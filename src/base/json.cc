@@ -33,7 +33,7 @@ appendNumber(std::string &out, double v)
 }
 
 void
-appendString(std::string &out, const std::string &s)
+appendString(std::string &out, std::string_view s)
 {
     static const char hex[] = "0123456789abcdef";
     out += '"';

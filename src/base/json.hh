@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace swex::json
 {
@@ -24,7 +25,7 @@ namespace swex::json
 void appendNumber(std::string &out, double v);
 
 /** Append @p s quoted, escaping '"', '\\' and control characters. */
-void appendString(std::string &out, const std::string &s);
+void appendString(std::string &out, std::string_view s);
 
 /**
  * Parse @p text as an unsigned decimal integer in the wire's number

@@ -94,7 +94,9 @@ constexpr std::size_t maxResponseLine = std::size_t{16} << 20;
 /** One request's outcome. ok means the server answered {"ok":true};
  *  otherwise errorKind holds the server's error_kind, or a local
  *  "deadline" / "transport" / "parse" / "overflow" when the failure
- *  never reached (or never came back from) the server. */
+ *  never reached (or never came back from) the server. doc is one
+ *  read-only document holding its own copy of line, so a Response
+ *  copies and moves like any value. */
 struct Response
 {
     bool ok = false;

@@ -350,7 +350,7 @@ planSweep(const JsonValue &req, Batch &batch)
     const JsonValue *gv = req.find("grid");
     if (gv == nullptr || gv->kind != JsonValue::Kind::Object)
         return "sweep needs a 'grid' object";
-    if (gv->members.empty())
+    if (gv->members().empty())
         return "'grid' must name at least one field";
 
     std::size_t chunk = maxSweepChunk;
@@ -369,17 +369,21 @@ planSweep(const JsonValue &req, Batch &batch)
         cursor = static_cast<std::size_t>(n);
     }
 
-    // The decoder skips the envelope keys, so the base is the request
-    // less its grid.
-    JsonValue base = req;
-    std::erase_if(base.members,
-                  [](const auto &m) { return m.first == "grid"; });
+    // Each cell is the request's spec fields (the decoder would skip
+    // its envelope keys, and the grid is expanded here) plus one value
+    // per axis.
+    codec::Request base;
+    for (const JsonValue &m : req.members())
+        if (m.key() != "grid" && !codec::isEnvelopeKey(m.key()))
+            base.put(std::string(m.key()), m);
 
     std::size_t cells = 1;
-    for (const auto &[k, axis] : gv->members) {
-        if (axis.kind != JsonValue::Kind::Array || axis.items.empty())
+    const auto axes = gv->members();
+    for (const JsonValue &axis : axes) {
+        const std::string k(axis.key());
+        if (axis.kind != JsonValue::Kind::Array || axis.items().empty())
             return "grid." + k + " must be a non-empty array";
-        for (const JsonValue &e : axis.items)
+        for (const JsonValue &e : axis.items())
             if (e.kind == JsonValue::Kind::Object ||
                 e.kind == JsonValue::Kind::Array)
                 return "grid." + k + " values must be scalars";
@@ -387,16 +391,16 @@ planSweep(const JsonValue &req, Batch &batch)
             const std::string sub = k.substr(7);
             if (sub.empty())
                 return "bad grid key '" + k + "'";
-            const JsonValue *p = base.find("params");
+            const JsonValue *p = req.find("params");
             if (p != nullptr && p->find(sub) != nullptr)
                 return "grid key '" + k + "' duplicates a base field";
         } else {
             if (codec::isEnvelopeKey(k) || k == "grid" || k == "params")
                 return "grid key '" + k + "' is not sweepable";
-            if (base.find(k) != nullptr)
+            if (req.find(k) != nullptr)
                 return "grid key '" + k + "' duplicates a base field";
         }
-        cells *= axis.items.size();
+        cells *= axis.items().size();
         if (cells > maxSweepCellsTotal)
             return "sweep too large (more than " +
                    std::to_string(maxSweepCellsTotal) + " cells)";
@@ -407,20 +411,19 @@ planSweep(const JsonValue &req, Batch &batch)
                " cells)";
 
     const std::size_t chunk_end = std::min(cells, cursor + chunk);
-    const auto &axes = gv->members;
     for (std::size_t c = cursor; c < chunk_end; ++c) {
         std::vector<std::size_t> idx(axes.size());
         std::size_t rem = c;
         for (std::size_t a = axes.size(); a-- > 0;) {
-            idx[a] = rem % axes[a].second.items.size();
-            rem /= axes[a].second.items.size();
+            idx[a] = rem % axes[a].items().size();
+            rem /= axes[a].items().size();
         }
 
-        JsonValue cell_req = base;
+        codec::Request cell_req = base;
         std::string cell_key;
         for (std::size_t a = 0; a < axes.size(); ++a) {
-            const std::string &k = axes[a].first;
-            const JsonValue &val = axes[a].second.items[idx[a]];
+            const std::string k(axes[a].key());
+            const JsonValue &val = axes[a].items()[idx[a]];
             if (!cell_key.empty())
                 cell_key += " ";
             cell_key += k + "=";
@@ -428,7 +431,7 @@ planSweep(const JsonValue &req, Batch &batch)
                 cell_key += val.raw;
             else
                 renderJson(val, cell_key);
-            codec::put(cell_req, k, val);
+            cell_req.put(k, val);
         }
 
         ExperimentSpec spec;

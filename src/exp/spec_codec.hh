@@ -6,16 +6,20 @@
  * field's key, flag, range, default and error text live in one table
  * (spec_codec.cc), next to the cross-field rules (DESIGN §4.2).
  *
- * A request is a wire::JsonValue object: swex_cli builds one from its
- * flags, the server parses one off the socket, and decode() turns
- * either into a spec. Defaults: app worker, nodes 16, protocol h5,
- * victim 6, seed 12345; only `id` comes from the caller.
+ * decode() turns a parsed request object into a spec: the server
+ * parses one off the socket; swex_cli records its flags in a Request,
+ * which renders to the line decode() then reads. Defaults: app worker,
+ * nodes 16, protocol h5, victim 6, seed 12345; only `id` comes from
+ * the caller.
  */
 
 #ifndef SWEX_EXP_SPEC_CODEC_HH
 #define SWEX_EXP_SPEC_CODEC_HH
 
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "exp/spec.hh"
 #include "exp/wire_json.hh"
@@ -27,18 +31,43 @@ namespace codec
 
 /** Request keys that frame a request (op, tag, canonical, cursor,
  *  chunk) rather than describe its spec. decode() skips them. */
-bool isEnvelopeKey(const std::string &key);
+bool isEnvelopeKey(std::string_view key);
 
-/** Set field @p key of request @p req to @p value, replacing an
- *  earlier value. "params.<k>" sets one app parameter. */
-void put(wire::JsonValue &req, const std::string &key,
-         wire::JsonValue value);
+/**
+ * A request being built: its fields in the order first set, each value
+ * already rendered as JSON. Setting a field again replaces its value
+ * in place, so a repeated flag keeps its place and its last value.
+ * "params.<k>" fields nest in one "params" object, placed where the
+ * first of them was set.
+ */
+class Request
+{
+  public:
+    /** Set field @p key to @p text spelled as on a command line: the
+     *  field's kind makes it a JSON bool ("true" is true), a number
+     *  (digits only; other text becomes a string, which decode()
+     *  refuses as it refuses a bad number) or a string (every app
+     *  parameter). */
+    void set(const std::string &key, const std::string &text);
 
-/** put() with the value spelled as text, as on a command line: the
- *  field's kind makes it a JSON number, string or bool ("true"). The
- *  text is not checked here; decode() checks it like any value. */
-void set(wire::JsonValue &req, const std::string &key,
-         const std::string &text);
+    /** Set field @p key to the parsed value @p v; a "params" object
+     *  sets each of its members. */
+    void put(const std::string &key, const wire::JsonValue &v);
+
+    /** The fields as a run of ,"key":value members. */
+    std::string members() const;
+
+    /** The request as one JSON object line. */
+    std::string line() const;
+
+  private:
+    void putJson(const std::string &key, std::string json);
+
+    /** Key and rendered value; "params" with an empty value stands
+     *  for the params list. */
+    std::vector<std::pair<std::string, std::string>> entries;
+    std::vector<std::pair<std::string, std::string>> params;
+};
 
 /** How many values swex_cli flag @p flag takes: 0 for a presence
  *  flag (--audit), 1 for a valued one (--nodes 16), -1 if @p flag
@@ -49,7 +78,7 @@ int flagValues(const std::string &flag);
  *  @p req. --faults d[,u[,b]], --param k=v, --wss and --iters are
  *  command-line spellings of the fault-rate and params fields.
  *  @return "" on success, else why the value cannot be recorded. */
-std::string setFlag(wire::JsonValue &req, const std::string &flag,
+std::string setFlag(Request &req, const std::string &flag,
                     const std::string &value);
 
 /** Build @p spec from request @p req. An unknown field is an error;
@@ -58,8 +87,12 @@ std::string setFlag(wire::JsonValue &req, const std::string &flag,
 std::string decode(const wire::JsonValue &req,
                    const std::string &default_id, ExperimentSpec &spec);
 
+/** decode() of @p req's line. */
+std::string decode(const Request &req, const std::string &default_id,
+                   ExperimentSpec &spec);
+
 /** @p spec as request fields: decode() of the result rebuilds it. */
-wire::JsonValue toRequest(const ExperimentSpec &spec);
+Request toRequest(const ExperimentSpec &spec);
 
 /** @p spec as a self-contained swex_cli command line. Wire-only
  *  fields (id, seq, track_sharing) have no flag and are left out. */

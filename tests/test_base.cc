@@ -199,14 +199,14 @@ TEST(Stats, DumpJsonRoundTrip)
 
     const wire::JsonValue &h = at(at(v, "node0"), "hist");
     EXPECT_DOUBLE_EQ(numberOf(at(h, "total")), 2.0);
-    ASSERT_EQ(at(h, "buckets").items.size(), 2u);
-    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items[0]), 1.0);
-    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items[1]), 1.0);
+    ASSERT_EQ(at(h, "buckets").items().size(), 2u);
+    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items()[0]), 1.0);
+    EXPECT_DOUBLE_EQ(numberOf(at(h, "buckets").items()[1]), 1.0);
 
     // Deterministic key order: children appear in registration order.
-    ASSERT_EQ(v.members.size(), 2u);
-    EXPECT_EQ(v.members[0].first, "net");
-    EXPECT_EQ(v.members[1].first, "node0");
+    ASSERT_EQ(v.members().size(), 2u);
+    EXPECT_EQ(v.members()[0].key(), "net");
+    EXPECT_EQ(v.members()[1].key(), "node0");
 }
 
 TEST(Stats, DumpJsonEscapesAndNonFinite)

@@ -225,9 +225,9 @@ TEST(RunRecord, SerializesAsValidSwexRunV1)
     wire::JsonValue doc = parseJson(os.str());
 
     EXPECT_EQ(at(doc, "schema").raw, "swex-run-v1");
-    ASSERT_EQ(at(doc, "records").items.size(), 2u);
+    ASSERT_EQ(at(doc, "records").items().size(), 2u);
 
-    const wire::JsonValue &rec = at(doc, "records").items[0];
+    const wire::JsonValue &rec = at(doc, "records").items()[0];
     EXPECT_EQ(at(rec, "id").raw, "test/worker");
     EXPECT_EQ(at(rec, "app").raw, "worker");
     EXPECT_EQ(numberOf(at(rec, "nodes")), 4.0);
@@ -237,12 +237,12 @@ TEST(RunRecord, SerializesAsValidSwexRunV1)
     EXPECT_TRUE(has(at(rec, "metrics"), "messages"));
     EXPECT_TRUE(has(at(rec, "host"), "events"));
     EXPECT_GT(numberOf(at(rec, "speedup")), 0.0);
-    EXPECT_FALSE(at(rec, "worker_sets").items.empty());
+    EXPECT_FALSE(at(rec, "worker_sets").items().empty());
 
     // The embedded stats tree parses and has per-node groups.
     EXPECT_TRUE(has(at(rec, "stats"), "node0"));
 
-    const wire::JsonValue &seq = at(doc, "records").items[1];
+    const wire::JsonValue &seq = at(doc, "records").items()[1];
     EXPECT_TRUE(at(seq, "sequential").boolean);
     EXPECT_FALSE(has(seq, "speedup"));
 }
@@ -352,9 +352,9 @@ TEST(RunnerParallel, LogMergesInSpecOrder)
     std::ostringstream os;
     runner.log().writeJson(os, /*canonical=*/true);
     wire::JsonValue doc = parseJson(os.str());
-    ASSERT_EQ(at(doc, "records").items.size(), specs.size());
+    ASSERT_EQ(at(doc, "records").items().size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(at(at(doc, "records").items[i], "id").raw,
+        EXPECT_EQ(at(at(doc, "records").items()[i], "id").raw,
                   specs[i].id);
 }
 
@@ -544,7 +544,7 @@ TEST(RunnerFailure, DeadlineYieldsStructuredRecordNotFatal)
     std::ostringstream os;
     runner.log().writeJson(os, /*canonical=*/true);
     wire::JsonValue doc = parseJson(os.str());
-    const wire::JsonValue &rec = at(doc, "records").items[0];
+    const wire::JsonValue &rec = at(doc, "records").items()[0];
     EXPECT_EQ(at(rec, "status").raw, "deadline");
     EXPECT_TRUE(has(rec, "last_progress"));
     EXPECT_TRUE(has(rec, "stall"));

@@ -273,18 +273,11 @@ remoteFailureRecord(const ExperimentSpec &spec, const std::string &proto,
  * byte-comparable across runs and servers.
  */
 std::string
-requestLine(const char *op, const wire::JsonValue &fields,
+requestLine(const char *op, const codec::Request &fields,
             const std::string &extra = "")
 {
-    std::string line = std::string("{\"op\":\"") + op +
-                       "\",\"canonical\":true";
-    for (const auto &[k, v] : fields.members) {
-        line += ",";
-        json::appendString(line, k);
-        line += ":";
-        wire::renderJson(v, line);
-    }
-    return line + extra + "}";
+    return std::string("{\"op\":\"") + op + "\",\"canonical\":true" +
+           fields.members() + extra + "}";
 }
 
 /** One spectrum point's line of a sweep summary. */
@@ -305,14 +298,14 @@ printPoint(const std::string &label, int ok, int seeds,
  * walks; the server cannot give its cells per-cell ids.
  */
 int
-remoteMain(client::ClientConfig ccfg, const wire::JsonValue &req,
+remoteMain(client::ClientConfig ccfg, const codec::Request &req,
            const ExperimentSpec &spec, bool want_sweep, int sweep_seeds,
            bool want_stats, const std::string &json_path)
 {
     const std::string &addr = ccfg.address;
     ccfg.backoffSeed = spec.seed;
     client::ServeClient cli(ccfg);
-    const wire::JsonValue fields = codec::toRequest(spec);
+    const codec::Request fields = codec::toRequest(spec);
 
     bool ok = false;
     std::string error, kind;
@@ -330,8 +323,8 @@ remoteMain(client::ClientConfig ccfg, const wire::JsonValue &req,
         // Same grid the local sweep runs: spectrum x jitter seeds,
         // expressed as a server-side sweep so warm cells never leave
         // the server's cache and resumes survive connection loss.
-        wire::JsonValue base = req;
-        codec::set(base, "id", spec.id);
+        codec::Request base = req;
+        base.set("id", spec.id);
         const std::uint64_t seed0 =
             spec.jitterSeed != 0 ? spec.jitterSeed : spec.seed;
         std::string grid = ",\"grid\":{\"protocol\":[";
@@ -365,11 +358,16 @@ remoteMain(client::ClientConfig ccfg, const wire::JsonValue &req,
         std::fprintf(stderr, "swex_cli: remote %s failed (%s): %s\n",
                      want_sweep ? "sweep" : "run", kind.c_str(),
                      error.c_str());
-        if (!json_path.empty())
+        if (!json_path.empty()) {
+            // The protocol as the request spelled it.
+            const std::string sent = fields.line();
+            wire::JsonValue doc;
+            wire::JsonParser(sent).parseWhole(doc);
             writeRemoteJson(json_path,
                             {remoteFailureRecord(
-                                spec, fields.find("protocol")->raw,
-                                error, kind)});
+                                spec, doc.find("protocol")->raw, error,
+                                kind)});
+        }
         return 1;
     }
 
@@ -421,7 +419,7 @@ remoteMain(client::ClientConfig ccfg, const wire::JsonValue &req,
  * fault seed with the jitter seed.
  */
 std::vector<ExperimentSpec>
-sweepCells(const wire::JsonValue &req, const ExperimentSpec &spec,
+sweepCells(const codec::Request &req, const ExperimentSpec &spec,
            int seeds)
 {
     const std::uint64_t seed0 =
@@ -433,15 +431,13 @@ sweepCells(const wire::JsonValue &req, const ExperimentSpec &spec,
     for (std::size_t p = 0; p < points.size(); ++p) {
         for (int s = 0; s < seeds; ++s) {
             const std::uint64_t step = static_cast<std::uint64_t>(s);
-            wire::JsonValue cell = req;
-            codec::set(cell, "protocol", spectrumKeys[p]);
-            codec::set(cell, "jitter_seed", std::to_string(seed0 + step));
+            codec::Request cell = req;
+            cell.set("protocol", spectrumKeys[p]);
+            cell.set("jitter_seed", std::to_string(seed0 + step));
             if (spec.faultsOn())
-                codec::set(cell, "fault_seed",
-                           std::to_string(fseed0 + step));
-            codec::set(cell, "id",
-                       "sweep/" + points[p].label + "/s" +
-                           std::to_string(seed0 + step));
+                cell.set("fault_seed", std::to_string(fseed0 + step));
+            cell.set("id", "sweep/" + points[p].label + "/s" +
+                               std::to_string(seed0 + step));
             specs.emplace_back();
             std::string err = codec::decode(cell, "cli", specs.back());
             if (!err.empty())
@@ -456,8 +452,7 @@ sweepCells(const wire::JsonValue &req, const ExperimentSpec &spec,
 int
 main(int argc, char **argv)
 {
-    wire::JsonValue req;   // the spec flags, as a request
-    req.kind = wire::JsonValue::Kind::Object;
+    codec::Request req;   // the spec flags, as a request
     std::string trace_dir;
     bool want_record = false;
     bool want_replay = false;
@@ -534,8 +529,8 @@ main(int argc, char **argv)
         usageError(err);
     if (want_seq) {
         // The sequential reference is a cell of its own, on one node.
-        wire::JsonValue seq_req = req;
-        codec::set(seq_req, "seq", "true");
+        codec::Request seq_req = req;
+        seq_req.set("seq", "true");
         ExperimentSpec seq_spec;
         if (std::string err = codec::decode(seq_req, "cli", seq_spec);
             !err.empty())
