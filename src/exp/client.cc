@@ -23,6 +23,9 @@ using wire::JsonValue;
 using wire::JsonParser;
 using wire::numberAsU64;
 
+/** How often a connect() that found the backlog full tries again. */
+constexpr int connectRetryMs = 50;
+
 void
 sleepMs(std::uint64_t ms)
 {
@@ -54,7 +57,7 @@ connectBounded(int fd, const sockaddr *sa, socklen_t len,
             return -1;
         }
         sleepMs(static_cast<std::uint64_t>(
-            std::min(left, wire::pollSliceMs)));
+            std::min(left, connectRetryMs)));
     }
 }
 
@@ -90,13 +93,13 @@ decodeResponse(Response &r)
 }
 
 /** Whether a failure of @p kind is worth another try: the request or
- *  its answer was lost, or refused for load or an idle close — not
- *  understood and refused. */
+ *  its answer was lost, or refused for load — not understood and
+ *  refused. */
 bool
 retryable(const std::string &kind)
 {
     return kind == "transport" || kind == "deadline" || kind == "parse" ||
-           kind == "busy" || kind == "idle_timeout";
+           kind == "busy";
 }
 
 } // anonymous namespace
@@ -134,14 +137,8 @@ ServeClient::disconnect()
 std::uint64_t
 ServeClient::backoffDelayMs(unsigned attempt)
 {
-    std::uint64_t base = cfg.backoffBaseMs;
-    if (attempt > 20)
-        attempt = 20;
-    base <<= attempt;
-    if (base > cfg.backoffMaxMs)
-        base = cfg.backoffMaxMs;
-    if (base == 0)
-        return 0;
+    const std::uint64_t base =
+        std::min(backoffMaxMs, backoffBaseMs << std::min(attempt, 20u));
     // Jitter the top half so a fleet of clients sharing a backoff
     // schedule does not re-stampede in lockstep; the draw counter
     // keeps successive delays decorrelated under one seed.
@@ -172,7 +169,7 @@ ServeClient::connect(std::string *err)
         // Non-blocking from the start: connectTimeoutMs then bounds a
         // live server whose backlog is full.
         wire::setNonBlocking(s);
-        if (connectBounded(s, sa, len, cfg.connectTimeoutMs) != 0)
+        if (connectBounded(s, sa, len, connectTimeoutMs) != 0)
             return "connect " + cfg.address + ": " + std::strerror(errno);
         return "";
     };
@@ -186,7 +183,7 @@ ServeClient::connect(std::string *err)
 bool
 ServeClient::send(const std::string &line, Response &r)
 {
-    if (fd >= 0 && wire::sendLine(fd, line, cfg.requestDeadlineMs))
+    if (fd >= 0 && wire::sendLine(fd, line, requestDeadlineMs))
         return true;
     r.ok = false;
     r.error = fd < 0 ? "not connected" : "send failed";
@@ -199,7 +196,7 @@ bool
 ServeClient::receive(Response &r)
 {
     const wire::ReadStatus rs =
-        in.read(fd, r.line, maxResponseLine, cfg.requestDeadlineMs);
+        in.read(fd, r.line, maxResponseLine, requestDeadlineMs);
     // A half-line means the stream is torn; resync by reconnecting
     // rather than guessing at framing.
     if (rs == wire::ReadStatus::Line && decodeResponse(r))
@@ -209,7 +206,7 @@ ServeClient::receive(Response &r)
         r.errorKind = "transport";
     } else if (rs == wire::ReadStatus::Quiet) {
         r.error = "response deadline (" +
-                  std::to_string(cfg.requestDeadlineMs) + " ms) expired";
+                  std::to_string(requestDeadlineMs) + " ms) expired";
         r.errorKind = "deadline";
     } else if (rs == wire::ReadStatus::Overflow) {
         r.error = "response line longer than " +
@@ -344,7 +341,6 @@ ServeClient::runSweep(const std::string &base_request)
                 if (got.empty()) {
                     got.assign(of, 0);
                     res.records.assign(of, "");
-                    res.cellKeys.assign(of, "");
                     res.sources.assign(of, "");
                 }
                 if (idx >= got.size())
@@ -363,9 +359,6 @@ ServeClient::runSweep(const std::string &base_request)
                     progress = true;   // the server is alive and serving
                 }
                 res.records[idx] = std::move(rec);
-                if (const JsonValue *k = doc.find("cell_key"))
-                    if (k->kind == JsonValue::Kind::String)
-                        res.cellKeys[idx] = k->raw;
                 if (const JsonValue *s = doc.find("source"))
                     if (s->kind == JsonValue::Kind::String)
                         res.sources[idx] = s->raw;

@@ -22,7 +22,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <string>
 
 namespace swex
@@ -32,9 +31,6 @@ namespace wire
 
 /** The most one recv() takes off the socket. */
 constexpr std::size_t recvChunk = 64 * 1024;
-
-/** How often a reader that is owed bytes re-asks its predicate. */
-constexpr int pollSliceMs = 50;
 
 /** Milliseconds elapsed since @p since. */
 inline int
@@ -115,12 +111,10 @@ class LineReader
     /**
      * The next line from @p fd into @p line: at most @p max_line bytes
      * before its '\n', and Quiet after @p quiet_ms (0 = no bound) with
-     * no byte received. While @p waiting says true the reader is owed
-     * bytes, so the quiet timer is held off.
+     * no byte received.
      */
     ReadStatus
-    read(int fd, std::string &line, std::size_t max_line, int quiet_ms = 0,
-         const std::function<bool()> &waiting = {})
+    read(int fd, std::string &line, std::size_t max_line, int quiet_ms = 0)
     {
         auto last = std::chrono::steady_clock::now();
         // Leading bytes of buf known to hold no '\n': each received
@@ -150,13 +144,9 @@ class LineReader
                 return ReadStatus::Closed;
             int wait = -1;
             if (quiet_ms > 0) {
-                if (waiting && waiting())
-                    last = std::chrono::steady_clock::now();
                 wait = quiet_ms - msSince(last);
                 if (wait <= 0)
                     return ReadStatus::Quiet;
-                if (waiting && wait > pollSliceMs)
-                    wait = pollSliceMs;
             }
             if (!waitFor(fd, POLLIN, wait))
                 return ReadStatus::Closed;

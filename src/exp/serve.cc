@@ -70,10 +70,6 @@ struct Connection
     std::mutex writeMutex;
     wire::LineReader in;      ///< used by the reader thread only
 
-    /** Admitted work units whose responses have not been sent yet; a
-     *  connection waiting on them is never idle. */
-    std::atomic<std::uint64_t> pending{0};
-
     /** Set when a send failed (the peer reset, or stalled past the
      *  timeout): every later send for this connection is dropped
      *  immediately, so a stalled peer costs at most one timeout, not
@@ -204,7 +200,6 @@ struct ServerState
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> shed{0};
     std::atomic<std::uint64_t> fdExhausted{0};
-    std::atomic<std::uint64_t> idleClosed{0};
     std::atomic<std::uint64_t> readersReaped{0};
     std::atomic<std::uint64_t> queuedUnits{0};
     std::atomic<std::uint64_t> nextConnId{0};
@@ -232,8 +227,7 @@ struct ServerState
     {
         std::uint64_t cur =
             queuedUnits.fetch_add(units, std::memory_order_acq_rel);
-        if (cfg.maxQueuedUnits != 0 &&
-            cur + units > cfg.maxQueuedUnits) {
+        if (cur + units > cfg.maxQueuedUnits) {
             queuedUnits.fetch_sub(units, std::memory_order_acq_rel);
             depth = cur;
             shed.fetch_add(1, std::memory_order_relaxed);
@@ -480,7 +474,6 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
                 std::to_string(srv.retryAfterMs(depth))));
         return;
     }
-    conn->pending.fetch_add(n, std::memory_order_acq_rel);
     struct Progress
     {
         std::atomic<std::size_t> done{0};
@@ -506,7 +499,6 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
             if (landed == n && !progress->trailer.empty())
                 conn->sendLine(
                     envelope(true, tag_json, progress->trailer));
-            conn->pending.fetch_sub(1, std::memory_order_acq_rel);
             srv.queuedUnits.fetch_sub(1, std::memory_order_acq_rel);
         });
     }
@@ -524,25 +516,15 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
 void
 handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
 {
-    // A connection owing responses is never idle, however long its
-    // cells simulate.
-    const std::function<bool()> owed = [&conn] {
-        return conn->pending.load(std::memory_order_acquire) > 0;
-    };
     std::string line;
     for (;;) {
-        const wire::ReadStatus rs = conn->in.read(
-            conn->fd, line, maxRequestLine, srv.cfg.idleTimeoutMs, owed);
+        const wire::ReadStatus rs =
+            conn->in.read(conn->fd, line, maxRequestLine);
         if (rs == wire::ReadStatus::Closed)
             break;
         if (rs == wire::ReadStatus::Overflow) {
             conn->sendLine(
                 errorLine("", "request line too long", "overflow"));
-            break;
-        }
-        if (rs == wire::ReadStatus::Quiet) {
-            srv.idleClosed.fetch_add(1, std::memory_order_relaxed);
-            conn->sendLine(errorLine("", "idle timeout", "idle_timeout"));
             break;
         }
         if (!line.empty() && line.back() == '\r')
@@ -606,7 +588,6 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
                 {"stale", c.stale},
                 {"accepted", now(srv.accepted)}, {"shed", now(srv.shed)},
                 {"fd_exhausted", now(srv.fdExhausted)},
-                {"idle_closed", now(srv.idleClosed)},
                 {"readers_reaped", now(srv.readersReaped)},
                 {"queued", now(srv.queuedUnits)}};
             std::string stats = ",\"stats\":{\"requests\":" +
@@ -629,9 +610,15 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
         }
 
         bool canonical = srv.canonicalDefault;
-        if (const JsonValue *cv = req.find("canonical"))
-            canonical = cv->kind == JsonValue::Kind::Bool &&
-                        cv->boolean;
+        if (const JsonValue *cv = req.find("canonical")) {
+            if (cv->kind != JsonValue::Kind::Bool) {
+                conn->sendLine(errorLine(
+                    tag_json, "bad value for 'canonical' (want a bool)",
+                    "bad_request"));
+                continue;
+            }
+            canonical = cv->boolean;
+        }
 
         // A run is decoded directly (no grid expansion) into a
         // one-cell batch; it carries no cell fields and no trailer.

@@ -29,10 +29,9 @@
  *     maxQueuedUnits the request is rejected with a structured
  *     {"ok":false,"error_kind":"busy","retry_after_ms":N} instead of
  *     queueing unboundedly.
- *   - idle timeout: a connection with no outstanding work that sends
- *     nothing for idleTimeoutMs is told so
- *     ({"error_kind":"idle_timeout"}) and closed; a client waiting on
- *     its own sweep responses is never idle.
+ *   - no idle close: a connection stays open until its client hangs
+ *     up, a send to it fails, or the server drains; a reader thread
+ *     blocked on a quiet socket costs no pool worker.
  *   - stalled peers: a response send that cannot make progress for
  *     sendTimeoutMs marks the connection dead and drops its remaining
  *     sends — a reader that stops draining can never wedge a pool
@@ -40,8 +39,8 @@
  *     socket down, so the connection's reader ends at once.
  *   - one transport: requests are read and responses sent through
  *     the serve wire's transport (exp/line_io.hh), shared with the
- *     client library. Both timers are elapsed time since the last
- *     byte moved, not counts of poll slices, and a request line is
+ *     client library. The send timer is elapsed time since the last
+ *     byte moved, not a count of poll slices, and a request line is
  *     capped at 1 MiB (error_kind "overflow", then a close).
  *   - resume: sweeps are chunked by cursor; re-execution of an
  *     already-served cell is idempotent (the result cache makes the
@@ -68,8 +67,8 @@
  *   {"op":"stats"}
  *     -> {"ok":true,"stats":{"requests":N,"hits":...,"misses":...,
  *         "stores":...,"corrupt":...,"stale":...,"accepted":...,
- *         "shed":...,"fd_exhausted":...,"idle_closed":...,
- *         "readers_reaped":...,"queued":...}}
+ *         "shed":...,"fd_exhausted":...,"readers_reaped":...,
+ *         "queued":...}}
  *   {"op":"shutdown"}
  *     -> {"ok":true,"shutdown":true}   (server exits afterwards)
  *
@@ -77,13 +76,13 @@
  * {"ok":false,"tag":...,"error":"...","error_kind":"..."} and never
  * takes the server down (a non-string tag is rejected but still
  * echoed, as the JSON it was). error_kind is machine-readable
- * ("parse", "bad_request", "busy", "idle_timeout", "overflow") so
- * clients and triage tooling can cluster without string-matching
- * prose. Every response echoes the request's tag. "run" is a one-cell
- * batch: besides op, tag and canonical it takes the spec fields of
- * the codec's table (exp/spec_codec.cc), among them the hardware
- * toggles local_bit, perfect_ifetch and parallel_inv; a missing id
- * is "serve". "sweep" takes the same base fields plus "grid": each
+ * ("parse", "bad_request", "busy", "overflow") so clients and triage
+ * tooling can cluster without string-matching prose. Every response
+ * echoes the request's tag. "canonical", when present, must be a bool.
+ * "run" is a one-cell batch: besides op, tag and canonical it takes
+ * the spec fields of the codec's table (exp/spec_codec.cc), among them
+ * the hardware toggles local_bit, perfect_ifetch and parallel_inv; a
+ * missing id is "serve". "sweep" takes the same base fields plus "grid": each
  * entry maps a field name (or "params.<key>") to a non-empty array of
  * values; cells are the cartesian product (row-major, last key
  * fastest, at most 2^20 total), "cursor" (default 0) names the first
@@ -136,13 +135,8 @@ struct ServeConfig
     /** Admission bound: total work units (runs + sweep-chunk cells)
      *  admitted but not yet completed, across all clients. A request
      *  that would exceed it is shed with error_kind "busy" and a
-     *  retry_after_ms hint. 0 = unbounded. */
+     *  retry_after_ms hint. */
     std::uint64_t maxQueuedUnits = 4096;
-
-    /** Close connections that are idle (nothing received AND no
-     *  responses outstanding) for this long, counted from the last
-     *  byte received. 0 = never. */
-    int idleTimeoutMs = 0;
 
     /** A response send that cannot progress for this long marks the
      *  peer dead, shuts its socket down and drops the connection's

@@ -3,8 +3,8 @@
  * Socket-level chaos harness for the sweep server (exp/serve.*) and
  * its client library (exp/client.*): the serving tier's analogue of
  * stress_protocols. One in-process server (Unix socket, shared pool,
- * small admission bound, short idle and send timeouts) is attacked by
- * N seeded connections cycling through misbehaviors:
+ * small admission bound, short send timeout) is attacked by N seeded
+ * connections cycling through misbehaviors:
  *
  *   well-behaved RPC     torn write (half a request, pause, rest)
  *   abandoned half-line  garbage line then a valid request
@@ -196,10 +196,11 @@ parseWhole(const std::string &line, wire::JsonValue &doc)
            doc.kind == wire::JsonValue::Kind::Object;
 }
 
-/** Every read in the harness gives up after this long with no byte
- *  received — the no-hangs gate: a wedged server fails the run
- *  instead of hanging it. */
-constexpr int rawDeadlineMs = 30'000;
+/** Every read in the harness, raw or through the client library,
+ *  gives up after client::requestDeadlineMs with no byte received —
+ *  the no-hangs gate: a wedged server fails the run instead of
+ *  hanging it. */
+constexpr int rawDeadlineMs = client::requestDeadlineMs;
 
 // ---------------------------------------------------------------
 // The chaos behaviors. Each returns through Failures; absence of a
@@ -214,7 +215,6 @@ doCleanRun(const std::string &path, std::size_t cell,
 {
     client::ClientConfig cfg;
     cfg.address = path;
-    cfg.requestDeadlineMs = rawDeadlineMs;
     cfg.maxAttempts = 10;
     cfg.backoffSeed = seed;
     client::ServeClient cli(cfg);
@@ -355,7 +355,8 @@ doGarbageThenValid(const std::string &path, Failures &fails)
 
 /** Start a sweep, read a couple of cells, then slam the connection
  *  shut with an RST (SO_LINGER 0). The server must survive and keep
- *  serving everyone else; the orphaned cells just warm the cache. */
+ *  serving everyone else; the orphaned cells just warm the cache. A
+ *  sweep shed under the storm is answered by its one busy line. */
 void
 doResetMidSweep(const std::string &path, Failures &fails)
 {
@@ -379,6 +380,13 @@ doResetMidSweep(const std::string &path, Failures &fails)
                       line.substr(0, 120));
             break;
         }
+        if (doc.find("record") == nullptr) {
+            const wire::JsonValue *ek = doc.find("error_kind");
+            if (ek == nullptr || ek->raw != "busy")
+                fails.add("reset mid-sweep: response is not a cell: " +
+                          line.substr(0, 80));
+            break;
+        }
     }
     linger lg{1, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
@@ -386,8 +394,7 @@ doResetMidSweep(const std::string &path, Failures &fails)
 }
 
 /** A peer that requests work and never reads. The send timeout must
- *  declare it dead; the pool must keep flowing for everyone else.
- *  (Also exercises pending>0 suppressing the idle timeout.) */
+ *  declare it dead; the pool must keep flowing for everyone else. */
 void
 doStalledPeer(const std::string &path, Failures &fails)
 {
@@ -456,10 +463,7 @@ doChaosSweep(const std::string &path, std::uint64_t seed,
 {
     client::ClientConfig cfg;
     cfg.address = path;
-    cfg.requestDeadlineMs = rawDeadlineMs;
     cfg.maxAttempts = 50;
-    cfg.backoffBaseMs = 5;
-    cfg.backoffMaxMs = 50;
     cfg.backoffSeed = seed;
     cfg.chunk = 3;
     cfg.chaosKillPerMille = 300;
@@ -562,8 +566,8 @@ main(int argc, char **argv)
 
     // One server under attack: a cache (the resume-idempotency
     // mechanism), a small admission bound (so shedding is
-    // reachable), short idle/send timeouts (so the stalled/quiet
-    // behaviors resolve within the run).
+    // reachable), a short send timeout (so the stalled peers resolve
+    // within the run).
     char scratch[] = "/tmp/swex_stress_serve_XXXXXX";
     if (::mkdtemp(scratch) == nullptr) {
         std::perror("mkdtemp");
@@ -576,7 +580,6 @@ main(int argc, char **argv)
     scfg.cacheDir = dir + "/cache";
     scfg.jobs = jobs;
     scfg.maxQueuedUnits = 64;
-    scfg.idleTimeoutMs = 2000;
     scfg.sendTimeoutMs = 1000;
     std::thread server([&scfg] {
         int rc = serve::serveLoop(scfg);
@@ -632,7 +635,6 @@ main(int argc, char **argv)
     // mode prints).
     client::ClientConfig cfg;
     cfg.address = sock;
-    cfg.requestDeadlineMs = rawDeadlineMs;
     cfg.maxAttempts = 10;
     cfg.backoffSeed = seed;
     cfg.chunk = 3;
@@ -651,7 +653,6 @@ main(int argc, char **argv)
     {
         client::ClientConfig scli;
         scli.address = sock;
-        scli.requestDeadlineMs = rawDeadlineMs;
         client::ServeClient shut(scli);
         std::string err;
         if (shut.connect(&err))

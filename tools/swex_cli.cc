@@ -138,12 +138,6 @@ usage()
         "                     (ops: run, sweep, stats, shutdown); to\n"
         "                     reach it from another host, forward the\n"
         "                     socket (ssh -L <local.sock>:<socket>)\n"
-        "  --serve-max-queue <n> admission bound in work units (runs +\n"
-        "                     sweep cells); excess is shed with a\n"
-        "                     structured busy error and retry_after_ms\n"
-        "                     hint (default 4096, 0 = unbounded)\n"
-        "  --serve-idle-ms <n> close connections idle this long with\n"
-        "                     no outstanding work (default 0 = never)\n"
         "  --connect <socket> run the same cells on a --serve server\n"
         "                     (every spec flag, hardware toggles too).\n"
         "                     Retries with seeded exponential backoff,\n"
@@ -151,12 +145,6 @@ usage()
         "                     interrupted --sweep chunks from the\n"
         "                     first missing cell; refuses --sweep with\n"
         "                     --faults and --seeds > 1\n"
-        "  --rpc-deadline <ms> per-response deadline for --connect\n"
-        "                     (default 30000)\n"
-        "  --rpc-attempts <n> retry budget for --connect (default 5;\n"
-        "                     any received line resets it)\n"
-        "  --chunk <n>        cells per --connect sweep chunk request\n"
-        "                     (default 4096 = the server max)\n"
         "  --seq              also run the sequential reference and\n"
         "                     report speedup\n"
         "  --stats            print the run's statistics tree (its\n"
@@ -353,6 +341,17 @@ remoteMain(client::ClientConfig ccfg, const codec::Request &req,
         if (res.reconnects != 0 || res.duplicates != 0)
             std::printf("  (resumed: %u reconnects, %u duplicate "
                         "cells)\n", res.reconnects, res.duplicates);
+        // The server sizes the grid; the summary below reads exactly
+        // the grid this side asked for.
+        const std::size_t want = protocolSpectrum().size() *
+                                 static_cast<std::size_t>(sweep_seeds);
+        if (ok && res.cells != want) {
+            ok = false;
+            error = "server answered a " + std::to_string(res.cells) +
+                    "-cell grid for a " + std::to_string(want) +
+                    "-cell sweep";
+            kind = "parse";
+        }
     }
     if (!ok) {
         std::fprintf(stderr, "swex_cli: remote %s failed (%s): %s\n",
@@ -463,9 +462,8 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string json_path;
     std::string cache_dir;
-    serve::ServeConfig scfg;     // the --serve* knobs
-    client::ClientConfig ccfg;   // the --connect knobs
-    const std::uint64_t anyU64 = ~std::uint64_t{0};
+    serve::ServeConfig scfg;     // --serve
+    client::ClientConfig ccfg;   // --connect
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -494,17 +492,7 @@ main(int argc, char **argv)
         else if (a == "--trace-dir") trace_dir = next();
         else if (a == "--cache-dir") cache_dir = next();
         else if (a == "--serve") scfg.socketPath = path();
-        else if (a == "--serve-max-queue")
-            scfg.maxQueuedUnits = count(0, anyU64);
-        else if (a == "--serve-idle-ms")
-            scfg.idleTimeoutMs = static_cast<int>(count(0, 86'400'000));
         else if (a == "--connect") ccfg.address = path();
-        else if (a == "--rpc-deadline")
-            ccfg.requestDeadlineMs = static_cast<int>(count(1, 86'400'000));
-        else if (a == "--rpc-attempts")
-            ccfg.maxAttempts = static_cast<unsigned>(count(1, 1000));
-        else if (a == "--chunk")
-            ccfg.chunk = count(1, serve::maxSweepChunk);
         else if (a == "--sweep") want_sweep = true;
         else if (a == "--seeds")
             sweep_seeds = static_cast<int>(count(1, 1'000'000));
@@ -539,8 +527,8 @@ main(int argc, char **argv)
 
     // --serve is its own front end: the spec comes per request over
     // the socket, so the spec flags are checked above and otherwise
-    // ignored. Only --jobs (worker pool size), the cache directory,
-    // and the serve robustness knobs travel with it.
+    // ignored. Only --jobs (worker pool size) and the cache directory
+    // travel with it.
     if (!scfg.socketPath.empty()) {
         setQuiet(true);
         scfg.cacheDir = cache::resolveCacheDir(cache_dir);
