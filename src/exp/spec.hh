@@ -95,7 +95,8 @@ struct ExperimentSpec
     /** Seed for the fault stream; 0 reuses the run seed. */
     std::uint64_t faultSeed = 0;
 
-    /** Simulated-cycle deadline; 0 = fatal on runaway (historical). */
+    /** Simulated-cycle deadline; 0 runs against maxTicks. A run past
+     *  it ends as a "deadline" record. */
     Tick deadline = 0;
 
     /**

@@ -20,7 +20,7 @@
 # The tier-1 pass also carries test_serve, which runs a real
 # multi-client server in-process — per-connection reader threads
 # feeding the shared run pool, server-side sweeps, chunked resume,
-# overload shedding, idle timeouts, and SIGTERM drain — and the serve
+# overload shedding, and SIGTERM drain — and the serve
 # wire's transport on socket pairs, so the serve path's
 # connection-lifetime discipline is TSan-checked on every matrix run.
 # The stress label adds stress_serve, the socket-level chaos harness
