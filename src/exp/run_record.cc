@@ -1,5 +1,7 @@
 #include "exp/run_record.hh"
 
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,20 +15,35 @@ namespace swex
 namespace
 {
 
+// One record member each: its pre-rendered ,"key": then the value.
+
 void
-jsonNumber(std::ostream &os, double v)
+member(std::string &out, const char *key, std::string_view v)
 {
-    std::string s;
-    json::appendNumber(s, v);
-    os << s;
+    out += key;
+    json::appendString(out, v);
 }
 
 void
-jsonString(std::ostream &os, const std::string &str)
+member(std::string &out, const char *key, double v)
 {
-    std::string s;
-    json::appendString(s, str);
-    os << s;
+    out += key;
+    json::appendNumber(out, v);
+}
+
+void
+member(std::string &out, const char *key, std::integral auto v)
+{
+    char buf[24];
+    out += key;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void
+member(std::string &out, const char *key, bool v)
+{
+    out += key;
+    out += v ? "true" : "false";
 }
 
 } // anonymous namespace
@@ -34,98 +51,87 @@ jsonString(std::ostream &os, const std::string &str)
 void
 RunRecord::writeJson(std::ostream &os, bool canonical) const
 {
-    os << "{\"id\":";
-    jsonString(os, id);
-    os << ",\"app\":";
-    jsonString(os, app);
-    os << ",\"protocol\":";
-    jsonString(os, protocol);
+    std::string out;
+    appendJson(out, canonical);
+    os << out;
+}
+
+void
+RunRecord::appendJson(std::string &out, bool canonical) const
+{
+    member(out, "{\"id\":", id);
+    member(out, ",\"app\":", app);
+    member(out, ",\"protocol\":", protocol);
     // Emitted only for non-directory models, mirroring exec_mode:
     // directory documents stay byte-identical to pre-seam outputs.
-    if (machineModel != "directory") {
-        os << ",\"machine_model\":";
-        jsonString(os, machineModel);
-    }
-    os << ",\"nodes\":" << nodes
-       << ",\"sequential\":" << (sequential ? "true" : "false");
-    if (execMode != "direct") {
-        os << ",\"exec_mode\":";
-        jsonString(os, execMode);
-    }
-    os << ",\"sim_cycles\":" << simCycles
-       << ",\"verified\":" << (verified ? "true" : "false")
-       << ",\"status\":";
-    jsonString(os, status);
+    if (machineModel != "directory")
+        member(out, ",\"machine_model\":", machineModel);
+    member(out, ",\"nodes\":", nodes);
+    member(out, ",\"sequential\":", sequential);
+    if (execMode != "direct")
+        member(out, ",\"exec_mode\":", execMode);
+    member(out, ",\"sim_cycles\":", simCycles);
+    member(out, ",\"verified\":", verified);
+    member(out, ",\"status\":", status);
     if (failed()) {
-        os << ",\"last_progress\":" << lastProgress;
-        os << ",\"stall\":";
-        jsonString(os, stallSummary);
+        member(out, ",\"last_progress\":", lastProgress);
+        member(out, ",\"stall\":", stallSummary);
     }
     if (faultDrop != 0 || faultDup != 0 || faultBlackout != 0) {
-        os << ",\"faults\":{\"drop\":" << faultDrop
-           << ",\"dup\":" << faultDup
-           << ",\"blackout\":" << faultBlackout
-           << ",\"seed\":" << faultSeed << '}';
+        member(out, ",\"faults\":{\"drop\":", faultDrop);
+        member(out, ",\"dup\":", faultDup);
+        member(out, ",\"blackout\":", faultBlackout);
+        member(out, ",\"seed\":", faultSeed);
+        out += '}';
     }
     if (deadline != 0)
-        os << ",\"deadline\":" << deadline;
+        member(out, ",\"deadline\":", deadline);
 
-    {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(imageHash));
-        os << ",\"image_hash\":\"" << buf << '"';
-    }
+    char hash[24];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(imageHash));
+    member(out, ",\"image_hash\":", std::string_view(hash));
 
-    os << ",\"metrics\":{\"traps\":";
-    jsonNumber(os, trapsRaised);
-    os << ",\"handler_cycles\":";
-    jsonNumber(os, handlerCycles);
-    os << ",\"messages\":";
-    jsonNumber(os, messages);
-    os << ",\"read_handler_mean\":";
-    jsonNumber(os, readHandlerMean);
-    os << ",\"read_handler_count\":" << readHandlerCount;
-    os << ",\"write_handler_mean\":";
-    jsonNumber(os, writeHandlerMean);
-    os << ",\"write_handler_count\":" << writeHandlerCount;
-    os << '}';
+    member(out, ",\"metrics\":{\"traps\":", trapsRaised);
+    member(out, ",\"handler_cycles\":", handlerCycles);
+    member(out, ",\"messages\":", messages);
+    member(out, ",\"read_handler_mean\":", readHandlerMean);
+    member(out, ",\"read_handler_count\":", readHandlerCount);
+    member(out, ",\"write_handler_mean\":", writeHandlerMean);
+    member(out, ",\"write_handler_count\":", writeHandlerCount);
+    out += '}';
 
     // Host wall time (and the rates derived from it) is the only
     // nondeterministic field in a record; canonical documents zero it
     // so byte-comparison across runs and --jobs levels is exact.
-    os << ",\"host\":{\"wall_s\":";
-    jsonNumber(os, canonical ? 0 : hostWallSeconds);
-    os << ",\"events\":";
-    jsonNumber(os, hostEvents);
-    os << ",\"events_per_sec\":";
-    jsonNumber(os, canonical ? 0 : eventsPerSec());
-    os << ",\"sim_cycles_per_sec\":";
-    jsonNumber(os, canonical ? 0 : simCyclesPerSec());
-    os << '}';
+    member(out, ",\"host\":{\"wall_s\":", canonical ? 0 : hostWallSeconds);
+    member(out, ",\"events\":", hostEvents);
+    member(out, ",\"events_per_sec\":", canonical ? 0 : eventsPerSec());
+    member(out, ",\"sim_cycles_per_sec\":",
+           canonical ? 0 : simCyclesPerSec());
+    out += '}';
 
     if (audited) {
-        os << ",\"audit\":{\"transitions\":" << auditTransitions
-           << ",\"violations\":" << auditViolations << '}';
+        member(out, ",\"audit\":{\"transitions\":", auditTransitions);
+        member(out, ",\"violations\":", auditViolations);
+        out += '}';
     }
 
     if (seqCycles > 0) {
-        os << ",\"seq_cycles\":";
-        jsonNumber(os, seqCycles);
-        os << ",\"speedup\":";
-        jsonNumber(os, speedup);
+        member(out, ",\"seq_cycles\":", seqCycles);
+        member(out, ",\"speedup\":", speedup);
     }
 
     if (!workerSets.empty()) {
-        os << ",\"worker_sets\":[";
         for (std::size_t i = 0; i < workerSets.size(); ++i)
-            os << (i ? "," : "") << workerSets[i];
-        os << ']';
+            member(out, i == 0 ? ",\"worker_sets\":[" : ",",
+                   workerSets[i]);
+        out += ']';
     }
 
-    os << ",\"stats\":"
-       << (statsJson.empty() ? "{}" : statsJson.c_str());
-    os << '}';
+    out += ",\"stats\":";
+    out += statsJson.empty() ? std::string_view("{}") : statsJson;
+    out += '}';
 }
 
 RunRecord &

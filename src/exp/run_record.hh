@@ -115,6 +115,11 @@ struct RunRecord
      * them. Deterministic host fields (the event count) stay.
      */
     void writeJson(std::ostream &os, bool canonical = false) const;
+
+    /** Append the writeJson() bytes to @p out, so a caller that
+     *  frames the record (a serve response line) renders it in place
+     *  instead of copying it out of a stream. */
+    void appendJson(std::string &out, bool canonical = false) const;
 };
 
 /**

@@ -184,28 +184,30 @@ Runner::findReplayTrace(const ExperimentSpec &spec, trace::Trace &out)
 }
 
 RunRecord
-Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
+Runner::execute(const ExperimentSpec &spec) const
 {
-    if (source != nullptr)
-        *source = ExecSource::Sim;
-
     // A warm result-cache cell short-circuits everything below — no
     // app, no machine, no simulation. The probe comes before replay
     // trace resolution on purpose: a cached record must be servable
     // even when the trace directory is gone. A corrupt or stale entry
-    // reads as a miss (and is deleted), so the recompute below is the
-    // fallback path, not an error path. Record runs never probe: the
-    // caller asked for the trace-capture side effect, which a served
-    // record would silently skip.
-    if (_cache != nullptr && spec.execMode != ExecutionMode::Record) {
-        RunRecord cached;
-        if (_cache->lookup(spec, cached)) {
-            if (source != nullptr)
-                *source = ExecSource::Cache;
-            return cached;
-        }
-    }
+    // reads as a miss (and is deleted), so the simulation is the
+    // fallback path, not an error path.
+    RunRecord cached;
+    if (probe(spec, cached))
+        return cached;
+    return simulate(spec);
+}
 
+bool
+Runner::probe(const ExperimentSpec &spec, RunRecord &out) const
+{
+    return _cache != nullptr && spec.execMode != ExecutionMode::Record &&
+           _cache->lookup(spec, out);
+}
+
+RunRecord
+Runner::simulate(const ExperimentSpec &spec) const
+{
     auto app = AppRegistry::instance().make(spec.app, spec.params,
                                             spec.nodes);
 

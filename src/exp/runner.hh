@@ -36,18 +36,6 @@ class Runner
 {
   public:
     /**
-     * Where an execute() result actually came from — reported by the
-     * execution itself, so callers (e.g. the serve front end) never
-     * have to guess with a contains() probe that can race a
-     * concurrent store or eviction.
-     */
-    enum class ExecSource
-    {
-        Sim,    ///< computed by simulation (cache off, miss, or Record)
-        Cache,  ///< served verbatim from the attached result cache
-    };
-
-    /**
      * @param fail_fast fatal() as soon as an app fails its own
      * verification (benches want this; swex_cli reports instead).
      */
@@ -83,15 +71,30 @@ class Runner
 
     /**
      * Execute one spec to a standalone record without touching the
-     * log or enforcing fail-fast. Thread-safe: concurrent calls on
-     * distinct specs share nothing but the (locked) app registry.
-     * When @p source is non-null it receives the authoritative
-     * provenance of the returned record (cache hit vs simulated) —
-     * decided by the lookup that actually served it, not by a
-     * separate racy existence probe.
+     * log or enforcing fail-fast: probe(), and simulate() on a miss.
+     * Thread-safe: concurrent calls on distinct specs share nothing
+     * but the (locked) app registry.
      */
-    RunRecord execute(const ExperimentSpec &spec,
-                      ExecSource *source = nullptr) const;
+    RunRecord execute(const ExperimentSpec &spec) const;
+
+    /**
+     * The cache half of execute(): @return true with @p out filled
+     * when the attached cache holds @p spec. False without a cache,
+     * for a Record run (the caller asked for the trace side effect,
+     * which a served record would skip), and on a miss, a corrupt or
+     * stale entry included: the lookup deletes that entry, so
+     * simulate()'s store replaces it. A hit or miss is decided by
+     * this one lookup, never by a separate existence probe that
+     * could race a concurrent store.
+     */
+    bool probe(const ExperimentSpec &spec, RunRecord &out) const;
+
+    /**
+     * The simulation half of execute(): run @p spec without probing
+     * the cache, and store a storable result (direct, completed,
+     * verified, violation-free) in the attached cache.
+     */
+    RunRecord simulate(const ExperimentSpec &spec) const;
 
     /**
      * Record-once, replay-everywhere sweep. Specs whose app the

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -57,10 +57,10 @@ constexpr int listenBacklog = 64;
 /**
  * One connected client: line reader + locked line writer over the
  * accepted socket. Owned by shared_ptr — the reader thread holds one
- * reference and every pool task responding to this client holds
- * another, so the fd outlives the last in-flight response no matter
- * when the client hangs up. The destructor (last reference dropped)
- * closes the fd.
+ * reference (and answers cache hits itself) and every pool task
+ * simulating a cell for this client holds another, so the fd
+ * outlives the last in-flight response no matter when the client
+ * hangs up. The destructor (last reference dropped) closes the fd.
  */
 struct Connection
 {
@@ -87,8 +87,8 @@ struct Connection
      *  remaining scheduled runs still complete (and fill the cache).
      *  A failed send, including a peer that stops draining its socket
      *  for sendTimeoutMs, marks the connection dead and shuts the
-     *  socket down, so it can never wedge a pool worker and its
-     *  reader sees the end at once. */
+     *  socket down, so it costs a pool worker or the reader at most
+     *  one timeout and the reader sees the end at once. */
     void
     sendLine(const std::string &line)
     {
@@ -102,16 +102,27 @@ struct Connection
     }
 };
 
-/** Every response line: {"ok":<ok>[,"tag":<tag>]<members>}.
- *  @p tag_json is a pre-rendered JSON value ("" = no tag), so an
- *  error can echo a tag of any type verbatim; @p members is a
- *  pre-rendered run of ,"key":value pairs. */
+/** How every response line opens: {"ok":<ok>[,"tag":<tag>]. The
+ *  caller appends its members and the closing brace. @p tag_json is
+ *  a pre-rendered JSON value ("" = no tag), so an error can echo a
+ *  tag of any type verbatim. */
+std::string
+envelopeHead(bool ok, const std::string &tag_json)
+{
+    std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
+    if (!tag_json.empty()) {
+        out += ",\"tag\":";
+        out += tag_json;
+    }
+    return out;
+}
+
+/** A whole response line: envelopeHead(), @p members (a pre-rendered
+ *  run of ,"key":value pairs), '}'. */
 std::string
 envelope(bool ok, const std::string &tag_json, const std::string &members)
 {
-    std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
-    if (!tag_json.empty())
-        out += ",\"tag\":" + tag_json;
+    std::string out = envelopeHead(ok, tag_json);
     out += members;
     out += '}';
     return out;
@@ -131,12 +142,13 @@ errorLine(const std::string &tag_json, const std::string &msg,
 }
 
 /**
- * Per-client fair scheduling on the shared pool. Tasks are queued
- * per connection and drained round-robin: each pool "ticket" runs
- * exactly one task, taken from the next connection (in rotation)
- * that has work pending — so a client that enqueued a 4096-cell
- * chunk and a client that asked for one run interleave 1:1 instead
- * of FIFO luck deciding the single run waits out the whole chunk.
+ * Per-client fair scheduling of cold simulations on the shared pool.
+ * Tasks are queued per connection and drained round-robin: each pool
+ * "ticket" runs exactly one task, taken from the next connection (in
+ * rotation) that has work pending — so a client that enqueued a
+ * 4096-cell cold chunk and a client that asked for one cold run
+ * interleave 1:1 instead of FIFO luck deciding the single run waits
+ * out the whole chunk.
  */
 class FairQueue
 {
@@ -184,9 +196,10 @@ class FairQueue
 };
 
 /**
- * Everything the per-connection reader threads share. The pool is the
- * single execution queue — every run or sweep cell from every client
- * lands on it (through the fair queue), so cfg.jobs bounds concurrent
+ * Everything the per-connection reader threads share. Each reader
+ * answers its cache hits itself; the pool is the single simulation
+ * queue — every missed run or sweep cell from every client lands on
+ * it (through the fair queue), so cfg.jobs bounds concurrent
  * simulations globally, not per client.
  */
 struct ServerState
@@ -201,7 +214,11 @@ struct ServerState
     std::atomic<std::uint64_t> shed{0};
     std::atomic<std::uint64_t> fdExhausted{0};
     std::atomic<std::uint64_t> readersReaped{0};
+    /** Admitted units whose response has not yet been attempted,
+     *  inline or on the pool; drained guards its fall to zero. */
     std::atomic<std::uint64_t> queuedUnits{0};
+    std::mutex drainMutex;
+    std::condition_variable drained;
     std::atomic<std::uint64_t> nextConnId{0};
     std::atomic<bool> stopping{false};
     bool canonicalDefault = false;
@@ -228,12 +245,39 @@ struct ServerState
         std::uint64_t cur =
             queuedUnits.fetch_add(units, std::memory_order_acq_rel);
         if (cur + units > cfg.maxQueuedUnits) {
-            queuedUnits.fetch_sub(units, std::memory_order_acq_rel);
+            release(units);
             depth = cur;
             shed.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
         return true;
+    }
+
+    /** Give back @p units admitted units, each after its response
+     *  was attempted (or, for a shed request, at once), waking
+     *  waitDrained() when none are left. The count falls outside the
+     *  mutex but the wake-up is sent under it, so a waiter between
+     *  its check and its wait cannot miss the fall to zero. */
+    void
+    release(std::uint64_t units)
+    {
+        if (queuedUnits.fetch_sub(units, std::memory_order_acq_rel) ==
+            units) {
+            std::lock_guard<std::mutex> hold(drainMutex);
+            drained.notify_all();
+        }
+    }
+
+    /** Block until every admitted unit has had its response
+     *  attempted, whether its reader answered it or a pool worker
+     *  did. */
+    void
+    waitDrained()
+    {
+        std::unique_lock<std::mutex> hold(drainMutex);
+        drained.wait(hold, [this] {
+            return queuedUnits.load(std::memory_order_acquire) == 0;
+        });
     }
 
     /** Deterministic backpressure hint: how long until @p depth units
@@ -450,16 +494,53 @@ planSweep(const JsonValue &req, Batch &batch)
     return "";
 }
 
+/** What the cells of one admitted request share, wherever they
+ *  land. */
+struct Progress
+{
+    const std::size_t cells;
+    const std::string trailer;   ///< sent after the last cell; "" = none
+    std::atomic<std::size_t> landed{0};
+};
+
 /**
- * Admit @p batch (one work unit per cell) and queue its cells on the
- * fair queue. Hot or cold, a cell runs on the pool: a hit is just a
- * task that returns in microseconds, and its response streams back
- * whenever it lands. execute() itself does the cache probe (and the
- * store on a miss) and reports which side served, so the serve path
- * and the CLI path share one cache discipline. A cell's envelope
- * fields come before "record", so a sweep cell's record bytes equal
- * the same cell requested as a run. Cells land in completion order,
- * so the task that lands last sends the trailer.
+ * Send one cell's response line, then release its unit. The line is
+ * rendered once, into one buffer: envelope, cell fields, source and
+ * record. The cell fields come before "record", so a sweep cell's
+ * record bytes equal the same cell requested as a run. Cells land in
+ * any order, so the one that lands last sends the trailer.
+ */
+void
+respond(ServerState &srv, Connection &conn, const std::string &tag_json,
+        const std::string &fields, const char *source,
+        const RunRecord &rec, bool canonical, Progress &progress)
+{
+    std::string line = envelopeHead(true, tag_json);
+    // The stats tree is most of a record.
+    line.reserve(line.size() + fields.size() + rec.statsJson.size() +
+                 1024);
+    line += fields;
+    line += ",\"source\":\"";
+    line += source;
+    line += "\",\"record\":";
+    rec.appendJson(line, canonical);
+    line += '}';
+    conn.sendLine(line);
+    const std::size_t landed =
+        progress.landed.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (landed == progress.cells && !progress.trailer.empty())
+        conn.sendLine(envelope(true, tag_json, progress.trailer));
+    srv.release(1);
+}
+
+/**
+ * Admit @p batch (one work unit per cell), then handle its cells in
+ * cell order. The reader probes the result cache and answers a hit
+ * itself; only a miss goes to the fair queue, where a pool worker
+ * simulates and stores it. So a hit never waits behind a cold
+ * simulation, and cfg.jobs bounds simulations alone. The probe is the
+ * cell's one lookup: a corrupt or stale entry is deleted here and
+ * simulated on the pool, never inline.
  */
 void
 submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
@@ -474,44 +555,32 @@ submit(ServerState &srv, const std::shared_ptr<Connection> &conn,
                 std::to_string(srv.retryAfterMs(depth))));
         return;
     }
-    struct Progress
-    {
-        std::atomic<std::size_t> done{0};
-        std::string trailer;
-    };
-    auto progress = std::make_shared<Progress>();
-    progress->trailer = std::move(batch.trailer);
+    auto progress = std::make_shared<Progress>(n, std::move(batch.trailer));
     for (std::size_t i = 0; i < n; ++i) {
+        RunRecord rec;
+        if (srv.runner.probe(batch.specs[i], rec)) {
+            respond(srv, *conn, tag_json, batch.cellFields[i], "cache",
+                    rec, canonical, *progress);
+            continue;
+        }
         srv.fair.enqueue(conn->id,
                          [&srv, conn, spec = std::move(batch.specs[i]),
                           fields = std::move(batch.cellFields[i]),
-                          tag_json, canonical, progress, n] {
-            Runner::ExecSource src = Runner::ExecSource::Sim;
-            RunRecord rec = srv.runner.execute(spec, &src);
-            std::ostringstream os;
-            os << fields << ",\"source\":\""
-               << (src == Runner::ExecSource::Cache ? "cache" : "sim")
-               << "\",\"record\":";
-            rec.writeJson(os, canonical);
-            conn->sendLine(envelope(true, tag_json, os.str()));
-            const std::size_t landed =
-                progress->done.fetch_add(1, std::memory_order_acq_rel) + 1;
-            if (landed == n && !progress->trailer.empty())
-                conn->sendLine(
-                    envelope(true, tag_json, progress->trailer));
-            srv.queuedUnits.fetch_sub(1, std::memory_order_acq_rel);
+                          tag_json, canonical, progress] {
+            respond(srv, *conn, tag_json, fields, "sim",
+                    srv.runner.simulate(spec), canonical, *progress);
         });
     }
 }
 
 /**
- * One client's request loop, run on its own reader thread. Every
- * response-producing task captures the Connection shared_ptr, so a
- * client that hangs up mid-sweep costs nothing but wasted sends: its
- * remaining cells still execute (and fill the cache), their sends
- * fail quietly on the closed-by-peer fd, and the fd itself lives
- * until the last task drops its reference. No global drain on
- * hang-up — other clients' requests keep flowing.
+ * One client's request loop, run on its own reader thread, which also
+ * answers the client's cache hits. Every simulating task captures the
+ * Connection shared_ptr, so a client that hangs up mid-sweep costs
+ * nothing but wasted sends: its remaining cells still execute (and
+ * fill the cache), their sends fail quietly on the closed-by-peer fd,
+ * and the fd itself lives until the last task drops its reference.
+ * No global drain on hang-up — other clients' requests keep flowing.
  */
 void
 handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
@@ -566,11 +635,12 @@ handleClient(ServerState &srv, std::shared_ptr<Connection> conn)
 
         if (op == "shutdown") {
             // Global drain: close every client's read side, then wait
-            // out the pool, so every request accepted before this
-            // point has its response on the wire (or at least its
-            // send attempted) before the acknowledgment below.
+            // for every admitted cell, answered by its reader or by
+            // the pool, so every request accepted before this point
+            // has its response on the wire (or at least its send
+            // attempted) before the acknowledgment below.
             srv.beginShutdown();
-            srv.pool.wait();
+            srv.waitDrained();
             conn->sendLine(envelope(true, tag_json, ",\"shutdown\":true"));
             srv.wakeAccept();
             break;
@@ -919,8 +989,9 @@ serveLoop(const ServeConfig &cfg)
     }
     // beginShutdown() closed every read side, so each reader drains
     // its buffered requests and exits; requests they submitted after
-    // the shutdown drain still finish here, their responses going to
-    // whichever clients are still connected.
+    // the shutdown drain still finish here (their hits before the
+    // reader's join, their misses on the pool), their responses going
+    // to whichever clients are still connected.
     for (auto &entry : readers)
         entry.second.join();
     srv.pool.wait();

@@ -4,24 +4,29 @@
  * Unix-domain stream socket speaking line-delimited JSON (a remote
  * user forwards it, e.g. `ssh -L <local.sock>:<remote.sock>`). Each
  * request line is one op; each response is one line. Hot cells are
- * served straight from the result cache (exp/cache/); cold cells are
- * scheduled on the experiment thread pool and their responses stream
- * back as the simulations land — a client that submits a sweep's
- * worth of "run" lines (or one "sweep" line) gets cache hits
- * immediately and misses in completion order, tagged so it can
- * reassemble the grid.
+ * served straight from the result cache (exp/cache/) by the
+ * connection's reader thread; cold cells are scheduled on the
+ * experiment thread pool and their responses stream back as the
+ * simulations land — a client that submits a sweep's worth of "run"
+ * lines (or one "sweep" line) gets cache hits immediately and misses
+ * in completion order, tagged so it can reassemble the grid.
  *
  * Concurrency model: connections are accepted concurrently, each
- * with its own reader thread, all feeding the one experiment
- * pool — jobs bounds simultaneous simulations globally, not per
- * client. Work is admitted through a bounded queue and scheduled
- * fairly per client (round-robin across connections with pending
- * work), so one client's 4096-cell chunk cannot starve another's
- * single run. A client that hangs up mid-request loses nothing but
- * its responses: its scheduled cells still execute and fill the
- * cache, and the connection's fd stays alive (shared ownership) until
- * the last in-flight response has attempted its send. Only "shutdown"
- * (or SIGTERM, when signal handling is enabled) drains globally.
+ * with its own reader thread, which probes the cache for each cell it
+ * admits and answers a hit itself, so a hit never waits behind a
+ * simulation. Only misses go to the one experiment pool, where a
+ * worker simulates and stores them — jobs bounds simultaneous
+ * simulations globally, not per client. Work is admitted through a
+ * bounded queue and misses are scheduled fairly per client
+ * (round-robin across connections with pending work), so one
+ * client's 4096-cell cold chunk cannot starve another's single run.
+ * A client that hangs up mid-request loses nothing but its
+ * responses: its scheduled cells still execute and fill the cache,
+ * and the connection's fd stays alive (shared ownership) until the
+ * last in-flight response has attempted its send. Only "shutdown"
+ * (or SIGTERM, when signal handling is enabled) drains globally,
+ * after every admitted cell, answered by its reader or by the pool,
+ * has attempted its send.
  *
  * Robustness model (DESIGN §4.5):
  *   - admission: a "run" costs 1 unit, a "sweep" chunk costs its cell
@@ -34,9 +39,10 @@
  *     blocked on a quiet socket costs no pool worker.
  *   - stalled peers: a response send that cannot make progress for
  *     sendTimeoutMs marks the connection dead and drops its remaining
- *     sends — a reader that stops draining can never wedge a pool
- *     worker. Any failed send, a reset peer's too, also shuts the
- *     socket down, so the connection's reader ends at once.
+ *     sends — a client that stops draining can never wedge a pool
+ *     worker, nor its own reader past one timeout. Any failed send, a
+ *     reset peer's too, also shuts the socket down, so the
+ *     connection's reader ends at once.
  *   - one transport: requests are read and responses sent through
  *     the serve wire's transport (exp/line_io.hh), shared with the
  *     client library. The send timer is elapsed time since the last
@@ -127,9 +133,9 @@ struct ServeConfig
      *  simulates). */
     std::string cacheDir;
 
-    /** Concurrent cold-cell simulations across all connected clients
-     *  (cache hits never queue behind a cold simulation for long —
-     *  they are microsecond tasks on the same pool). */
+    /** Concurrent cold-cell simulations across all connected clients.
+     *  Cache hits take no job: each connection's reader answers its
+     *  own. */
     unsigned jobs = 1;
 
     /** Admission bound: total work units (runs + sweep-chunk cells)
@@ -145,7 +151,8 @@ struct ServeConfig
     int sendTimeoutMs = 10'000;
 
     /** Install SIGTERM/SIGINT handlers for a graceful drain: stop
-     *  accepting, close every read side, wait out the pool, exit 0.
+     *  accepting, close every read side, wait out the readers and the
+     *  pool, exit 0.
      *  Off by default so embedding a server in a test process never
      *  hijacks the host's signal disposition unasked. */
     bool handleSignals = false;
@@ -154,8 +161,9 @@ struct ServeConfig
 /**
  * Bind, listen, and serve until a client sends {"op":"shutdown"} (or
  * SIGTERM arrives, with handleSignals). Connections are accepted
- * concurrently, each on its own reader thread; all ops share one
- * cfg.jobs-wide pool and respond in completion order. @return a
+ * concurrently, each on its own reader thread, which answers cache
+ * hits itself; every miss runs on one cfg.jobs-wide pool, and
+ * responses arrive in completion order. @return a
  * process exit code (0 = clean shutdown op or signal drain; 1 =
  * socket setup failure — including a live server already on
  * socketPath — with the reason on stderr).

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -238,6 +239,30 @@ recordOf(const std::string &line)
     return rec;
 }
 
+/** The stats op's counters, read on @p c. */
+wire::JsonValue
+statsOf(Client &c)
+{
+    return at(c.rpc("{\"op\":\"stats\"}"), "stats");
+}
+
+/** The stats op's "queued" once @p pred holds for it, polled for up to
+ *  5 s; else the last value read. A unit is released just after its
+ *  response is sent, so a client can hold the response before the
+ *  server stops counting the unit. */
+double
+queuedWhen(Client &c, const std::function<bool(double)> &pred)
+{
+    double q = -1;
+    for (int i = 0; i < 5000; ++i) {
+        q = numberOf(at(statsOf(c), "queued"));
+        if (pred(q))
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return q;
+}
+
 } // anonymous namespace
 
 TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
@@ -282,6 +307,112 @@ TEST(Serve, RunReportsAuthoritativeSourceAndByteIdenticalRecords)
         workerCell("h2", 7)));
     EXPECT_EQ(recordOf(cold_line), want);
     EXPECT_EQ(recordOf(warm_line), want);
+
+    server.stop();
+}
+
+TEST(Serve, AWarmHitIsAnsweredWhileTheOnlyJobSimulates)
+{
+    setQuiet(true);
+    TestServer server("hitbeside", 1);
+    const std::string warm_req =
+        "{\"op\":\"run\",\"app\":\"worker\",\"nodes\":4,"
+        "\"protocol\":\"h5\",\"seed\":1,\"tag\":\"warm\"}";
+    Client b;
+    ASSERT_TRUE(b.connectTo(server.cfg.socketPath));
+    ASSERT_EQ(at(b.rpc(warm_req), "source").raw, "sim");
+    ASSERT_EQ(queuedWhen(b, [](double q) { return q == 0; }), 0);
+
+    // A's cold cell holds the server's only job for about a quarter
+    // of a second.
+    Client a;
+    ASSERT_TRUE(a.connectTo(server.cfg.socketPath));
+    a.sendLine("{\"op\":\"run\",\"app\":\"smgrid\",\"nodes\":64,"
+               "\"protocol\":\"h0\",\"params\":{\"fine\":\"65\"},"
+               "\"tag\":\"cold\"}");
+    ASSERT_EQ(queuedWhen(b, [](double q) { return q >= 1; }), 1);
+
+    // B's warm cell is answered while A's simulates: A's line has not
+    // arrived when B's does.
+    b.sendLine(warm_req);
+    std::string hit;
+    ASSERT_TRUE(b.readLine(hit));
+    pollfd pending{a.fd, POLLIN, 0};
+    EXPECT_EQ(::poll(&pending, 1, 0), 0)
+        << "the warm hit waited behind the cold simulation";
+    EXPECT_EQ(at(parseJson(hit), "source").raw, "cache");
+
+    std::string cold;
+    ASSERT_TRUE(a.readLine(cold));
+    EXPECT_EQ(at(parseJson(cold), "source").raw, "sim");
+
+    server.stop();
+}
+
+TEST(Serve, EachCellIsLookedUpOnce)
+{
+    setQuiet(true);
+    TestServer server("lookuponce");
+    Client c;
+    ASSERT_TRUE(c.connectTo(server.cfg.socketPath));
+    auto run = [](const char *proto, int seed) {
+        return std::string("{\"op\":\"run\",\"app\":\"worker\","
+                           "\"nodes\":4,\"canonical\":true,"
+                           "\"protocol\":\"") +
+               proto + "\",\"seed\":" + std::to_string(seed) + "}";
+    };
+    for (int seed : {1, 2})
+        ASSERT_EQ(at(c.rpc(run("h2", seed)), "source").raw, "sim");
+    auto count = [](const wire::JsonValue &stats, const char *name) {
+        return numberOf(at(stats, name));
+    };
+
+    // Two warm and two cold cells in one chunk: one lookup each, and
+    // a store for each cold one.
+    const wire::JsonValue before = statsOf(c);
+    c.sendLine("{\"op\":\"sweep\",\"app\":\"worker\",\"nodes\":4,"
+               "\"canonical\":true,\"grid\":{\"protocol\":[\"h2\","
+               "\"h5\"],\"seed\":[1,2]}}");
+    int hits = 0, sims = 0;
+    for (;;) {
+        std::string line;
+        ASSERT_TRUE(c.readLine(line));
+        wire::JsonValue v = parseJson(line);
+        ASSERT_TRUE(at(v, "ok").boolean) << line;
+        if (has(v, "sweep_done"))
+            break;
+        const std::string &src = at(v, "source").raw;
+        const bool warm = at(v, "cell_key").raw.find("h2") !=
+                          std::string::npos;
+        EXPECT_EQ(src, warm ? "cache" : "sim") << line;
+        hits += src == "cache";
+        sims += src == "sim";
+    }
+    EXPECT_EQ(hits, 2);
+    EXPECT_EQ(sims, 2);
+    const wire::JsonValue mid = statsOf(c);
+    EXPECT_EQ(count(mid, "hits") - count(before, "hits"), 2);
+    EXPECT_EQ(count(mid, "misses") - count(before, "misses"), 2);
+    EXPECT_EQ(count(mid, "stores") - count(before, "stores"), 2);
+
+    // A truncated entry is one corrupt miss, deleted by that lookup
+    // and simulated once to the bytes of a direct run.
+    const ExperimentSpec cell = workerCell("h2", 1);
+    const std::string entry =
+        cache::ResultCache(server.cfg.cacheDir).entryPath(cell);
+    ASSERT_EQ(::truncate(entry.c_str(), 100), 0) << entry;
+    c.sendLine(run("h2", 1));
+    std::string line;
+    ASSERT_TRUE(c.readLine(line));
+    EXPECT_EQ(at(parseJson(line), "source").raw, "sim");
+    EXPECT_EQ(recordOf(line),
+              canonicalJson(Runner(/*fail_fast=*/false).execute(cell)));
+    const wire::JsonValue after = statsOf(c);
+    EXPECT_EQ(count(after, "corrupt") - count(mid, "corrupt"), 1);
+    EXPECT_EQ(count(after, "misses") - count(mid, "misses"), 1);
+    EXPECT_EQ(count(after, "stores") - count(mid, "stores"), 1);
+    EXPECT_EQ(count(after, "hits"), count(mid, "hits"));
+    EXPECT_EQ(queuedWhen(c, [](double q) { return q == 0; }), 0);
 
     server.stop();
 }

@@ -1051,8 +1051,9 @@ def check_local_sweep(binary, tmp):
 
 @contextlib.contextmanager
 def fake_sweep_server(sock_path, of, cells):
-    """A peer that answers one sweep line with `cells` cell lines
-    claiming an `of`-cell grid, then sweep_done."""
+    """A peer that answers one request line with `cells` cell lines
+    claiming an `of`-cell grid, then sweep_done (with no cells, a run
+    gets an ok line that carries no record)."""
     import threading
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     srv.bind(sock_path)
@@ -1090,8 +1091,9 @@ def fake_sweep_server(sock_path, of, cells):
 
 def check_remote_sweep_counts(binary, tmp):
     """--connect --sweep must refuse a grid of another size than the
-    points x seeds it asked for: exit 1 with an error record, never a
-    crash or a document of the wrong length."""
+    points x seeds it asked for: exit 1 with an error record that
+    names the sweep's protocol as "spectrum", never a crash or a
+    document of the wrong length."""
     grid = len(spectrum(binary)) * len(CLI_SWEEP_SEEDS)
     for of in (1, grid + 5):
         sock_path = os.path.join(tmp, f"fake_of{of}.sock")
@@ -1114,12 +1116,36 @@ def check_remote_sweep_counts(binary, tmp):
         records = load_doc(json_path, "swex-run-v1").get("records")
         if not isinstance(records, list) or len(records) != 1 or \
                 records[0].get("status") != "error" or \
-                records[0].get("error_kind") != "parse":
+                records[0].get("error_kind") != "parse" or \
+                records[0].get("protocol") != "spectrum":
             sys.exit(f"FAIL: --connect --sweep against a {of}-cell answer "
                      f"wrote {records!r}, expected one parse error "
-                     f"record")
+                     f"record for protocol \"spectrum\"")
     print(f"OK: --connect --sweep refuses 1- and {grid + 5}-cell answers "
           f"for a {grid}-cell grid (exit 1, error record)")
+
+    # A failed run's record keeps the protocol the run asked for.
+    sock_path = os.path.join(tmp, "fake_run.sock")
+    json_path = os.path.join(tmp, "fake_run.json")
+    with fake_sweep_server(sock_path, 1, 0):
+        try:
+            proc = subprocess.run(
+                [binary, "--connect", sock_path, *CLI_SWEEP_CELL,
+                 "--protocol", "h2", "--json", json_path],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                timeout=CLI_REFUSAL_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            sys.exit(f"FAIL: --connect against a record-less answer still "
+                     f"running after {CLI_REFUSAL_TIMEOUT_S} s")
+    records = load_doc(json_path, "swex-run-v1").get("records")
+    if proc.returncode != 1 or not isinstance(records, list) or \
+            len(records) != 1 or records[0].get("status") != "error" or \
+            records[0].get("protocol") != "h2":
+        sys.exit(f"FAIL: --connect --protocol h2 against a record-less "
+                 f"answer exited with {proc.returncode} and wrote "
+                 f"{records!r}, expected exit 1 and one error record for "
+                 f"protocol \"h2\":\n{proc.stdout}")
+    print("OK: a failed --connect run records the protocol it asked for")
 
 
 def main():

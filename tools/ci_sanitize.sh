@@ -18,9 +18,10 @@
 # --jobs 4, and stress_serve --direct), each pinned to its grid's one
 # digest, so the sanitized binaries must reproduce the same digests.
 # The tier-1 pass also carries test_serve, which runs a real
-# multi-client server in-process — per-connection reader threads
-# feeding the shared run pool, server-side sweeps, chunked resume,
-# overload shedding, and SIGTERM drain — and the serve
+# multi-client server in-process — per-connection reader threads that
+# read cache entries and render records for hits while the shared run
+# pool simulates and stores misses, server-side sweeps, chunked
+# resume, overload shedding, and SIGTERM drain — and the serve
 # wire's transport on socket pairs, so the serve path's
 # connection-lifetime discipline is TSan-checked on every matrix run.
 # The stress label adds stress_serve, the socket-level chaos harness

@@ -114,11 +114,9 @@ gridSweepRequest()
 std::string
 directRecord(const Runner &runner, std::size_t cell)
 {
-    Runner::ExecSource src = Runner::ExecSource::Sim;
-    RunRecord rec = runner.execute(gridSpec(cell), &src);
-    std::ostringstream os;
-    rec.writeJson(os, /*canonical=*/true);
-    return os.str();
+    std::string out;
+    runner.execute(gridSpec(cell)).appendJson(out, /*canonical=*/true);
+    return out;
 }
 
 /** FNV-1a over the records, each followed by a newline, from the

@@ -358,14 +358,18 @@ remoteMain(client::ClientConfig ccfg, const codec::Request &req,
                      want_sweep ? "sweep" : "run", kind.c_str(),
                      error.c_str());
         if (!json_path.empty()) {
-            // The protocol as the request spelled it.
-            const std::string sent = fields.line();
-            wire::JsonValue doc;
-            wire::JsonParser(sent).parseWhole(doc);
-            writeRemoteJson(json_path,
-                            {remoteFailureRecord(
-                                spec, doc.find("protocol")->raw, error,
-                                kind)});
+            // A sweep spans the whole spectrum, so its record names no
+            // one protocol; a run's names its own, as the request
+            // spelled it.
+            std::string proto = "spectrum";
+            if (!want_sweep) {
+                const std::string sent = fields.line();
+                wire::JsonValue doc;
+                wire::JsonParser(sent).parseWhole(doc);
+                proto = doc.find("protocol")->raw;
+            }
+            writeRemoteJson(json_path, {remoteFailureRecord(
+                                           spec, proto, error, kind)});
         }
         return 1;
     }
